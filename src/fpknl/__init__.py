@@ -10,11 +10,9 @@ from .evolution import (EvolutionPlan, evolve_analytic, evolve_quadrature,
 from .fdsolver import FDConfig, FDResult, compare, fd_solve
 from .kernels import (KernelContext, backward_quadratic_form, green_lin,
                       green_nl, green_nl_inv, kernel_context, kernel_matrix)
-from .model import (ModelParams, MomentTrajectory, SampledDensity,
-                    effective_drift, grid_first_moment, moment_at, total_mass)
-from .packets import (GaussianMixture, GaussianPacket, as_mixture, eval_packet,
-                      evolve_packet, evolve_packet_linear, packet_moments,
-                      propagate_packet)
+from .model import ModelParams, MomentTrajectory, SampledDensity
+from .packets import (GaussianMixture, GaussianPacket, as_mixture, evolve_packet,
+                      evolve_packet_linear, propagate_packet)
 from .symmetry import (InitialOperator, OperatorApplication, SymmetryShifts,
                        apply_initial_op, apply_operator, build_shifts,
                        evolve_operator, linsym_closed_form, linsym_operator,

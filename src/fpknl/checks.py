@@ -8,6 +8,7 @@ callers.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -17,11 +18,18 @@ from .evolution import (evolve_analytic, evolve_quadrature, inverse_evolve,
                         plan_for)
 from .fdsolver import FDConfig, compare, fd_solve
 from .model import ModelParams, SampledDensity
-from .packets import GaussianPacket, evolve_packet
+from .packets import GaussianPacket, as_mixture, evolve_packet
 from .symmetry import (apply_initial_op, build_shifts, linsym_closed_form,
                        linsym_operator, residual_field, symmetry_apply_conclusion,
                        symmetry_apply_evolution, symmetry_apply_shift)
 from .variations import matriciant, matriciant_rk4, riccati_factor
+
+# tolerances shared with the command line's per-run checks
+QUADRATURE_TOL = 1e-6        # quadrature mass and first moment
+ANALYTIC_EVOLVE_TOL = 1e-9   # closed-form mass and first moment
+ROUNDTRIP_QUADRATURE_TOL = 1e-4
+ROUNDTRIP_PARAMETER_TOL = 1e-12
+ROUTE_TOL = 1e-8             # pairwise agreement of the symmetry routes
 
 
 @dataclass
@@ -38,9 +46,24 @@ class CheckResult:
         return f"{status} {self.name}: value={self.value:.3e} tol={self.tolerance:.3e}{extra}"
 
 
-def _result(name, value, tol, detail="") -> CheckResult:
+def result(name, value, tol, detail="") -> CheckResult:
+    """A check passes when its measured value is at most its tolerance."""
     return CheckResult(name=name, passed=bool(value <= tol), value=float(value),
                        tolerance=float(tol), detail=detail)
+
+
+def parameter_error(original, recovered) -> float:
+    """Largest difference in mean, num, den or weight between matching
+    components of two Gaussian fields."""
+    pairs = zip(as_mixture(original).components, as_mixture(recovered).components)
+    return float(np.max([np.max(np.abs(np.subtract(getattr(b, f), getattr(a, f))))
+                         for a, b in pairs for f in ("mean", "num", "den", "weight")]))
+
+
+def route_spread(fields) -> float:
+    """Largest pointwise difference over all pairs of route outputs."""
+    return float(np.max([np.max(np.abs(a - b))
+                         for a, b in itertools.combinations(fields, 2)]))
 
 
 def reference_case() -> tuple[ModelParams, GaussianPacket]:
@@ -49,6 +72,13 @@ def reference_case() -> tuple[ModelParams, GaussianPacket]:
                          coupling_mean=[[-0.5]], diffusion=0.1, coupling=1.0)
     packet = GaussianPacket(mean=[0.5], num=[[1.0]], den=[[1.0]])
     return params, packet
+
+
+def _case_or_reference(params, packet):
+    """The given model and packet, each defaulting to the reference case's."""
+    ref_params, ref_packet = reference_case()
+    return (ref_params if params is None else params,
+            ref_packet if packet is None else packet)
 
 
 def _sample_packet(packet, params, x_min, dx, nx) -> SampledDensity:
@@ -98,16 +128,15 @@ def check_fd_reduction(params=None, packet=None, nx=1200, dt=2e-5, t_end=1.0,
     Pre-computed FdComparison objects may be passed in so expensive runs
     can be shared with other checks.
     """
-    if params is None or packet is None:
-        params, packet = reference_case()
+    params, packet = _case_or_reference(params, packet)
     if base is None:
         base = fd_vs_analytic(params, packet, x_min, x_max, nx, dt, t_end)
     out = [
-        _result("reduction-linf", base.linf, linf_tol,
+        result("reduction-linf", base.linf, linf_tol,
                 f"nx={nx} dt={dt:g}"),
-        _result("reduction-runtime", base.runtime, runtime_tol, "seconds"),
-        _result("moment-decoupling", base.moment_dev, moment_tol),
-        _result("fd-mass", base.mass_dev, mass_tol),
+        result("reduction-runtime", base.runtime, runtime_tol, "seconds"),
+        result("moment-decoupling", base.moment_dev, moment_tol),
+        result("fd-mass", base.mass_dev, mass_tol),
     ]
     if refine:
         if refined is None:
@@ -125,12 +154,11 @@ def check_fd_reduction(params=None, packet=None, nx=1200, dt=2e-5, t_end=1.0,
 def check_mass_conservation(params=None, packet=None,
                             times=(0.25, 0.5, 0.75, 1.0),
                             x_min=-6.0, x_max=6.0, nx=1201) -> list[CheckResult]:
-    if params is None or packet is None:
-        params, packet = reference_case()
+    params, packet = _case_or_reference(params, packet)
     worst_analytic = 0.0
     for t in times:
         worst_analytic = max(worst_analytic,
-                             abs(evolve_packet(packet, params, t, 0.0).mass() - 1.0))
+                             abs(evolve_packet(packet, params, t, 0.0).total_mass() - 1.0))
     gamma = SampledDensity.from_callable(lambda p: packet.eval(params, p),
                                          [x_min], [x_max], [nx])
     worst_quad = 0.0
@@ -139,8 +167,8 @@ def check_mass_conservation(params=None, packet=None,
         worst_quad = max(worst_quad,
                          abs(evolve_quadrature(gamma, plan).total_mass() - 1.0))
     return [
-        _result("analytic-mass", worst_analytic, 0.0, "exact by construction"),
-        _result("quadrature-mass", worst_quad, 1e-6),
+        result("analytic-mass", worst_analytic, 0.0, "exact by construction"),
+        result("quadrature-mass", worst_quad, QUADRATURE_TOL),
     ]
 
 
@@ -171,9 +199,9 @@ def check_matriciant_laws(seed=20240, count=100, rk4_count=10,
         for blk in ("nn", "dn", "dd"):
             worst_rk4 = max(worst_rk4, float(np.max(np.abs(getattr(a, blk) - getattr(b, blk)))))
     return [
-        _result("matriciant-compose-nn", worst_nn, 1e-10, f"{count} draws"),
-        _result("matriciant-compose-dn", worst_dn, 1e-10, f"{count} draws"),
-        _result("matriciant-rk4", worst_rk4, 1e-8, f"{rk4_count} draws"),
+        result("matriciant-compose-nn", worst_nn, 1e-10, f"{count} draws"),
+        result("matriciant-compose-dn", worst_dn, 1e-10, f"{count} draws"),
+        result("matriciant-rk4", worst_rk4, 1e-8, f"{rk4_count} draws"),
     ]
 
 
@@ -208,22 +236,17 @@ def check_riccati_residual(seed=12345, samples=50, dims=(1, 2, 3),
                     - 8.0 * q_at(t - h) + q_at(t - 2 * h)) / (12.0 * h)
             res = qdot + 2.0 * q @ q - lam_m.T @ q - q @ lam_m
             worst = max(worst, float(np.max(np.abs(res))))
-    return [_result("riccati-residual", worst, 1e-8,
+    return [result("riccati-residual", worst, 1e-8,
                     f"dims {dims}, {samples} times each")]
 
 
 # ------------------------------------------------------------------ roundtrip
 
 def check_roundtrip(params=None, packet=None, t=1.0) -> list[CheckResult]:
-    if params is None or packet is None:
-        params, packet = reference_case()
+    params, packet = _case_or_reference(params, packet)
     plan = plan_for(params, 0.0, t, packet)
     u = evolve_analytic(packet, plan)
-    rec = inverse_evolve(u, plan).components[0]
-    param_err = max(float(np.max(np.abs(rec.mean - packet.mean))),
-                    float(np.max(np.abs(rec.num - packet.num))),
-                    float(np.max(np.abs(rec.den - packet.den))),
-                    abs(rec.weight - packet.weight))
+    param_err = parameter_error(packet, inverse_evolve(u, plan))
 
     quad_params = ModelParams(drift=[[1.0]], coupling_state=[[0.0]],
                               coupling_mean=[[-0.5]], diffusion=0.5, coupling=1.0)
@@ -235,8 +258,9 @@ def check_roundtrip(params=None, packet=None, t=1.0) -> list[CheckResult]:
     back = inverse_evolve(u_q, qplan)
     quad_err = float(np.max(np.abs(back.values - gamma.values)))
     return [
-        _result("roundtrip-analytic", param_err, 1e-12, "parameter recovery"),
-        _result("roundtrip-quadrature", quad_err, 1e-4,
+        result("roundtrip-analytic", param_err, ROUNDTRIP_PARAMETER_TOL,
+                "parameter recovery"),
+        result("roundtrip-quadrature", quad_err, ROUNDTRIP_QUADRATURE_TOL,
                 "t-s=0.1, unit drift, diffusion 0.5"),
     ]
 
@@ -245,8 +269,7 @@ def check_roundtrip(params=None, packet=None, t=1.0) -> list[CheckResult]:
 
 def check_symmetry_routes(params=None, packet=None, t=1.0,
                           image_moment=0.2) -> list[CheckResult]:
-    if params is None or packet is None:
-        params, packet = reference_case()
+    params, packet = _case_or_reference(params, packet)
     s = 0.0
     plan = plan_for(params, s, t, packet)
     u = evolve_analytic(packet, plan)
@@ -263,16 +286,11 @@ def check_symmetry_routes(params=None, packet=None, t=1.0,
     closed = linsym_closed_form(params, t, s, float(packet.num[0, 0]),
                                 float(packet.den[0, 0]), float(packet.mean[0]),
                                 image_moment)(xs)
-    names = list(fields)
-    worst_routes = 0.0
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            worst_routes = max(worst_routes,
-                               float(np.max(np.abs(fields[names[i]] - fields[names[j]]))))
+    worst_routes = route_spread(fields.values())
     closed_err = float(np.max(np.abs(fields["conjugation"] - closed)))
     return [
-        _result("symmetry-routes", worst_routes, 1e-8, "pairwise over 3 routes"),
-        _result("symmetry-closed-form", closed_err, 1e-8,
+        result("symmetry-routes", worst_routes, ROUTE_TOL, "pairwise over 3 routes"),
+        result("symmetry-closed-form", closed_err, 1e-8,
                 "explicit display vs conjugation pipeline"),
     ]
 
@@ -302,8 +320,7 @@ def _symmetry_residual(params, packet, image_moment, dx, dt, t_mid=0.4, nt=7,
 
 def check_symmetry_residual(params=None, packet=None, image_moment=0.2,
                             dx=1e-2, dt=1e-3) -> list[CheckResult]:
-    if params is None or packet is None:
-        params, packet = reference_case()
+    params, packet = _case_or_reference(params, packet)
     coarse = _symmetry_residual(params, packet, image_moment, dx, dt)
     fine = _symmetry_residual(params, packet, image_moment, dx / 2.0, dt / 2.0)
     ratio = coarse[1] / fine[1]
@@ -344,9 +361,9 @@ def check_kappa_continuity(small=1e-8, t=1.0) -> list[CheckResult]:
 
     fd_diff = float(np.max(np.abs(fd(p_small) - fd(p_zero))))
     return [
-        _result("kappa-continuity-analytic", analytic, 1e-6),
-        _result("kappa-continuity-quadrature", quadrature, 1e-6),
-        _result("kappa-continuity-fd", fd_diff, 1e-6, "t=0.3 short solve"),
+        result("kappa-continuity-analytic", analytic, 1e-6),
+        result("kappa-continuity-quadrature", quadrature, 1e-6),
+        result("kappa-continuity-fd", fd_diff, 1e-6, "t=0.3 short solve"),
     ]
 
 

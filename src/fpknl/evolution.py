@@ -55,32 +55,19 @@ class EvolutionPlan:
 
 
 def plan_for(params: ModelParams, s: float, t: float,
-             initial: GaussianMixture | GaussianPacket | SampledDensity | np.ndarray,
+             initial: GaussianMixture | GaussianPacket | SampledDensity,
              require_normalized: bool = True,
              moment_override=None) -> EvolutionPlan:
     """Build a plan from the initial data's first moment (or an override).
 
     The trajectory must exist before any kernel evaluation; for zero-mass
-    fields the moment is not defined by the data and the override is
-    mandatory.
+    fields the moment is not defined by the data (DegenerateMomentError)
+    and the override is mandatory.
     """
     if moment_override is not None:
         x0 = _vector(moment_override, params.dim, "moment_override")
-    elif isinstance(initial, (GaussianMixture, GaussianPacket)):
-        mix = as_mixture(initial)
-        mass = mix.mass()
-        raw = mix.first_moment(params)
-        x0 = raw / mass if abs(mass) > 1e-10 else None
-    elif isinstance(initial, SampledDensity):
-        mass = initial.total_mass()
-        raw = initial.first_moment()
-        x0 = raw / mass if abs(mass) > 1e-10 else None
     else:
-        x0 = _vector(initial, params.dim, "initial moment")
-    if x0 is None:
-        raise NormalizationError(
-            "initial data has (near-)zero mass; pass moment_override to fix the trajectory"
-        )
+        x0 = initial.first_moment(params, normalized=True)
     return EvolutionPlan(params=params, s=float(s), t=float(t),
                          moment=params.moment_trajectory(x0, s),
                          require_normalized=require_normalized)
@@ -108,7 +95,7 @@ def evolve_analytic(g: GaussianMixture | GaussianPacket,
                     plan: EvolutionPlan) -> GaussianMixture:
     """Propagate every component in closed form around the shared trajectory."""
     mix = as_mixture(g)
-    _check_mass(mix.mass(), plan, MASS_TOL_ANALYTIC)
+    _check_mass(mix.total_mass(), plan, MASS_TOL_ANALYTIC)
     if plan.t == plan.s:
         return mix.copy()
     m = matriciant(plan.params, plan.t, plan.s)
@@ -201,13 +188,10 @@ def inverse_evolve(u: GaussianMixture | GaussianPacket | SampledDensity,
     Sampled pathway: truncated-SVD solve of the forward quadrature system
     (the literal backward-kernel integral diverges for forward images).
     """
-    if plan.t == plan.s:
-        if isinstance(u, SampledDensity):
-            return u.copy()
-        return as_mixture(u).copy()
     if isinstance(u, SampledDensity):
-        return _inverse_sampled(u, plan, rcond)
-    return _inverse_analytic(as_mixture(u), plan)
+        return u.copy() if plan.t == plan.s else _inverse_sampled(u, plan, rcond)
+    mix = as_mixture(u)
+    return mix.copy() if plan.t == plan.s else _inverse_analytic(mix, plan)
 
 
 def sample_mixture(mix: GaussianMixture, params: ModelParams,

@@ -78,39 +78,52 @@ def _spread(m: Matriciant, strict: bool) -> tuple[np.ndarray, float]:
     return ws, det
 
 
-def _gauss_kernel(m: Matriciant, eps: float, n: int, x, y,
-                  strict: bool) -> np.ndarray:
+def _evaluate(ctx: KernelContext, kind: str, x, y, outer: bool,
+              strict: bool | None = None) -> np.ndarray:
+    """Kernel of the given kind at paired points (outer=False: row i of x
+    with row i of y, a single row broadcasting) or over their product
+    (outer=True: an (rows of x, rows of y) matrix).
+
+    kind -> (matriciant, anchor subtracted from x, anchor from y, strict):
+    lin is the drift-only propagator, nl the same Gaussian around the moment
+    trajectory, nl_inv the nl formula with the times swapped.
+    """
+    if kind == "lin":
+        m, xo, yo, default_strict = ctx.m_fwd, 0.0, 0.0, True
+    elif kind == "nl":
+        m, xo, yo, default_strict = ctx.m_fwd, ctx.x_u_t, ctx.x_gamma, True
+    elif kind == "nl_inv":
+        m, xo, yo, default_strict = ctx.m_bwd, ctx.x_gamma, ctx.x_u_t, False
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}")
     if abs(m.tau) < DELTA_TOL:
         raise DeltaLimitError(
             f"|t - s| = {abs(m.tau):.3e} below {DELTA_TOL:.0e}: kernel degenerates to a delta"
         )
-    w, det = _spread(m, strict)
-    xp = np.atleast_2d(np.asarray(x, dtype=float).reshape(-1, n))
-    yp = np.atleast_2d(np.asarray(y, dtype=float).reshape(-1, n))
-    if xp.shape[0] == 1 and yp.shape[0] > 1:
-        xp = np.broadcast_to(xp, yp.shape)
-    if yp.shape[0] == 1 and xp.shape[0] > 1:
-        yp = np.broadcast_to(yp, xp.shape)
-    xi = xp - yp @ m.dd.T
-    expo = -0.5 / eps * np.einsum("ij,jk,ik->i", xi, np.linalg.inv(w), xi)
+    w, det = _spread(m, default_strict if strict is None else strict)
+    n, eps = ctx.params.dim, ctx.params.diffusion
+    xp = np.asarray(x, dtype=float).reshape(-1, n) - xo
+    yp = (np.asarray(y, dtype=float).reshape(-1, n) - yo) @ m.dd.T
+    xi = xp[:, None, :] - yp[None, :, :] if outer else xp - yp
+    expo = -0.5 / eps * np.einsum("...j,jk,...k->...", xi, np.linalg.inv(w), xi)
     pref = (2.0 * np.pi * eps) ** (-n / 2.0) * abs(det) ** (-0.5)
-    vals = pref * np.exp(expo)
+    return pref * np.exp(expo)
+
+
+def _pointwise(ctx: KernelContext, kind: str, x, y, strict=None):
+    vals = _evaluate(ctx, kind, x, y, outer=False, strict=strict)
     return vals if vals.size > 1 else float(vals[0])
 
 
 def green_lin(ctx: KernelContext, x, y, strict: bool = True) -> np.ndarray:
     """Propagator of the drift-only linear equation from time s to time t."""
-    return _gauss_kernel(ctx.m_fwd, ctx.params.diffusion, ctx.params.dim,
-                         x, y, strict)
+    return _pointwise(ctx, "lin", x, y, strict)
 
 
 def green_nl(ctx: KernelContext, x, y, strict: bool = True) -> np.ndarray:
     """Evolution kernel of the mean-coupled equation: the linear kernel
     evaluated at (x - X(t), y - X(s)) along the moment trajectory."""
-    n = ctx.params.dim
-    xp = np.asarray(x, dtype=float).reshape(-1, n) - ctx.x_u_t
-    yp = np.asarray(y, dtype=float).reshape(-1, n) - ctx.x_gamma
-    return _gauss_kernel(ctx.m_fwd, ctx.params.diffusion, n, xp, yp, strict)
+    return _pointwise(ctx, "nl", x, y, strict)
 
 
 def green_nl_inv(ctx: KernelContext, x, y) -> np.ndarray:
@@ -119,35 +132,14 @@ def green_nl_inv(ctx: KernelContext, x, y) -> np.ndarray:
     Evaluated as written: the exponent is generally sign indefinite (a
     growing Gaussian factor for t > s) and the prefactor uses |det|.
     """
-    n = ctx.params.dim
-    xp = np.asarray(x, dtype=float).reshape(-1, n) - ctx.x_gamma
-    yp = np.asarray(y, dtype=float).reshape(-1, n) - ctx.x_u_t
-    return _gauss_kernel(ctx.m_bwd, ctx.params.diffusion, n, xp, yp, strict=False)
+    return _pointwise(ctx, "nl_inv", x, y)
 
 
 def kernel_matrix(ctx: KernelContext, xs: np.ndarray, ys: np.ndarray,
                   kind: str = "nl") -> np.ndarray:
     """Dense kernel values over the product of output points xs and input
     points ys, both (N, dim) arrays.  kind is one of lin | nl | nl_inv."""
-    n = ctx.params.dim
-    eps = ctx.params.diffusion
-    xs = np.asarray(xs, dtype=float).reshape(-1, n)
-    ys = np.asarray(ys, dtype=float).reshape(-1, n)
-    if kind == "lin":
-        m, xo, yo, strict = ctx.m_fwd, 0.0, 0.0, True
-    elif kind == "nl":
-        m, xo, yo, strict = ctx.m_fwd, ctx.x_u_t, ctx.x_gamma, True
-    elif kind == "nl_inv":
-        m, xo, yo, strict = ctx.m_bwd, ctx.x_gamma, ctx.x_u_t, False
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    if abs(m.tau) < DELTA_TOL:
-        raise DeltaLimitError("coincident times: kernel degenerates to a delta")
-    w, det = _spread(m, strict)
-    xi = (xs - xo)[:, None, :] - (ys - yo)[None, :, :] @ m.dd.T
-    expo = -0.5 / eps * np.einsum("abj,jk,abk->ab", xi, np.linalg.inv(w), xi)
-    pref = (2.0 * np.pi * eps) ** (-n / 2.0) * abs(det) ** (-0.5)
-    return pref * np.exp(expo)
+    return _evaluate(ctx, kind, xs, ys, outer=True)
 
 
 def backward_quadratic_form(ctx: KernelContext, q_envelope: np.ndarray) -> np.ndarray:

@@ -35,6 +35,15 @@ def _vector(x, n: int, name: str = "vector") -> np.ndarray:
     return v
 
 
+def normalize_moment(raw: np.ndarray, mass: float) -> np.ndarray:
+    """First moment per unit mass; undefined for a field of (near-)zero mass."""
+    if abs(mass) <= ZERO_MASS_TOL:
+        raise DegenerateMomentError(
+            f"normalized moment undefined: mass {mass:.3e} is below {ZERO_MASS_TOL:.0e}"
+        )
+    return raw / mass
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coefficients of the mean-coupled drift-diffusion model.
@@ -93,11 +102,6 @@ class ModelParams:
                                 rate=self.moment_rate)
 
 
-def effective_drift(params: ModelParams) -> np.ndarray:
-    """Drift matrix acting on x once the mean-field term is folded in."""
-    return params.effective_drift
-
-
 @dataclass(frozen=True)
 class MomentTrajectory:
     """Closed-form solution of the constant-coefficient moment ODE dX/dt = rate @ X."""
@@ -111,10 +115,6 @@ class MomentTrajectory:
         if tau == 0.0:
             return self.x0.copy()
         return expm(tau * self.rate) @ self.x0
-
-
-def moment_at(traj: MomentTrajectory, t: float) -> np.ndarray:
-    return traj.at(t)
 
 
 @dataclass
@@ -168,7 +168,9 @@ class SampledDensity:
             v = np.trapezoid(v, dx=self.dx[ax], axis=ax)
         return float(v)
 
-    def first_moment(self, normalized: bool = False) -> np.ndarray:
+    def first_moment(self, params=None, normalized: bool = False) -> np.ndarray:
+        """Trapezoid integral of x times the samples; params is accepted for
+        the shared field interface and unused."""
         moment = np.empty(self.dim)
         for i in range(self.dim):
             shape = [1] * self.dim
@@ -178,14 +180,7 @@ class SampledDensity:
             for ax in range(v.ndim - 1, -1, -1):
                 v = np.trapezoid(v, dx=self.dx[ax], axis=ax)
             moment[i] = v
-        if not normalized:
-            return moment
-        mass = self.total_mass()
-        if abs(mass) <= ZERO_MASS_TOL:
-            raise DegenerateMomentError(
-                f"normalized moment undefined: mass {mass:.3e} is below {ZERO_MASS_TOL:.0e}"
-            )
-        return moment / mass
+        return normalize_moment(moment, self.total_mass()) if normalized else moment
 
     def edge_max(self) -> float:
         """Largest absolute value on any boundary face of the grid."""
@@ -195,6 +190,9 @@ class SampledDensity:
                         float(np.max(np.abs(np.take(self.values, 0, axis=ax)))),
                         float(np.max(np.abs(np.take(self.values, -1, axis=ax)))))
         return worst
+
+    def scaled(self, factor: float) -> "SampledDensity":
+        return SampledDensity(self.x_min.copy(), self.dx.copy(), self.values * float(factor))
 
     def copy(self) -> "SampledDensity":
         return SampledDensity(self.x_min.copy(), self.dx.copy(), self.values.copy())
@@ -214,10 +212,3 @@ class SampledDensity:
         vals = np.asarray(f(pts), dtype=float).reshape(tuple(nodes))
         return cls(x_min, dx, vals)
 
-
-def total_mass(d: SampledDensity) -> float:
-    return d.total_mass()
-
-
-def grid_first_moment(d: SampledDensity, normalized: bool = False) -> np.ndarray:
-    return d.first_moment(normalized=normalized)

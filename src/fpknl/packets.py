@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidCovarianceError
-from .model import ModelParams, _vector
+from .model import ModelParams, _vector, normalize_moment
 from .variations import Matriciant, fraction, matriciant
 
 
@@ -65,17 +65,18 @@ class GaussianPacket:
     def covariance(self, params: ModelParams) -> np.ndarray:
         return params.diffusion * np.linalg.inv(self.precision())
 
-    def mass(self) -> float:
+    def total_mass(self) -> float:
         # the Gaussian factor integrates to 1, the odd amplitude part to 0
         return self.weight * self.amp0
 
-    def first_moment(self, params: ModelParams) -> np.ndarray:
-        """Raw integral of x times the packet."""
+    def first_moment(self, params: ModelParams, normalized: bool = False) -> np.ndarray:
+        """Integral of x times the packet, raw or per unit mass."""
         q = self.precision(density_valid=False)
         out = self.amp0 * self.mean
         if self.amp1 is not None:
             out = out + params.diffusion * np.linalg.solve(q, self.amp1)
-        return self.weight * out
+        raw = self.weight * out
+        return normalize_moment(raw, self.total_mass()) if normalized else raw
 
     def eval(self, params: ModelParams, x) -> np.ndarray:
         q = self.precision()
@@ -96,18 +97,6 @@ class GaussianPacket:
 
     def scaled(self, factor: float) -> "GaussianPacket":
         return replace(self, weight=self.weight * float(factor))
-
-
-def eval_packet(p: GaussianPacket, params: ModelParams, x) -> np.ndarray:
-    return p.eval(params, x)
-
-
-def packet_moments(p: GaussianPacket, params: ModelParams):
-    """(mass, mean, covariance), all in closed form."""
-    if p.amp1 is None:
-        return p.mass(), p.mean.copy(), p.covariance(params)
-    # amplitude-carrying packets: report raw mass and raw first moment
-    return p.mass(), p.first_moment(params), p.covariance(params)
 
 
 def propagate_packet(p: GaussianPacket, params: ModelParams, m: Matriciant,
@@ -184,14 +173,12 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.components[0].dim
 
-    def mass(self) -> float:
-        return sum(c.mass() for c in self.components)
+    def total_mass(self) -> float:
+        return sum(c.total_mass() for c in self.components)
 
     def first_moment(self, params: ModelParams, normalized: bool = False) -> np.ndarray:
         raw = sum(c.first_moment(params) for c in self.components)
-        if not normalized:
-            return raw
-        return raw / self.mass()
+        return normalize_moment(raw, self.total_mass()) if normalized else raw
 
     def eval(self, params: ModelParams, x) -> np.ndarray:
         vals = self.components[0].eval(params, x)

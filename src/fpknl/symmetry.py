@@ -149,11 +149,8 @@ def apply_initial_op(op: InitialOperator,
     is returned and flagged."""
     field, alpha = apply_operator(op, gamma, params)
     if abs(alpha) > ZERO_ALPHA_TOL:
-        if isinstance(field, SampledDensity):
-            field = SampledDensity(field.x_min, field.dx, field.values / alpha)
-        else:
-            field = field.scaled(1.0 / alpha)
-        return OperatorApplication(field=field, alpha=alpha, normalized=True)
+        return OperatorApplication(field=field.scaled(1.0 / alpha), alpha=alpha,
+                                   normalized=True)
     return OperatorApplication(field=field, alpha=alpha, normalized=False)
 
 
@@ -197,25 +194,17 @@ def build_shifts(op: InitialOperator,
     mass, moment_override fixes the image trajectory; otherwise the image
     moment is the ratio of raw integrals.
     """
-    if isinstance(gamma, SampledDensity):
-        x_gamma = gamma.first_moment(normalized=True)
-    else:
-        x_gamma = as_mixture(gamma).first_moment(params, normalized=True)
+    x_gamma = gamma.first_moment(params, normalized=True)
     app = apply_initial_op(op, gamma, params)
-    if app.normalized:
-        if isinstance(app.field, SampledDensity):
-            x_image = app.field.first_moment()
-        else:
-            x_image = app.field.first_moment(params)
-        if moment_override is not None:
-            x_image = _vector(moment_override, params.dim, "moment_override")
-    else:
-        if moment_override is None:
-            raise InputError(
-                "operator image has zero mass; supply moment_override to seed "
-                "its moment trajectory"
-            )
+    if moment_override is not None:
         x_image = _vector(moment_override, params.dim, "moment_override")
+    elif app.normalized:
+        x_image = app.field.first_moment(params)
+    else:
+        raise InputError(
+            "operator image has zero mass; supply moment_override to seed "
+            "its moment trajectory"
+        )
     lam = x_image - x_gamma
     return SymmetryShifts(
         params=params, s=float(s),

@@ -192,6 +192,28 @@ def test_verify_task_quick_checks(tmp_path):
     assert "matriciant-compose-nn" in names and "roundtrip-quadrature" in names
 
 
+@pytest.mark.parametrize("initial", ["gaussian", "sampled"])
+def test_verify_runs_checks_on_configured_model(tmp_path, initial):
+    # without a gaussian initial block the checks keep the configured model
+    # and take the reference packet
+    names = ["mass-conservation", "roundtrip", "symmetry-routes", "symmetry-residual"]
+    reports = {}
+    for label, drift, eps, mean, num in (("reference", 1.0, 0.1, 0.5, 1.0),
+                                         ("configured", 2.0, 0.05, 0.3, 1.5)):
+        out = tmp_path / label
+        cfg = base_config(out, task="verify", verify={"checks": names})
+        cfg["model"].update(drift=[[drift]], diffusion=eps)
+        cfg["initial"]["components"][0].update(mean=[mean], num=[[num]])
+        if initial == "sampled":
+            cfg["initial"] = {"kind": "sampled", "path": str(sampled_csv(tmp_path))}
+        assert main(["verify", str(write_config(tmp_path, cfg, f"{label}.json"))]) == 0
+        report = json.loads((out / "t_report.json").read_text())
+        reports[label] = {c["name"]: c for c in report["checks"]}
+    for name in ("roundtrip-analytic", "symmetry-routes", "symmetry-closed-form",
+                 "symmetry-residual-order"):
+        assert reports["configured"][name] != reports["reference"][name], name
+
+
 def test_verify_reports_failure_with_exit_one(tmp_path):
     out = tmp_path / "out"
     cfg = base_config(out, task="verify",

@@ -79,7 +79,7 @@ def test_mass_preserved_exactly_analytic():
         GaussianPacket(mean=[0.5], num=[[1.0]], den=[[2.0]], weight=0.7),
     ])
     out = evolve_analytic(mix, plan_for(p, 0.0, 1.3, mix))
-    assert out.mass() == mix.mass()
+    assert out.total_mass() == mix.total_mass()
 
 
 def test_normalization_gate():
@@ -88,7 +88,7 @@ def test_normalization_gate():
     with pytest.raises(NormalizationError):
         evolve_analytic(heavy, plan_for(p, 0.0, 1.0, heavy))
     plan = plan_for(p, 0.0, 1.0, heavy, require_normalized=False)
-    assert evolve_analytic(heavy, plan).mass() == pytest.approx(2.0)
+    assert evolve_analytic(heavy, plan).total_mass() == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------- quadrature

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpknl import (ConfigurationError, DegenerateMomentError, InputError,
-                   ModelParams, SampledDensity, effective_drift)
+                   ModelParams, SampledDensity)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -18,19 +18,19 @@ def make_params(k1, k2, k3, eps=1.0, kappa=0.0):
 
 def test_effective_drift_scalar_sum():
     p = make_params([[1.0]], [[2.0]], [[0.0]], kappa=0.5)
-    np.testing.assert_allclose(effective_drift(p), [[2.0]])
+    np.testing.assert_allclose(p.effective_drift, [[2.0]])
 
 
 def test_effective_drift_zero_coupling():
     k2 = [[7.0, -1.0], [2.0, 3.0]]
     p = make_params(np.eye(2), k2, np.zeros((2, 2)), kappa=0.0)
-    np.testing.assert_allclose(effective_drift(p), np.eye(2))
+    np.testing.assert_allclose(p.effective_drift, np.eye(2))
 
 
 def test_effective_drift_matrix_sum():
     p = make_params(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], np.zeros((2, 2)),
                     kappa=1.0)
-    np.testing.assert_allclose(effective_drift(p), [[1.0, 1.0], [-1.0, 1.0]])
+    np.testing.assert_allclose(p.effective_drift, [[1.0, 1.0], [-1.0, 1.0]])
 
 
 @given(k1=finite, k2=finite, ka=finite, kb=finite)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fpknl import (GaussianPacket, InvalidCovarianceError, ModelParams,
-                   eval_packet, evolve_packet, evolve_packet_linear,
-                   packet_moments, residual_field, spacetime_samples)
+                   evolve_packet, evolve_packet_linear, residual_field,
+                   spacetime_samples)
 
 
 def params_1d(lam=0.0, eps=0.5, feedback=0.0, kappa=0.0):
@@ -16,21 +16,21 @@ def test_peak_value_is_normalization():
     pk = GaussianPacket(mean=[0.2], num=[[2.0]], den=[[1.0]], weight=0.7)
     q = 2.0
     expected = 0.7 * np.sqrt(q / (2 * np.pi * 0.5))
-    assert eval_packet(pk, p, [0.2]) == pytest.approx(expected, abs=1e-14)
+    assert pk.eval(p, [0.2]) == pytest.approx(expected, abs=1e-14)
 
 
 def test_peak_value_frozen_unit_case():
     p = params_1d(eps=0.5)
     pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
-    assert eval_packet(pk, p, [0.0]) == pytest.approx(0.5641895835477563, abs=1e-15)
+    assert pk.eval(p, [0.0]) == pytest.approx(0.5641895835477563, abs=1e-15)
 
 
 def test_eval_symmetric_about_mean():
     p = params_1d(eps=0.3)
     pk = GaussianPacket(mean=[0.4], num=[[1.3]], den=[[0.9]])
     for d in (0.1, 0.7, 2.0):
-        assert eval_packet(pk, p, [0.4 + d]) == pytest.approx(
-            eval_packet(pk, p, [0.4 - d]), abs=1e-15)
+        assert pk.eval(p, [0.4 + d]) == pytest.approx(
+            pk.eval(p, [0.4 - d]), abs=1e-15)
 
 
 def test_evolve_identity_at_equal_times():
@@ -48,7 +48,7 @@ def test_heat_variance_growth():
     pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
     out = evolve_packet(pk, p, 1.0, 0.0)
     assert out.precision()[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
-    _, _, cov = packet_moments(out, p)
+    cov = out.covariance(p)
     assert cov[0, 0] == pytest.approx(1.5, abs=1e-12)
 
 
@@ -62,7 +62,7 @@ def test_mean_follows_moment_trajectory():
 def test_packet_moments_of_valid_packet():
     p = params_1d(eps=0.5)
     pk = GaussianPacket(mean=[-0.3], num=[[1.0]], den=[[3.0]], weight=0.9)
-    mass, mean, cov = packet_moments(pk, p)
+    mass, mean, cov = pk.total_mass(), pk.mean, pk.covariance(p)
     assert mass == pytest.approx(0.9)
     assert mean[0] == pytest.approx(-0.3)
     assert cov[0, 0] == pytest.approx(1.5, abs=1e-13)
@@ -72,7 +72,7 @@ def test_mass_invariant_along_evolution():
     p = params_1d(lam=0.7, eps=0.2, feedback=-0.4, kappa=1.0)
     pk = GaussianPacket(mean=[0.6], num=[[1.2]], den=[[0.8]], weight=1.0)
     for t in (0.1, 0.5, 1.0, 2.0):
-        assert evolve_packet(pk, p, t, 0.0).mass() == pk.mass()
+        assert evolve_packet(pk, p, t, 0.0).total_mass() == pk.total_mass()
 
 
 def test_grid_mass_of_evolved_packet():

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpknl import (GaussianPacket, InputError, ModelParams,
-                   apply_initial_op, build_shifts, evolve_analytic,
-                   linsym_closed_form, linsym_operator, matriciant, plan_for,
-                   residual_field, spacetime_samples, symmetry_apply_conclusion,
+from fpknl import (DegenerateMomentError, GaussianMixture, GaussianPacket,
+                   InputError, ModelParams, apply_initial_op, build_shifts,
+                   evolve_analytic, linsym_closed_form, linsym_operator,
+                   matriciant, plan_for, residual_field, sample_mixture,
+                   spacetime_samples, symmetry_apply_conclusion,
                    symmetry_apply_evolution, symmetry_apply_shift)
 from fpknl.symmetry import InitialOperator
 
@@ -186,6 +187,21 @@ def test_zero_mass_route_needs_moment_override():
     op = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean)
     with pytest.raises(InputError):
         build_shifts(op, pk, p, 0.0)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["mixture", "sampled"])
+def test_zero_mass_field_has_no_normalized_moment(sampled):
+    p = params_1d()
+    field = GaussianMixture([
+        GaussianPacket(mean=[0.5], num=[[1.0]], den=[[1.0]], weight=0.6),
+        GaussianPacket(mean=[-0.2], num=[[2.0]], den=[[1.0]], weight=-0.6)])
+    if sampled:
+        field = sample_mixture(field, p, [-6.0], [6.0], [1201])
+    with pytest.raises(DegenerateMomentError):
+        field.first_moment(p, normalized=True)
+    op = InitialOperator(const=0.4, lin=[0.9], grad=[-0.5])
+    with pytest.raises(DegenerateMomentError):
+        build_shifts(op, field, p, 0.0, moment_override=[0.1])
 
 
 def test_image_moment_trajectories():
