@@ -243,25 +243,32 @@ def check_riccati_residual(seed=12345, samples=50, dims=(1, 2, 3),
 # ------------------------------------------------------------------ roundtrip
 
 def check_roundtrip(params=None, packet=None, t=1.0) -> list[CheckResult]:
+    """Analytic inverse of the evolved packet, then the sampled inverse of
+    its quadrature image over t-s = 0.1 on 801 nodes spanning the packet
+    mean +- 10 standard deviations.  The sampled half is 1D: for other
+    dimensions it runs on the reference case."""
     params, packet = _case_or_reference(params, packet)
     plan = plan_for(params, 0.0, t, packet)
     u = evolve_analytic(packet, plan)
     param_err = parameter_error(packet, inverse_evolve(u, plan))
 
-    quad_params = ModelParams(drift=[[1.0]], coupling_state=[[0.0]],
-                              coupling_mean=[[-0.5]], diffusion=0.5, coupling=1.0)
-    quad_packet = GaussianPacket(mean=[0.3], num=[[1.0]], den=[[1.0]])
-    gamma = SampledDensity.from_callable(lambda p: quad_packet.eval(quad_params, p),
-                                         [-8.0], [8.0], [801])
-    qplan = plan_for(quad_params, 0.0, 0.1, gamma)
+    detail = "t-s=0.1, 801 nodes over mean +- 10 sd"
+    q_params, q_packet = params, packet
+    if params.dim != 1:
+        q_params, q_packet = reference_case()
+        detail += f"; 1D reference case in place of the dim-{params.dim} model"
+    center = float(q_packet.mean[0])
+    half = 10.0 * float(np.sqrt(q_packet.covariance(q_params)[0, 0]))
+    gamma = SampledDensity.from_callable(lambda p: q_packet.eval(q_params, p),
+                                         [center - half], [center + half], [801])
+    qplan = plan_for(q_params, 0.0, 0.1, gamma)
     u_q = evolve_quadrature(gamma, qplan)
     back = inverse_evolve(u_q, qplan)
     quad_err = float(np.max(np.abs(back.values - gamma.values)))
     return [
         result("roundtrip-analytic", param_err, ROUNDTRIP_PARAMETER_TOL,
                 "parameter recovery"),
-        result("roundtrip-quadrature", quad_err, ROUNDTRIP_QUADRATURE_TOL,
-                "t-s=0.1, unit drift, diffusion 0.5"),
+        result("roundtrip-quadrature", quad_err, ROUNDTRIP_QUADRATURE_TOL, detail),
     ]
 
 

@@ -148,7 +148,9 @@ def forward_quadrature_matrix(gamma: SampledDensity,
     """Matrix A with (A @ values) = forward quadrature on the input grid."""
     ctx = plan.context()
     pts = gamma.points()
-    return kernel_matrix(ctx, pts, pts, kind="nl") * _trapezoid_weights(gamma)
+    a = kernel_matrix(ctx, pts, pts, kind="nl")
+    a *= _trapezoid_weights(gamma)
+    return a
 
 
 def _inverse_analytic(u: GaussianMixture, plan: EvolutionPlan) -> GaussianMixture:

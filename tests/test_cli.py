@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fpknl import GaussianPacket, ModelParams, checks
 from fpknl.cli import SCHEMA, main
 
 
@@ -212,6 +213,28 @@ def test_verify_runs_checks_on_configured_model(tmp_path, initial):
     for name in ("roundtrip-analytic", "symmetry-routes", "symmetry-closed-form",
                  "symmetry-residual-order"):
         assert reports["configured"][name] != reports["reference"][name], name
+
+
+def test_verify_roundtrip_quadrature_follows_configured_model(tmp_path):
+    # drift 1 and drift 2 used to report the same fixed-case value
+    values = []
+    for drift in (1.0, 2.0):
+        out = tmp_path / f"drift{drift:g}"
+        cfg = base_config(out, task="verify", verify={"checks": ["roundtrip"]})
+        cfg["model"]["drift"] = [[drift]]
+        assert main(["verify", str(write_config(tmp_path, cfg, f"d{drift:g}.json"))]) == 0
+        report = json.loads((out / "t_report.json").read_text())
+        values += [c["value"] for c in report["checks"]
+                   if c["name"] == "roundtrip-quadrature"]
+    assert len(values) == 2 and values[0] != values[1]
+    # the sampled half is 1D only: a 2D model runs it on the reference case
+    # and says so
+    p2 = ModelParams(drift=np.eye(2), coupling_state=np.zeros((2, 2)),
+                     coupling_mean=-0.5 * np.eye(2), diffusion=0.1, coupling=1.0)
+    pk2 = GaussianPacket(mean=[0.5, 0.0], num=np.eye(2), den=np.eye(2))
+    quad = [r for r in checks.check_roundtrip(p2, pk2) if r.name == "roundtrip-quadrature"]
+    ref = [r for r in checks.check_roundtrip() if r.name == "roundtrip-quadrature"]
+    assert quad[0].value == ref[0].value and "reference case" in quad[0].detail
 
 
 def test_verify_reports_failure_with_exit_one(tmp_path):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpknl import (GaussianMixture, GaussianPacket, IllPosedInverseError,
-                   ModelParams, NormalizationError, SampledDensity,
-                   TruncationError, evolve_analytic, evolve_packet,
-                   evolve_quadrature, inverse_evolve, plan_for,
+                   KernelValidityError, ModelParams, NormalizationError,
+                   SampledDensity, TruncationError, evolve_analytic,
+                   evolve_packet, evolve_quadrature, inverse_evolve, plan_for,
                    plan_from_final_moment)
 
 
@@ -123,6 +123,15 @@ def test_quadrature_uncoupled_matches_linear_propagation():
     out = evolve_quadrature(gamma, plan)
     exact = evolve_packet(pk, p, 0.7, 0.0).eval(p, out.points())
     assert np.max(np.abs(out.values.ravel() - exact)) < 1e-6
+
+
+def test_quadrature_long_horizon_names_the_overflow():
+    # drift 3 over t - s = 250 overflows the matriciant; the error must say
+    # so rather than blame the (finite) input samples
+    p = params_1d(lam=3.0)
+    gamma = sampled_from(unit_packet(), p, -3.0, 3.0, 301)
+    with pytest.raises(KernelValidityError, match=r"\|t - s\| = 250.*overflows"):
+        evolve_quadrature(gamma, plan_for(p, 0.0, 250.0, gamma))
 
 
 def test_quadrature_identity_at_equal_times():

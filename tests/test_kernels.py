@@ -154,3 +154,50 @@ def test_context_checks_mutual_consistency():
     full_b = np.block([[ctx.m_bwd.nn, np.zeros((n, n))],
                        [ctx.m_bwd.dn, ctx.m_bwd.dd]])
     np.testing.assert_allclose(full_f @ full_b, np.eye(2), atol=1e-10)
+
+
+@pytest.mark.parametrize("dim, kind", [(1, "lin"), (1, "nl"), (2, "nl"),
+                                       (1, "nl_inv")])
+def test_kernel_matrix_matches_pointwise_off_center(dim, kind):
+    # the product pairing expands the exponent into squared coordinates;
+    # on a grid 1000 away from the anchors it must still match the direct
+    # pointwise form
+    drift = np.eye(dim) + np.array([[0.0, 0.3], [-0.2, 0.0]])[:dim, :dim]
+    p = ModelParams(drift=drift, coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=-0.5 * np.eye(dim), diffusion=0.2,
+                    coupling=1.0)
+    ctx = kernel_context(p, 0.7, 0.0, x_gamma=np.full(dim, 0.4))
+    evaluator, m, xo, yo = {
+        "lin": (green_lin, ctx.m_fwd, 0.0, 0.0),
+        "nl": (green_nl, ctx.m_fwd, ctx.x_u_t, ctx.x_gamma),
+        "nl_inv": (green_nl_inv, ctx.m_bwd, ctx.x_gamma, ctx.x_u_t),
+    }[kind]
+    axis = np.linspace(-2.0, 2.0, 41 if dim == 1 else 9)
+    ys = 1000.0 + np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
+                           axis=-1).reshape(-1, dim)
+    # output points around the transported inputs, where the kernel lives
+    xs = xo + (ys - yo) @ m.dd.T + 0.05
+    mat = kernel_matrix(ctx, xs, ys, kind=kind)
+    ref = evaluator(ctx, np.repeat(xs, len(ys), axis=0),
+                    np.tile(ys, (len(xs), 1))).reshape(mat.shape)
+    keep = np.abs(ref) > 1e-100 * np.max(np.abs(ref))
+    assert keep.sum() > len(ys)
+    np.testing.assert_allclose(mat[keep], ref[keep], rtol=1e-12, atol=0.0)
+
+
+def test_backward_matriciant_is_lazy():
+    # forward-only kernels never build or check the backward matriciant
+    ctx = kernel_context(params_1d(1.3, 0.2), 0.9, 0.1)
+    green_lin(ctx, [0.0], [0.0])
+    assert "m_bwd" not in vars(ctx)
+    assert ctx.m_bwd is ctx.m_bwd
+
+
+def test_overflowing_matriciant_raises_kernel_validity_error():
+    # long horizons overflow the unnormalized blocks; every kind must name
+    # that instead of returning NaN
+    p = params_1d(3.0, 0.1, feedback=-0.5, kappa=1.0)
+    ctx = kernel_context(p, 250.0, 0.0)
+    for kind in ("lin", "nl", "nl_inv"):
+        with pytest.raises(KernelValidityError, match=r"\|t - s\| = 250.*overflows"):
+            kernel_matrix(ctx, [[0.0]], [[0.0]], kind=kind)
