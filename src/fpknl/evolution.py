@@ -10,7 +10,18 @@ The left inverse on the analytic pathway is exact backward block algebra.
 On sampled densities the literal backward-kernel integral diverges for
 every forward image (the growing exponent always wins), so the inverse is
 realized as a truncated-SVD least-squares solve of the forward quadrature
-system; inputs that no initial data can explain raise IllPosedInverseError.
+system, with lstsq's rule: singular values at or below rcond * sigma_max
+are dropped.  The quadrature matrix is numerically low-rank, so the SVD
+comes from a randomized range finder: a sketch of SKETCH_START Gaussian
+columns from a local generator seeded with SKETCH_SEED (repeatable, and
+the global numpy state is untouched), doubled until the sketch's smallest
+singular value lies below SKETCH_STOP * rcond times its largest, so that
+every singular value above the cutoff is captured.  A near-full-rank
+system, one that would need a sketch of more than N/4 columns, is solved
+by np.linalg.lstsq instead.  Either way the solution is checked against
+the full matrix: inputs that no initial data can explain raise
+IllPosedInverseError, naming the rank kept, the cutoff, the forward
+residual and the factorization.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (IllPosedInverseError, NormalizationError,
+from .errors import (IllPosedInverseError, InputError, NormalizationError,
                      TruncationError)
 from .kernels import KernelContext, kernel_context, kernel_matrix
 from .model import ModelParams, MomentTrajectory, SampledDensity, _vector
@@ -31,6 +42,9 @@ MASS_TOL_ANALYTIC = 1e-10
 MASS_TOL_QUADRATURE = 1e-6
 EDGE_DECAY_TOL = 1e-12
 INVERSE_RCOND = 1e-8
+SKETCH_START = 128
+SKETCH_STOP = 1e-3
+SKETCH_SEED = 20110601
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,9 @@ def forward_quadrature_matrix(gamma: SampledDensity,
     pts = gamma.points()
     a = kernel_matrix(ctx, pts, pts, kind="nl")
     a *= _trapezoid_weights(gamma)
+    # the kernel tails underflow to subnormals, which halve the speed of
+    # every product with A; below the smallest normal double they are zero
+    np.putmask(a, a < np.finfo(a.dtype).tiny, 0.0)
     return a
 
 
@@ -164,18 +181,49 @@ def _inverse_analytic(u: GaussianMixture, plan: EvolutionPlan) -> GaussianMixtur
     return GaussianMixture(out)
 
 
+def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
+    """Truncated-SVD least squares with lstsq's cutoff rule, through the
+    randomized range finder of the module docstring (Halko, Martinsson &
+    Tropp, SIAM Review 2011) or, for a near-full-rank A, lstsq itself.
+
+    Returns (solution, rank kept, sigma cutoff, factorization name).
+    """
+    n = a.shape[1]
+    # the first sketch runs on any system at least twice its size; past
+    # N/4 columns the sketch costs more than a dense factorization
+    widest = max(n // 4, SKETCH_START if n >= 2 * SKETCH_START else 0)
+    rng = np.random.default_rng(SKETCH_SEED)
+    y = np.empty((a.shape[0], 0))
+    k = SKETCH_START
+    while k <= widest:
+        y = np.hstack([y, a @ rng.standard_normal((n, k - y.shape[1]))])
+        q, r = np.linalg.qr(y)
+        sy = np.linalg.svd(r, compute_uv=False)
+        if sy[-1] <= SKETCH_STOP * rcond * sy[0]:
+            ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
+            cutoff = rcond * s[0]
+            keep = s > cutoff
+            sol = vt[keep].T @ ((ub[:, keep].T @ (q.T @ rhs)) / s[keep])
+            return sol, int(keep.sum()), cutoff, f"randomized sketch k={k}"
+        k *= 2
+    sol, _, rank, s = np.linalg.lstsq(a, rhs, rcond=rcond)
+    return sol, int(rank), rcond * s[0], "lstsq"
+
+
 def _inverse_sampled(u: SampledDensity, plan: EvolutionPlan,
                      rcond: float) -> SampledDensity:
     a = forward_quadrature_matrix(u, plan)
     rhs = u.values.ravel()
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=rcond)
+    sol, rank, cutoff, how = _sketch_solve(a, rhs, rcond)
     resid = float(np.max(np.abs(a @ sol - rhs)))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    if resid > 1e-6 * scale:
+    limit = 1e-6 * max(1.0, float(np.max(np.abs(rhs))))
+    if resid > limit:
         raise IllPosedInverseError(
             f"no initial data on this grid reproduces the samples "
-            f"(forward residual {resid:.3e}); backward diffusion amplifies "
-            "content the forward flow cannot produce"
+            f"(forward residual {resid:.3e} > {limit:.1e}; rank {rank} of "
+            f"{rhs.size} kept above the sigma cutoff {cutoff:.3e} = rcond "
+            f"{rcond:.1e} x sigma_max, factorization {how}); backward "
+            "diffusion amplifies content the forward flow cannot produce"
         )
     return SampledDensity(u.x_min.copy(), u.dx.copy(),
                           sol.reshape(u.values.shape))
@@ -188,8 +236,13 @@ def inverse_evolve(u: GaussianMixture | GaussianPacket | SampledDensity,
 
     Analytic pathway: exact backward block algebra per component.
     Sampled pathway: truncated-SVD solve of the forward quadrature system
-    (the literal backward-kernel integral diverges for forward images).
+    (the literal backward-kernel integral diverges for forward images);
+    singular values at or below rcond * sigma_max are dropped, and rcond
+    must lie in (0, 1).
     """
+    rcond = float(rcond)
+    if not 0.0 < rcond < 1.0:
+        raise InputError(f"rcond must be a finite number in (0, 1), got {rcond!r}")
     if isinstance(u, SampledDensity):
         return u.copy() if plan.t == plan.s else _inverse_sampled(u, plan, rcond)
     mix = as_mixture(u)

@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpknl import (GaussianMixture, GaussianPacket, IllPosedInverseError,
-                   KernelValidityError, ModelParams, NormalizationError,
-                   SampledDensity, TruncationError, evolve_analytic,
-                   evolve_packet, evolve_quadrature, inverse_evolve, plan_for,
+                   InputError, KernelValidityError, ModelParams,
+                   NormalizationError, SampledDensity, TruncationError,
+                   evolution, evolve_analytic, evolve_packet,
+                   evolve_quadrature, inverse_evolve, plan_for,
                    plan_from_final_moment)
 
 
@@ -212,8 +215,86 @@ def test_inverse_rejects_rough_input():
     rng = np.random.default_rng(0)
     u.values = u.values + 1e-3 * rng.standard_normal(u.values.shape) \
         * np.exp(-u.axis() ** 2)
-    with pytest.raises(IllPosedInverseError):
+    with pytest.raises(IllPosedInverseError) as info:
         inverse_evolve(u, plan)
+    sv = np.linalg.svd(evolution.forward_quadrature_matrix(u, plan),
+                       compute_uv=False)
+    cutoff = evolution.INVERSE_RCOND * sv[0]
+    msg = str(info.value)
+    assert f"rank {int(np.sum(sv > cutoff))} of 801" in msg
+    reported = float(re.search(r"sigma cutoff (\S+)", msg).group(1))
+    assert reported == pytest.approx(cutoff, rel=1e-3)
+    assert "forward residual" in msg and "factorization" in msg
+
+
+def _grid_2d(nodes):
+    lam = np.array([[0.6, 0.2], [-0.1, 0.4]])
+    p = ModelParams(drift=lam, coupling_state=np.zeros((2, 2)),
+                    coupling_mean=np.array([[-0.3, 0.0], [0.1, -0.2]]),
+                    diffusion=0.4, coupling=1.0)
+    pk = GaussianPacket(mean=[0.3, -0.2], num=np.eye(2), den=np.eye(2))
+    gamma = SampledDensity.from_callable(lambda q: pk.eval(p, q),
+                                         [-7.0, -7.0], [7.0, 7.0],
+                                         [nodes, nodes])
+    return gamma, plan_for(p, 0.0, 0.5, gamma)
+
+
+def _grid_1d(nodes, eps=0.5, tau=0.1):
+    p = ModelParams(drift=[[1.0]], coupling_state=[[0.0]],
+                    coupling_mean=[[-0.5]], diffusion=eps, coupling=1.0)
+    gamma = sampled_from(unit_packet(mean=0.3), p, -8.0, 8.0, nodes)
+    return gamma, plan_for(p, 0.0, tau, gamma)
+
+
+@pytest.mark.parametrize("rcond", [0.0, -1.0, 1.0, 2.0, np.nan, np.inf])
+def test_inverse_rejects_invalid_rcond(rcond):
+    gamma, plan = _grid_1d(401)
+    u = evolve_quadrature(gamma, plan)
+    with pytest.raises(InputError, match="rcond"):
+        inverse_evolve(u, plan, rcond=rcond)
+
+
+# grid and the factorization its solve must use; "1d-narrow" has a kernel
+# narrow enough that the lstsq rank exceeds the first sketch, so it grows
+SOLVE_CASES = {
+    "1d-401": (lambda: _grid_1d(401), "randomized sketch k=128"),
+    "1d-1201": (lambda: _grid_1d(1201), "randomized sketch k=128"),
+    "1d-narrow": (lambda: _grid_1d(1201, eps=0.15), "randomized sketch k=256"),
+    "2d-31x31": (lambda: _grid_2d(31), "lstsq"),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVE_CASES))
+def test_sampled_solve_matches_lstsq(case):
+    grid, how = SOLVE_CASES[case]
+    gamma, plan = grid()
+    u = evolve_quadrature(gamma, plan)
+    a = evolution.forward_quadrature_matrix(u, plan)
+    rhs = u.values.ravel()
+    rcond = evolution.INVERSE_RCOND
+    ref, _, ref_rank, _ = np.linalg.lstsq(a, rhs, rcond=rcond)
+    sol, rank, _, used = evolution._sketch_solve(a, rhs, rcond)
+    assert used == how
+    assert rank == ref_rank
+    if case == "1d-narrow":
+        assert ref_rank > evolution.SKETCH_START
+    if case.startswith("2d"):
+        assert ref_rank > rhs.size // 4
+    assert np.max(np.abs(sol - ref)) < 1e-6
+    back = inverse_evolve(u, plan)
+    np.testing.assert_array_equal(back.values.ravel(), sol)
+
+
+def test_sampled_inverse_is_repeatable_and_leaves_global_rng_alone():
+    gamma, plan = _grid_1d(801)
+    u = evolve_quadrature(gamma, plan)
+    before = np.random.get_state()
+    first = inverse_evolve(u, plan).values
+    second = inverse_evolve(u, plan).values
+    after = np.random.get_state()
+    assert first.tobytes() == second.tobytes()
+    assert before[0] == after[0] and before[2:] == after[2:]
+    np.testing.assert_array_equal(before[1], after[1])
 
 
 def test_plan_from_final_moment_closes_the_loop():
