@@ -5,8 +5,7 @@ from .errors import (ConfigurationError, DegenerateMomentError, DeltaLimitError,
                      InputError, InvalidCovarianceError, KernelValidityError,
                      NormalizationError, TruncationError)
 from .evolution import (EvolutionPlan, evolve_analytic, evolve_quadrature,
-                        inverse_evolve, plan_for, plan_from_final_moment,
-                        sample_mixture)
+                        inverse_evolve, plan_for, plan_from_final_moment)
 from .fdsolver import FDConfig, FDResult, compare, fd_solve
 from .kernels import (KernelContext, backward_quadratic_form, green_lin,
                       green_nl, green_nl_inv, kernel_context, kernel_matrix)

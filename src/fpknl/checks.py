@@ -2,8 +2,8 @@
 
 Each check returns CheckResult records with the measured value and the
 tolerance it was held to.  The acceptance test module and the command-line
-``verify`` task both run these; tolerances are fixed here, not tuned by
-callers.
+``verify`` task both run these; tolerances, grids, times and seeds are
+fixed here, not tuned by callers.
 """
 
 from __future__ import annotations
@@ -14,14 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .evolution import (evolve_analytic, evolve_quadrature, inverse_evolve,
                         plan_for)
 from .fdsolver import FDConfig, compare, fd_solve
 from .model import ModelParams, SampledDensity
 from .packets import GaussianPacket, as_mixture, evolve_packet
 from .symmetry import (apply_initial_op, build_shifts, linsym_closed_form,
-                       linsym_operator, residual_field, symmetry_apply_conclusion,
-                       symmetry_apply_evolution, symmetry_apply_shift)
+                       linsym_operator, residual_field, spacetime_samples,
+                       symmetry_apply_conclusion, symmetry_apply_evolution,
+                       symmetry_apply_shift)
 from .variations import matriciant, matriciant_rk4, riccati_factor
 
 # tolerances shared with the command line's per-run checks
@@ -30,6 +32,13 @@ ANALYTIC_EVOLVE_TOL = 1e-9   # closed-form mass and first moment
 ROUNDTRIP_QUADRATURE_TOL = 1e-4
 ROUNDTRIP_PARAMETER_TOL = 1e-12
 ROUTE_TOL = 1e-8             # pairwise agreement of the symmetry routes
+REDUCTION_LINF_TOL = 5e-3    # FD oracle vs analytic packet, max abs
+REDUCTION_MOMENT_TOL = 1e-3  # FD grid moment vs closed-form trajectory
+REDUCTION_MASS_TOL = 1e-6    # FD mass drift
+REDUCTION_RUNTIME_TOL = 60.0  # seconds for the base FD solve
+
+CHECK_T = 1.0       # end time of the roundtrip, route and coupling checks
+IMAGE_MOMENT = 0.2  # seeds the trajectory of the zero-mass linsym image
 
 
 @dataclass
@@ -81,9 +90,18 @@ def _case_or_reference(params, packet):
             ref_packet if packet is None else packet)
 
 
-def _sample_packet(packet, params, x_min, dx, nx) -> SampledDensity:
-    x = x_min + dx * np.arange(nx)
-    return SampledDensity([x_min], [dx], packet.eval(params, x.reshape(-1, 1)))
+def _one_dimensional(name, params, packet):
+    """_case_or_reference for a 1D-only check: rejects other dimensions early."""
+    params, packet = _case_or_reference(params, packet)
+    if params.dim != 1:
+        raise ConfigurationError(
+            f"the {name} check is one-dimensional; the model has dimension {params.dim}")
+    return params, packet
+
+
+def _sample_packet(packet, params, x_min, x_max, nx) -> SampledDensity:
+    return SampledDensity.from_callable(lambda p: packet.eval(params, p),
+                                        [x_min], [x_max], [nx])
 
 
 # ---------------------------------------------------------------- fd reduction
@@ -101,12 +119,12 @@ def fd_vs_analytic(params, packet, x_min=-6.0, x_max=6.0, nx=1200,
                    dt=2e-5, t_end=1.0) -> FdComparison:
     cfg = FDConfig(x_min=x_min, x_max=x_max, nx=nx, dt=dt, t_end=t_end,
                    snapshot_times=(t_end,))
-    gamma = _sample_packet(packet, params, x_min, cfg.dx, nx)
+    gamma = _sample_packet(packet, params, x_min, x_max, nx)
     start = time.perf_counter()
     res = fd_solve(params, gamma, cfg)
     runtime = time.perf_counter() - start
     exact_pk = evolve_packet(packet, params, t_end, 0.0)
-    exact = _sample_packet(exact_pk, params, x_min, cfg.dx, nx)
+    exact = _sample_packet(exact_pk, params, x_min, x_max, nx)
     linf, _, _ = compare(res.snapshots[0], exact)
     traj = params.moment_trajectory(packet.mean, 0.0)
     closed = np.array([traj.at(tk)[0] for tk in res.times[:: max(1, len(res.times) // 400)]])
@@ -119,8 +137,6 @@ def fd_vs_analytic(params, packet, x_min=-6.0, x_max=6.0, nx=1200,
 
 def check_fd_reduction(params=None, packet=None, nx=1200, dt=2e-5, t_end=1.0,
                        x_min=-6.0, x_max=6.0, refine=True,
-                       linf_tol=5e-3, moment_tol=1e-3, mass_tol=1e-6,
-                       runtime_tol=60.0,
                        base: FdComparison | None = None,
                        refined: FdComparison | None = None) -> list[CheckResult]:
     """Analytic packet vs the self-consistent finite-difference solve.
@@ -128,15 +144,15 @@ def check_fd_reduction(params=None, packet=None, nx=1200, dt=2e-5, t_end=1.0,
     Pre-computed FdComparison objects may be passed in so expensive runs
     can be shared with other checks.
     """
-    params, packet = _case_or_reference(params, packet)
+    params, packet = _one_dimensional("fd-reduction", params, packet)
     if base is None:
         base = fd_vs_analytic(params, packet, x_min, x_max, nx, dt, t_end)
     out = [
-        result("reduction-linf", base.linf, linf_tol,
+        result("reduction-linf", base.linf, REDUCTION_LINF_TOL,
                 f"nx={nx} dt={dt:g}"),
-        result("reduction-runtime", base.runtime, runtime_tol, "seconds"),
-        result("moment-decoupling", base.moment_dev, moment_tol),
-        result("fd-mass", base.mass_dev, mass_tol),
+        result("reduction-runtime", base.runtime, REDUCTION_RUNTIME_TOL, "seconds"),
+        result("moment-decoupling", base.moment_dev, REDUCTION_MOMENT_TOL),
+        result("fd-mass", base.mass_dev, REDUCTION_MASS_TOL),
     ]
     if refine:
         if refined is None:
@@ -151,16 +167,14 @@ def check_fd_reduction(params=None, packet=None, nx=1200, dt=2e-5, t_end=1.0,
 
 # ------------------------------------------------------------------- mass
 
-def check_mass_conservation(params=None, packet=None,
-                            times=(0.25, 0.5, 0.75, 1.0),
-                            x_min=-6.0, x_max=6.0, nx=1201) -> list[CheckResult]:
-    params, packet = _case_or_reference(params, packet)
+def check_mass_conservation(params=None, packet=None) -> list[CheckResult]:
+    params, packet = _one_dimensional("mass-conservation", params, packet)
+    times = (0.25, 0.5, 0.75, 1.0)
     worst_analytic = 0.0
     for t in times:
         worst_analytic = max(worst_analytic,
                              abs(evolve_packet(packet, params, t, 0.0).total_mass() - 1.0))
-    gamma = SampledDensity.from_callable(lambda p: packet.eval(params, p),
-                                         [x_min], [x_max], [nx])
+    gamma = _sample_packet(packet, params, -6.0, 6.0, 1201)
     worst_quad = 0.0
     for t in times:
         plan = plan_for(params, 0.0, t, gamma)
@@ -174,9 +188,9 @@ def check_mass_conservation(params=None, packet=None,
 
 # ------------------------------------------------------------- matriciant laws
 
-def check_matriciant_laws(seed=20240, count=100, rk4_count=10,
-                          rk4_steps=2000) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_matriciant_laws() -> list[CheckResult]:
+    rng = np.random.default_rng(20240)
+    count, rk4_count = 100, 10
     worst_nn = worst_dn = 0.0
     for _ in range(count):
         lam = rng.uniform(-2.0, 2.0)
@@ -195,7 +209,7 @@ def check_matriciant_laws(seed=20240, count=100, rk4_count=10,
                              coupling_mean=[[0.0]], diffusion=1.0)
         t, s = rng.uniform(-1.0, 1.0, size=2)
         a = matriciant(params, t, s)
-        b = matriciant_rk4(params, t, s, steps=rk4_steps)
+        b = matriciant_rk4(params, t, s, steps=2000)
         for blk in ("nn", "dn", "dd"):
             worst_rk4 = max(worst_rk4, float(np.max(np.abs(getattr(a, blk) - getattr(b, blk)))))
     return [
@@ -212,9 +226,9 @@ def _random_spd(rng, n, floor=0.3):
     return a @ a.T + floor * np.eye(n)
 
 
-def check_riccati_residual(seed=12345, samples=50, dims=(1, 2, 3),
-                           diff_step=1e-5) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_riccati_residual() -> list[CheckResult]:
+    rng = np.random.default_rng(12345)
+    samples, dims = 50, (1, 2, 3)
     worst = 0.0
     for n in dims:
         lam = rng.uniform(-1.5, 1.5, size=(n, n))
@@ -227,7 +241,7 @@ def check_riccati_residual(seed=12345, samples=50, dims=(1, 2, 3),
             return riccati_factor(matriciant(params, tt, 0.0), num0, den0,
                                   symmetrize=False)
 
-        h = diff_step
+        h = 1e-5
         for t in np.linspace(0.05, 0.8, samples):
             q = q_at(t)
             # fourth-order stencil keeps the probe's truncation error
@@ -242,13 +256,13 @@ def check_riccati_residual(seed=12345, samples=50, dims=(1, 2, 3),
 
 # ------------------------------------------------------------------ roundtrip
 
-def check_roundtrip(params=None, packet=None, t=1.0) -> list[CheckResult]:
+def check_roundtrip(params=None, packet=None) -> list[CheckResult]:
     """Analytic inverse of the evolved packet, then the sampled inverse of
     its quadrature image over t-s = 0.1 on 801 nodes spanning the packet
     mean +- 10 standard deviations.  The sampled half is 1D: for other
     dimensions it runs on the reference case."""
     params, packet = _case_or_reference(params, packet)
-    plan = plan_for(params, 0.0, t, packet)
+    plan = plan_for(params, 0.0, CHECK_T, packet)
     u = evolve_analytic(packet, plan)
     param_err = parameter_error(packet, inverse_evolve(u, plan))
 
@@ -259,8 +273,7 @@ def check_roundtrip(params=None, packet=None, t=1.0) -> list[CheckResult]:
         detail += f"; 1D reference case in place of the dim-{params.dim} model"
     center = float(q_packet.mean[0])
     half = 10.0 * float(np.sqrt(q_packet.covariance(q_params)[0, 0]))
-    gamma = SampledDensity.from_callable(lambda p: q_packet.eval(q_params, p),
-                                         [center - half], [center + half], [801])
+    gamma = _sample_packet(q_packet, q_params, center - half, center + half, 801)
     qplan = plan_for(q_params, 0.0, 0.1, gamma)
     u_q = evolve_quadrature(gamma, qplan)
     back = inverse_evolve(u_q, qplan)
@@ -274,25 +287,24 @@ def check_roundtrip(params=None, packet=None, t=1.0) -> list[CheckResult]:
 
 # ------------------------------------------------------------- symmetry routes
 
-def check_symmetry_routes(params=None, packet=None, t=1.0,
-                          image_moment=0.2) -> list[CheckResult]:
-    params, packet = _case_or_reference(params, packet)
-    s = 0.0
+def check_symmetry_routes(params=None, packet=None) -> list[CheckResult]:
+    params, packet = _one_dimensional("symmetry-routes", params, packet)
+    s, t = 0.0, CHECK_T
     plan = plan_for(params, s, t, packet)
     u = evolve_analytic(packet, plan)
     m_ss = matriciant(params, s, s)
     op = linsym_operator(params, m_ss, packet.mean)
-    shifts = build_shifts(op, packet, params, s, moment_override=[image_moment])
+    shifts = build_shifts(op, packet, params, s, moment_override=[IMAGE_MOMENT])
     xs = np.linspace(-3.0, 4.0, 301)
     fields = {
         "shift": symmetry_apply_shift(op, u, shifts, t).eval(params, xs),
         "conclusion": symmetry_apply_conclusion(op, u, shifts, t).eval(params, xs),
         "conjugation": symmetry_apply_evolution(
-            op, u, plan, moment_override=[image_moment]).eval(params, xs),
+            op, u, plan, moment_override=[IMAGE_MOMENT]).eval(params, xs),
     }
     closed = linsym_closed_form(params, t, s, float(packet.num[0, 0]),
                                 float(packet.den[0, 0]), float(packet.mean[0]),
-                                image_moment)(xs)
+                                IMAGE_MOMENT)(xs)
     worst_routes = route_spread(fields.values())
     closed_err = float(np.max(np.abs(fields["conjugation"] - closed)))
     return [
@@ -304,32 +316,30 @@ def check_symmetry_routes(params=None, packet=None, t=1.0,
 
 # ----------------------------------------------------- symmetry residual order
 
-def _symmetry_residual(params, packet, image_moment, dx, dt, t_mid=0.4, nt=7,
-                       x_lo=-2.5, x_hi=3.0):
-    s = 0.0
+def _symmetry_residual(params, packet, dx, dt):
+    s, x_lo, x_hi = 0.0, -2.5, 3.0
     op = linsym_operator(params, matriciant(params, s, s), packet.mean)
     app = apply_initial_op(op, packet, params)
-    traj_seed = [image_moment]
     nx = int(round((x_hi - x_lo) / dx)) + 1
-    times = t_mid + dt * np.arange(nt)
-    xs = (x_lo + (x_hi - x_lo) / (nx - 1) * np.arange(nx)).reshape(-1, 1)
-    rows = []
-    for tk in times:
-        plan_k = plan_for(params, s, float(tk), app.field,
-                          require_normalized=app.normalized,
-                          moment_override=traj_seed)
-        rows.append(evolve_analytic(app.field, plan_k).eval(params, xs))
-    fld = np.stack(rows)
-    moment = params.moment_trajectory(traj_seed, s)
+    times = 0.4 + dt * np.arange(7)
+
+    def field_at(t, pts):
+        plan = plan_for(params, s, float(t), app.field,
+                        require_normalized=app.normalized,
+                        moment_override=[IMAGE_MOMENT])
+        return evolve_analytic(app.field, plan).eval(params, pts)
+
+    fld = spacetime_samples(field_at, times, [x_lo], [x_hi], [nx])
     return residual_field(params, fld, float(times[0]), dt, [x_lo],
-                          [(x_hi - x_lo) / (nx - 1)], moment)
+                          [(x_hi - x_lo) / (nx - 1)],
+                          params.moment_trajectory([IMAGE_MOMENT], s))
 
 
-def check_symmetry_residual(params=None, packet=None, image_moment=0.2,
-                            dx=1e-2, dt=1e-3) -> list[CheckResult]:
-    params, packet = _case_or_reference(params, packet)
-    coarse = _symmetry_residual(params, packet, image_moment, dx, dt)
-    fine = _symmetry_residual(params, packet, image_moment, dx / 2.0, dt / 2.0)
+def check_symmetry_residual(params=None, packet=None) -> list[CheckResult]:
+    params, packet = _one_dimensional("symmetry-residual", params, packet)
+    dx, dt = 1e-2, 1e-3
+    coarse = _symmetry_residual(params, packet, dx, dt)
+    fine = _symmetry_residual(params, packet, dx / 2.0, dt / 2.0)
     ratio = coarse[1] / fine[1]
     return [CheckResult(name="symmetry-residual-order",
                         passed=bool(3.0 <= ratio <= 5.0), value=float(ratio),
@@ -340,12 +350,13 @@ def check_symmetry_residual(params=None, packet=None, image_moment=0.2,
 
 # ------------------------------------------------------------ kappa continuity
 
-def check_kappa_continuity(small=1e-8, t=1.0) -> list[CheckResult]:
+def check_kappa_continuity() -> list[CheckResult]:
     def make(kappa):
         return ModelParams(drift=[[1.0]], coupling_state=[[0.4]],
                            coupling_mean=[[-0.5]], diffusion=0.1, coupling=kappa)
 
-    p_small, p_zero = make(small), make(0.0)
+    t = CHECK_T
+    p_small, p_zero = make(1e-8), make(0.0)
     packet = GaussianPacket(mean=[0.5], num=[[1.0]], den=[[1.0]])
     xs = np.linspace(-4.0, 4.0, 401)
 
@@ -354,8 +365,7 @@ def check_kappa_continuity(small=1e-8, t=1.0) -> list[CheckResult]:
     analytic = float(np.max(np.abs(a_small - a_zero)))
 
     def quad(p):
-        gamma = SampledDensity.from_callable(lambda q: packet.eval(p, q),
-                                             [-6.0], [6.0], [601])
+        gamma = _sample_packet(packet, p, -6.0, 6.0, 601)
         return evolve_quadrature(gamma, plan_for(p, 0.0, t, gamma)).values
 
     quadrature = float(np.max(np.abs(quad(p_small) - quad(p_zero))))
@@ -363,7 +373,7 @@ def check_kappa_continuity(small=1e-8, t=1.0) -> list[CheckResult]:
     def fd(p):
         cfg = FDConfig(x_min=-6.0, x_max=6.0, nx=601, dt=1e-4, t_end=0.3,
                        snapshot_times=(0.3,))
-        gamma = _sample_packet(packet, p, -6.0, cfg.dx, 601)
+        gamma = _sample_packet(packet, p, -6.0, 6.0, 601)
         return fd_solve(p, gamma, cfg).snapshots[0].values
 
     fd_diff = float(np.max(np.abs(fd(p_small) - fd(p_zero))))

@@ -101,7 +101,6 @@ SCHEMA = {
                 "x_min": {"type": "number"},
                 "x_max": {"type": "number"},
                 "nodes": {"type": "integer", "minimum": 8},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "symmetry": {
@@ -136,9 +135,7 @@ SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "nx": {"type": "integer", "minimum": 8},
                         "dt": {"type": "number", "exclusiveMinimum": 0},
-                        "t_end": {"type": "number", "exclusiveMinimum": 0},
                         "refine": {"type": "boolean"},
                     },
                 },
@@ -220,8 +217,12 @@ def _times(cfg: dict) -> tuple[float, float, list[float]]:
     tc = cfg.get("time")
     if tc is None:
         raise ConfigurationError("this task needs a time block")
+    start, end = float(tc["start"]), float(tc["end"])
     snaps = list(tc.get("snapshots", [tc["end"]]))
-    return float(tc["start"]), float(tc["end"]), snaps
+    if end < start or not all(start <= t <= end for t in snaps):
+        raise ConfigurationError(f"time needs start <= snapshots <= end, got start "
+                                 f"{start:g}, end {end:g}, snapshots {snaps}")
+    return start, end, snaps
 
 
 def _grid_axis(cfg: dict) -> np.ndarray:
@@ -258,7 +259,7 @@ def task_evolve(cfg: dict, params: ModelParams):
     if isinstance(initial, SampledDensity):
         if params.dim != 1:
             raise ConfigurationError("sampled evolution is one-dimensional")
-        evolve, tol, xs = evolve_quadrature, checks.QUADRATURE_TOL, initial.axis()
+        evolve, tol, xs = evolve_quadrature, checks.QUADRATURE_TOL, initial.coordinate(0)
         def sample(out):
             return out.values
     else:
@@ -291,7 +292,7 @@ def task_inverse(cfg: dict, params: ModelParams):
         back = inverse_evolve(evolve_quadrature(initial, plan), plan)
         name, tol = "roundtrip-quadrature", checks.ROUNDTRIP_QUADRATURE_TOL
         err = float(np.max(np.abs(back.values - initial.values)))
-        rows += _sample_rows(s, initial.axis(), back.values)
+        rows += _sample_rows(s, initial.coordinate(0), back.values)
     else:
         back = inverse_evolve(evolve_analytic(initial, plan), plan)
         name, tol = "roundtrip-analytic", checks.ROUNDTRIP_PARAMETER_TOL
@@ -340,9 +341,10 @@ def task_symmetry(cfg: dict, params: ModelParams):
     return results, rows, {"alpha": shifts.alpha, "normalized": shifts.normalized}
 
 
-# checks that take the configured model and its first gaussian component;
-# fd-reduction takes them too, with grid settings, and matriciant-laws,
-# riccati-residual and kappa-continuity fix their own models
+# checks that take the configured model and its first gaussian component
+# (all but roundtrip reject a model that is not 1D); fd-reduction takes them
+# too, with grid settings, and matriciant-laws, riccati-residual and
+# kappa-continuity fix their own models
 MODEL_CHECKS = ("mass-conservation", "roundtrip", "symmetry-routes", "symmetry-residual")
 
 
@@ -359,10 +361,8 @@ def task_verify(cfg: dict, params: ModelParams):
             fd = vc.get("fd", {})
             gc = cfg.get("grid", {})
             results += checks.check_fd_reduction(
-                params=params, packet=packet,
-                nx=fd.get("nx", gc.get("nodes", 1200)),
-                dt=fd.get("dt", gc.get("dt", 2e-5)),
-                t_end=fd.get("t_end", cfg.get("time", {}).get("end", 1.0)),
+                params=params, packet=packet, nx=gc.get("nodes", 1200),
+                dt=fd.get("dt", 2e-5), t_end=cfg.get("time", {}).get("end", 1.0),
                 x_min=gc.get("x_min", -6.0), x_max=gc.get("x_max", 6.0),
                 refine=fd.get("refine", True))
         elif name in MODEL_CHECKS:

@@ -120,19 +120,6 @@ def evolve_analytic(g: GaussianMixture | GaussianPacket,
     ])
 
 
-def _trapezoid_weights(d: SampledDensity) -> np.ndarray:
-    parts = []
-    for ax in range(d.dim):
-        w = np.full(d.values.shape[ax], d.dx[ax])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        parts.append(w)
-    out = parts[0]
-    for w in parts[1:]:
-        out = np.multiply.outer(out, w)
-    return out.ravel()
-
-
 def evolve_quadrature(gamma: SampledDensity, plan: EvolutionPlan) -> SampledDensity:
     """Trapezoid quadrature of the evolution kernel on the input grid."""
     edge = gamma.edge_max()
@@ -145,7 +132,7 @@ def evolve_quadrature(gamma: SampledDensity, plan: EvolutionPlan) -> SampledDens
         return gamma.copy()
     ctx = plan.context()
     pts = gamma.points()
-    weighted = _trapezoid_weights(gamma) * gamma.values.ravel()
+    weighted = (gamma.weights() * gamma.values).ravel()
     n_pts = pts.shape[0]
     out = np.empty(n_pts)
     # bound the dense kernel block to a few million entries at a time
@@ -163,7 +150,7 @@ def forward_quadrature_matrix(gamma: SampledDensity,
     ctx = plan.context()
     pts = gamma.points()
     a = kernel_matrix(ctx, pts, pts, kind="nl")
-    a *= _trapezoid_weights(gamma)
+    a *= gamma.weights().ravel()
     # the kernel tails underflow to subnormals, which halve the speed of
     # every product with A; below the smallest normal double they are zero
     np.putmask(a, a < np.finfo(a.dtype).tiny, 0.0)
@@ -247,9 +234,3 @@ def inverse_evolve(u: GaussianMixture | GaussianPacket | SampledDensity,
         return u.copy() if plan.t == plan.s else _inverse_sampled(u, plan, rcond)
     mix = as_mixture(u)
     return mix.copy() if plan.t == plan.s else _inverse_analytic(mix, plan)
-
-
-def sample_mixture(mix: GaussianMixture, params: ModelParams,
-                   x_min, x_max, nodes) -> SampledDensity:
-    return SampledDensity.from_callable(lambda pts: mix.eval(params, pts),
-                                        x_min, x_max, nodes)

@@ -150,8 +150,6 @@ def compare(a: SampledDensity, b: SampledDensity) -> tuple[float, float, float]:
        np.max(np.abs(a.dx - b.dx)) > 1e-12:
         raise InputError("grids differ in origin or spacing")
     diff = a.values - b.values
-    linf = float(np.max(np.abs(diff)))
-    absdiff = SampledDensity(a.x_min, a.dx, np.abs(diff))
-    l1 = absdiff.total_mass()
-    sq = SampledDensity(a.x_min, a.dx, diff ** 2)
-    return linf, l1, float(np.sqrt(sq.total_mass()))
+    w = a.weights()
+    return (float(np.max(np.abs(diff))), float(np.sum(w * np.abs(diff))),
+            float(np.sqrt(np.sum(w * diff ** 2))))

@@ -122,8 +122,11 @@ class SampledDensity:
     """Field sampled on a uniform tensor grid.
 
     ``values`` has one axis per space dimension; axis i runs over
-    ``x_min[i] + dx[i] * arange(values.shape[i])``.  Mass is always the
-    trapezoid integral of the stored values, never assumed to be 1.
+    ``x_min[i] + dx[i] * arange(values.shape[i])``.  This class is the one
+    place that lays out grid nodes (``coordinate``, ``points``) and the
+    trapezoid rule (``weights``); mass, moment and kernel quadrature all
+    use them.  Mass is always the trapezoid integral of the stored values,
+    never assumed to be 1.
     """
 
     x_min: np.ndarray
@@ -151,35 +154,36 @@ class SampledDensity:
     def dim(self) -> int:
         return self.values.ndim
 
-    def axis(self, i: int = 0) -> np.ndarray:
-        return self.x_min[i] + self.dx[i] * np.arange(self.values.shape[i])
-
-    def axes(self) -> list[np.ndarray]:
-        return [self.axis(i) for i in range(self.dim)]
+    def coordinate(self, i: int) -> np.ndarray:
+        """Axis i of the grid, shaped to broadcast against the values."""
+        shape = [1] * self.dim
+        shape[i] = self.values.shape[i]
+        return (self.x_min[i] + self.dx[i] * np.arange(shape[i])).reshape(shape)
 
     def points(self) -> np.ndarray:
         """All grid nodes as an (N, dim) array in C order."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return np.stack([np.broadcast_to(self.coordinate(i), self.values.shape).ravel()
+                         for i in range(self.dim)], axis=-1)
+
+    def weights(self) -> np.ndarray:
+        """Tensor trapezoid weights, shaped like the values: every integral
+        over the grid is the sum of weights times integrand."""
+        out = np.ones(())
+        for i in range(self.dim):
+            w = np.full(self.values.shape[i], self.dx[i])
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            out = np.multiply.outer(out, w)
+        return out
 
     def total_mass(self) -> float:
-        v = self.values
-        for ax in range(v.ndim - 1, -1, -1):
-            v = np.trapezoid(v, dx=self.dx[ax], axis=ax)
-        return float(v)
+        return float(np.sum(self.weights() * self.values))
 
     def first_moment(self, params=None, normalized: bool = False) -> np.ndarray:
         """Trapezoid integral of x times the samples; params is accepted for
         the shared field interface and unused."""
-        moment = np.empty(self.dim)
-        for i in range(self.dim):
-            shape = [1] * self.dim
-            shape[i] = self.values.shape[i]
-            coord = self.axis(i).reshape(shape)
-            v = self.values * coord
-            for ax in range(v.ndim - 1, -1, -1):
-                v = np.trapezoid(v, dx=self.dx[ax], axis=ax)
-            moment[i] = v
+        wv = self.weights() * self.values
+        moment = np.array([np.sum(wv * self.coordinate(i)) for i in range(self.dim)])
         return normalize_moment(moment, self.total_mass()) if normalized else moment
 
     def edge_max(self) -> float:
@@ -206,9 +210,5 @@ class SampledDensity:
         if np.any(nodes < 2):
             raise InputError("need at least 2 nodes per axis")
         dx = (x_max - x_min) / (nodes - 1)
-        axes = [x_min[i] + dx[i] * np.arange(nodes[i]) for i in range(len(nodes))]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        vals = np.asarray(f(pts), dtype=float).reshape(tuple(nodes))
-        return cls(x_min, dx, vals)
-
+        grid = cls(x_min, dx, np.zeros(tuple(nodes)))
+        return cls(x_min, dx, np.asarray(f(grid.points()), dtype=float).reshape(tuple(nodes)))

@@ -121,11 +121,8 @@ def _apply_to_mixture(op: InitialOperator, mix: GaussianMixture,
 def _apply_to_sampled(op: InitialOperator, d: SampledDensity) -> tuple[SampledDensity, float]:
     vals = op.const * d.values
     for i in range(d.dim):
-        shape = [1] * d.dim
-        shape[i] = d.values.shape[i]
-        coord = d.axis(i).reshape(shape)
         if op.lin[i] != 0.0:
-            vals = vals + op.lin[i] * coord * d.values
+            vals = vals + op.lin[i] * d.coordinate(i) * d.values
         if op.grad[i] != 0.0:
             vals = vals + op.grad[i] * np.gradient(d.values, d.dx[i], axis=i)
     out = SampledDensity(d.x_min.copy(), d.dx.copy(), vals)
@@ -309,25 +306,20 @@ def residual_field(params: ModelParams, field: np.ndarray, t0: float,
     nodes; both decay at second order for exact solutions.
     """
     field = np.asarray(field, dtype=float)
-    nt = field.shape[0]
-    space_shape = field.shape[1:]
-    n = len(space_shape)
-    if nt < 3 or any(m < 3 for m in space_shape):
+    if min(field.shape) < 3:
         raise InputError("need at least 3 nodes per axis for centered stencils")
-    x_min = np.atleast_1d(np.asarray(x_min, dtype=float))
-    dx = np.atleast_1d(np.asarray(dx, dtype=float))
+    grid = SampledDensity(x_min, dx, field[0])
+    n, dx = grid.dim, grid.dx
     lam = params.effective_drift
     feedback = params.mean_feedback
-
-    axes = [x_min[i] + dx[i] * np.arange(space_shape[i]) for i in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    drift_static = [sum(lam[i, j] * grids[j] for j in range(n)) for i in range(n)]
+    drift_static = [sum(lam[i, j] * grid.coordinate(j) for j in range(n))
+                    for i in range(n)]
 
     interior = tuple(slice(1, -1) for _ in range(n))
     worst = 0.0
     total_sq = 0.0
     count = 0
-    for k in range(1, nt - 1):
+    for k in range(1, len(field) - 1):
         u = field[k]
         u_t = (field[k + 1] - field[k - 1]) / (2.0 * dt)
         res = -u_t[interior]
@@ -348,9 +340,6 @@ def residual_field(params: ModelParams, field: np.ndarray, t0: float,
 
 def spacetime_samples(eval_at, times, x_min, x_max, nodes) -> np.ndarray:
     """Stack eval_at(t, points)->values over the times on a uniform grid."""
-    probe = SampledDensity.from_callable(lambda p: np.zeros(p.shape[0]),
-                                         x_min, x_max, nodes)
-    pts = probe.points()
-    out = np.stack([np.asarray(eval_at(t, pts), dtype=float).reshape(probe.values.shape)
-                    for t in times])
-    return out
+    return np.stack([SampledDensity.from_callable(lambda p: eval_at(t, p),
+                                                  x_min, x_max, nodes).values
+                     for t in times])

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fpknl import GaussianPacket, ModelParams, checks
 from fpknl.cli import SCHEMA, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(outdir, task="evolve", **overrides):
@@ -241,9 +244,50 @@ def test_verify_reports_failure_with_exit_one(tmp_path):
     out = tmp_path / "out"
     cfg = base_config(out, task="verify",
                       verify={"checks": ["fd-reduction"],
-                              "fd": {"nx": 61, "dt": 1e-3, "t_end": 0.2,
-                                     "refine": False}})
+                              "fd": {"dt": 1e-3, "refine": False}})
+    cfg["grid"]["nodes"] = 61
+    cfg["time"] = {"start": 0.0, "end": 0.2}
     rc = main(["verify", str(write_config(tmp_path, cfg))])
     assert rc == 1  # grid is far too coarse for the 5e-3 tolerance
     report = json.loads((out / "t_report.json").read_text())
     assert not report["all_passed"]
+
+
+def test_shipped_verify_quick_config_passes(tmp_path, monkeypatch):
+    monkeypatch.setenv("FPKNL_OUTDIR", str(tmp_path))
+    assert main(["verify", str(ROOT / "configs" / "verify_quick.json")]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["all_passed"]
+    assert {c["name"] for c in report["checks"]} >= {"quadrature-mass", "reduction-linf"}
+
+
+@pytest.mark.parametrize("check", ["mass-conservation", "symmetry-routes",
+                                   "symmetry-residual", "fd-reduction"])
+def test_one_dimensional_checks_reject_2d_model(tmp_path, capsys, check):
+    # used to die with a raw numpy traceback (exit 1) or to name an
+    # internal moment_override key (exit 2)
+    cfg = base_config(tmp_path / "out", task="verify", verify={"checks": [check]})
+    cfg["model"].update(dimension=2, drift=np.eye(2).tolist(),
+                        coupling_state=np.zeros((2, 2)).tolist(),
+                        coupling_mean=(-0.5 * np.eye(2)).tolist())
+    cfg["initial"]["components"][0].update(mean=[0.5, 0.0], num=np.eye(2).tolist(),
+                                           den=np.eye(2).tolist())
+    assert main(["verify", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert f"the {check} check is one-dimensional" in err
+    assert "moment_override" not in err
+
+
+@pytest.mark.parametrize("case", ["evolve-snapshot", "sampled-snapshot", "inverse-end"])
+def test_times_outside_start_end_rejected(tmp_path, capsys, case):
+    # each used to run: a backward evolve reported PASS, the sampled one
+    # exited 3, and an inverse ending before its start passed
+    task = "inverse" if case == "inverse-end" else "evolve"
+    cfg = base_config(tmp_path / "out", task=task)
+    cfg["time"] = {"start": 0.0, "end": 1.0, "snapshots": [-0.5]}
+    if case == "sampled-snapshot":
+        cfg["initial"] = {"kind": "sampled", "path": str(sampled_csv(tmp_path))}
+    if case == "inverse-end":
+        cfg["time"] = {"start": 0.0, "end": -0.5}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert "start <= snapshots <= end" in capsys.readouterr().err

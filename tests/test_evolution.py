@@ -214,7 +214,7 @@ def test_inverse_rejects_rough_input():
     u = evolve_quadrature(gamma, plan)
     rng = np.random.default_rng(0)
     u.values = u.values + 1e-3 * rng.standard_normal(u.values.shape) \
-        * np.exp(-u.axis() ** 2)
+        * np.exp(-u.coordinate(0) ** 2)
     with pytest.raises(IllPosedInverseError) as info:
         inverse_evolve(u, plan)
     sv = np.linalg.svd(evolution.forward_quadrature_matrix(u, plan),

@@ -167,3 +167,25 @@ def test_2d_mass_and_moment():
     assert d.total_mass() == pytest.approx(1.0, abs=1e-8)
     np.testing.assert_allclose(d.first_moment(normalized=True), [0.3, -0.2],
                                atol=1e-8)
+
+
+def test_grid_nodes_and_weights_agree_with_nested_trapezoid():
+    # coordinate, points and weights describe one grid, and the weighted
+    # sums reproduce the nested 1D trapezoid rule
+    d = SampledDensity.from_callable(
+        lambda p: (1.0 + p[:, 0]) * np.exp(-p[:, 0] ** 2 - 2.0 * p[:, 1] ** 2),
+        [-3.0, -2.0], [4.0, 2.5], [71, 46])
+    x, y = d.coordinate(0), d.coordinate(1)
+    assert x.shape == (71, 1) and y.shape == (1, 46)
+    assert d.weights().shape == d.values.shape
+    pts = d.points().reshape(71, 46, 2)
+    np.testing.assert_array_equal(pts[..., 0], np.broadcast_to(x, (71, 46)))
+    np.testing.assert_array_equal(pts[..., 1], np.broadcast_to(y, (71, 46)))
+
+    def nested(v):
+        return np.trapezoid(np.trapezoid(v, dx=d.dx[1], axis=1), dx=d.dx[0])
+
+    assert d.total_mass() == pytest.approx(nested(d.values), rel=1e-13)
+    np.testing.assert_allclose(d.first_moment(),
+                               [nested(d.values * x), nested(d.values * y)],
+                               rtol=1e-12, atol=1e-15)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpknl import (DegenerateMomentError, GaussianMixture, GaussianPacket,
-                   InputError, ModelParams, apply_initial_op, build_shifts,
-                   evolve_analytic, linsym_closed_form, linsym_operator,
-                   matriciant, plan_for, residual_field, sample_mixture,
+                   InputError, ModelParams, SampledDensity, apply_initial_op,
+                   build_shifts, evolve_analytic, linsym_closed_form,
+                   linsym_operator, matriciant, plan_for, residual_field,
                    spacetime_samples, symmetry_apply_conclusion,
                    symmetry_apply_evolution, symmetry_apply_shift)
 from fpknl.symmetry import InitialOperator
@@ -196,7 +196,9 @@ def test_zero_mass_field_has_no_normalized_moment(sampled):
         GaussianPacket(mean=[0.5], num=[[1.0]], den=[[1.0]], weight=0.6),
         GaussianPacket(mean=[-0.2], num=[[2.0]], den=[[1.0]], weight=-0.6)])
     if sampled:
-        field = sample_mixture(field, p, [-6.0], [6.0], [1201])
+        mix = field
+        field = SampledDensity.from_callable(lambda pts: mix.eval(p, pts),
+                                             [-6.0], [6.0], [1201])
     with pytest.raises(DegenerateMomentError):
         field.first_moment(p, normalized=True)
     op = InitialOperator(const=0.4, lin=[0.9], grad=[-0.5])
