@@ -229,8 +229,7 @@ def _grid_axis(cfg: dict) -> np.ndarray:
     gc = cfg.get("grid")
     if gc is None or not {"x_min", "x_max", "nodes"} <= set(gc):
         raise ConfigurationError("this task needs a grid block with x_min, x_max, nodes")
-    nodes = int(gc["nodes"])
-    return gc["x_min"] + (gc["x_max"] - gc["x_min"]) / (nodes - 1) * np.arange(nodes)
+    return SampledDensity.on_grid(gc["x_min"], gc["x_max"], gc["nodes"]).coordinate(0)
 
 
 def write_snapshots_csv(path: Path, rows: list[tuple]) -> None:
@@ -358,6 +357,9 @@ def task_verify(cfg: dict, params: ModelParams):
     results = []
     for name in names:
         if name == "fd-reduction":
+            if cfg.get("time", {}).get("start", 0.0) != 0.0:
+                raise ConfigurationError("the fd-reduction check runs the FD oracle from "
+                                         "the initial packet at t = 0; time.start must be 0")
             fd = vc.get("fd", {})
             gc = cfg.get("grid", {})
             results += checks.check_fd_reduction(

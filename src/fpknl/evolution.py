@@ -107,17 +107,13 @@ def _check_mass(mass: float, plan: EvolutionPlan, tol: float) -> None:
 
 def evolve_analytic(g: GaussianMixture | GaussianPacket,
                     plan: EvolutionPlan) -> GaussianMixture:
-    """Propagate every component in closed form around the shared trajectory."""
+    """Propagate all components at once in closed form around the shared trajectory."""
     mix = as_mixture(g)
     _check_mass(mix.total_mass(), plan, MASS_TOL_ANALYTIC)
     if plan.t == plan.s:
         return mix.copy()
-    m = matriciant(plan.params, plan.t, plan.s)
-    x0, x1 = plan.x_start, plan.moment_at_end()
-    return GaussianMixture([
-        propagate_packet(c, plan.params, m, x_start=x0, x_end=x1)
-        for c in mix.components
-    ])
+    return propagate_packet(mix, plan.params, matriciant(plan.params, plan.t, plan.s),
+                            x_start=plan.x_start, x_end=plan.moment_at_end())
 
 
 def evolve_quadrature(gamma: SampledDensity, plan: EvolutionPlan) -> SampledDensity:
@@ -158,14 +154,10 @@ def forward_quadrature_matrix(gamma: SampledDensity,
 
 
 def _inverse_analytic(u: GaussianMixture, plan: EvolutionPlan) -> GaussianMixture:
-    m_bwd = matriciant(plan.params, plan.s, plan.t)
-    x_t, x_s = plan.moment_at_end(), plan.x_start
-    out = []
-    for c in u.components:
-        b = propagate_packet(c, plan.params, m_bwd, x_start=x_t, x_end=x_s)
-        b.precision(density_valid=True)  # backward blocks must keep a valid shape
-        out.append(b)
-    return GaussianMixture(out)
+    back = propagate_packet(u, plan.params, matriciant(plan.params, plan.s, plan.t),
+                            x_start=plan.moment_at_end(), x_end=plan.x_start)
+    back.precision(density_valid=True)  # backward blocks must keep a valid shape
+    return back
 
 
 def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
@@ -221,7 +213,7 @@ def inverse_evolve(u: GaussianMixture | GaussianPacket | SampledDensity,
                    rcond: float = INVERSE_RCOND):
     """Left inverse of the evolution operator: recovers the initial data.
 
-    Analytic pathway: exact backward block algebra per component.
+    Analytic pathway: exact backward block algebra on all components at once.
     Sampled pathway: truncated-SVD solve of the forward quadrature system
     (the literal backward-kernel integral diverges for forward images);
     singular values at or below rcond * sigma_max are dropped, and rcond

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DeltaLimitError, KernelValidityError
 from .model import ModelParams, _vector
-from .variations import Matriciant, matriciant
+from .variations import Matriciant, matriciant, require_spd
 
 DELTA_TOL = 1e-9
 COMPOSE_TOL = 1e-10
@@ -105,14 +105,9 @@ def _spread(m: Matriciant, strict: bool) -> tuple[np.ndarray, float]:
     w = np.linalg.solve(m.nn.T, m.dn.T).T
     det = float(np.linalg.det(w))
     _require_finite(m, "spread", w, det)
-    ws = 0.5 * (w + w.T)
     if strict:
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if float(np.max(np.abs(w - w.T))) > 1e-9 * scale:
-            raise KernelValidityError("kernel spread is not symmetric")
-        if np.any(np.linalg.eigvalsh(ws) <= 0):
-            raise KernelValidityError("kernel spread is not positive definite")
-    return ws, det
+        require_spd(w, "kernel spread", KernelValidityError)
+    return 0.5 * (w + w.T), det
 
 
 def _evaluate(ctx: KernelContext, kind: str, x, y, outer: bool,

@@ -202,13 +202,19 @@ class SampledDensity:
         return SampledDensity(self.x_min.copy(), self.dx.copy(), self.values.copy())
 
     @classmethod
-    def from_callable(cls, f, x_min, x_max, nodes) -> "SampledDensity":
-        """Sample ``f`` on a uniform grid; f takes an (N, dim) point array."""
+    def on_grid(cls, x_min, x_max, nodes) -> "SampledDensity":
+        """Zero field on the uniform grid from x_min to x_max with the given
+        node counts per axis."""
         x_min = np.atleast_1d(np.asarray(x_min, dtype=float))
         x_max = np.atleast_1d(np.asarray(x_max, dtype=float))
         nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
         if np.any(nodes < 2):
             raise InputError("need at least 2 nodes per axis")
-        dx = (x_max - x_min) / (nodes - 1)
-        grid = cls(x_min, dx, np.zeros(tuple(nodes)))
-        return cls(x_min, dx, np.asarray(f(grid.points()), dtype=float).reshape(tuple(nodes)))
+        return cls(x_min, (x_max - x_min) / (nodes - 1), np.zeros(tuple(nodes)))
+
+    @classmethod
+    def from_callable(cls, f, x_min, x_max, nodes) -> "SampledDensity":
+        """Sample ``f`` on a uniform grid; f takes an (N, dim) point array."""
+        grid = cls.on_grid(x_min, x_max, nodes)
+        return cls(grid.x_min, grid.dx,
+                   np.asarray(f(grid.points()), dtype=float).reshape(grid.values.shape))

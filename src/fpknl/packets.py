@@ -5,30 +5,38 @@ precision itself, so the propagation law stays linear and focal points
 remain representable.  An optional affine amplitude ``amp0 + amp1.(x-mean)``
 extends the class just enough to keep it closed under first-order
 operators; plain densities have amp0 = 1, amp1 = 0.
+
+All components of a mixture move under the same matriciant blocks and
+moment trajectory, so a mixture holds them as stacked arrays and each of
+its operations is one stacked computation; a packet is a mixture of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidCovarianceError
 from .model import ModelParams, _vector, normalize_moment
-from .variations import Matriciant, fraction, matriciant
+from .variations import Matriciant, fraction, matriciant, propagate_pair
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix times vector over stacks: (..., n, m) @ (..., m) -> (..., n)."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _in_order(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading (component) axis in list order, unlike np.sum."""
+    return np.cumsum(a, axis=0)[-1]
 
 
 def _points(x, n: int) -> tuple[np.ndarray, bool]:
     """Coerce x to an (N, n) point array; report whether input was a single point."""
     pts = np.asarray(x, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-        return pts, True
-    if pts.ndim == 1:
-        if n == 1:
-            return pts.reshape(-1, 1), False
-        return pts.reshape(1, n), True
-    return pts.reshape(-1, n), False
+    single = pts.ndim == 0 or (pts.ndim == 1 and n > 1)
+    return (pts.reshape(1, 1) if pts.ndim == 0 else pts.reshape(-1, n)), single
 
 
 @dataclass
@@ -55,10 +63,6 @@ class GaussianPacket:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @property
-    def is_plain(self) -> bool:
-        return self.amp1 is None and self.amp0 == 1.0
-
     def precision(self, density_valid: bool = True) -> np.ndarray:
         return fraction(self.num, self.den, density_valid=density_valid)
 
@@ -70,57 +74,119 @@ class GaussianPacket:
         return self.weight * self.amp0
 
     def first_moment(self, params: ModelParams, normalized: bool = False) -> np.ndarray:
-        """Integral of x times the packet, raw or per unit mass."""
+        return GaussianMixture([self]).first_moment(params, normalized)
+
+    def eval(self, params: ModelParams, x) -> np.ndarray:
+        return GaussianMixture([self]).eval(params, x)
+
+
+class GaussianMixture:
+    """Weighted sum of packets, held as stacks over its K components: mean
+    (K, n), num and den (K, n, n), weight and amp0 (K,), amp1 (K, n) or None
+    when no component carries one.  `components` rebuilds the packets."""
+
+    def __init__(self, components):
+        comps = list(components)
+        if not comps:
+            raise InvalidCovarianceError("mixture needs at least one component")
+        if len({c.dim for c in comps}) != 1:
+            raise InvalidCovarianceError("mixture components disagree on dimension")
+        self._set(*(np.array([getattr(c, f) for c in comps], dtype=float)
+                    for f in ("mean", "num", "den", "weight", "amp0")),
+                  np.array([np.zeros(c.dim) if c.amp1 is None else c.amp1 for c in comps]))
+
+    @classmethod
+    def _of(cls, *stacks) -> "GaussianMixture":
+        mix = cls.__new__(cls)
+        mix._set(*stacks)
+        return mix
+
+    def _set(self, mean, num, den, weight, amp0, amp1) -> None:
+        self.mean, self.num, self.den, self.weight, self.amp0 = mean, num, den, weight, amp0
+        self.amp1 = amp1 if amp1 is not None and np.any(amp1) else None
+
+    @property
+    def components(self) -> list[GaussianPacket]:
+        amp1 = [None] * len(self.weight) if self.amp1 is None else self.amp1
+        return [GaussianPacket(self.mean[k], self.num[k], self.den[k], float(self.weight[k]),
+                               float(self.amp0[k]), amp1[k]) for k in range(len(self.weight))]
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[1]
+
+    def precision(self, density_valid: bool = True) -> np.ndarray:
+        return fraction(self.num, self.den, density_valid=density_valid)
+
+    def total_mass(self) -> float:
+        return float(_in_order(self.weight * self.amp0))
+
+    def first_moment(self, params: ModelParams, normalized: bool = False) -> np.ndarray:
+        """Integral of x times the mixture, raw or per unit mass."""
         q = self.precision(density_valid=False)
-        out = self.amp0 * self.mean
+        out = self.amp0[:, None] * self.mean
         if self.amp1 is not None:
-            out = out + params.diffusion * np.linalg.solve(q, self.amp1)
-        raw = self.weight * out
+            out = out + params.diffusion * np.linalg.solve(q, self.amp1[..., None])[..., 0]
+        raw = _in_order(self.weight[:, None] * out)
         return normalize_moment(raw, self.total_mass()) if normalized else raw
 
     def eval(self, params: ModelParams, x) -> np.ndarray:
         q = self.precision()
         eps = params.diffusion
         det = np.linalg.det(q)
-        if det <= 0:
+        if np.any(det <= 0):
             raise InvalidCovarianceError("precision determinant must be positive")
         norm = np.sqrt(det / (2.0 * np.pi * eps) ** self.dim)
         pts, single = _points(x, self.dim)
-        xi = pts - self.mean
-        expo = -0.5 / eps * np.einsum("ij,jk,ik->i", xi, q, xi)
-        amp = self.amp0 if self.amp1 is None else self.amp0 + xi @ self.amp1
-        vals = self.weight * norm * amp * np.exp(expo)
+        xi = pts - self.mean[:, None, :]
+        expo = -0.5 / eps * ((xi @ q) * xi).sum(axis=-1)
+        amp = self.amp0[:, None]
+        if self.amp1 is not None:
+            amp = amp + _mv(xi, self.amp1)
+        vals = _in_order((self.weight * norm)[:, None] * amp * np.exp(expo))
         return vals[0] if single else vals
 
-    def shifted(self, delta) -> "GaussianPacket":
-        return replace(self, mean=self.mean + np.asarray(delta, dtype=float))
+    def shifted(self, delta) -> "GaussianMixture":
+        return self._of(self.mean + np.asarray(delta, dtype=float), self.num, self.den,
+                        self.weight, self.amp0, self.amp1)
 
-    def scaled(self, factor: float) -> "GaussianPacket":
-        return replace(self, weight=self.weight * float(factor))
+    def scaled(self, factor: float) -> "GaussianMixture":
+        return self._of(self.mean, self.num, self.den, self.weight * float(factor),
+                        self.amp0, self.amp1)
+
+    def copy(self) -> "GaussianMixture":
+        return self._of(self.mean, self.num, self.den, self.weight, self.amp0, self.amp1)
 
 
-def propagate_packet(p: GaussianPacket, params: ModelParams, m: Matriciant,
-                     x_start=None, x_end=None) -> GaussianPacket:
-    """Advance a packet by the matriciant blocks around a moment trajectory.
+def as_mixture(g: GaussianPacket | GaussianMixture) -> GaussianMixture:
+    if isinstance(g, GaussianPacket):
+        return GaussianMixture([g])
+    return g
+
+
+def propagate_packet(p: GaussianPacket | GaussianMixture, params: ModelParams,
+                     m: Matriciant, x_start=None, x_end=None):
+    """Advance a packet, or all components of a mixture at once, by the
+    matriciant blocks around a moment trajectory; returns the same kind.
 
     x_start / x_end are the shift-frame anchors at times m.s and m.t (the
-    trajectory of the full density the packet belongs to); both default to
+    trajectory of the full density the packets belong to); both default to
     zero, which is the plain linear drift-diffusion flow.
     """
-    n = p.dim
+    mix = as_mixture(p)
+    n = mix.dim
     x_start = np.zeros(n) if x_start is None else _vector(x_start, n, "x_start")
     x_end = np.zeros(n) if x_end is None else _vector(x_end, n, "x_end")
-    num = m.nn @ p.num
-    den = m.dn @ p.num + m.dd @ p.den
-    mean = x_end + m.dd @ (p.mean - x_start)
+    num, den = propagate_pair(m, mix.num, mix.den)
+    mean = x_end + _mv(m.dd, mix.mean - x_start)
     amp1 = None
-    if p.amp1 is not None:
+    if mix.amp1 is not None:
         # affine amplitude rides the same flow: amp1' = Q_t dd Q_s^{-1} amp1
-        q_s = p.precision(density_valid=False)
+        q_s = mix.precision(density_valid=False)
         q_t = fraction(num, den, density_valid=False)
-        amp1 = q_t @ (m.dd @ np.linalg.solve(q_s, p.amp1))
-    return GaussianPacket(mean=mean, num=num, den=den, weight=p.weight,
-                          amp0=p.amp0, amp1=amp1)
+        amp1 = _mv(q_t, _mv(m.dd, np.linalg.solve(q_s, mix.amp1[..., None])[..., 0]))
+    out = GaussianMixture._of(mean, num, den, mix.weight, mix.amp0, amp1)
+    return out if isinstance(p, GaussianMixture) else out.components[0]
 
 
 def evolve_packet(p0: GaussianPacket, params: ModelParams,
@@ -131,7 +197,7 @@ def evolve_packet(p0: GaussianPacket, params: ModelParams,
     the mean then follows the closed-form moment trajectory while the
     precision pair follows the matriciant.
     """
-    if not p0.is_plain:
+    if p0.amp1 is not None or p0.amp0 != 1.0:
         raise InvalidCovarianceError(
             "evolve_packet needs a plain density packet; "
             "evolve amplitude-carrying packets through an evolution plan"
@@ -156,47 +222,3 @@ def evolve_packet_linear(p0: GaussianPacket, params: ModelParams,
         return replace(p0)
     m = matriciant(params, t, s)
     return propagate_packet(p0, params, m)
-
-
-@dataclass
-class GaussianMixture:
-    components: list[GaussianPacket] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.components:
-            raise InvalidCovarianceError("mixture needs at least one component")
-        dims = {c.dim for c in self.components}
-        if len(dims) != 1:
-            raise InvalidCovarianceError("mixture components disagree on dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
-
-    def total_mass(self) -> float:
-        return sum(c.total_mass() for c in self.components)
-
-    def first_moment(self, params: ModelParams, normalized: bool = False) -> np.ndarray:
-        raw = sum(c.first_moment(params) for c in self.components)
-        return normalize_moment(raw, self.total_mass()) if normalized else raw
-
-    def eval(self, params: ModelParams, x) -> np.ndarray:
-        vals = self.components[0].eval(params, x)
-        for c in self.components[1:]:
-            vals = vals + c.eval(params, x)
-        return vals
-
-    def shifted(self, delta) -> "GaussianMixture":
-        return GaussianMixture([c.shifted(delta) for c in self.components])
-
-    def scaled(self, factor: float) -> "GaussianMixture":
-        return GaussianMixture([c.scaled(factor) for c in self.components])
-
-    def copy(self) -> "GaussianMixture":
-        return GaussianMixture([replace(c) for c in self.components])
-
-
-def as_mixture(g: GaussianPacket | GaussianMixture) -> GaussianMixture:
-    if isinstance(g, GaussianPacket):
-        return GaussianMixture([g])
-    return g

@@ -99,23 +99,14 @@ class OperatorApplication:
 
 def _apply_to_mixture(op: InitialOperator, mix: GaussianMixture,
                       params: ModelParams) -> tuple[GaussianMixture, float]:
-    eps = params.diffusion
-    out = []
-    alpha = 0.0
-    for c in mix.components:
-        if c.amp1 is not None:
-            raise InputError(
-                "operator application to an amplitude-carrying packet would "
-                "leave the affine class"
-            )
-        q = c.precision(density_valid=False)
-        amp0 = c.amp0 * (op.const + float(op.lin @ c.mean))
-        amp1 = c.amp0 * (op.lin - q @ op.grad / eps)
-        out.append(GaussianPacket(mean=c.mean.copy(), num=c.num.copy(),
-                                  den=c.den.copy(), weight=c.weight,
-                                  amp0=amp0, amp1=amp1))
-        alpha += c.weight * amp0
-    return GaussianMixture(out), alpha
+    if mix.amp1 is not None:
+        raise InputError("operator application to an amplitude-carrying packet "
+                         "would leave the affine class")
+    q = mix.precision(density_valid=False)
+    amp0 = mix.amp0 * (op.const + mix.mean @ op.lin)
+    amp1 = mix.amp0[:, None] * (op.lin - q @ op.grad / params.diffusion)
+    out = GaussianMixture._of(mix.mean, mix.num, mix.den, mix.weight, amp0, amp1)
+    return out, out.total_mass()
 
 
 def _apply_to_sampled(op: InitialOperator, d: SampledDensity) -> tuple[SampledDensity, float]:

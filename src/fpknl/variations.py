@@ -99,33 +99,52 @@ def check_symmetric(a: np.ndarray, name: str, tol: float = SYMMETRY_TOL) -> None
         raise InputError(f"{name} must be symmetric to {tol:.0e} (relative)")
 
 
+def _where(bad: np.ndarray) -> str:
+    """' (component k)' for the first flagged matrix of a stack, '' for one matrix."""
+    return "" if bad.ndim == 0 else f" (component {int(np.flatnonzero(bad)[0])})"
+
+
+def require_spd(a: np.ndarray, what: str, error: type[Exception]) -> None:
+    """Raise error unless each matrix of the (..., n, n) stack a is symmetric
+    to 1e-9 relative and its symmetric part has a Cholesky factor."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    asym = np.abs(a - a.mT).max(axis=(-2, -1)) > 1e-9 * scale
+    if np.any(asym):
+        raise error(f"{what}{_where(asym)} is not symmetric")
+    try:
+        np.linalg.cholesky(0.5 * (a + a.mT))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(0.5 * (a + a.mT)).min(axis=-1)
+        raise error(f"{what}{_where(low == low.min())} is not positive definite") from None
+
+
 def fraction(num: np.ndarray, den: np.ndarray, density_valid: bool = False,
              symmetrize: bool = True) -> np.ndarray:
-    """num @ inv(den), symmetrized by default; optionally checked positive
-    definite.  symmetrize=False returns the raw fraction, which satisfies
-    the quadratic matrix flow exactly even when it is not symmetric.
+    """num @ inv(den) for one pair or (..., n, n) stacks (one SVD, solve and
+    validity test, same arithmetic per matrix as alone), symmetrized by
+    default; optionally checked positive definite.  symmetrize=False returns
+    the raw fraction, which satisfies the quadratic matrix flow exactly even
+    when it is not symmetric.
 
     Raises FocalPointError when den is singular to working precision and
     InvalidCovarianceError when a density-valid factor is requested but the
-    result is not positive definite.
+    result is not positive definite, naming the first failing component of
+    a stack.
     """
     num = np.atleast_2d(np.asarray(num, dtype=float))
     den = np.atleast_2d(np.asarray(den, dtype=float))
     sv = np.linalg.svd(den, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    if rcond < FOCAL_RCOND:
-        raise FocalPointError(
-            f"denominator factor singular (reciprocal condition {rcond:.3e})"
-        )
-    q = np.linalg.solve(den.T, num.T).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcond = np.where(sv[..., 0] > 0, sv[..., -1] / sv[..., 0], 0.0)
+    focal = rcond < FOCAL_RCOND
+    if np.any(focal):
+        raise FocalPointError(f"denominator factor{_where(focal)} singular "
+                              f"(reciprocal condition {rcond[focal][0]:.3e})")
+    q = np.linalg.solve(den.mT, num.mT).mT
     if density_valid:
-        scale = max(1.0, float(np.max(np.abs(q))))
-        if float(np.max(np.abs(q - q.T))) > 1e-9 * scale:
-            raise InvalidCovarianceError("precision factor is not symmetric")
-        if np.any(np.linalg.eigvalsh(0.5 * (q + q.T)) <= 0):
-            raise InvalidCovarianceError("precision factor is not positive definite")
+        require_spd(q, "precision factor", InvalidCovarianceError)
     if symmetrize:
-        q = 0.5 * (q + q.T)
+        q = 0.5 * (q + q.mT)
     return q
 
 

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpknl import GaussianPacket, ModelParams, checks
-from fpknl.cli import SCHEMA, main
+from fpknl import GaussianPacket, ModelParams, SampledDensity, checks
+from fpknl.cli import SCHEMA, _grid_axis, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -291,3 +291,31 @@ def test_times_outside_start_end_rejected(tmp_path, capsys, case):
         cfg["time"] = {"start": 0.0, "end": -0.5}
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
     assert "start <= snapshots <= end" in capsys.readouterr().err
+
+
+def test_fd_reduction_rejects_nonzero_start(tmp_path, capsys):
+    # used to run from t = 0 anyway and report the value for start 0
+    cfg = base_config(tmp_path / "out", task="verify",
+                      verify={"checks": ["fd-reduction"], "fd": {"dt": 1e-3, "refine": False}})
+    cfg["time"] = {"start": 0.4, "end": 0.5}
+    assert main(["verify", str(write_config(tmp_path, cfg))]) == 2
+    assert "time.start must be 0" in capsys.readouterr().err
+
+
+def test_fd_reduction_from_start_zero_unchanged(tmp_path):
+    cfg = json.loads((ROOT / "configs" / "verify_quick.json").read_text())
+    cfg["verify"]["checks"] = ["fd-reduction"]
+    cfg["output"]["dir"] = str(tmp_path)
+    assert main(["verify", str(write_config(tmp_path, cfg))]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    linf = {c["name"]: c["value"] for c in report["checks"]}["reduction-linf"]
+    assert linf == pytest.approx(3.4069091429711484e-4, rel=1e-12)
+
+
+@pytest.mark.parametrize("config", ["reference_case", "symmetry_linsym", "verify_quick"])
+def test_csv_axis_is_the_solver_grid(config):
+    cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    gc = cfg["grid"]
+    grid = SampledDensity.from_callable(lambda p: p[:, 0], gc["x_min"], gc["x_max"],
+                                        gc["nodes"])
+    assert np.array_equal(_grid_axis(cfg), grid.values)

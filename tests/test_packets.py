@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fpknl import (GaussianPacket, InvalidCovarianceError, ModelParams,
-                   evolve_packet, evolve_packet_linear, residual_field,
-                   spacetime_samples)
+from fpknl import (GaussianMixture, GaussianPacket, InvalidCovarianceError,
+                   ModelParams, evolve_packet, evolve_packet_linear, matriciant,
+                   propagate_packet, residual_field, spacetime_samples)
 
 
 def params_1d(lam=0.0, eps=0.5, feedback=0.0, kappa=0.0):
@@ -148,3 +148,57 @@ def test_2d_residual_second_order():
     coarse = resid(0.1, 2e-3)
     fine = resid(0.05, 1e-3)
     assert coarse[1] / fine[1] == pytest.approx(4.0, abs=1.0)
+
+
+def reference_mixture(comps, eps, pts):
+    """Values and raw first moment of a packet list, one packet at a time
+    with plain numpy."""
+    vals, moment = np.zeros(len(pts)), np.zeros(pts.shape[1])
+    for c in comps:
+        q = np.linalg.solve(c.den.T, c.num.T).T
+        q = 0.5 * (q + q.T)
+        n = len(c.mean)
+        xi = pts - c.mean
+        amp = c.amp0 + (0.0 if c.amp1 is None else xi @ c.amp1)
+        norm = np.sqrt(np.linalg.det(q) / (2 * np.pi * eps) ** n)
+        quad = np.einsum("ij,jk,ik->i", xi, q, xi)
+        vals += c.weight * norm * amp * np.exp(-quad / (2 * eps))
+        shift = 0.0 if c.amp1 is None else eps * np.linalg.inv(q) @ c.amp1
+        moment += c.weight * (c.amp0 * c.mean + shift)
+    return vals, moment
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mixture_eval_and_moment_match_per_component_reference(dim):
+    rng = np.random.default_rng(70 + dim)
+    p = ModelParams(drift=np.eye(dim), coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=-0.5 * np.eye(dim), diffusion=0.2, coupling=1.0)
+    comps = []
+    for k in range(6):
+        a = rng.standard_normal((dim, dim))
+        den = rng.uniform(0.5, 2.0) * np.eye(dim)
+        comps.append(GaussianPacket(
+            mean=rng.uniform(-1, 1, dim), num=(a @ a.T + np.eye(dim)) @ den, den=den,
+            weight=rng.uniform(0.1, 1.0), amp0=rng.uniform(0.5, 1.5),
+            amp1=None if k % 3 == 0 else rng.standard_normal(dim)))
+    mix = GaussianMixture(comps)
+    pts = rng.standard_normal((500, dim))
+    vals, moment = reference_mixture(comps, p.diffusion, pts)
+    for got, want in ((mix.eval(p, pts), vals), (mix.first_moment(p), moment)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    # a packet is a mixture of one, and the stacked flow moves each
+    # component exactly as it would move alone
+    moved = propagate_packet(mix, p, matriciant(p, 0.7, 0.0), x_start=moment,
+                             x_end=np.ones(dim)).components
+    for c, c_t in zip(comps, moved):
+        assert np.array_equal(c.eval(p, pts), GaussianMixture([c]).eval(p, pts))
+        assert np.array_equal(c.first_moment(p), GaussianMixture([c]).first_moment(p))
+        alone = propagate_packet(c, p, matriciant(p, 0.7, 0.0), x_start=moment,
+                                 x_end=np.ones(dim))
+        for f in ("mean", "num", "den", "amp1"):
+            assert np.array_equal(getattr(alone, f), getattr(c_t, f))
+    # components come back as the packets that went in
+    for a, b in zip(comps, mix.components):
+        for f in ("mean", "num", "den", "weight", "amp0"):
+            assert np.array_equal(getattr(a, f), getattr(b, f))
+        assert (a.amp1 is None) == (b.amp1 is None)

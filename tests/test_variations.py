@@ -163,3 +163,43 @@ def test_fraction_symmetrizes_result():
     den = rng.uniform(-1, 1, size=(3, 3)) + 3.0 * np.eye(3)
     q = fraction(num, den)
     np.testing.assert_allclose(q, q.T, atol=1e-15)
+
+
+# --------------------------------------------------------- stacked fraction
+
+def valid_stack(rng, k, n):
+    """k pairs (num, den) whose fractions are symmetric positive definite."""
+    a = rng.standard_normal((k, n, n))
+    q = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(n)
+    den = rng.standard_normal((k, n, n)) + 3.0 * np.eye(n)
+    return q @ den, den
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("valid, symmetrize", [(False, True), (True, True), (False, False)])
+def test_stacked_fraction_equals_each_slice_bit_for_bit(n, valid, symmetrize):
+    num, den = valid_stack(np.random.default_rng(30 + n), 12, n)
+    stacked = fraction(num, den, density_valid=valid, symmetrize=symmetrize)
+    alone = np.stack([fraction(a, b, density_valid=valid, symmetrize=symmetrize)
+                      for a, b in zip(num, den)])
+    assert np.array_equal(stacked, alone)
+
+
+def test_stacked_fraction_names_the_failing_component():
+    num, den = valid_stack(np.random.default_rng(8), 5, 2)
+    singular = den.copy()
+    singular[3] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(FocalPointError, match=r"factor \(component 3\) singular"):
+        fraction(num, singular)
+    indefinite = num.copy()
+    indefinite[2] = np.diag([1.0, -1.0]) @ den[2]
+    with pytest.raises(InvalidCovarianceError,
+                       match=r"factor \(component 2\) is not positive definite"):
+        fraction(indefinite, den, density_valid=True)
+    skew = num.copy()
+    skew[4] = np.array([[1.0, 0.5], [0.0, 1.0]]) @ den[4]
+    with pytest.raises(InvalidCovarianceError, match=r"\(component 4\) is not symmetric"):
+        fraction(skew, den, density_valid=True)
+    # a single matrix keeps the message without an index
+    with pytest.raises(FocalPointError, match=r"^denominator factor singular"):
+        fraction(num[3], singular[3])
