@@ -7,11 +7,11 @@ from .errors import (ConfigurationError, DegenerateMomentError, DeltaLimitError,
 from .evolution import (EvolutionPlan, evolve_analytic, evolve_quadrature,
                         inverse_evolve, plan_for, plan_from_final_moment)
 from .fdsolver import FDConfig, FDResult, compare, fd_solve
-from .kernels import (KernelContext, backward_quadratic_form, green_lin,
-                      green_nl, green_nl_inv, kernel_context, kernel_matrix)
+from .kernels import (KernelContext, backward_quadratic_form, kernel, kernel_context,
+                      kernel_matrix)
 from .model import ModelParams, MomentTrajectory, SampledDensity
 from .packets import (GaussianMixture, GaussianPacket, as_mixture, evolve_packet,
-                      evolve_packet_linear, propagate_packet)
+                      propagate_packet)
 from .symmetry import (InitialOperator, OperatorApplication, SymmetryShifts,
                        apply_initial_op, apply_operator, build_shifts,
                        evolve_operator, linsym_closed_form, linsym_operator,

@@ -34,7 +34,7 @@ class DeltaLimitError(FpknlError):
 
 
 class KernelValidityError(FpknlError):
-    """Kernel exponent is not negative definite under strict evaluation."""
+    """Kernel is not finite, or forward in time its exponent is not negative definite."""
 
 
 class NormalizationError(FpknlError):

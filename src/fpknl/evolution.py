@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (IllPosedInverseError, InputError, NormalizationError,
                      TruncationError)
 from .kernels import KernelContext, kernel_context, kernel_matrix
-from .model import ModelParams, MomentTrajectory, SampledDensity, _vector
+from .model import BLOCK_ENTRIES, ModelParams, MomentTrajectory, SampledDensity, _vector
 from .packets import GaussianMixture, GaussianPacket, as_mixture, propagate_packet
 from .variations import matriciant
 
@@ -91,7 +90,7 @@ def plan_from_final_moment(params: ModelParams, s: float, t: float, x_t,
                            require_normalized: bool = True) -> EvolutionPlan:
     """Plan whose trajectory passes through x_t at the final time."""
     x_t = _vector(x_t, params.dim, "x_t")
-    x0 = expm(-(float(t) - float(s)) * params.moment_rate) @ x_t
+    x0 = params.moment_trajectory(x_t, t).at(s)
     return EvolutionPlan(params=params, s=float(s), t=float(t),
                          moment=params.moment_trajectory(x0, s),
                          require_normalized=require_normalized)
@@ -131,10 +130,10 @@ def evolve_quadrature(gamma: SampledDensity, plan: EvolutionPlan) -> SampledDens
     weighted = (gamma.weights() * gamma.values).ravel()
     n_pts = pts.shape[0]
     out = np.empty(n_pts)
-    # bound the dense kernel block to a few million entries at a time
-    chunk = max(1, int(4_000_000 // max(1, n_pts)))
+    # bound the dense kernel block to BLOCK_ENTRIES entries at a time
+    chunk = max(1, BLOCK_ENTRIES // n_pts)
     for i0 in range(0, n_pts, chunk):
-        block = kernel_matrix(ctx, pts[i0:i0 + chunk], pts, kind="nl")
+        block = kernel_matrix(ctx, pts[i0:i0 + chunk], pts)
         out[i0:i0 + chunk] = block @ weighted
     return SampledDensity(gamma.x_min.copy(), gamma.dx.copy(),
                           out.reshape(gamma.values.shape))
@@ -145,7 +144,7 @@ def forward_quadrature_matrix(gamma: SampledDensity,
     """Matrix A with (A @ values) = forward quadrature on the input grid."""
     ctx = plan.context()
     pts = gamma.points()
-    a = kernel_matrix(ctx, pts, pts, kind="nl")
+    a = kernel_matrix(ctx, pts, pts)
     a *= gamma.weights().ravel()
     # the kernel tails underflow to subnormals, which halve the speed of
     # every product with A; below the smallest normal double they are zero

@@ -26,7 +26,6 @@ class FDConfig:
     nx: int
     dt: float
     t_end: float
-    boundary: str = "zero-flux"
     snapshot_times: tuple = ()
 
     def __post_init__(self):
@@ -36,8 +35,6 @@ class FDConfig:
             raise ConfigurationError("x_max must exceed x_min")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigurationError("dt and t_end must be positive")
-        if self.boundary not in ("zero-flux", "zero-value"):
-            raise ConfigurationError(f"unknown boundary {self.boundary!r}")
 
     @property
     def dx(self) -> float:
@@ -58,8 +55,9 @@ class FDResult:
     mass_drifted: bool = field(default=False)
 
 
-def _rhs(u, x, dx, eps, lam, feedback, boundary):
-    """du/dt from flux differences; the moment is taken from u itself."""
+def _rhs(u, x, dx, eps, lam, feedback):
+    """du/dt from flux differences with zero flux through both ends; the
+    moment is taken from u itself."""
     xu = np.dot(x, u)
     moment = (xu - 0.5 * (x[0] * u[0] + x[-1] * u[-1])) * dx
     vel = lam * x + feedback * moment
@@ -67,12 +65,8 @@ def _rhs(u, x, dx, eps, lam, feedback, boundary):
     flux = eps * (u[1:] - u[:-1]) / dx + 0.25 * (vel[1:] + vel[:-1]) * (u[1:] + u[:-1])
     out = np.empty_like(u)
     out[1:-1] = (flux[1:] - flux[:-1]) / dx
-    if boundary == "zero-flux":
-        out[0] = flux[0] / dx
-        out[-1] = -flux[-1] / dx
-    else:
-        out[0] = 0.0
-        out[-1] = 0.0
+    out[0] = flux[0] / dx
+    out[-1] = -flux[-1] / dx
     return out
 
 
@@ -98,9 +92,6 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
     feedback = float(params.mean_feedback[0, 0])
     x = cfg.x
     u = gamma.values.copy()
-    if cfg.boundary == "zero-value":
-        u[0] = 0.0
-        u[-1] = 0.0
 
     nsteps = int(round(cfg.t_end / cfg.dt))
     if abs(nsteps * cfg.dt - cfg.t_end) > 1e-9:
@@ -129,10 +120,10 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
     record(0)
     h = cfg.dt
     for k in range(1, nsteps + 1):
-        k1 = _rhs(u, x, dx, eps, lam, feedback, cfg.boundary)
-        k2 = _rhs(u + 0.5 * h * k1, x, dx, eps, lam, feedback, cfg.boundary)
-        k3 = _rhs(u + 0.5 * h * k2, x, dx, eps, lam, feedback, cfg.boundary)
-        k4 = _rhs(u + h * k3, x, dx, eps, lam, feedback, cfg.boundary)
+        k1 = _rhs(u, x, dx, eps, lam, feedback)
+        k2 = _rhs(u + 0.5 * h * k1, x, dx, eps, lam, feedback)
+        k3 = _rhs(u + 0.5 * h * k2, x, dx, eps, lam, feedback)
+        k4 = _rhs(u + h * k3, x, dx, eps, lam, feedback)
         u += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         record(k)
 

@@ -1,12 +1,17 @@
-"""Pointwise kernels: linear propagator, mean-shifted propagator, left inverse.
+"""One Gaussian kernel over a directed context.
 
-The forward kernel between times s < t is a Gaussian in x - dd @ y with
-covariance ``diffusion * spread`` where ``spread = dn @ inv(nn)`` is
-symmetric positive definite for t > s.  The inverse kernel is the same
-formula with the time arguments swapped; its exponent is then sign
-indefinite and its prefactor uses the magnitude of the determinant (the
-formal expression is not real).  Whether an integral against it converges
-is the operator layer's concern, not the kernel's.
+A KernelContext holds one matriciant from time s to time t and the
+moment-frame anchors at those times.  The forward kernel (s < t) is a
+Gaussian in (x - X(t)) - dd @ (y - X(s)) with covariance
+``diffusion * spread`` where ``spread = dn @ inv(nn)`` is symmetric
+positive definite.  With zero anchors (``kernel_context(params, t, s)``)
+it is the propagator of the drift-only linear equation; anchored on the
+moment trajectory it is the mean-coupled kernel, the linear one moved
+into the moment frame.  The left-inverse kernel is the same formula with
+the times and anchors swapped (``ctx.reversed()``); its exponent is then
+sign indefinite and its prefactor uses the magnitude of the determinant
+(the formal expression is not real).  Whether an integral against it
+converges is the operator layer's concern, not the kernel's.
 
 With xi = xp - yp (the anchored x and the transported anchored y) and
 C = -inv(spread) / (2 diffusion), the exponent is xi^T C xi.  Paired
@@ -32,7 +37,6 @@ KernelValidityError naming |t - s| instead of returning NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,37 +50,46 @@ COMPOSE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Everything a kernel evaluation needs between fixed times s and t."""
+    """Everything a kernel evaluation needs: the matriciant m from time m.s
+    to time m.t, in either direction, and the moment-frame anchors at those
+    times, x_u_t at m.t (subtracted from the output point) and x_gamma at
+    m.s (subtracted from the input point)."""
 
     params: ModelParams
-    m_fwd: Matriciant
+    m: Matriciant
     x_u_t: np.ndarray
     x_gamma: np.ndarray
 
     @property
     def t(self) -> float:
-        return self.m_fwd.t
+        return self.m.t
 
     @property
     def s(self) -> float:
-        return self.m_fwd.s
+        return self.m.s
 
-    @cached_property
-    def m_bwd(self) -> Matriciant:
-        """Matriciant from t back to s, computed and checked against m_fwd
-        on first access (only the inverse kernel needs it)."""
-        m_bwd = matriciant(self.params, self.s, self.t)
-        _check_mutual(self.m_fwd, m_bwd, self.params.dim)
-        return m_bwd
+    def reversed(self) -> "KernelContext":
+        """Left-inverse context: the matriciant from t back to s, checked
+        against this one, with the anchors swapped."""
+        m = matriciant(self.params, self.s, self.t)
+        _check_mutual(self.m, m, self.params.dim)
+        return KernelContext(params=self.params, m=m, x_u_t=self.x_gamma,
+                             x_gamma=self.x_u_t)
 
 
 def kernel_context(params: ModelParams, t: float, s: float,
                    x_gamma=None) -> KernelContext:
+    """Context from s to t anchored on the moment trajectory through x_gamma
+    at s; without x_gamma both anchors are zero (the drift-only kernel),
+    with no trajectory to overflow where the matriciant does not."""
     n = params.dim
-    x_gamma = np.zeros(n) if x_gamma is None else _vector(x_gamma, n, "x_gamma")
-    traj = params.moment_trajectory(x_gamma, s)
-    return KernelContext(params=params, m_fwd=matriciant(params, t, s),
-                         x_u_t=traj.at(t), x_gamma=x_gamma)
+    if x_gamma is None:
+        x_gamma = x_u_t = np.zeros(n)
+    else:
+        x_gamma = _vector(x_gamma, n, "x_gamma")
+        x_u_t = params.moment_trajectory(x_gamma, s).at(t)
+    return KernelContext(params=params, m=matriciant(params, t, s),
+                         x_u_t=x_u_t, x_gamma=x_gamma)
 
 
 def _require_finite(m: Matriciant, what: str, *values) -> None:
@@ -87,63 +100,62 @@ def _require_finite(m: Matriciant, what: str, *values) -> None:
         )
 
 
-def _check_mutual(m_fwd: Matriciant, m_bwd: Matriciant, n: int) -> None:
-    for m in (m_fwd, m_bwd):
+def _check_mutual(a: Matriciant, b: Matriciant, n: int) -> None:
+    for m in (a, b):
         _require_finite(m, "matriciant", m.nn, m.dn, m.dd)
-    full_fwd = np.block([[m_fwd.nn, np.zeros((n, n))], [m_fwd.dn, m_fwd.dd]])
-    full_bwd = np.block([[m_bwd.nn, np.zeros((n, n))], [m_bwd.dn, m_bwd.dd]])
-    err = float(np.max(np.abs(full_fwd @ full_bwd - np.eye(2 * n))))
-    if err > COMPOSE_TOL * max(1.0, float(np.max(np.abs(full_fwd)))):
+    full_a = np.block([[a.nn, np.zeros((n, n))], [a.dn, a.dd]])
+    full_b = np.block([[b.nn, np.zeros((n, n))], [b.dn, b.dd]])
+    err = float(np.max(np.abs(full_a @ full_b - np.eye(2 * n))))
+    if err > COMPOSE_TOL * max(1.0, float(np.max(np.abs(full_a)))):
         raise ConfigurationError(
             f"forward/backward matriciants are not mutual inverses (error {err:.3e})"
         )
 
 
-def _spread(m: Matriciant, strict: bool) -> tuple[np.ndarray, float]:
-    """(symmetrized spread dn @ inv(nn), its determinant before symmetrizing)."""
+def _spread(m: Matriciant) -> tuple[np.ndarray, float]:
+    """(symmetrized spread dn @ inv(nn), its determinant before symmetrizing);
+    forward in time (m.tau > 0) the spread must be positive definite."""
     _require_finite(m, "matriciant", m.nn, m.dn, m.dd)
     w = np.linalg.solve(m.nn.T, m.dn.T).T
     det = float(np.linalg.det(w))
     _require_finite(m, "spread", w, det)
-    if strict:
+    if m.tau > 0:
         require_spd(w, "kernel spread", KernelValidityError)
     return 0.5 * (w + w.T), det
 
 
-def _evaluate(ctx: KernelContext, kind: str, x, y, outer: bool,
-              strict: bool | None = None) -> np.ndarray:
-    """Kernel of the given kind at paired points (outer=False: row i of x
-    with row i of y, a single row broadcasting) or over their product
-    (outer=True: an (rows of x, rows of y) matrix, from centered row norms
-    and one matrix product).
-
-    kind -> (matriciant, anchor subtracted from x, anchor from y, strict):
-    lin is the drift-only propagator, nl the same Gaussian around the moment
-    trajectory, nl_inv the nl formula with the times swapped.
-    """
-    if kind == "lin":
-        m, xo, yo, default_strict = ctx.m_fwd, 0.0, 0.0, True
-    elif kind == "nl":
-        m, xo, yo, default_strict = ctx.m_fwd, ctx.x_u_t, ctx.x_gamma, True
-    elif kind == "nl_inv":
-        m, xo, yo, default_strict = ctx.m_bwd, ctx.x_gamma, ctx.x_u_t, False
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
+def _frame(ctx: KernelContext, x, y):
+    """(C, prefactor, anchored x rows, transported anchored y rows)."""
+    m = ctx.m
     if abs(m.tau) < DELTA_TOL:
         raise DeltaLimitError(
             f"|t - s| = {abs(m.tau):.3e} below {DELTA_TOL:.0e}: kernel degenerates to a delta"
         )
-    w, det = _spread(m, default_strict if strict is None else strict)
+    w, det = _spread(m)
     n, eps = ctx.params.dim, ctx.params.diffusion
     c = -0.5 / eps * np.linalg.inv(w)
     # a numpy scalar turns a zero determinant into inf for the check below
     pref = (2.0 * np.pi * eps) ** (-n / 2.0) * np.float64(abs(det)) ** -0.5
     _require_finite(m, "prefactor", pref)
-    xp = np.asarray(x, dtype=float).reshape(-1, n) - xo
-    yp = (np.asarray(y, dtype=float).reshape(-1, n) - yo) @ m.dd.T
-    if not outer:
-        xi = xp - yp
-        return pref * np.exp(np.einsum("...j,jk,...k->...", xi, c, xi))
+    xp = np.asarray(x, dtype=float).reshape(-1, n) - ctx.x_u_t
+    yp = (np.asarray(y, dtype=float).reshape(-1, n) - ctx.x_gamma) @ m.dd.T
+    return c, pref, xp, yp
+
+
+def kernel(ctx: KernelContext, x, y) -> np.ndarray | float:
+    """Kernel at paired points: row i of x with row i of y, a single row
+    broadcasting; a single value comes back as a float."""
+    c, pref, xp, yp = _frame(ctx, x, y)
+    xi = xp - yp
+    vals = pref * np.exp(np.einsum("...j,jk,...k->...", xi, c, xi))
+    return vals if vals.size > 1 else float(vals[0])
+
+
+def kernel_matrix(ctx: KernelContext, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Dense kernel values over the product of output points xs and input
+    points ys, both (N, dim) arrays, from centered row norms and one
+    matrix product."""
+    c, pref, xp, yp = _frame(ctx, xs, ys)
     center = 0.5 * (xp.mean(axis=0) + yp.mean(axis=0))
     xp -= center
     yp -= center
@@ -158,48 +170,17 @@ def _evaluate(ctx: KernelContext, kind: str, x, y, outer: bool,
     return np.exp(block, out=block)
 
 
-def _pointwise(ctx: KernelContext, kind: str, x, y, strict=None):
-    vals = _evaluate(ctx, kind, x, y, outer=False, strict=strict)
-    return vals if vals.size > 1 else float(vals[0])
-
-
-def green_lin(ctx: KernelContext, x, y, strict: bool = True) -> np.ndarray:
-    """Propagator of the drift-only linear equation from time s to time t."""
-    return _pointwise(ctx, "lin", x, y, strict)
-
-
-def green_nl(ctx: KernelContext, x, y, strict: bool = True) -> np.ndarray:
-    """Evolution kernel of the mean-coupled equation: the linear kernel
-    evaluated at (x - X(t), y - X(s)) along the moment trajectory."""
-    return _pointwise(ctx, "nl", x, y, strict)
-
-
-def green_nl_inv(ctx: KernelContext, x, y) -> np.ndarray:
-    """Left-inverse kernel: forward formula with the times swapped.
-
-    Evaluated as written: the exponent is generally sign indefinite (a
-    growing Gaussian factor for t > s) and the prefactor uses |det|.
-    """
-    return _pointwise(ctx, "nl_inv", x, y)
-
-
-def kernel_matrix(ctx: KernelContext, xs: np.ndarray, ys: np.ndarray,
-                  kind: str = "nl") -> np.ndarray:
-    """Dense kernel values over the product of output points xs and input
-    points ys, both (N, dim) arrays.  kind is one of lin | nl | nl_inv."""
-    return _evaluate(ctx, kind, xs, ys, outer=True)
-
-
 def backward_quadratic_form(ctx: KernelContext, q_envelope: np.ndarray) -> np.ndarray:
-    """Quadratic-coefficient matrix (in y) of the exponent of
-    inverse-kernel times a Gaussian envelope exp(-(y-c)^T Q (y-c) / 2 eps).
+    """Quadratic-coefficient matrix (in y) of the exponent of the context's
+    kernel times a Gaussian envelope exp(-(y-c)^T Q (y-c) / 2 eps); pass the
+    left-inverse context, ``ctx.reversed()`` of the forward one.
 
     The integral of that product converges iff this matrix is negative
     definite.  For samples produced by the forward flow it never is; see
     the least-squares inverse in the evolution module.
     """
     eps = ctx.params.diffusion
-    w, _ = _spread(ctx.m_bwd, strict=False)
-    core = ctx.m_bwd.dd.T @ np.linalg.inv(w) @ ctx.m_bwd.dd
+    w, _ = _spread(ctx.m)
+    core = ctx.m.dd.T @ np.linalg.inv(w) @ ctx.m.dd
     q_envelope = np.atleast_2d(np.asarray(q_envelope, dtype=float))
     return -0.5 / eps * (core + q_envelope)

@@ -17,6 +17,9 @@ from scipy.linalg import expm
 from .errors import ConfigurationError, DegenerateMomentError, InputError
 
 ZERO_MASS_TOL = 1e-12
+# most float64 entries a dense intermediate block (kernel or mixture
+# evaluation) holds at a time
+BLOCK_ENTRIES = 4_000_000
 
 
 def _square_matrix(a, name: str) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidCovarianceError
-from .model import ModelParams, _vector, normalize_moment
+from .model import BLOCK_ENTRIES, ModelParams, _vector, normalize_moment
 from .variations import Matriciant, fraction, matriciant, propagate_pair
 
 
@@ -138,12 +138,21 @@ class GaussianMixture:
             raise InvalidCovarianceError("precision determinant must be positive")
         norm = np.sqrt(det / (2.0 * np.pi * eps) ** self.dim)
         pts, single = _points(x, self.dim)
-        xi = pts - self.mean[:, None, :]
-        expo = -0.5 / eps * ((xi @ q) * xi).sum(axis=-1)
-        amp = self.amp0[:, None]
-        if self.amp1 is not None:
-            amp = amp + _mv(xi, self.amp1)
-        vals = _in_order((self.weight * norm)[:, None] * amp * np.exp(expo))
+        # near-equal blocks of points, each holding at most about
+        # BLOCK_ENTRIES entries of the (K, points, n) offsets; at four or
+        # more points a block, none is left with the single row that
+        # numpy's matmul would round differently
+        n_pts = len(pts)
+        n_blocks = max(1, -(-n_pts * self.mean.size // BLOCK_ENTRIES))
+        vals = np.empty(n_pts)
+        for b in range(n_blocks):
+            lo, hi = b * n_pts // n_blocks, (b + 1) * n_pts // n_blocks
+            xi = pts[lo:hi] - self.mean[:, None, :]
+            expo = -0.5 / eps * ((xi @ q) * xi).sum(axis=-1)
+            amp = self.amp0[:, None]
+            if self.amp1 is not None:
+                amp = amp + _mv(xi, self.amp1)
+            vals[lo:hi] = _in_order((self.weight * norm)[:, None] * amp * np.exp(expo))
         return vals[0] if single else vals
 
     def shifted(self, delta) -> "GaussianMixture":
@@ -167,7 +176,7 @@ def as_mixture(g: GaussianPacket | GaussianMixture) -> GaussianMixture:
 def propagate_packet(p: GaussianPacket | GaussianMixture, params: ModelParams,
                      m: Matriciant, x_start=None, x_end=None):
     """Advance a packet, or all components of a mixture at once, by the
-    matriciant blocks around a moment trajectory; returns the same kind.
+    matriciant blocks around a moment trajectory; returns the same type.
 
     x_start / x_end are the shift-frame anchors at times m.s and m.t (the
     trajectory of the full density the packets belong to); both default to
@@ -211,14 +220,3 @@ def evolve_packet(p0: GaussianPacket, params: ModelParams,
     out.precision(density_valid=True)
     return out
 
-
-def evolve_packet_linear(p0: GaussianPacket, params: ModelParams,
-                         t: float, s: float) -> GaussianPacket:
-    """Propagate under the drift-only linear equation (no mean feedback).
-
-    The mean follows dm/dt = -L m, i.e. m(t) = dd @ m(s).
-    """
-    if t == s:
-        return replace(p0)
-    m = matriciant(params, t, s)
-    return propagate_packet(p0, params, m)

@@ -63,15 +63,6 @@ def test_mixture_matches_analytic_pathway():
     assert np.max(np.abs(res.moments - closed)) < 1e-3
 
 
-def test_zero_value_boundary_runs_and_conserves_on_wide_grid():
-    p = heat_params(0.3)
-    cfg = FDConfig(x_min=-8.0, x_max=8.0, nx=801, dt=1e-4, t_end=0.2,
-                   boundary="zero-value", snapshot_times=(0.2,))
-    pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
-    res = fd_solve(p, sample(pk, p, cfg), cfg)
-    assert np.max(np.abs(res.masses - 1.0)) < 1e-6
-
-
 def test_cfl_guard():
     p = heat_params(0.5)
     cfg = FDConfig(x_min=-4.0, x_max=4.0, nx=801, dt=1e-3, t_end=0.1)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fpknl import (DeltaLimitError, KernelValidityError, ModelParams,
-                   backward_quadratic_form, green_lin, green_nl, green_nl_inv,
-                   kernel_context, kernel_matrix)
+from fpknl import (DeltaLimitError, KernelContext, KernelValidityError, Matriciant,
+                   ModelParams, backward_quadratic_form, kernel, kernel_context,
+                   kernel_matrix)
+from fpknl import kernels
 
 E = np.e
 
@@ -18,29 +19,29 @@ def test_zero_drift_reduces_to_heat_kernel():
     ctx = kernel_context(params_1d(0.0, eps), tau, 0.0)
     for x, y in [(0.0, 0.0), (0.5, -0.3), (1.2, 1.0)]:
         expected = np.exp(-(x - y) ** 2 / (4 * eps * tau)) / np.sqrt(4 * np.pi * eps * tau)
-        assert green_lin(ctx, [x], [y]) == pytest.approx(expected, rel=1e-13)
+        assert kernel(ctx, [x], [y]) == pytest.approx(expected, rel=1e-13)
 
 
 def test_peak_at_transported_point():
     ctx = kernel_context(params_1d(0.8, 0.5), 1.0, 0.0)
-    m = ctx.m_fwd
+    m = ctx.m
     y = 0.7
-    peak = green_lin(ctx, [float(m.dd[0, 0] * y)], [y])
+    peak = kernel(ctx, [float(m.dd[0, 0] * y)], [y])
     assert peak == pytest.approx(
         np.sqrt(m.nn[0, 0] / (2 * np.pi * 0.5 * m.dn[0, 0])), rel=1e-13)
 
 
 def test_unit_drift_frozen_value():
     ctx = kernel_context(params_1d(1.0, 1.0), 1.0, 0.0)
-    assert green_lin(ctx, [0.0], [0.0]) == pytest.approx(0.429028553381469,
-                                                         abs=1e-12)
+    assert kernel(ctx, [0.0], [0.0]) == pytest.approx(0.429028553381469,
+                                                      abs=1e-12)
 
 
 def test_kernel_integrates_to_one_in_x():
     ctx = kernel_context(params_1d(0.9, 0.4), 0.8, 0.0)
     xs = np.linspace(-12, 12, 4801).reshape(-1, 1)
     for y in (-0.5, 0.0, 1.3):
-        vals = green_lin(ctx, xs, np.full((1, 1), y))
+        vals = kernel(ctx, xs, np.full((1, 1), y))
         assert np.trapezoid(vals, dx=24 / 4800) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -55,35 +56,37 @@ def test_chapman_kolmogorov_composition():
         ctx_ts = kernel_context(p, t, s)
         zs = np.linspace(-14, 14, 5601).reshape(-1, 1)
         for x, y in [(0.3, -0.2), (-0.7, 0.5)]:
-            left = green_lin(ctx_tr, np.full((1, 1), x), zs)
-            right = green_lin(ctx_rs, zs, np.full((1, 1), y))
+            left = kernel(ctx_tr, np.full((1, 1), x), zs)
+            right = kernel(ctx_rs, zs, np.full((1, 1), y))
             composed = np.trapezoid(left * right, dx=28 / 5600)
-            direct = green_lin(ctx_ts, [x], [y])
+            direct = kernel(ctx_ts, [x], [y])
             assert composed == pytest.approx(direct, abs=1e-10)
 
 
 def test_shifted_kernel_equals_linear_for_zero_moments():
     p = params_1d(0.5, 0.3, feedback=-0.4, kappa=1.0)
     ctx = kernel_context(p, 0.7, 0.0, x_gamma=[0.0])
+    lin = kernel_context(p, 0.7, 0.0)
     for x, y in [(0.2, -0.1), (1.0, 0.4)]:
-        assert green_nl(ctx, [x], [y]) == pytest.approx(
-            green_lin(ctx, [x], [y]), rel=1e-14)
+        assert kernel(ctx, [x], [y]) == pytest.approx(
+            kernel(lin, [x], [y]), rel=1e-14)
 
 
 def test_shifted_kernel_shift_recovery():
     p = params_1d(0.5, 0.3, feedback=-0.4, kappa=1.0)
     ctx = kernel_context(p, 0.7, 0.0, x_gamma=[0.6])
+    lin = kernel_context(p, 0.7, 0.0)
     xu = ctx.x_u_t[0]
     for x, y in [(0.2, -0.1), (1.0, 0.4)]:
-        assert green_nl(ctx, [x + xu], [y + 0.6]) == pytest.approx(
-            green_lin(ctx, [x], [y]), rel=1e-13)
+        assert kernel(ctx, [x + xu], [y + 0.6]) == pytest.approx(
+            kernel(lin, [x], [y]), rel=1e-13)
 
 
 def test_shifted_kernel_integrates_to_one():
     p = params_1d(1.0, 0.2, feedback=-0.5, kappa=1.0)
     ctx = kernel_context(p, 1.0, 0.0, x_gamma=[0.5])
     xs = np.linspace(-10, 10, 4001).reshape(-1, 1)
-    vals = green_nl(ctx, xs, np.full((1, 1), 0.4))
+    vals = kernel(ctx, xs, np.full((1, 1), 0.4))
     assert np.trapezoid(vals, dx=20 / 4000) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -92,17 +95,17 @@ def test_inverse_kernel_is_time_swapped_forward():
     ctx_fwd = kernel_context(p, 1.0, 0.0, x_gamma=[0.0])
     ctx_bwd = kernel_context(p, 0.0, 1.0, x_gamma=[0.0])
     for x, y in [(0.3, -0.4), (1.1, 0.2)]:
-        assert green_nl_inv(ctx_fwd, [x], [y]) == pytest.approx(
-            green_lin(ctx_bwd, [x], [y], strict=False), rel=1e-14)
+        assert kernel(ctx_fwd.reversed(), [x], [y]) == pytest.approx(
+            kernel(ctx_bwd, [x], [y]), rel=1e-14)
 
 
 def test_inverse_kernel_exponent_grows():
     # the backward spread is negative: a growing Gaussian factor
-    ctx = kernel_context(params_1d(1.0, 1.0), 1.0, 0.0)
-    coeff = ctx.m_bwd.nn[0, 0] / ctx.m_bwd.dn[0, 0]
+    back = kernel_context(params_1d(1.0, 1.0), 1.0, 0.0).reversed()
+    coeff = back.m.nn[0, 0] / back.m.dn[0, 0]
     assert coeff == pytest.approx(-0.15651764274966568, abs=1e-14)
-    near = green_nl_inv(ctx, [0.1], [0.0])
-    far = green_nl_inv(ctx, [3.0], [0.0])
+    near = kernel(back, [0.1], [0.0])
+    far = kernel(back, [3.0], [0.0])
     assert far > near  # grows away from the center
 
 
@@ -111,7 +114,7 @@ def test_backward_quadratic_form_positive_for_forward_images():
     p = params_1d(1.0, 0.5)
     ctx = kernel_context(p, 0.1, 0.0)
     q_env = np.array([[1.0]])  # evolved factor of the unit-seed packet
-    eig = np.linalg.eigvalsh(backward_quadratic_form(ctx, q_env))
+    eig = np.linalg.eigvalsh(backward_quadratic_form(ctx.reversed(), q_env))
     assert eig[-1] > 0.0
 
 
@@ -119,18 +122,26 @@ def test_delta_limit_guard():
     p = params_1d(0.5, 0.5)
     ctx = kernel_context(p, 1e-12, 0.0)
     with pytest.raises(DeltaLimitError):
-        green_lin(ctx, [0.0], [0.0])
+        kernel(ctx, [0.0], [0.0])
     with pytest.raises(DeltaLimitError):
-        green_nl_inv(ctx, [0.0], [0.0])
+        kernel(ctx.reversed(), [0.0], [0.0])
 
 
-def test_strict_validity_rejects_backward_direction():
+def test_forward_kernel_rejects_non_spd_spread():
+    # forward in time the spread dn @ inv(nn) must be positive definite;
+    # blocks from the model always give one, so the blocks are made by hand
     p = params_1d(0.5, 0.5)
-    ctx = kernel_context(p, 0.0, 1.0)  # backward in time
-    with pytest.raises(KernelValidityError):
-        green_lin(ctx, [0.0], [0.0], strict=True)
-    # evaluated as written it is finite
-    assert np.isfinite(green_lin(ctx, [0.0], [0.0], strict=False))
+    bad = Matriciant(t=1.0, s=0.0, nn=np.eye(1), dn=-np.eye(1), dd=np.eye(1))
+    ctx = KernelContext(params=p, m=bad, x_u_t=np.zeros(1), x_gamma=np.zeros(1))
+    with pytest.raises(KernelValidityError, match="kernel spread"):
+        kernel(ctx, [0.0], [0.0])
+    with pytest.raises(KernelValidityError, match="kernel spread"):
+        kernel_matrix(ctx, [[0.0]], [[0.0]])
+    # backward in time the same blocks are evaluated as written
+    back = KernelContext(params=p, m=Matriciant(t=0.0, s=1.0, nn=bad.nn, dn=bad.dn,
+                                                dd=bad.dd),
+                         x_u_t=np.zeros(1), x_gamma=np.zeros(1))
+    assert np.isfinite(kernel(back, [0.0], [0.0]))
 
 
 def test_kernel_matrix_matches_pointwise():
@@ -138,21 +149,21 @@ def test_kernel_matrix_matches_pointwise():
     ctx = kernel_context(p, 0.6, 0.0, x_gamma=[0.4])
     xs = np.array([[-0.5], [0.0], [0.8]])
     ys = np.array([[0.1], [0.9]])
-    mat = kernel_matrix(ctx, xs, ys, kind="nl")
+    mat = kernel_matrix(ctx, xs, ys)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            assert mat[i, j] == pytest.approx(float(green_nl(ctx, x, y)),
-                                              rel=1e-14)
+            assert mat[i, j] == pytest.approx(kernel(ctx, x, y), rel=1e-14)
 
 
 def test_context_checks_mutual_consistency():
     p = params_1d(1.3, 0.2)
-    ctx = kernel_context(p, 0.9, 0.1)
+    ctx = kernel_context(p, 0.9, 0.1, x_gamma=[0.3])
+    back = ctx.reversed()
+    assert (back.t, back.s) == (ctx.s, ctx.t)
+    assert back.x_u_t is ctx.x_gamma and back.x_gamma is ctx.x_u_t
     n = 1
-    full_f = np.block([[ctx.m_fwd.nn, np.zeros((n, n))],
-                       [ctx.m_fwd.dn, ctx.m_fwd.dd]])
-    full_b = np.block([[ctx.m_bwd.nn, np.zeros((n, n))],
-                       [ctx.m_bwd.dn, ctx.m_bwd.dd]])
+    full_f = np.block([[ctx.m.nn, np.zeros((n, n))], [ctx.m.dn, ctx.m.dd]])
+    full_b = np.block([[back.m.nn, np.zeros((n, n))], [back.m.dn, back.m.dd]])
     np.testing.assert_allclose(full_f @ full_b, np.eye(2), atol=1e-10)
 
 
@@ -166,38 +177,53 @@ def test_kernel_matrix_matches_pointwise_off_center(dim, kind):
     p = ModelParams(drift=drift, coupling_state=np.zeros((dim, dim)),
                     coupling_mean=-0.5 * np.eye(dim), diffusion=0.2,
                     coupling=1.0)
-    ctx = kernel_context(p, 0.7, 0.0, x_gamma=np.full(dim, 0.4))
-    evaluator, m, xo, yo = {
-        "lin": (green_lin, ctx.m_fwd, 0.0, 0.0),
-        "nl": (green_nl, ctx.m_fwd, ctx.x_u_t, ctx.x_gamma),
-        "nl_inv": (green_nl_inv, ctx.m_bwd, ctx.x_gamma, ctx.x_u_t),
-    }[kind]
+    anchored = kernel_context(p, 0.7, 0.0, x_gamma=np.full(dim, 0.4))
+    ctx = {"lin": kernel_context(p, 0.7, 0.0), "nl": anchored,
+           "nl_inv": anchored.reversed()}[kind]
+    m, xo, yo = ctx.m, ctx.x_u_t, ctx.x_gamma
     axis = np.linspace(-2.0, 2.0, 41 if dim == 1 else 9)
     ys = 1000.0 + np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
                            axis=-1).reshape(-1, dim)
     # output points around the transported inputs, where the kernel lives
     xs = xo + (ys - yo) @ m.dd.T + 0.05
-    mat = kernel_matrix(ctx, xs, ys, kind=kind)
-    ref = evaluator(ctx, np.repeat(xs, len(ys), axis=0),
+    mat = kernel_matrix(ctx, xs, ys)
+    ref = kernel(ctx, np.repeat(xs, len(ys), axis=0),
                     np.tile(ys, (len(xs), 1))).reshape(mat.shape)
     keep = np.abs(ref) > 1e-100 * np.max(np.abs(ref))
     assert keep.sum() > len(ys)
     np.testing.assert_allclose(mat[keep], ref[keep], rtol=1e-12, atol=0.0)
 
 
-def test_backward_matriciant_is_lazy():
-    # forward-only kernels never build or check the backward matriciant
-    ctx = kernel_context(params_1d(1.3, 0.2), 0.9, 0.1)
-    green_lin(ctx, [0.0], [0.0])
-    assert "m_bwd" not in vars(ctx)
-    assert ctx.m_bwd is ctx.m_bwd
+def test_backward_matriciant_is_lazy(monkeypatch):
+    # forward kernels never build or check the backward matriciant: a
+    # context builds one matriciant and only reversed() builds the second
+    calls = []
+    real = kernels.matriciant
+
+    def counting(params, t, s):
+        calls.append((t, s))
+        return real(params, t, s)
+
+    monkeypatch.setattr(kernels, "matriciant", counting)
+    ctx = kernel_context(params_1d(1.3, 0.2), 0.9, 0.1, x_gamma=[0.2])
+    kernel(ctx, [0.0], [0.0])
+    kernel_matrix(ctx, [[0.0]], [[0.0]])
+    assert calls == [(0.9, 0.1)]
+    kernel(ctx.reversed(), [0.0], [0.0])
+    assert calls == [(0.9, 0.1), (0.1, 0.9)]
 
 
 def test_overflowing_matriciant_raises_kernel_validity_error():
-    # long horizons overflow the unnormalized blocks; every kind must name
-    # that instead of returning NaN
+    # long horizons overflow the unnormalized blocks; the zero-anchored,
+    # anchored and reversed contexts must all name that instead of
+    # returning NaN
     p = params_1d(3.0, 0.1, feedback=-0.5, kappa=1.0)
-    ctx = kernel_context(p, 250.0, 0.0)
-    for kind in ("lin", "nl", "nl_inv"):
-        with pytest.raises(KernelValidityError, match=r"\|t - s\| = 250.*overflows"):
-            kernel_matrix(ctx, [[0.0]], [[0.0]], kind=kind)
+    lin = kernel_context(p, 250.0, 0.0)
+    anchored = kernel_context(p, 250.0, 0.0, x_gamma=[0.4])
+    overflow = r"\|t - s\| = 250.*overflows"
+    for ctx in (lin, anchored):
+        for evaluate in (kernel, kernel_matrix):
+            with pytest.raises(KernelValidityError, match=overflow):
+                evaluate(ctx, [[0.0]], [[0.0]])
+        with pytest.raises(KernelValidityError, match=overflow):
+            ctx.reversed()

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fpknl import (GaussianMixture, GaussianPacket, InvalidCovarianceError,
-                   ModelParams, evolve_packet, evolve_packet_linear, matriciant,
-                   propagate_packet, residual_field, spacetime_samples)
+                   ModelParams, evolve_packet, matriciant, propagate_packet,
+                   residual_field, spacetime_samples)
+from fpknl import packets
 
 
 def params_1d(lam=0.0, eps=0.5, feedback=0.0, kappa=0.0):
@@ -111,7 +112,7 @@ def test_reduction_identity_links_linear_and_coupled_flows():
     pk = GaussianPacket(mean=[0.5], num=[[1.1]], den=[[0.9]])
     t = 0.9
     coupled = evolve_packet(pk, p, t, 0.0)
-    linear = evolve_packet_linear(pk, p, t, 0.0)
+    linear = propagate_packet(pk, p, matriciant(p, t, 0.0))
     x_coupled = p.moment_trajectory(pk.mean, 0.0).at(t)
     x_linear = linear.mean  # drift-only mean law
     xs = np.linspace(-3, 3, 57).reshape(-1, 1)
@@ -202,3 +203,29 @@ def test_mixture_eval_and_moment_match_per_component_reference(dim):
         for f in ("mean", "num", "den", "weight", "amp0"):
             assert np.array_equal(getattr(a, f), getattr(b, f))
         assert (a.amp1 is None) == (b.amp1 is None)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mixture_eval_in_blocks_equals_one_block(dim, monkeypatch):
+    # every point is evaluated on its own row, so splitting the points into
+    # blocks must not change a single bit
+    rng = np.random.default_rng(90 + dim)
+    p = ModelParams(drift=np.eye(dim), coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=np.zeros((dim, dim)), diffusion=0.3)
+    comps = []
+    for k in range(5):
+        a = rng.standard_normal((dim, dim))
+        comps.append(GaussianPacket(
+            mean=rng.uniform(-1, 1, dim), num=a @ a.T + np.eye(dim), den=np.eye(dim),
+            weight=rng.uniform(0.1, 1.0), amp0=rng.uniform(0.5, 1.5),
+            amp1=None if k == 0 else rng.standard_normal(dim)))
+    mix = GaussianMixture(comps)
+    pts = rng.standard_normal((503, dim))
+    whole = mix.eval(p, pts)
+    # 5 components x dim coordinates x b points: near-equal blocks of about
+    # b points; every block keeps at least two rows, so the stacked matmul
+    # takes the same matrix-matrix path as the single block (a one-row
+    # block goes through a matrix-vector product, about 1e-14 off)
+    for b in (4, 7, 250):
+        monkeypatch.setattr(packets, "BLOCK_ENTRIES", 5 * dim * b)
+        assert np.array_equal(mix.eval(p, pts), whole)
