@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -233,11 +234,9 @@ def _grid_axis(cfg: dict) -> np.ndarray:
 
 
 def write_snapshots_csv(path: Path, rows: list[tuple]) -> None:
-    ncoord = len(rows[0]) - 2 if rows else 1
-    header = ["t"] + [f"x{i}" for i in range(ncoord)] + ["u"] if ncoord > 1 \
-        else ["t", "x", "u"]
+    """Write (t, x, u) rows, as built by _sample_rows, under a t,x,u header."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write("t,x,u\n")
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
@@ -275,7 +274,7 @@ def task_evolve(cfg: dict, params: ModelParams):
         rows += _sample_rows(t, xs, sample(out))
         mass = out.total_mass()
         mom = out.first_moment(params)
-        dev = float(np.max(np.abs(mom - plan.moment_at_end())))
+        dev = float(np.max(np.abs(mom - plan.x_end)))
         results += [checks.result(f"mass@t={t:g}", abs(mass - 1), tol),
                     checks.result(f"moment@t={t:g}", dev, tol)]
         snap_info.append({"t": t, "mass": mass, "moment": mom.tolist()})
@@ -340,10 +339,10 @@ def task_symmetry(cfg: dict, params: ModelParams):
     return results, rows, {"alpha": shifts.alpha, "normalized": shifts.normalized}
 
 
-# checks that take the configured model and its first gaussian component
-# (all but roundtrip reject a model that is not 1D); fd-reduction takes them
-# too, with grid settings, and matriciant-laws, riccati-residual and
-# kappa-continuity fix their own models
+# checks that take the configured model and its first gaussian component at
+# unit weight (all but roundtrip reject a model that is not 1D); fd-reduction
+# takes them too, with grid settings, and matriciant-laws, riccati-residual
+# and kappa-continuity fix their own models
 MODEL_CHECKS = ("mass-conservation", "roundtrip", "symmetry-routes", "symmetry-residual")
 
 
@@ -353,7 +352,8 @@ def task_verify(cfg: dict, params: ModelParams):
                               if n != "fd-reduction"])
     packet = None
     if cfg.get("initial", {}).get("kind") == "gaussian":
-        packet = build_initial(cfg, params).components[0]
+        # the checks need a unit-mass density, whatever the component's share
+        packet = replace(build_initial(cfg, params).components[0], weight=1.0)
     results = []
     for name in names:
         if name == "fd-reduction":

@@ -1,17 +1,18 @@
 """Evolution operator of the mean-coupled equation and its left inverse.
 
-The operator's hidden state, the first-moment trajectory, is always
-computed up front from the input's initial moment; kernels and packet
-propagation then consume it read-only.  Gaussian mixtures evolve in
-closed form; sampled densities go through trapezoid quadrature of the
-kernel.
+A plan is a directed kernel context: the matriciant from s to t and the
+moment-frame anchors at both ends, computed up front from the input's
+initial moment; kernels and packet propagation consume it read-only.
+Gaussian mixtures evolve in closed form; sampled densities go through
+trapezoid quadrature of the kernel.
 
-The left inverse on the analytic pathway is exact backward block algebra.
-On sampled densities the literal backward-kernel integral diverges for
-every forward image (the growing exponent always wins), so the inverse is
-realized as a truncated-SVD least-squares solve of the forward quadrature
-system, with lstsq's rule: singular values at or below rcond * sigma_max
-are dropped.  The quadrature matrix is numerically low-rank, so the SVD
+The left inverse on the analytic pathway is exact backward block algebra
+along ``plan.reversed()``.  On sampled densities the literal
+backward-kernel integral diverges for every forward image (the growing
+exponent always wins), so the inverse is realized as a truncated-SVD
+least-squares solve of the forward quadrature system, with lstsq's rule:
+singular values at or below rcond * sigma_max are dropped, rcond being
+INVERSE_RCOND.  The quadrature matrix is numerically low-rank, so the SVD
 comes from a randomized range finder: a sketch of SKETCH_START Gaussian
 columns from a local generator seeded with SKETCH_SEED (repeatable, and
 the global numpy state is untouched), doubled until the sketch's smallest
@@ -30,12 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IllPosedInverseError, InputError, NormalizationError,
-                     TruncationError)
+from .errors import IllPosedInverseError, NormalizationError, TruncationError
 from .kernels import KernelContext, kernel_context, kernel_matrix
-from .model import BLOCK_ENTRIES, ModelParams, MomentTrajectory, SampledDensity, _vector
+from .model import BLOCK_ENTRIES, ModelParams, SampledDensity, _vector
 from .packets import GaussianMixture, GaussianPacket, as_mixture, propagate_packet
-from .variations import matriciant
 
 MASS_TOL_ANALYTIC = 1e-10
 MASS_TOL_QUADRATURE = 1e-6
@@ -47,24 +46,20 @@ SKETCH_SEED = 20110601
 
 
 @dataclass(frozen=True)
-class EvolutionPlan:
-    """Times, moment trajectory, and mode for one application of the operator."""
+class EvolutionPlan(KernelContext):
+    """One application of the operator: the directed context from s to t
+    anchored on the input's moment trajectory, and whether the input must
+    carry unit mass."""
 
-    params: ModelParams
-    s: float
-    t: float
-    moment: MomentTrajectory
     require_normalized: bool = True
 
     @property
     def x_start(self) -> np.ndarray:
-        return self.moment.x0
+        return self.x_gamma
 
-    def moment_at_end(self) -> np.ndarray:
-        return self.moment.at(self.t)
-
-    def context(self) -> KernelContext:
-        return kernel_context(self.params, self.t, self.s, self.moment.x0)
+    @property
+    def x_end(self) -> np.ndarray:
+        return self.x_u_t
 
 
 def plan_for(params: ModelParams, s: float, t: float,
@@ -81,8 +76,7 @@ def plan_for(params: ModelParams, s: float, t: float,
         x0 = _vector(moment_override, params.dim, "moment_override")
     else:
         x0 = initial.first_moment(params, normalized=True)
-    return EvolutionPlan(params=params, s=float(s), t=float(t),
-                         moment=params.moment_trajectory(x0, s),
+    return EvolutionPlan(**vars(kernel_context(params, t, s, x0)),
                          require_normalized=require_normalized)
 
 
@@ -91,8 +85,7 @@ def plan_from_final_moment(params: ModelParams, s: float, t: float, x_t,
     """Plan whose trajectory passes through x_t at the final time."""
     x_t = _vector(x_t, params.dim, "x_t")
     x0 = params.moment_trajectory(x_t, t).at(s)
-    return EvolutionPlan(params=params, s=float(s), t=float(t),
-                         moment=params.moment_trajectory(x0, s),
+    return EvolutionPlan(**vars(kernel_context(params, t, s, x0)),
                          require_normalized=require_normalized)
 
 
@@ -111,8 +104,7 @@ def evolve_analytic(g: GaussianMixture | GaussianPacket,
     _check_mass(mix.total_mass(), plan, MASS_TOL_ANALYTIC)
     if plan.t == plan.s:
         return mix.copy()
-    return propagate_packet(mix, plan.params, matriciant(plan.params, plan.t, plan.s),
-                            x_start=plan.x_start, x_end=plan.moment_at_end())
+    return propagate_packet(mix, plan)
 
 
 def evolve_quadrature(gamma: SampledDensity, plan: EvolutionPlan) -> SampledDensity:
@@ -125,7 +117,6 @@ def evolve_quadrature(gamma: SampledDensity, plan: EvolutionPlan) -> SampledDens
     _check_mass(gamma.total_mass(), plan, MASS_TOL_QUADRATURE)
     if plan.t == plan.s:
         return gamma.copy()
-    ctx = plan.context()
     pts = gamma.points()
     weighted = (gamma.weights() * gamma.values).ravel()
     n_pts = pts.shape[0]
@@ -133,7 +124,7 @@ def evolve_quadrature(gamma: SampledDensity, plan: EvolutionPlan) -> SampledDens
     # bound the dense kernel block to BLOCK_ENTRIES entries at a time
     chunk = max(1, BLOCK_ENTRIES // n_pts)
     for i0 in range(0, n_pts, chunk):
-        block = kernel_matrix(ctx, pts[i0:i0 + chunk], pts)
+        block = kernel_matrix(plan, pts[i0:i0 + chunk], pts)
         out[i0:i0 + chunk] = block @ weighted
     return SampledDensity(gamma.x_min.copy(), gamma.dx.copy(),
                           out.reshape(gamma.values.shape))
@@ -142,9 +133,8 @@ def evolve_quadrature(gamma: SampledDensity, plan: EvolutionPlan) -> SampledDens
 def forward_quadrature_matrix(gamma: SampledDensity,
                               plan: EvolutionPlan) -> np.ndarray:
     """Matrix A with (A @ values) = forward quadrature on the input grid."""
-    ctx = plan.context()
     pts = gamma.points()
-    a = kernel_matrix(ctx, pts, pts)
+    a = kernel_matrix(plan, pts, pts)
     a *= gamma.weights().ravel()
     # the kernel tails underflow to subnormals, which halve the speed of
     # every product with A; below the smallest normal double they are zero
@@ -153,8 +143,7 @@ def forward_quadrature_matrix(gamma: SampledDensity,
 
 
 def _inverse_analytic(u: GaussianMixture, plan: EvolutionPlan) -> GaussianMixture:
-    back = propagate_packet(u, plan.params, matriciant(plan.params, plan.s, plan.t),
-                            x_start=plan.moment_at_end(), x_end=plan.x_start)
+    back = propagate_packet(u, plan.reversed())
     back.precision(density_valid=True)  # backward blocks must keep a valid shape
     return back
 
@@ -188,11 +177,10 @@ def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
     return sol, int(rank), rcond * s[0], "lstsq"
 
 
-def _inverse_sampled(u: SampledDensity, plan: EvolutionPlan,
-                     rcond: float) -> SampledDensity:
+def _inverse_sampled(u: SampledDensity, plan: EvolutionPlan) -> SampledDensity:
     a = forward_quadrature_matrix(u, plan)
     rhs = u.values.ravel()
-    sol, rank, cutoff, how = _sketch_solve(a, rhs, rcond)
+    sol, rank, cutoff, how = _sketch_solve(a, rhs, INVERSE_RCOND)
     resid = float(np.max(np.abs(a @ sol - rhs)))
     limit = 1e-6 * max(1.0, float(np.max(np.abs(rhs))))
     if resid > limit:
@@ -200,7 +188,7 @@ def _inverse_sampled(u: SampledDensity, plan: EvolutionPlan,
             f"no initial data on this grid reproduces the samples "
             f"(forward residual {resid:.3e} > {limit:.1e}; rank {rank} of "
             f"{rhs.size} kept above the sigma cutoff {cutoff:.3e} = rcond "
-            f"{rcond:.1e} x sigma_max, factorization {how}); backward "
+            f"{INVERSE_RCOND:.1e} x sigma_max, factorization {how}); backward "
             "diffusion amplifies content the forward flow cannot produce"
         )
     return SampledDensity(u.x_min.copy(), u.dx.copy(),
@@ -208,20 +196,16 @@ def _inverse_sampled(u: SampledDensity, plan: EvolutionPlan,
 
 
 def inverse_evolve(u: GaussianMixture | GaussianPacket | SampledDensity,
-                   plan: EvolutionPlan,
-                   rcond: float = INVERSE_RCOND):
+                   plan: EvolutionPlan):
     """Left inverse of the evolution operator: recovers the initial data.
 
-    Analytic pathway: exact backward block algebra on all components at once.
+    Analytic pathway: exact backward block algebra on all components at
+    once, along ``plan.reversed()``.
     Sampled pathway: truncated-SVD solve of the forward quadrature system
     (the literal backward-kernel integral diverges for forward images);
-    singular values at or below rcond * sigma_max are dropped, and rcond
-    must lie in (0, 1).
+    singular values at or below INVERSE_RCOND * sigma_max are dropped.
     """
-    rcond = float(rcond)
-    if not 0.0 < rcond < 1.0:
-        raise InputError(f"rcond must be a finite number in (0, 1), got {rcond!r}")
     if isinstance(u, SampledDensity):
-        return u.copy() if plan.t == plan.s else _inverse_sampled(u, plan, rcond)
+        return u.copy() if plan.t == plan.s else _inverse_sampled(u, plan)
     mix = as_mixture(u)
     return mix.copy() if plan.t == plan.s else _inverse_analytic(mix, plan)

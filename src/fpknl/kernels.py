@@ -1,7 +1,8 @@
 """One Gaussian kernel over a directed context.
 
 A KernelContext holds one matriciant from time s to time t and the
-moment-frame anchors at those times.  The forward kernel (s < t) is a
+moment-frame anchors at those times; packets move along it too, and an
+evolution plan is one.  The forward kernel (s < t) is a
 Gaussian in (x - X(t)) - dd @ (y - X(s)) with covariance
 ``diffusion * spread`` where ``spread = dn @ inv(nn)`` is symmetric
 positive definite.  With zero anchors (``kernel_context(params, t, s)``)
@@ -31,7 +32,8 @@ epsilons (about 1e-9 relative at R = 1000).
 
 A matriciant that overflows double precision (long horizons) makes the
 spread or the prefactor non-finite; evaluation then raises
-KernelValidityError naming |t - s| instead of returning NaN.
+KernelValidityError naming |t - s| instead of returning NaN; so does
+kernel_context when the moment trajectory overflows an anchor.
 """
 
 from __future__ import annotations
@@ -81,19 +83,25 @@ def kernel_context(params: ModelParams, t: float, s: float,
                    x_gamma=None) -> KernelContext:
     """Context from s to t anchored on the moment trajectory through x_gamma
     at s; without x_gamma both anchors are zero (the drift-only kernel),
-    with no trajectory to overflow where the matriciant does not."""
+    with no trajectory to overflow where the matriciant does not.  An
+    anchor that overflows double precision raises KernelValidityError."""
     n = params.dim
     if x_gamma is None:
         x_gamma = x_u_t = np.zeros(n)
     else:
         x_gamma = _vector(x_gamma, n, "x_gamma")
         x_u_t = params.moment_trajectory(x_gamma, s).at(t)
+        if not (np.isfinite(x_gamma).all() and np.isfinite(x_u_t).all()):
+            raise KernelValidityError(
+                f"moment-frame anchor is not finite at |t - s| = {abs(t - s):.6g}: "
+                "the moment trajectory overflows double precision over this horizon"
+            )
     return KernelContext(params=params, m=matriciant(params, t, s),
                          x_u_t=x_u_t, x_gamma=x_gamma)
 
 
 def _require_finite(m: Matriciant, what: str, *values) -> None:
-    if not all(np.all(np.isfinite(v)) for v in values):
+    if not all(np.isfinite(v).all() for v in values):
         raise KernelValidityError(
             f"kernel {what} is not finite at |t - s| = {abs(m.tau):.6g}: "
             "the matriciant overflows double precision over this horizon"
@@ -101,12 +109,13 @@ def _require_finite(m: Matriciant, what: str, *values) -> None:
 
 
 def _check_mutual(a: Matriciant, b: Matriciant, n: int) -> None:
-    for m in (a, b):
-        _require_finite(m, "matriciant", m.nn, m.dn, m.dd)
-    full_a = np.block([[a.nn, np.zeros((n, n))], [a.dn, a.dd]])
-    full_b = np.block([[b.nn, np.zeros((n, n))], [b.dn, b.dd]])
-    err = float(np.max(np.abs(full_a @ full_b - np.eye(2 * n))))
-    if err > COMPOSE_TOL * max(1.0, float(np.max(np.abs(full_a)))):
+    # the two 2n x 2n fundamental matrices [[nn, 0], [dn, dd]]
+    full = np.zeros((2, 2 * n, 2 * n))
+    for f, m in zip(full, (a, b)):
+        f[:n, :n], f[n:, :n], f[n:, n:] = m.nn, m.dn, m.dd
+    _require_finite(a, "matriciant", full)
+    err = float(np.abs(full[0] @ full[1] - np.eye(2 * n)).max())
+    if err > COMPOSE_TOL * max(1.0, float(np.abs(full[0]).max())):
         raise ConfigurationError(
             f"forward/backward matriciants are not mutual inverses (error {err:.3e})"
         )

@@ -6,9 +6,11 @@ remain representable.  An optional affine amplitude ``amp0 + amp1.(x-mean)``
 extends the class just enough to keep it closed under first-order
 operators; plain densities have amp0 = 1, amp1 = 0.
 
-All components of a mixture move under the same matriciant blocks and
-moment trajectory, so a mixture holds them as stacked arrays and each of
-its operations is one stacked computation; a packet is a mixture of one.
+Packets move along a directed ``kernels.KernelContext``, the matriciant
+from s to t and the moment-frame anchors at both ends.  All components of
+a mixture move along the same context, so a mixture holds them as stacked
+arrays and each of its operations is one stacked computation; a packet is
+a mixture of one.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidCovarianceError
-from .model import BLOCK_ENTRIES, ModelParams, _vector, normalize_moment
-from .variations import Matriciant, fraction, matriciant, propagate_pair
+from .kernels import KernelContext, kernel_context
+from .model import BLOCK_ENTRIES, ModelParams, normalize_moment
+from .variations import fraction, propagate_pair
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -173,21 +176,19 @@ def as_mixture(g: GaussianPacket | GaussianMixture) -> GaussianMixture:
     return g
 
 
-def propagate_packet(p: GaussianPacket | GaussianMixture, params: ModelParams,
-                     m: Matriciant, x_start=None, x_end=None):
-    """Advance a packet, or all components of a mixture at once, by the
-    matriciant blocks around a moment trajectory; returns the same type.
+def propagate_packet(p: GaussianPacket | GaussianMixture, ctx: KernelContext):
+    """Advance a packet, or all components of a mixture at once, along a
+    directed context: the matriciant blocks ctx.m around the moment-frame
+    anchors ctx.x_gamma at ctx.s and ctx.x_u_t at ctx.t (the trajectory of
+    the full density the packets belong to); returns the same type.
 
-    x_start / x_end are the shift-frame anchors at times m.s and m.t (the
-    trajectory of the full density the packets belong to); both default to
-    zero, which is the plain linear drift-diffusion flow.
+    The zero-anchored ``kernel_context(params, t, s)`` is the plain linear
+    drift-diffusion flow, and ``ctx.reversed()`` the flow back from t to s.
     """
     mix = as_mixture(p)
-    n = mix.dim
-    x_start = np.zeros(n) if x_start is None else _vector(x_start, n, "x_start")
-    x_end = np.zeros(n) if x_end is None else _vector(x_end, n, "x_end")
+    m = ctx.m
     num, den = propagate_pair(m, mix.num, mix.den)
-    mean = x_end + _mv(m.dd, mix.mean - x_start)
+    mean = ctx.x_u_t + _mv(m.dd, mix.mean - ctx.x_gamma)
     amp1 = None
     if mix.amp1 is not None:
         # affine amplitude rides the same flow: amp1' = Q_t dd Q_s^{-1} amp1
@@ -203,8 +204,7 @@ def evolve_packet(p0: GaussianPacket, params: ModelParams,
     """Exact solution of the mean-coupled equation from a single plain packet.
 
     The packet is its own density, so its mean is the initial first moment;
-    the mean then follows the closed-form moment trajectory while the
-    precision pair follows the matriciant.
+    it moves along the context anchored on the moment trajectory from there.
     """
     if p0.amp1 is not None or p0.amp0 != 1.0:
         raise InvalidCovarianceError(
@@ -214,9 +214,6 @@ def evolve_packet(p0: GaussianPacket, params: ModelParams,
     p0.precision(density_valid=True)
     if t == s:
         return replace(p0)
-    traj = params.moment_trajectory(p0.mean, s)
-    m = matriciant(params, t, s)
-    out = propagate_packet(p0, params, m, x_start=p0.mean, x_end=traj.at(t))
+    out = propagate_packet(p0, kernel_context(params, t, s, p0.mean))
     out.precision(density_valid=True)
     return out
-

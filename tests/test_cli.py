@@ -261,6 +261,26 @@ def test_shipped_verify_quick_config_passes(tmp_path, monkeypatch):
     assert {c["name"] for c in report["checks"]} >= {"quadrature-mass", "reduction-linf"}
 
 
+def test_verify_runs_checks_on_first_component_at_unit_weight(tmp_path, monkeypatch):
+    # two components of weight 0.5: the checks used to get the first at weight
+    # 0.5 and raise NormalizationError or fail fd-reduction; at unit weight it
+    # is the single packet of verify_quick, so every value but the wall time
+    # must be the same bit for bit
+    cfg = json.loads((ROOT / "configs" / "verify_quick.json").read_text())
+    reports = {}
+    for label in ("single", "mixture"):
+        if label == "mixture":
+            cfg["initial"]["components"] = [
+                {"weight": 0.5, "mean": [0.5], "num": [[1.0]], "den": [[1.0]]},
+                {"weight": 0.5, "mean": [-0.5], "num": [[1.0]], "den": [[1.0]]}]
+        monkeypatch.setenv("FPKNL_OUTDIR", str(tmp_path / label))
+        assert main(["verify", str(write_config(tmp_path, cfg, f"{label}.json"))]) == 0
+        report = json.loads((tmp_path / label / "verify_report.json").read_text())
+        reports[label] = {c["name"]: c["value"] for c in report["checks"]
+                          if c["name"] != "reduction-runtime"}
+    assert reports["mixture"] == reports["single"]
+
+
 @pytest.mark.parametrize("check", ["mass-conservation", "symmetry-routes",
                                    "symmetry-residual", "fd-reduction"])
 def test_one_dimensional_checks_reject_2d_model(tmp_path, capsys, check):

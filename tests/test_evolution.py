@@ -1,15 +1,16 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpknl import (GaussianMixture, GaussianPacket, IllPosedInverseError,
-                   InputError, KernelValidityError, ModelParams,
+from fpknl import (ConfigurationError, GaussianMixture, GaussianPacket,
+                   IllPosedInverseError, KernelValidityError, ModelParams,
                    NormalizationError, SampledDensity, TruncationError,
                    evolution, evolve_analytic, evolve_packet,
-                   evolve_quadrature, inverse_evolve, plan_for,
+                   evolve_quadrature, inverse_evolve, matriciant, plan_for,
                    plan_from_final_moment)
 
 
@@ -115,7 +116,7 @@ def test_quadrature_mass_and_moment():
         out = evolve_quadrature(gamma, plan)
         assert out.total_mass() == pytest.approx(1.0, abs=1e-6)
         assert out.first_moment()[0] == pytest.approx(
-            plan.moment_at_end()[0], abs=1e-6)
+            plan.x_end[0], abs=1e-6)
 
 
 def test_quadrature_uncoupled_matches_linear_propagation():
@@ -135,6 +136,33 @@ def test_quadrature_long_horizon_names_the_overflow():
     gamma = sampled_from(unit_packet(), p, -3.0, 3.0, 301)
     with pytest.raises(KernelValidityError, match=r"\|t - s\| = 250.*overflows"):
         evolve_quadrature(gamma, plan_for(p, 0.0, 250.0, gamma))
+
+
+def test_analytic_inverse_shares_the_backward_kernel_guard():
+    # both backward moves go through KernelContext.reversed(): an overflowing
+    # horizon names the matriciant (the analytic inverse used to reach an SVD
+    # and raise numpy's LinAlgError), and a plan whose matriciant is not its
+    # model's fails the same mutual-inverse check as the backward kernel
+    p = params_1d(lam=3.0)
+    pk = unit_packet()
+    with pytest.raises(KernelValidityError, match=r"\|t - s\| = 250.*overflows"):
+        inverse_evolve(pk, plan_for(p, 0.0, 250.0, pk))
+    foreign = replace(plan_for(p, 0.0, 0.5, pk), m=matriciant(params_1d(), 0.5, 0.0))
+    for backward in (foreign.reversed, lambda: inverse_evolve(pk, foreign)):
+        with pytest.raises(ConfigurationError, match="not mutual inverses"):
+            backward()
+
+
+def test_plan_names_an_overflowing_moment_trajectory():
+    # moment rate +9 overflows the end anchor at t = 100 while the matriciant
+    # (drift 1) stays finite; quadrature used to blame the input samples and
+    # the analytic pathway to return a field of mean inf that evaluates to 0
+    p = params_1d(lam=1.0, eps=0.5, feedback=-10.0)
+    pk = unit_packet()
+    overflow = r"\|t - s\| = 100.*moment trajectory overflows"
+    for initial in (pk, sampled_from(pk, p, -8.0, 8.0, 401)):
+        with pytest.raises(KernelValidityError, match=overflow):
+            plan_for(p, 0.0, 100.0, initial)
 
 
 def test_quadrature_identity_at_equal_times():
@@ -246,14 +274,6 @@ def _grid_1d(nodes, eps=0.5, tau=0.1):
     return gamma, plan_for(p, 0.0, tau, gamma)
 
 
-@pytest.mark.parametrize("rcond", [0.0, -1.0, 1.0, 2.0, np.nan, np.inf])
-def test_inverse_rejects_invalid_rcond(rcond):
-    gamma, plan = _grid_1d(401)
-    u = evolve_quadrature(gamma, plan)
-    with pytest.raises(InputError, match="rcond"):
-        inverse_evolve(u, plan, rcond=rcond)
-
-
 # grid and the factorization its solve must use; "1d-narrow" has a kernel
 # narrow enough that the lstsq rank exceeds the first sketch, so it grows
 SOLVE_CASES = {
@@ -301,7 +321,7 @@ def test_plan_from_final_moment_closes_the_loop():
     p = params_1d()
     pk = unit_packet(mean=0.5)
     fwd = plan_for(p, 0.0, 1.0, pk)
-    x_t = fwd.moment_at_end()
+    x_t = fwd.x_end
     plan = plan_from_final_moment(p, 0.0, 1.0, x_t)
     np.testing.assert_allclose(plan.x_start, [0.5], atol=1e-14)
 

@@ -227,3 +227,16 @@ def test_overflowing_matriciant_raises_kernel_validity_error():
                 evaluate(ctx, [[0.0]], [[0.0]])
         with pytest.raises(KernelValidityError, match=overflow):
             ctx.reversed()
+
+
+def test_overflowing_moment_anchor_raises_kernel_validity_error():
+    # moment rate +9 overflows the end anchor at t = 100 while the matriciant
+    # (drift 1) stays finite; the anchored kernel used to be 0 everywhere
+    p = params_1d(1.0, 0.5, feedback=-10.0, kappa=1.0)
+    with pytest.raises(KernelValidityError,
+                       match=r"\|t - s\| = 100.*moment trajectory overflows"):
+        kernel_context(p, 100.0, 0.0, x_gamma=[0.5])
+    # the zero-anchored context computes no trajectory and stays finite
+    lin = kernel_context(p, 100.0, 0.0)
+    assert np.all(np.isfinite(lin.x_u_t))
+    assert 0.0 < kernel(lin, [[0.0]], [[0.0]]) < np.inf

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fpknl import (GaussianMixture, GaussianPacket, InvalidCovarianceError,
-                   ModelParams, evolve_packet, matriciant, propagate_packet,
-                   residual_field, spacetime_samples)
+                   KernelContext, KernelValidityError, ModelParams, evolve_packet,
+                   kernel_context, matriciant, propagate_packet, residual_field,
+                   spacetime_samples)
 from fpknl import packets
 
 
@@ -112,7 +113,7 @@ def test_reduction_identity_links_linear_and_coupled_flows():
     pk = GaussianPacket(mean=[0.5], num=[[1.1]], den=[[0.9]])
     t = 0.9
     coupled = evolve_packet(pk, p, t, 0.0)
-    linear = propagate_packet(pk, p, matriciant(p, t, 0.0))
+    linear = propagate_packet(pk, kernel_context(p, t, 0.0))
     x_coupled = p.moment_trajectory(pk.mean, 0.0).at(t)
     x_linear = linear.mean  # drift-only mean law
     xs = np.linspace(-3, 3, 57).reshape(-1, 1)
@@ -120,6 +121,16 @@ def test_reduction_identity_links_linear_and_coupled_flows():
         coupled.eval(p, xs),
         linear.eval(p, xs - x_coupled + x_linear),
         atol=1e-13)
+
+
+def test_evolve_packet_names_an_overflowing_moment_trajectory():
+    # moment rate +9 overflows the mean at t = 100 while the matriciant stays
+    # finite; the packet used to come back with mean inf and evaluate to 0
+    p = params_1d(lam=1.0, eps=0.5, feedback=-10.0, kappa=1.0)
+    pk = GaussianPacket(mean=[0.5], num=[[1.0]], den=[[1.0]])
+    with pytest.raises(KernelValidityError,
+                       match=r"\|t - s\| = 100.*moment trajectory overflows"):
+        evolve_packet(pk, p, 100.0, 0.0)
 
 
 def test_invalid_covariance_detected():
@@ -189,13 +200,12 @@ def test_mixture_eval_and_moment_match_per_component_reference(dim):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
     # a packet is a mixture of one, and the stacked flow moves each
     # component exactly as it would move alone
-    moved = propagate_packet(mix, p, matriciant(p, 0.7, 0.0), x_start=moment,
-                             x_end=np.ones(dim)).components
+    ctx = KernelContext(p, matriciant(p, 0.7, 0.0), x_u_t=np.ones(dim), x_gamma=moment)
+    moved = propagate_packet(mix, ctx).components
     for c, c_t in zip(comps, moved):
         assert np.array_equal(c.eval(p, pts), GaussianMixture([c]).eval(p, pts))
         assert np.array_equal(c.first_moment(p), GaussianMixture([c]).first_moment(p))
-        alone = propagate_packet(c, p, matriciant(p, 0.7, 0.0), x_start=moment,
-                                 x_end=np.ones(dim))
+        alone = propagate_packet(c, ctx)
         for f in ("mean", "num", "den", "amp1"):
             assert np.array_equal(getattr(alone, f), getattr(c_t, f))
     # components come back as the packets that went in
