@@ -44,8 +44,7 @@ def main():
     plan = plan_for(params, 0.0, args.t_end, gamma)
     quad = evolve_quadrature(gamma, plan)
 
-    traj = params.moment_trajectory(packet.mean, 0.0)
-    closed = np.array([traj.at(t)[0] for t in fd.times])
+    closed = params.moment_trajectory(packet.mean, 0.0).at(fd.times)[:, 0]
 
     fd_linf, _, _ = compare(fd.snapshots[0], exact)
     quad_linf, _, _ = compare(quad, exact)

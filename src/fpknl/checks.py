@@ -126,10 +126,9 @@ def fd_vs_analytic(params, packet, x_min=-6.0, x_max=6.0, nx=1200,
     exact_pk = evolve_packet(packet, params, t_end, 0.0)
     exact = _sample_packet(exact_pk, params, x_min, x_max, nx)
     linf, _, _ = compare(res.snapshots[0], exact)
-    traj = params.moment_trajectory(packet.mean, 0.0)
-    closed = np.array([traj.at(tk)[0] for tk in res.times[:: max(1, len(res.times) // 400)]])
-    grid = res.moments[:: max(1, len(res.times) // 400)]
-    moment_dev = float(np.max(np.abs(grid - closed)))
+    stride = max(1, len(res.times) // 400)
+    closed = params.moment_trajectory(packet.mean, 0.0).at(res.times[::stride])[:, 0]
+    moment_dev = float(np.max(np.abs(res.moments[::stride] - closed)))
     mass_dev = float(np.max(np.abs(res.masses - 1.0)))
     return FdComparison(linf=linf, moment_dev=moment_dev, mass_dev=mass_dev,
                         runtime=runtime, result=res)

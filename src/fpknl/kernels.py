@@ -30,10 +30,10 @@ shift; without it, on a grid a distance R from the anchors the absolute
 error of every exponent grows like R^2 / (2 diffusion spread) machine
 epsilons (about 1e-9 relative at R = 1000).
 
-A matriciant that overflows double precision (long horizons) makes the
-spread or the prefactor non-finite; evaluation then raises
-KernelValidityError naming |t - s| instead of returning NaN; so does
-kernel_context when the moment trajectory overflows an anchor.
+A matriciant that overflows double precision (long horizons) is never
+built: ``matriciant`` raises KernelValidityError naming |t - s|.
+kernel_context raises the same error when the moment trajectory overflows
+an anchor, and evaluation when the spread or the prefactor overflows.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ def _check_mutual(a: Matriciant, b: Matriciant, n: int) -> None:
     full = np.zeros((2, 2 * n, 2 * n))
     for f, m in zip(full, (a, b)):
         f[:n, :n], f[n:, :n], f[n:, n:] = m.nn, m.dn, m.dd
-    _require_finite(a, "matriciant", full)
     err = float(np.abs(full[0] @ full[1] - np.eye(2 * n)).max())
     if err > COMPOSE_TOL * max(1.0, float(np.abs(full[0]).max())):
         raise ConfigurationError(
@@ -124,7 +123,6 @@ def _check_mutual(a: Matriciant, b: Matriciant, n: int) -> None:
 def _spread(m: Matriciant) -> tuple[np.ndarray, float]:
     """(symmetrized spread dn @ inv(nn), its determinant before symmetrizing);
     forward in time (m.tau > 0) the spread must be positive definite."""
-    _require_finite(m, "matriciant", m.nn, m.dn, m.dd)
     w = np.linalg.solve(m.nn.T, m.dn.T).T
     det = float(np.linalg.det(w))
     _require_finite(m, "spread", w, det)

@@ -113,11 +113,12 @@ class MomentTrajectory:
     x0: np.ndarray
     rate: np.ndarray
 
-    def at(self, t: float) -> np.ndarray:
-        tau = float(t) - self.t0
-        if tau == 0.0:
-            return self.x0.copy()
-        return expm(tau * self.rate) @ self.x0
+    def at(self, t) -> np.ndarray:
+        """X(t) for a scalar time; for an array of times, X at each of them
+        along a last axis (a 1-D array gives (len(t), n)) from one stacked
+        matrix exponential."""
+        tau = np.asarray(t, dtype=float) - self.t0
+        return expm(tau[..., None, None] * self.rate) @ self.x0
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import FocalPointError, InputError, InvalidCovarianceError
+from .errors import FocalPointError, InputError, InvalidCovarianceError, KernelValidityError
 from .model import ModelParams
 
 # reciprocal condition number below which den counts as singular
@@ -59,9 +59,19 @@ def pair_generator(params: ModelParams) -> np.ndarray:
 
 
 def matriciant(params: ModelParams, t: float, s: float) -> Matriciant:
-    """Exact blocks via one 2n x 2n matrix exponential (entire in t - s)."""
+    """Exact blocks via one 2n x 2n matrix exponential (entire in t - s).
+
+    Blocks that overflow double precision (long horizons) raise
+    KernelValidityError naming |t - s|, so every kernel, packet and
+    inverse move reads finite blocks."""
     n = params.dim
-    m = expm((float(t) - float(s)) * pair_generator(params))
+    tau = float(t) - float(s)
+    m = expm(tau * pair_generator(params))
+    if not np.isfinite(m).all():
+        raise KernelValidityError(
+            f"matriciant is not finite at |t - s| = {abs(tau):.6g}: "
+            "it overflows double precision over this horizon"
+        )
     return Matriciant(t=float(t), s=float(s),
                       nn=m[:n, :n], dn=m[n:, :n], dd=m[n:, n:])
 

@@ -153,6 +153,18 @@ def test_analytic_inverse_shares_the_backward_kernel_guard():
             backward()
 
 
+def test_analytic_forward_names_an_overflowing_matriciant():
+    # drift 3 over t - s = 250 overflows the matriciant; the forward pathways
+    # used to return num = den = inf and fail later in eval as a focal point
+    p = params_1d(lam=3.0)
+    pk = unit_packet(num=4.0)
+    overflow = r"\|t - s\| = 250.*overflows"
+    with pytest.raises(KernelValidityError, match=overflow):
+        evolve_analytic(pk, plan_for(p, 0.0, 250.0, pk))
+    with pytest.raises(KernelValidityError, match=overflow):
+        evolve_packet(pk, p, 250.0, 0.0)
+
+
 def test_plan_names_an_overflowing_moment_trajectory():
     # moment rate +9 overflows the end anchor at t = 100 while the matriciant
     # (drift 1) stays finite; quadrature used to blame the input samples and

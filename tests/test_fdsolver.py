@@ -58,9 +58,62 @@ def test_mixture_matches_analytic_pathway():
     linf, _, _ = compare(res.snapshots[0], exact)
     assert linf < 5e-3
     # the self-consistent grid moment follows the closed form
-    traj = p.moment_trajectory(mix.first_moment(p), 0.0)
-    closed = np.array([traj.at(t)[0] for t in res.times])
+    closed = p.moment_trajectory(mix.first_moment(p), 0.0).at(res.times)[:, 0]
     assert np.max(np.abs(res.moments - closed)) < 1e-3
+
+
+def reference_rhs(u, x, dx, eps, lam, feedback):
+    """The unfused right-hand side: du/dt from flux differences with zero
+    flux through both ends; the moment is taken from u itself."""
+    moment = (np.dot(x, u) - 0.5 * (x[0] * u[0] + x[-1] * u[-1])) * dx
+    vel = lam * x + feedback * moment
+    flux = eps * (u[1:] - u[:-1]) / dx + 0.25 * (vel[1:] + vel[:-1]) * (u[1:] + u[:-1])
+    out = np.empty_like(u)
+    out[1:-1] = (flux[1:] - flux[:-1]) / dx
+    out[0] = flux[0] / dx
+    out[-1] = -flux[-1] / dx
+    return out
+
+
+def reference_solve(params, gamma, cfg):
+    """Classic RK4 over reference_rhs: the density after every step and its
+    trapezoid moment and mass."""
+    args = (cfg.x, cfg.dx, params.diffusion, float(params.effective_drift[0, 0]),
+            float(params.mean_feedback[0, 0]))
+    u, h = gamma.values.copy(), cfg.dt
+    states = [u.copy()]
+    for _ in range(round(cfg.t_end / h)):
+        k1 = reference_rhs(u, *args)
+        k2 = reference_rhs(u + 0.5 * h * k1, *args)
+        k3 = reference_rhs(u + 0.5 * h * k2, *args)
+        k4 = reference_rhs(u + h * k3, *args)
+        u += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(u.copy())
+    states = np.array(states)
+    return (states, np.trapezoid(cfg.x * states, dx=cfg.dx, axis=1),
+            np.trapezoid(states, dx=cfg.dx, axis=1))
+
+
+@pytest.mark.parametrize("coupling_mean, coupling", [(-2.5, 1.0), (0.0, 0.0)],
+                         ids=["strong-feedback", "drift-only"])
+def test_fused_step_matches_reference_rk4(coupling_mean, coupling):
+    p = ModelParams(drift=[[3.0]], coupling_state=[[0.5]],
+                    coupling_mean=[[coupling_mean]], diffusion=0.1, coupling=coupling)
+    cfg = FDConfig(x_min=-4.0, x_max=4.0, nx=241, dt=2e-4, t_end=0.04,
+                   snapshot_times=(0.0, 0.02, 0.04))
+    pk = GaussianPacket(mean=[0.6], num=[[1.5]], den=[[1.0]])
+    res = fd_solve(p, sample(pk, p, cfg), cfg)
+    states, moments, masses = reference_solve(p, sample(pk, p, cfg), cfg)
+    np.testing.assert_allclose(res.moments, moments, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.masses, masses, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(res.snapshot_times, cfg.snapshot_times)
+    for snap, step in zip(res.snapshots, (0, 100, 200)):
+        np.testing.assert_allclose(snap.values, states[step], rtol=0, atol=1e-13)
+        # the recorded moment and mass are the trapezoid integrals of the snapshot
+        assert res.moments[step] == pytest.approx(
+            np.trapezoid(cfg.x * snap.values, dx=cfg.dx), rel=1e-14, abs=1e-15)
+        assert res.masses[step] == pytest.approx(
+            np.trapezoid(snap.values, dx=cfg.dx), rel=1e-14, abs=1e-15)
 
 
 def test_cfl_guard():

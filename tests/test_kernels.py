@@ -214,19 +214,18 @@ def test_backward_matriciant_is_lazy(monkeypatch):
 
 
 def test_overflowing_matriciant_raises_kernel_validity_error():
-    # long horizons overflow the unnormalized blocks; the zero-anchored,
-    # anchored and reversed contexts must all name that instead of
-    # returning NaN
+    # long horizons overflow the unnormalized blocks; the matriciant, and
+    # with it the zero-anchored, anchored and backward contexts, must name
+    # that instead of returning NaN later
     p = params_1d(3.0, 0.1, feedback=-0.5, kappa=1.0)
-    lin = kernel_context(p, 250.0, 0.0)
-    anchored = kernel_context(p, 250.0, 0.0, x_gamma=[0.4])
     overflow = r"\|t - s\| = 250.*overflows"
-    for ctx in (lin, anchored):
-        for evaluate in (kernel, kernel_matrix):
-            with pytest.raises(KernelValidityError, match=overflow):
-                evaluate(ctx, [[0.0]], [[0.0]])
+    for build in (lambda: kernels.matriciant(p, 250.0, 0.0),
+                  lambda: kernels.matriciant(p, 0.0, 250.0),
+                  lambda: kernel_context(p, 250.0, 0.0),
+                  lambda: kernel_context(p, 250.0, 0.0, x_gamma=[0.4]),
+                  lambda: kernel_context(p, 0.0, 250.0)):
         with pytest.raises(KernelValidityError, match=overflow):
-            ctx.reversed()
+            build()
 
 
 def test_overflowing_moment_anchor_raises_kernel_validity_error():

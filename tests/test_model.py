@@ -87,6 +87,19 @@ def test_moment_constant_for_zero_rate():
         assert traj.at(t)[0] == pytest.approx(0.4, abs=1e-15)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_moment_over_array_of_times_equals_scalar_calls(dim):
+    rng = np.random.default_rng(dim)
+    p = make_params(rng.uniform(-1.5, 1.5, (dim, dim)),
+                    0.3 * rng.uniform(-1.0, 1.0, (dim, dim)),
+                    rng.uniform(-1.0, 0.5, (dim, dim)), kappa=0.8)
+    traj = p.moment_trajectory(rng.uniform(-1.0, 1.0, dim), t0=0.4)
+    ts = np.concatenate([[0.4], rng.uniform(-2.0, 3.0, 25)])
+    stacked = traj.at(ts)
+    assert stacked.shape == (len(ts), dim)
+    np.testing.assert_array_equal(stacked, [traj.at(t) for t in ts])
+
+
 @settings(max_examples=30)
 @given(lam=finite, s=finite, r=finite, t=finite, x0=finite)
 def test_moment_semigroup(lam, s, r, t, x0):
