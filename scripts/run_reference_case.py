@@ -46,8 +46,8 @@ def main():
 
     closed = params.moment_trajectory(packet.mean, 0.0).at(fd.times)[:, 0]
 
-    fd_linf, _, _ = compare(fd.snapshots[0], exact)
-    quad_linf, _, _ = compare(quad, exact)
+    fd_linf = compare(fd.snapshots[0], exact)
+    quad_linf = compare(quad, exact)
     print(f"grid nx={args.nx} dt={args.dt:g} t_end={args.t_end}")
     print(f"fd vs analytic      L-inf = {fd_linf:.3e}   ({fd_time:.1f}s)")
     print(f"quad vs analytic    L-inf = {quad_linf:.3e}")

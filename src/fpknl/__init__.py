@@ -4,8 +4,8 @@ from .errors import (ConfigurationError, DegenerateMomentError, DeltaLimitError,
                      FocalPointError, FpknlError, IllPosedInverseError,
                      InputError, InvalidCovarianceError, KernelValidityError,
                      NormalizationError, TruncationError)
-from .evolution import (EvolutionPlan, evolve_analytic, evolve_quadrature,
-                        inverse_evolve, plan_for, plan_from_final_moment)
+from .evolution import (evolve_analytic, evolve_quadrature, inverse_evolve, plan_for,
+                        plan_from_final_moment)
 from .fdsolver import FDConfig, FDResult, compare, fd_solve
 from .kernels import (KernelContext, backward_quadratic_form, kernel, kernel_context,
                       kernel_matrix)

@@ -125,7 +125,7 @@ def fd_vs_analytic(params, packet, x_min=-6.0, x_max=6.0, nx=1200,
     runtime = time.perf_counter() - start
     exact_pk = evolve_packet(packet, params, t_end, 0.0)
     exact = _sample_packet(exact_pk, params, x_min, x_max, nx)
-    linf, _, _ = compare(res.snapshots[0], exact)
+    linf = compare(res.snapshots[0], exact)
     stride = max(1, len(res.times) // 400)
     closed = params.moment_trajectory(packet.mean, 0.0).at(res.times[::stride])[:, 0]
     moment_dev = float(np.max(np.abs(res.moments[::stride] - closed)))
@@ -325,10 +325,9 @@ def _symmetry_residual(params, packet, dx, dt):
     times = 0.4 + dt * np.arange(7)
 
     def field_at(t, pts):
-        plan = plan_for(params, s, float(t), app.field,
-                        require_normalized=app.normalized,
-                        moment_override=[IMAGE_MOMENT])
-        return evolve_analytic(app.field, plan).eval(params, pts)
+        plan = plan_for(params, s, float(t), app.field, moment_override=[IMAGE_MOMENT])
+        return evolve_analytic(app.field, plan,
+                               require_normalized=app.normalized).eval(params, pts)
 
     fld = spacetime_samples(field_at, times, [x_lo], [x_hi], [nx])
     return residual_field(params, fld, float(times[0]), dt, [x_lo],

@@ -1,13 +1,17 @@
 """Evolution operator of the mean-coupled equation and its left inverse.
 
-A plan is a directed kernel context: the matriciant from s to t and the
-moment-frame anchors at both ends, computed up front from the input's
-initial moment; kernels and packet propagation consume it read-only.
-Gaussian mixtures evolve in closed form; sampled densities go through
-trapezoid quadrature of the kernel.
+A plan is a directed ``KernelContext``: the matriciant from s to t and the
+moment-frame anchors x_start and x_end at both ends, computed up front
+from the input's initial moment; kernels and packet propagation consume
+it read-only.  Gaussian mixtures evolve in closed form; sampled densities
+go through trapezoid quadrature of the kernel.
 
 The left inverse on the analytic pathway is exact backward block algebra
-along ``plan.reversed()``.  On sampled densities the literal
+along ``plan.reversed()``.  Its denominator den = dn @ num + dd @ den is a
+sum whose rounding is at most eps times the sum of the magnitudes of its
+terms; where that bound, relative to the result, exceeds INVERSE_PRECISION
+the backward flow has cancelled the initial data and IllPosedInverseError
+names |t - s| and the precision kept.  On sampled densities the literal
 backward-kernel integral diverges for every forward image (the growing
 exponent always wins), so the inverse is realized as a truncated-SVD
 least-squares solve of the forward quadrature system, with lstsq's rule:
@@ -27,8 +31,6 @@ residual and the factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IllPosedInverseError, NormalizationError, TruncationError
@@ -40,32 +42,15 @@ MASS_TOL_ANALYTIC = 1e-10
 MASS_TOL_QUADRATURE = 1e-6
 EDGE_DECAY_TOL = 1e-12
 INVERSE_RCOND = 1e-8
+INVERSE_PRECISION = 1e-10
 SKETCH_START = 128
 SKETCH_STOP = 1e-3
 SKETCH_SEED = 20110601
 
 
-@dataclass(frozen=True)
-class EvolutionPlan(KernelContext):
-    """One application of the operator: the directed context from s to t
-    anchored on the input's moment trajectory, and whether the input must
-    carry unit mass."""
-
-    require_normalized: bool = True
-
-    @property
-    def x_start(self) -> np.ndarray:
-        return self.x_gamma
-
-    @property
-    def x_end(self) -> np.ndarray:
-        return self.x_u_t
-
-
 def plan_for(params: ModelParams, s: float, t: float,
              initial: GaussianMixture | GaussianPacket | SampledDensity,
-             require_normalized: bool = True,
-             moment_override=None) -> EvolutionPlan:
+             moment_override=None) -> KernelContext:
     """Build a plan from the initial data's first moment (or an override).
 
     The trajectory must exist before any kernel evaluation; for zero-mass
@@ -76,45 +61,43 @@ def plan_for(params: ModelParams, s: float, t: float,
         x0 = _vector(moment_override, params.dim, "moment_override")
     else:
         x0 = initial.first_moment(params, normalized=True)
-    return EvolutionPlan(**vars(kernel_context(params, t, s, x0)),
-                         require_normalized=require_normalized)
+    return kernel_context(params, t, s, x0)
 
 
-def plan_from_final_moment(params: ModelParams, s: float, t: float, x_t,
-                           require_normalized: bool = True) -> EvolutionPlan:
+def plan_from_final_moment(params: ModelParams, s: float, t: float, x_t) -> KernelContext:
     """Plan whose trajectory passes through x_t at the final time."""
     x_t = _vector(x_t, params.dim, "x_t")
-    x0 = params.moment_trajectory(x_t, t).at(s)
-    return EvolutionPlan(**vars(kernel_context(params, t, s, x0)),
-                         require_normalized=require_normalized)
+    return kernel_context(params, t, s, params.moment_trajectory(x_t, t).at(s))
 
 
-def _check_mass(mass: float, plan: EvolutionPlan, tol: float) -> None:
-    if plan.require_normalized and abs(mass - 1.0) > tol:
+def _check_mass(mass: float, tol: float) -> None:
+    if abs(mass - 1.0) > tol:
         raise NormalizationError(
-            f"input mass {mass:.12g} is not 1 within {tol:.0e}; "
-            "build the plan with require_normalized=False for raw fields"
+            f"input mass {mass:.12g} is not 1 within {tol:.0e}; only "
+            "evolve_analytic takes raw fields (require_normalized=False)"
         )
 
 
-def evolve_analytic(g: GaussianMixture | GaussianPacket,
-                    plan: EvolutionPlan) -> GaussianMixture:
-    """Propagate all components at once in closed form around the shared trajectory."""
+def evolve_analytic(g: GaussianMixture | GaussianPacket, plan: KernelContext,
+                    require_normalized: bool = True) -> GaussianMixture:
+    """Propagate all components at once in closed form around the shared
+    trajectory; a raw field (require_normalized=False) may carry any mass."""
     mix = as_mixture(g)
-    _check_mass(mix.total_mass(), plan, MASS_TOL_ANALYTIC)
+    if require_normalized:
+        _check_mass(mix.total_mass(), MASS_TOL_ANALYTIC)
     if plan.t == plan.s:
         return mix.copy()
     return propagate_packet(mix, plan)
 
 
-def evolve_quadrature(gamma: SampledDensity, plan: EvolutionPlan) -> SampledDensity:
+def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDensity:
     """Trapezoid quadrature of the evolution kernel on the input grid."""
     edge = gamma.edge_max()
     if edge > EDGE_DECAY_TOL:
         raise TruncationError(
             f"input does not decay at the grid edges (max edge value {edge:.3e})"
         )
-    _check_mass(gamma.total_mass(), plan, MASS_TOL_QUADRATURE)
+    _check_mass(gamma.total_mass(), MASS_TOL_QUADRATURE)
     if plan.t == plan.s:
         return gamma.copy()
     pts = gamma.points()
@@ -131,7 +114,7 @@ def evolve_quadrature(gamma: SampledDensity, plan: EvolutionPlan) -> SampledDens
 
 
 def forward_quadrature_matrix(gamma: SampledDensity,
-                              plan: EvolutionPlan) -> np.ndarray:
+                              plan: KernelContext) -> np.ndarray:
     """Matrix A with (A @ values) = forward quadrature on the input grid."""
     pts = gamma.points()
     a = kernel_matrix(plan, pts, pts)
@@ -142,10 +125,23 @@ def forward_quadrature_matrix(gamma: SampledDensity,
     return a
 
 
-def _inverse_analytic(u: GaussianMixture, plan: EvolutionPlan) -> GaussianMixture:
-    back = propagate_packet(u, plan.reversed())
-    back.precision(density_valid=True)  # backward blocks must keep a valid shape
-    return back
+def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixture:
+    back = plan.reversed()
+    m = back.m
+    # den = dn @ num + dd @ den rounds by at most eps times the magnitudes
+    # of its terms; relative to den that bounds the precision it keeps
+    terms = np.abs(m.dn) @ np.abs(u.num) + np.abs(m.dd) @ np.abs(u.den)
+    lost = float(np.max(np.finfo(float).eps * terms.max(axis=(-2, -1))
+                        / np.abs(m.dn @ u.num + m.dd @ u.den).max(axis=(-2, -1))))
+    if lost > INVERSE_PRECISION:
+        raise IllPosedInverseError(
+            f"analytic inverse over |t - s| = {abs(plan.t - plan.s):.6g}: the "
+            f"backward denominator is precise only to {lost:.1e} relative (limit "
+            f"{INVERSE_PRECISION:.0e}); rounding swamps the initial data"
+        )
+    out = propagate_packet(u, back)
+    out.precision(density_valid=True)  # backward blocks must keep a valid shape
+    return out
 
 
 def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
@@ -177,7 +173,7 @@ def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
     return sol, int(rank), rcond * s[0], "lstsq"
 
 
-def _inverse_sampled(u: SampledDensity, plan: EvolutionPlan) -> SampledDensity:
+def _inverse_sampled(u: SampledDensity, plan: KernelContext) -> SampledDensity:
     a = forward_quadrature_matrix(u, plan)
     rhs = u.values.ravel()
     sol, rank, cutoff, how = _sketch_solve(a, rhs, INVERSE_RCOND)
@@ -196,7 +192,7 @@ def _inverse_sampled(u: SampledDensity, plan: EvolutionPlan) -> SampledDensity:
 
 
 def inverse_evolve(u: GaussianMixture | GaussianPacket | SampledDensity,
-                   plan: EvolutionPlan):
+                   plan: KernelContext):
     """Left inverse of the evolution operator: recovers the initial data.
 
     Analytic pathway: exact backward block algebra on all components at

@@ -157,14 +157,11 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
                     masses=masses, mass_drifted=drifted)
 
 
-def compare(a: SampledDensity, b: SampledDensity) -> tuple[float, float, float]:
-    """(L-inf, L1, L2) norms of a - b on their common grid."""
+def compare(a: SampledDensity, b: SampledDensity) -> float:
+    """Largest absolute difference of a and b on their common grid."""
     if a.values.shape != b.values.shape:
         raise InputError("grids differ in shape")
     if np.max(np.abs(a.x_min - b.x_min)) > 1e-12 or \
        np.max(np.abs(a.dx - b.dx)) > 1e-12:
         raise InputError("grids differ in origin or spacing")
-    diff = a.values - b.values
-    w = a.weights()
-    return (float(np.max(np.abs(diff))), float(np.sum(w * np.abs(diff))),
-            float(np.sqrt(np.sum(w * diff ** 2))))
+    return float(np.max(np.abs(a.values - b.values)))

@@ -179,7 +179,7 @@ def as_mixture(g: GaussianPacket | GaussianMixture) -> GaussianMixture:
 def propagate_packet(p: GaussianPacket | GaussianMixture, ctx: KernelContext):
     """Advance a packet, or all components of a mixture at once, along a
     directed context: the matriciant blocks ctx.m around the moment-frame
-    anchors ctx.x_gamma at ctx.s and ctx.x_u_t at ctx.t (the trajectory of
+    anchors ctx.x_start at ctx.s and ctx.x_end at ctx.t (the trajectory of
     the full density the packets belong to); returns the same type.
 
     The zero-anchored ``kernel_context(params, t, s)`` is the plain linear
@@ -188,7 +188,7 @@ def propagate_packet(p: GaussianPacket | GaussianMixture, ctx: KernelContext):
     mix = as_mixture(p)
     m = ctx.m
     num, den = propagate_pair(m, mix.num, mix.den)
-    mean = ctx.x_u_t + _mv(m.dd, mix.mean - ctx.x_gamma)
+    mean = ctx.x_end + _mv(m.dd, mix.mean - ctx.x_start)
     amp1 = None
     if mix.amp1 is not None:
         # affine amplitude rides the same flow: amp1' = Q_t dd Q_s^{-1} amp1

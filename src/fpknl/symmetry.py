@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .evolution import EvolutionPlan, evolve_analytic, inverse_evolve, plan_for
+from .evolution import evolve_analytic, inverse_evolve, plan_for
+from .kernels import KernelContext
 from .model import ModelParams, MomentTrajectory, SampledDensity, _vector
 from .packets import GaussianMixture, GaussianPacket, as_mixture, evolve_packet
 from .variations import Matriciant, matriciant
@@ -163,14 +164,6 @@ class SymmetryShifts:
     alpha: float
     normalized: bool
 
-    @property
-    def x_gamma(self) -> np.ndarray:
-        return self.base_moment.x0
-
-    @property
-    def x_gamma_image(self) -> np.ndarray:
-        return self.image_moment.x0
-
 
 def build_shifts(op: InitialOperator,
                  gamma: GaussianMixture | GaussianPacket | SampledDensity,
@@ -208,7 +201,7 @@ def build_shifts(op: InitialOperator,
 def _centered_operator(op: InitialOperator, shifts: SymmetryShifts,
                        t: float) -> InitialOperator:
     """Time-evolved operator in the frame centered on the base solution."""
-    return evolve_operator(op.shift_argument(shifts.x_gamma),
+    return evolve_operator(op.shift_argument(shifts.base_moment.x0),
                            shifts.params, t, shifts.s)
 
 
@@ -242,16 +235,15 @@ def symmetry_apply_conclusion(op: InitialOperator, u: GaussianMixture,
 
 
 def symmetry_apply_evolution(op: InitialOperator, u: GaussianMixture,
-                             plan: EvolutionPlan,
+                             plan: KernelContext,
                              moment_override=None) -> GaussianMixture:
     """Conjugation route: recover the initial data with the left inverse,
     apply the operator, evolve forward along the image's own trajectory."""
     gamma = inverse_evolve(u, plan)
     app = apply_initial_op(op, gamma, plan.params)
     plan_image = plan_for(plan.params, plan.s, plan.t, app.field,
-                          require_normalized=app.normalized,
                           moment_override=moment_override)
-    return evolve_analytic(app.field, plan_image)
+    return evolve_analytic(app.field, plan_image, require_normalized=app.normalized)
 
 
 def linsym_closed_form(params: ModelParams, t: float, s: float,

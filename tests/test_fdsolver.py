@@ -23,7 +23,7 @@ def test_heat_solution_matches_kernel_reference():
     pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
     res = fd_solve(p, sample(pk, p, cfg), cfg)
     exact = sample(evolve_packet(pk, p, 0.5, 0.0), p, cfg)
-    linf, _, _ = compare(res.snapshots[0], exact)
+    linf = compare(res.snapshots[0], exact)
     assert linf < 1e-4
     assert not res.mass_drifted
 
@@ -55,7 +55,7 @@ def test_mixture_matches_analytic_pathway():
     plan = plan_for(p, 0.0, 0.3, mix)
     exact = SampledDensity([cfg.x_min], [cfg.dx],
                            evolve_analytic(mix, plan).eval(p, x))
-    linf, _, _ = compare(res.snapshots[0], exact)
+    linf = compare(res.snapshots[0], exact)
     assert linf < 5e-3
     # the self-consistent grid moment follows the closed form
     closed = p.moment_trajectory(mix.first_moment(p), 0.0).at(res.times)[:, 0]
@@ -146,16 +146,13 @@ def test_grid_mismatch_rejected():
 
 def test_compare_identical_is_zero():
     d = SampledDensity([0.0], [0.1], np.linspace(0, 1, 11))
-    assert compare(d, d) == (0.0, 0.0, 0.0)
+    assert compare(d, d) == 0.0
 
 
 def test_compare_constant_offset():
     d = SampledDensity([0.0], [0.1], np.zeros(11))
     e = SampledDensity([0.0], [0.1], np.full(11, 0.25))
-    linf, l1, l2 = compare(d, e)
-    assert linf == pytest.approx(0.25)
-    assert l1 == pytest.approx(0.25)  # trapezoid over a unit-length interval
-    assert l2 == pytest.approx(0.25)
+    assert compare(d, e) == pytest.approx(0.25)
 
 
 def test_compare_grid_mismatch():

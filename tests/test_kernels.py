@@ -65,7 +65,7 @@ def test_chapman_kolmogorov_composition():
 
 def test_shifted_kernel_equals_linear_for_zero_moments():
     p = params_1d(0.5, 0.3, feedback=-0.4, kappa=1.0)
-    ctx = kernel_context(p, 0.7, 0.0, x_gamma=[0.0])
+    ctx = kernel_context(p, 0.7, 0.0, x_start=[0.0])
     lin = kernel_context(p, 0.7, 0.0)
     for x, y in [(0.2, -0.1), (1.0, 0.4)]:
         assert kernel(ctx, [x], [y]) == pytest.approx(
@@ -74,9 +74,9 @@ def test_shifted_kernel_equals_linear_for_zero_moments():
 
 def test_shifted_kernel_shift_recovery():
     p = params_1d(0.5, 0.3, feedback=-0.4, kappa=1.0)
-    ctx = kernel_context(p, 0.7, 0.0, x_gamma=[0.6])
+    ctx = kernel_context(p, 0.7, 0.0, x_start=[0.6])
     lin = kernel_context(p, 0.7, 0.0)
-    xu = ctx.x_u_t[0]
+    xu = ctx.x_end[0]
     for x, y in [(0.2, -0.1), (1.0, 0.4)]:
         assert kernel(ctx, [x + xu], [y + 0.6]) == pytest.approx(
             kernel(lin, [x], [y]), rel=1e-13)
@@ -84,7 +84,7 @@ def test_shifted_kernel_shift_recovery():
 
 def test_shifted_kernel_integrates_to_one():
     p = params_1d(1.0, 0.2, feedback=-0.5, kappa=1.0)
-    ctx = kernel_context(p, 1.0, 0.0, x_gamma=[0.5])
+    ctx = kernel_context(p, 1.0, 0.0, x_start=[0.5])
     xs = np.linspace(-10, 10, 4001).reshape(-1, 1)
     vals = kernel(ctx, xs, np.full((1, 1), 0.4))
     assert np.trapezoid(vals, dx=20 / 4000) == pytest.approx(1.0, abs=1e-8)
@@ -92,8 +92,8 @@ def test_shifted_kernel_integrates_to_one():
 
 def test_inverse_kernel_is_time_swapped_forward():
     p = params_1d(0.8, 0.5)
-    ctx_fwd = kernel_context(p, 1.0, 0.0, x_gamma=[0.0])
-    ctx_bwd = kernel_context(p, 0.0, 1.0, x_gamma=[0.0])
+    ctx_fwd = kernel_context(p, 1.0, 0.0, x_start=[0.0])
+    ctx_bwd = kernel_context(p, 0.0, 1.0, x_start=[0.0])
     for x, y in [(0.3, -0.4), (1.1, 0.2)]:
         assert kernel(ctx_fwd.reversed(), [x], [y]) == pytest.approx(
             kernel(ctx_bwd, [x], [y]), rel=1e-14)
@@ -132,7 +132,7 @@ def test_forward_kernel_rejects_non_spd_spread():
     # blocks from the model always give one, so the blocks are made by hand
     p = params_1d(0.5, 0.5)
     bad = Matriciant(t=1.0, s=0.0, nn=np.eye(1), dn=-np.eye(1), dd=np.eye(1))
-    ctx = KernelContext(params=p, m=bad, x_u_t=np.zeros(1), x_gamma=np.zeros(1))
+    ctx = KernelContext(params=p, m=bad, x_start=np.zeros(1), x_end=np.zeros(1))
     with pytest.raises(KernelValidityError, match="kernel spread"):
         kernel(ctx, [0.0], [0.0])
     with pytest.raises(KernelValidityError, match="kernel spread"):
@@ -140,13 +140,13 @@ def test_forward_kernel_rejects_non_spd_spread():
     # backward in time the same blocks are evaluated as written
     back = KernelContext(params=p, m=Matriciant(t=0.0, s=1.0, nn=bad.nn, dn=bad.dn,
                                                 dd=bad.dd),
-                         x_u_t=np.zeros(1), x_gamma=np.zeros(1))
+                         x_start=np.zeros(1), x_end=np.zeros(1))
     assert np.isfinite(kernel(back, [0.0], [0.0]))
 
 
 def test_kernel_matrix_matches_pointwise():
     p = params_1d(0.7, 0.3, feedback=-0.2, kappa=1.0)
-    ctx = kernel_context(p, 0.6, 0.0, x_gamma=[0.4])
+    ctx = kernel_context(p, 0.6, 0.0, x_start=[0.4])
     xs = np.array([[-0.5], [0.0], [0.8]])
     ys = np.array([[0.1], [0.9]])
     mat = kernel_matrix(ctx, xs, ys)
@@ -157,14 +157,37 @@ def test_kernel_matrix_matches_pointwise():
 
 def test_context_checks_mutual_consistency():
     p = params_1d(1.3, 0.2)
-    ctx = kernel_context(p, 0.9, 0.1, x_gamma=[0.3])
+    ctx = kernel_context(p, 0.9, 0.1, x_start=[0.3])
     back = ctx.reversed()
     assert (back.t, back.s) == (ctx.s, ctx.t)
-    assert back.x_u_t is ctx.x_gamma and back.x_gamma is ctx.x_u_t
+    assert back.x_end is ctx.x_start and back.x_start is ctx.x_end
     n = 1
     full_f = np.block([[ctx.m.nn, np.zeros((n, n))], [ctx.m.dn, ctx.m.dd]])
     full_b = np.block([[back.m.nn, np.zeros((n, n))], [back.m.dn, back.m.dd]])
     np.testing.assert_allclose(full_f @ full_b, np.eye(2), atol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_reversed_matches_the_backward_exponential(dim, sign):
+    # oracle: the block inverse of the forward blocks against the
+    # matriciant from t back to s by its own matrix exponential, over
+    # stable (sign 1) and unstable (sign -1) drifts
+    rng = np.random.default_rng(17 + dim)
+    worst = 0.0
+    for _ in range(25):
+        drift = sign * (rng.uniform(0.2, 2.0) * np.eye(dim)
+                        + 0.3 * rng.standard_normal((dim, dim)))
+        p = ModelParams(drift=drift, coupling_state=np.zeros((dim, dim)),
+                        coupling_mean=np.zeros((dim, dim)), diffusion=0.3)
+        t = rng.uniform(0.1, 2.0)
+        back = kernel_context(p, t, 0.0).reversed().m
+        ref = kernels.matriciant(p, 0.0, t)
+        assert (back.t, back.s) == (ref.t, ref.s)
+        for f in ("nn", "dn", "dd"):
+            a, b = getattr(back, f), getattr(ref, f)
+            worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
+    assert worst < 1e-11
 
 
 @pytest.mark.parametrize("dim, kind", [(1, "lin"), (1, "nl"), (2, "nl"),
@@ -177,10 +200,10 @@ def test_kernel_matrix_matches_pointwise_off_center(dim, kind):
     p = ModelParams(drift=drift, coupling_state=np.zeros((dim, dim)),
                     coupling_mean=-0.5 * np.eye(dim), diffusion=0.2,
                     coupling=1.0)
-    anchored = kernel_context(p, 0.7, 0.0, x_gamma=np.full(dim, 0.4))
+    anchored = kernel_context(p, 0.7, 0.0, x_start=np.full(dim, 0.4))
     ctx = {"lin": kernel_context(p, 0.7, 0.0), "nl": anchored,
            "nl_inv": anchored.reversed()}[kind]
-    m, xo, yo = ctx.m, ctx.x_u_t, ctx.x_gamma
+    m, xo, yo = ctx.m, ctx.x_end, ctx.x_start
     axis = np.linspace(-2.0, 2.0, 41 if dim == 1 else 9)
     ys = 1000.0 + np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
                            axis=-1).reshape(-1, dim)
@@ -195,8 +218,8 @@ def test_kernel_matrix_matches_pointwise_off_center(dim, kind):
 
 
 def test_backward_matriciant_is_lazy(monkeypatch):
-    # forward kernels never build or check the backward matriciant: a
-    # context builds one matriciant and only reversed() builds the second
+    # a context builds one matriciant; reversed() inverts its blocks and
+    # builds none, so forward and backward kernels cost one exponential
     calls = []
     real = kernels.matriciant
 
@@ -205,12 +228,12 @@ def test_backward_matriciant_is_lazy(monkeypatch):
         return real(params, t, s)
 
     monkeypatch.setattr(kernels, "matriciant", counting)
-    ctx = kernel_context(params_1d(1.3, 0.2), 0.9, 0.1, x_gamma=[0.2])
+    ctx = kernel_context(params_1d(1.3, 0.2), 0.9, 0.1, x_start=[0.2])
     kernel(ctx, [0.0], [0.0])
     kernel_matrix(ctx, [[0.0]], [[0.0]])
     assert calls == [(0.9, 0.1)]
     kernel(ctx.reversed(), [0.0], [0.0])
-    assert calls == [(0.9, 0.1), (0.1, 0.9)]
+    assert calls == [(0.9, 0.1)]
 
 
 def test_overflowing_matriciant_raises_kernel_validity_error():
@@ -222,7 +245,7 @@ def test_overflowing_matriciant_raises_kernel_validity_error():
     for build in (lambda: kernels.matriciant(p, 250.0, 0.0),
                   lambda: kernels.matriciant(p, 0.0, 250.0),
                   lambda: kernel_context(p, 250.0, 0.0),
-                  lambda: kernel_context(p, 250.0, 0.0, x_gamma=[0.4]),
+                  lambda: kernel_context(p, 250.0, 0.0, x_start=[0.4]),
                   lambda: kernel_context(p, 0.0, 250.0)):
         with pytest.raises(KernelValidityError, match=overflow):
             build()
@@ -234,8 +257,8 @@ def test_overflowing_moment_anchor_raises_kernel_validity_error():
     p = params_1d(1.0, 0.5, feedback=-10.0, kappa=1.0)
     with pytest.raises(KernelValidityError,
                        match=r"\|t - s\| = 100.*moment trajectory overflows"):
-        kernel_context(p, 100.0, 0.0, x_gamma=[0.5])
+        kernel_context(p, 100.0, 0.0, x_start=[0.5])
     # the zero-anchored context computes no trajectory and stays finite
     lin = kernel_context(p, 100.0, 0.0)
-    assert np.all(np.isfinite(lin.x_u_t))
+    assert np.all(np.isfinite(lin.x_end))
     assert 0.0 < kernel(lin, [[0.0]], [[0.0]]) < np.inf

@@ -200,7 +200,7 @@ def test_mixture_eval_and_moment_match_per_component_reference(dim):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
     # a packet is a mixture of one, and the stacked flow moves each
     # component exactly as it would move alone
-    ctx = KernelContext(p, matriciant(p, 0.7, 0.0), x_u_t=np.ones(dim), x_gamma=moment)
+    ctx = KernelContext(p, matriciant(p, 0.7, 0.0), x_start=moment, x_end=np.ones(dim))
     moved = propagate_packet(mix, ctx).components
     for c, c_t in zip(comps, moved):
         assert np.array_equal(c.eval(p, pts), GaussianMixture([c]).eval(p, pts))

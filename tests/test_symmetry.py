@@ -283,10 +283,9 @@ def test_transformed_field_solves_equation_at_second_order():
         times = 0.4 + dt * np.arange(7)
 
         def field_at(t, pts):
-            plan = plan_for(p, 0.0, float(t), app.field,
-                            require_normalized=app.normalized,
-                            moment_override=seed)
-            return evolve_analytic(app.field, plan).eval(p, pts)
+            plan = plan_for(p, 0.0, float(t), app.field, moment_override=seed)
+            return evolve_analytic(app.field, plan,
+                                   require_normalized=app.normalized).eval(p, pts)
 
         fld = spacetime_samples(field_at, times, [-2.5], [3.0], [nx])
         return residual_field(p, fld, float(times[0]), dt, [-2.5],
