@@ -22,7 +22,7 @@ columns from a local generator seeded with SKETCH_SEED (repeatable, and
 the global numpy state is untouched), doubled until the sketch's smallest
 singular value lies below SKETCH_STOP * rcond times its largest, so that
 every singular value above the cutoff is captured.  A near-full-rank
-system, one that would need a sketch of more than N/4 columns, is solved
+system, one that would need a sketch of more than N/3 columns, is solved
 by np.linalg.lstsq instead.  Either way the solution is checked against
 the full matrix: inputs that no initial data can explain raise
 IllPosedInverseError, naming the rank kept, the cutoff, the forward
@@ -152,9 +152,11 @@ def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
     Returns (solution, rank kept, sigma cutoff, factorization name).
     """
     n = a.shape[1]
-    # the first sketch runs on any system at least twice its size; past
-    # N/4 columns the sketch costs more than a dense factorization
-    widest = max(n // 4, SKETCH_START if n >= 2 * SKETCH_START else 0)
+    # the first sketch runs on any system at least twice its size; up to
+    # N/3 columns the sketch beats a dense factorization (single-threaded
+    # BLAS: k = 256 at N = 801 took 100 ms against lstsq's 180 ms), past
+    # that it loses (k = 256 at N = 401: 58 ms against 24-32 ms)
+    widest = max(n // 3, SKETCH_START if n >= 2 * SKETCH_START else 0)
     rng = np.random.default_rng(SKETCH_SEED)
     y = np.empty((a.shape[0], 0))
     k = SKETCH_START

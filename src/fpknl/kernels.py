@@ -25,7 +25,11 @@ expanded into row norms and one matrix product,
 
 with the row norms and the log prefactor carried as two extra columns of
 that same product, so the only large array is the (rows, cols) block
-itself, exponentiated in place.  The expansion subtracts terms of the size
+itself, exponentiated in place.  That product and its exponential are
+``exp_product``, the one Gaussian evaluator: mixture evaluation (packets
+module) calls it too, with the quadratic features of its points on one
+side and each component's exponent coefficients on the other.  The
+expansion subtracts terms of the size
 of the squared coordinates, so both point sets are first shifted by one
 common center (the midpoint of their row means).  xi is unchanged by the
 shift; without it, on a grid a distance R from the anchors the absolute
@@ -161,7 +165,15 @@ def kernel_matrix(ctx: KernelContext, xs: np.ndarray, ys: np.ndarray) -> np.ndar
                             np.ones(len(xp))])
     right = np.column_stack([-2.0 * yp, np.ones(len(yp)),
                              np.einsum("ij,ij->i", yp @ c, yp)])
-    block = left @ right.T
+    return exp_product(left, right.T)
+
+
+def exp_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """exp(left @ right): the one Gaussian evaluator.  One factor holds the
+    quadratic features of the points, the other the coefficients of the
+    exponents, so each entry is one exponent at one point; the product is
+    exponentiated in place, leaving it the only large array."""
+    block = left @ right
     return np.exp(block, out=block)
 
 

@@ -119,7 +119,7 @@ def require_spd(a: np.ndarray, what: str, error: type[Exception]) -> None:
     to 1e-9 relative and its symmetric part has a Cholesky factor."""
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     asym = np.abs(a - a.mT).max(axis=(-2, -1)) > 1e-9 * scale
-    if np.any(asym):
+    if asym.any():
         raise error(f"{what}{_where(asym)} is not symmetric")
     try:
         np.linalg.cholesky(0.5 * (a + a.mT))
@@ -147,7 +147,7 @@ def fraction(num: np.ndarray, den: np.ndarray, density_valid: bool = False,
     with np.errstate(divide="ignore", invalid="ignore"):
         rcond = np.where(sv[..., 0] > 0, sv[..., -1] / sv[..., 0], 0.0)
     focal = rcond < FOCAL_RCOND
-    if np.any(focal):
+    if focal.any():
         raise FocalPointError(f"denominator factor{_where(focal)} singular "
                               f"(reciprocal condition {rcond[focal][0]:.3e})")
     q = np.linalg.solve(den.mT, num.mT).mT

@@ -310,12 +310,14 @@ def _grid_1d(nodes, eps=0.5, tau=0.1):
     return gamma, plan_for(p, 0.0, tau, gamma)
 
 
-# grid and the factorization its solve must use; "1d-narrow" has a kernel
-# narrow enough that the lstsq rank exceeds the first sketch, so it grows
+# grid and the factorization its solve must use; the "narrow" cases have a
+# kernel narrow enough that the lstsq rank exceeds the first sketch, so it
+# grows (at N = 801 too: 256 columns stay within the N/3 cap)
 SOLVE_CASES = {
     "1d-401": (lambda: _grid_1d(401), "randomized sketch k=128"),
     "1d-1201": (lambda: _grid_1d(1201), "randomized sketch k=128"),
     "1d-narrow": (lambda: _grid_1d(1201, eps=0.15), "randomized sketch k=256"),
+    "1d-801-narrow": (lambda: _grid_1d(801, eps=0.15), "randomized sketch k=256"),
     "2d-31x31": (lambda: _grid_2d(31), "lstsq"),
 }
 
@@ -332,10 +334,10 @@ def test_sampled_solve_matches_lstsq(case):
     sol, rank, _, used = evolution._sketch_solve(a, rhs, rcond)
     assert used == how
     assert rank == ref_rank
-    if case == "1d-narrow":
+    if case.endswith("narrow"):
         assert ref_rank > evolution.SKETCH_START
     if case.startswith("2d"):
-        assert ref_rank > rhs.size // 4
+        assert ref_rank > rhs.size // 3
     assert np.max(np.abs(sol - ref)) < 1e-6
     back = inverse_evolve(u, plan)
     np.testing.assert_array_equal(back.values.ravel(), sol)

@@ -217,6 +217,29 @@ def test_kernel_matrix_matches_pointwise_off_center(dim, kind):
     np.testing.assert_allclose(mat[keep], ref[keep], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_matrix_row_blocks_through_the_shared_evaluator(dim, monkeypatch):
+    # kernel_matrix is one exp_product of its features; that product on
+    # row blocks of the features must give the same bits as on all rows,
+    # the property mixture evaluation's point blocks rely on as well
+    p = ModelParams(drift=np.eye(dim), coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=-0.5 * np.eye(dim), diffusion=0.3, coupling=1.0)
+    ctx = kernel_context(p, 0.6, 0.0, x_start=np.full(dim, 0.2))
+    axis = np.linspace(-3.0, 3.0, 61 if dim == 1 else 13)
+    pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    real = kernels.exp_product
+    seen = []
+    monkeypatch.setattr(kernels, "exp_product",
+                        lambda left, right: seen.append((left, right)) or real(left, right))
+    whole = kernel_matrix(ctx, pts, pts)
+    (left, right), = seen
+    # near-equal blocks of at least four rows: a one-row block would take
+    # numpy's matrix-vector product instead
+    for n_blocks in (2, 5, 9):
+        parts = [real(rows, right) for rows in np.array_split(left, n_blocks)]
+        assert np.array_equal(np.vstack(parts), whole)
+
+
 def test_backward_matriciant_is_lazy(monkeypatch):
     # a context builds one matriciant; reversed() inverts its blocks and
     # builds none, so forward and backward kernels cost one exponential

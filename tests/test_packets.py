@@ -215,6 +215,66 @@ def test_mixture_eval_and_moment_match_per_component_reference(dim):
         assert (a.amp1 is None) == (b.amp1 is None)
 
 
+def component_terms(comps, eps, pts):
+    """(K, points) values of each packet alone, by the direct formula."""
+    terms = []
+    for c in comps:
+        q = np.linalg.solve(c.den.T, c.num.T).T
+        q = 0.5 * (q + q.T)
+        xi = pts - c.mean
+        amp = c.amp0 + (0.0 if c.amp1 is None else xi @ c.amp1)
+        norm = np.sqrt(np.linalg.det(q) / (2 * np.pi * eps) ** len(c.mean))
+        quad = np.einsum("ij,jk,ik->i", xi, q, xi)
+        terms.append(c.weight * norm * amp * np.exp(-quad / (2 * eps)))
+    return np.array(terms)
+
+
+def assert_eval_matches_terms(comps, eps, pts):
+    # relative to the summed magnitudes of the terms, so that amplitudes
+    # crossing zero and far tails are judged on the same footing
+    dim = len(comps[0].mean)
+    p = ModelParams(drift=np.eye(dim), coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=np.zeros((dim, dim)), diffusion=eps)
+    terms = component_terms(comps, eps, pts)
+    err = np.abs(GaussianMixture(comps).eval(p, pts) - terms.sum(axis=0))
+    assert np.max(err / np.abs(terms).sum(axis=0)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_comp", [1, 4, 16])
+@pytest.mark.parametrize("with_amp1", [False, True])
+def test_mixture_eval_matches_direct_formula(dim, n_comp, with_amp1):
+    rng = np.random.default_rng(100 * dim + n_comp + 7 * with_amp1)
+    comps = []
+    for _ in range(n_comp):
+        a = rng.standard_normal((dim, dim))
+        scale = rng.uniform(0.5, 2.0)
+        comps.append(GaussianPacket(
+            mean=rng.uniform(-1, 1, dim), num=scale * (a @ a.T + 0.5 * np.eye(dim)),
+            den=scale * np.eye(dim), weight=rng.uniform(0.1, 1.0),
+            amp0=rng.uniform(-0.5, 1.5),
+            amp1=rng.standard_normal(dim) if with_amp1 else None))
+    pts = np.concatenate([rng.standard_normal((400, dim))]
+                         + [c.mean + 0.2 * rng.standard_normal((20, dim)) for c in comps])
+    assert_eval_matches_terms(comps, 0.15, pts)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("sep", [100.0, 1000.0])
+def test_mixture_eval_keeps_far_apart_components_exact(dim, sep):
+    # one center for means at +-sep would leave exponent terms of about
+    # sep^2 |Q| / 2 eps = 1e5 (sep 100) to cancel, losing 1e-11; each
+    # component must get a center of its own
+    rng = np.random.default_rng(int(sep) + dim)
+    eps = 0.1
+    comps = [GaussianPacket(mean=np.full(dim, s * sep), num=2.0 * np.eye(dim),
+                            den=np.eye(dim), weight=0.5, amp1=amp1)
+             for s in (-1.0, 1.0) for amp1 in (None, rng.standard_normal(dim))]
+    pts = np.concatenate([c.mean + np.sqrt(eps / 2.0) * rng.standard_normal((100, dim))
+                          for c in comps])
+    assert_eval_matches_terms(comps, eps, pts)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_mixture_eval_in_blocks_equals_one_block(dim, monkeypatch):
     # every point is evaluated on its own row, so splitting the points into
