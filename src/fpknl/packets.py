@@ -17,7 +17,7 @@ over the quadratic features [y, y y^T, 1] of y = x - c, so one product of
 the (K, features) coefficients with the (features, points) block,
 ``kernels.exp_product``, gives every exponent at every point; weights,
 normalizations and amplitudes then scale the K rows, which are summed in
-component order.  The expansion cancels terms of about
+component order, group after group.  The expansion cancels terms of about
 s = |m - c|^2 tr(Q) / 2 eps, and its rounding costs about 3 s machine
 epsilons of relative accuracy (3e-13 at s = 1000, measured), so a center
 is shared only by components with s within CENTER_REACH: the mean of the

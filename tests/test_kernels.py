@@ -229,8 +229,12 @@ def test_kernel_matrix_row_blocks_through_the_shared_evaluator(dim, monkeypatch)
     pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
     real = kernels.exp_product
     seen = []
-    monkeypatch.setattr(kernels, "exp_product",
-                        lambda left, right: seen.append((left, right)) or real(left, right))
+
+    def recording(left, right):
+        seen.append((left, right))
+        return real(left, right)
+
+    monkeypatch.setattr(kernels, "exp_product", recording)
     whole = kernel_matrix(ctx, pts, pts)
     (left, right), = seen
     # near-equal blocks of at least four rows: a one-row block would take
