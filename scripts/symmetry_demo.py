@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fpknl import (build_shifts, evolve_analytic, linsym_closed_form,
+from fpknl import (GaussianMixture, build_shifts, evolve_analytic, linsym_closed_form,
                    linsym_operator, matriciant, plan_for,
                    symmetry_apply_conclusion, symmetry_apply_evolution,
                    symmetry_apply_shift)
@@ -31,9 +31,10 @@ def main():
     print(f"seed operator: {op.const:+.3f} {op.lin[0]:+.3f} x "
           f"{op.grad[0]:+.3f} d/dx")
 
-    plan = plan_for(params, s, t, packet)
-    u = evolve_analytic(packet, plan)
-    shifts = build_shifts(op, packet, params, s,
+    initial = GaussianMixture([packet])
+    plan = plan_for(params, s, t, initial)
+    u = evolve_analytic(initial, plan)
+    shifts = build_shifts(op, initial, params, s,
                           moment_override=[args.image_moment])
     xs = np.linspace(-3.5, 4.0, 751)
     fields = {

@@ -4,14 +4,11 @@ from .errors import (ConfigurationError, DegenerateMomentError, DeltaLimitError,
                      FocalPointError, FpknlError, IllPosedInverseError,
                      InputError, InvalidCovarianceError, KernelValidityError,
                      NormalizationError, TruncationError)
-from .evolution import (evolve_analytic, evolve_quadrature, inverse_evolve, plan_for,
-                        plan_from_final_moment)
+from .evolution import evolve_analytic, evolve_quadrature, inverse_evolve, plan_for
 from .fdsolver import FDConfig, FDResult, compare, fd_solve
-from .kernels import (KernelContext, backward_quadratic_form, kernel, kernel_context,
-                      kernel_matrix)
+from .kernels import KernelContext, kernel, kernel_context, kernel_matrix
 from .model import ModelParams, MomentTrajectory, SampledDensity
-from .packets import (GaussianMixture, GaussianPacket, as_mixture, evolve_packet,
-                      propagate_packet)
+from .packets import GaussianMixture, GaussianPacket, evolve_packet, propagate_packet
 from .symmetry import (InitialOperator, OperatorApplication, SymmetryShifts,
                        apply_initial_op, apply_operator, build_shifts,
                        evolve_operator, linsym_closed_form, linsym_operator,

@@ -19,7 +19,7 @@ from .evolution import (INVERSE_RCOND, evolve_analytic, evolve_quadrature,
                         inverse_evolve, plan_for)
 from .fdsolver import FDConfig, compare, fd_solve
 from .model import ModelParams, SampledDensity
-from .packets import GaussianPacket, as_mixture, evolve_packet
+from .packets import GaussianMixture, GaussianPacket, evolve_packet
 from .symmetry import (apply_initial_op, build_shifts, linsym_closed_form,
                        linsym_operator, residual_field, spacetime_samples,
                        symmetry_apply_conclusion, symmetry_apply_evolution,
@@ -61,12 +61,11 @@ def result(name, value, tol, detail="") -> CheckResult:
                        tolerance=float(tol), detail=detail)
 
 
-def parameter_error(original, recovered) -> float:
+def parameter_error(original: GaussianMixture, recovered: GaussianMixture) -> float:
     """Largest difference in mean, num, den or weight between matching
-    components of two Gaussian fields."""
-    pairs = zip(as_mixture(original).components, as_mixture(recovered).components)
-    return float(np.max([np.max(np.abs(np.subtract(getattr(b, f), getattr(a, f))))
-                         for a, b in pairs for f in ("mean", "num", "den", "weight")]))
+    components of two Gaussian mixtures."""
+    return float(max(np.max(np.abs(getattr(recovered, f) - getattr(original, f)))
+                     for f in ("mean", "num", "den", "weight")))
 
 
 def route_spread(fields) -> float:
@@ -119,12 +118,13 @@ def fd_vs_analytic(params, packet, x_min=-6.0, x_max=6.0, nx=1200,
                    dt=2e-5, t_end=1.0) -> FdComparison:
     cfg = FDConfig(x_min=x_min, x_max=x_max, nx=nx, dt=dt, t_end=t_end,
                    snapshot_times=(t_end,))
+    # evolved first, so a packet the closed form refuses costs no FD solve
+    exact = _sample_packet(evolve_packet(packet, params, t_end, 0.0), params,
+                           x_min, x_max, nx)
     gamma = _sample_packet(packet, params, x_min, x_max, nx)
     start = time.perf_counter()
     res = fd_solve(params, gamma, cfg)
     runtime = time.perf_counter() - start
-    exact_pk = evolve_packet(packet, params, t_end, 0.0)
-    exact = _sample_packet(exact_pk, params, x_min, x_max, nx)
     linf = compare(res.snapshots[0], exact)
     stride = max(1, len(res.times) // 400)
     closed = params.moment_trajectory(packet.mean, 0.0).at(res.times[::stride])[:, 0]
@@ -261,9 +261,10 @@ def check_roundtrip(params=None, packet=None) -> list[CheckResult]:
     mean +- 10 standard deviations.  The sampled half is 1D: for other
     dimensions it runs on the reference case."""
     params, packet = _case_or_reference(params, packet)
-    plan = plan_for(params, 0.0, CHECK_T, packet)
-    u = evolve_analytic(packet, plan)
-    param_err = parameter_error(packet, inverse_evolve(u, plan))
+    g = GaussianMixture([packet])
+    plan = plan_for(params, 0.0, CHECK_T, g)
+    u = evolve_analytic(g, plan)
+    param_err = parameter_error(g, inverse_evolve(u, plan))
 
     detail = ("t-s=0.1, 801 nodes over mean +- 10 sd; the value is the sampled "
               f"inverse's noise floor (about machine eps / rcond, rcond "
@@ -273,7 +274,8 @@ def check_roundtrip(params=None, packet=None) -> list[CheckResult]:
         q_params, q_packet = reference_case()
         detail += f"; 1D reference case in place of the dim-{params.dim} model"
     center = float(q_packet.mean[0])
-    half = 10.0 * float(np.sqrt(q_packet.covariance(q_params)[0, 0]))
+    cov = q_params.diffusion * np.linalg.inv(GaussianMixture([q_packet]).precision()[0])
+    half = 10.0 * float(np.sqrt(cov[0, 0]))
     gamma = _sample_packet(q_packet, q_params, center - half, center + half, 801)
     qplan = plan_for(q_params, 0.0, 0.1, gamma)
     u_q = evolve_quadrature(gamma, qplan)
@@ -291,11 +293,12 @@ def check_roundtrip(params=None, packet=None) -> list[CheckResult]:
 def check_symmetry_routes(params=None, packet=None) -> list[CheckResult]:
     params, packet = _one_dimensional("symmetry-routes", params, packet)
     s, t = 0.0, CHECK_T
-    plan = plan_for(params, s, t, packet)
-    u = evolve_analytic(packet, plan)
+    g = GaussianMixture([packet])
+    plan = plan_for(params, s, t, g)
+    u = evolve_analytic(g, plan)
     m_ss = matriciant(params, s, s)
     op = linsym_operator(params, m_ss, packet.mean)
-    shifts = build_shifts(op, packet, params, s, moment_override=[IMAGE_MOMENT])
+    shifts = build_shifts(op, g, params, s, moment_override=[IMAGE_MOMENT])
     xs = np.linspace(-3.0, 4.0, 301)
     fields = {
         "shift": symmetry_apply_shift(op, u, shifts, t).eval(params, xs),
@@ -320,7 +323,7 @@ def check_symmetry_routes(params=None, packet=None) -> list[CheckResult]:
 def _symmetry_residual(params, packet, dx, dt):
     s, x_lo, x_hi = 0.0, -2.5, 3.0
     op = linsym_operator(params, matriciant(params, s, s), packet.mean)
-    app = apply_initial_op(op, packet, params)
+    app = apply_initial_op(op, GaussianMixture([packet]), params)
     nx = int(round((x_hi - x_lo) / dx)) + 1
     times = 0.4 + dt * np.arange(7)
 

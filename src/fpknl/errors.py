@@ -34,7 +34,8 @@ class DeltaLimitError(FpknlError):
 
 
 class KernelValidityError(FpknlError):
-    """Kernel is not finite, or forward in time its exponent is not negative definite."""
+    """Kernel or matriciant is not finite over the horizon, a kernel is asked
+    for backward in time, or the kernel's spread is not positive definite."""
 
 
 class NormalizationError(FpknlError):

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import IllPosedInverseError, NormalizationError, TruncationError
 from .kernels import KernelContext, kernel_context, kernel_matrix
 from .model import BLOCK_ENTRIES, ModelParams, SampledDensity, _vector
-from .packets import GaussianMixture, GaussianPacket, as_mixture, propagate_packet
+from .packets import GaussianMixture, propagate_packet
 
 MASS_TOL_ANALYTIC = 1e-10
 MASS_TOL_QUADRATURE = 1e-6
@@ -49,7 +49,7 @@ SKETCH_SEED = 20110601
 
 
 def plan_for(params: ModelParams, s: float, t: float,
-             initial: GaussianMixture | GaussianPacket | SampledDensity,
+             initial: GaussianMixture | SampledDensity,
              moment_override=None) -> KernelContext:
     """Build a plan from the initial data's first moment (or an override).
 
@@ -64,12 +64,6 @@ def plan_for(params: ModelParams, s: float, t: float,
     return kernel_context(params, t, s, x0)
 
 
-def plan_from_final_moment(params: ModelParams, s: float, t: float, x_t) -> KernelContext:
-    """Plan whose trajectory passes through x_t at the final time."""
-    x_t = _vector(x_t, params.dim, "x_t")
-    return kernel_context(params, t, s, params.moment_trajectory(x_t, t).at(s))
-
-
 def _check_mass(mass: float, tol: float) -> None:
     if abs(mass - 1.0) > tol:
         raise NormalizationError(
@@ -78,11 +72,10 @@ def _check_mass(mass: float, tol: float) -> None:
         )
 
 
-def evolve_analytic(g: GaussianMixture | GaussianPacket, plan: KernelContext,
+def evolve_analytic(mix: GaussianMixture, plan: KernelContext,
                     require_normalized: bool = True) -> GaussianMixture:
     """Propagate all components at once in closed form around the shared
     trajectory; a raw field (require_normalized=False) may carry any mass."""
-    mix = as_mixture(g)
     if require_normalized:
         _check_mass(mix.total_mass(), MASS_TOL_ANALYTIC)
     if plan.t == plan.s:
@@ -193,8 +186,7 @@ def _inverse_sampled(u: SampledDensity, plan: KernelContext) -> SampledDensity:
                           sol.reshape(u.values.shape))
 
 
-def inverse_evolve(u: GaussianMixture | GaussianPacket | SampledDensity,
-                   plan: KernelContext):
+def inverse_evolve(u: GaussianMixture | SampledDensity, plan: KernelContext):
     """Left inverse of the evolution operator: recovers the initial data.
 
     Analytic pathway: exact backward block algebra on all components at
@@ -203,7 +195,7 @@ def inverse_evolve(u: GaussianMixture | GaussianPacket | SampledDensity,
     (the literal backward-kernel integral diverges for forward images);
     singular values at or below INVERSE_RCOND * sigma_max are dropped.
     """
-    if isinstance(u, SampledDensity):
-        return u.copy() if plan.t == plan.s else _inverse_sampled(u, plan)
-    mix = as_mixture(u)
-    return mix.copy() if plan.t == plan.s else _inverse_analytic(mix, plan)
+    if plan.t == plan.s:
+        return u.copy()
+    solve = _inverse_sampled if isinstance(u, SampledDensity) else _inverse_analytic
+    return solve(u, plan)

@@ -1,20 +1,19 @@
 """One Gaussian kernel over a directed context.
 
 A KernelContext holds one matriciant from time s to time t and the
-moment-frame anchors at those times; packets move along it too, and it is
-the plan the evolution operator applies.  The forward kernel (s < t) is a
-Gaussian in (x - X(t)) - dd @ (y - X(s)) with covariance
+moment-frame anchors at those times; it is the plan the evolution operator
+applies, and mixtures move along it.  ``ctx.reversed()``, the move back
+from t to s that the analytic inverse takes, is the exact block inverse
+(no second matrix exponential) with the anchors swapped.  Kernels run
+forward in time only (s < t; backward, KernelValidityError): the kernel
+is a Gaussian in (x - X(t)) - dd @ (y - X(s)) with covariance
 ``diffusion * spread`` where ``spread = dn @ inv(nn)`` is symmetric
 positive definite.  With zero anchors (``kernel_context(params, t, s)``)
 it is the propagator of the drift-only linear equation; anchored on the
 moment trajectory it is the mean-coupled kernel, the linear one moved
-into the moment frame.  The left-inverse kernel is the same formula along
-``ctx.reversed()``, whose matriciant is the exact block inverse of the
-forward one (no second matrix exponential) and whose anchors are swapped;
-its exponent is then sign indefinite and its prefactor uses the magnitude
-of the determinant (the formal expression is not real).  Whether an
-integral against it converges is the operator layer's concern, not the
-kernel's.
+into the moment frame.  Backward, the same formula has a sign-indefinite
+exponent and an integral against it diverges for every forward image,
+so the sampled inverse solves the forward quadrature instead.
 
 With xi = xp - yp (the anchored x and the transported anchored y) and
 C = -inv(spread) / (2 diffusion), the exponent is xi^T C xi.  Paired
@@ -57,10 +56,10 @@ DELTA_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Everything a kernel evaluation needs: the matriciant m from time m.s
-    to time m.t, in either direction, and the moment-frame anchors at those
-    times, x_start at m.s (subtracted from the input point) and x_end at
-    m.t (subtracted from the output point)."""
+    """A move from time m.s to time m.t, in either direction: the matriciant
+    m and the moment-frame anchors at those times, x_start at m.s
+    (subtracted from the input point) and x_end at m.t (subtracted from the
+    output point)."""
 
     params: ModelParams
     m: Matriciant
@@ -114,27 +113,29 @@ def _require_finite(m: Matriciant, what: str, *values) -> None:
 
 def _spread(m: Matriciant) -> tuple[np.ndarray, float]:
     """(symmetrized spread dn @ inv(nn), its determinant before symmetrizing);
-    forward in time (m.tau > 0) the spread must be positive definite."""
+    the spread must be positive definite."""
     w = np.linalg.solve(m.nn.T, m.dn.T).T
     det = float(np.linalg.det(w))
     _require_finite(m, "spread", w, det)
-    if m.tau > 0:
-        require_spd(w, "kernel spread", KernelValidityError)
+    require_spd(w, "kernel spread", KernelValidityError)
     return 0.5 * (w + w.T), det
 
 
 def _frame(ctx: KernelContext, x, y):
     """(C, prefactor, anchored x rows, transported anchored y rows)."""
     m = ctx.m
-    if abs(m.tau) < DELTA_TOL:
+    if m.tau < 0:
+        raise KernelValidityError(f"kernel requested backward in time (t - s = {m.tau:.6g}); "
+                                  "kernels run forward only, inverse_evolve inverts")
+    if m.tau < DELTA_TOL:
         raise DeltaLimitError(
-            f"|t - s| = {abs(m.tau):.3e} below {DELTA_TOL:.0e}: kernel degenerates to a delta"
+            f"|t - s| = {m.tau:.3e} below {DELTA_TOL:.0e}: kernel degenerates to a delta"
         )
     w, det = _spread(m)
     n, eps = ctx.params.dim, ctx.params.diffusion
     c = -0.5 / eps * np.linalg.inv(w)
     # a numpy scalar turns a zero determinant into inf for the check below
-    pref = (2.0 * np.pi * eps) ** (-n / 2.0) * np.float64(abs(det)) ** -0.5
+    pref = (2.0 * np.pi * eps) ** (-n / 2.0) * np.float64(det) ** -0.5
     _require_finite(m, "prefactor", pref)
     xp = np.asarray(x, dtype=float).reshape(-1, n) - ctx.x_end
     yp = (np.asarray(y, dtype=float).reshape(-1, n) - ctx.x_start) @ m.dd.T
@@ -176,18 +177,3 @@ def exp_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     block = left @ right
     return np.exp(block, out=block)
 
-
-def backward_quadratic_form(ctx: KernelContext, q_envelope: np.ndarray) -> np.ndarray:
-    """Quadratic-coefficient matrix (in y) of the exponent of the context's
-    kernel times a Gaussian envelope exp(-(y-c)^T Q (y-c) / 2 eps); pass the
-    left-inverse context, ``ctx.reversed()`` of the forward one.
-
-    The integral of that product converges iff this matrix is negative
-    definite.  For samples produced by the forward flow it never is; see
-    the least-squares inverse in the evolution module.
-    """
-    eps = ctx.params.diffusion
-    w, _ = _spread(ctx.m)
-    core = ctx.m.dd.T @ np.linalg.inv(w) @ ctx.m.dd
-    q_envelope = np.atleast_2d(np.asarray(q_envelope, dtype=float))
-    return -0.5 / eps * (core + q_envelope)

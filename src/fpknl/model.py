@@ -118,7 +118,9 @@ class MomentTrajectory:
         along a last axis (a 1-D array gives (len(t), n)) from one stacked
         matrix exponential."""
         tau = np.asarray(t, dtype=float) - self.t0
-        return expm(tau[..., None, None] * self.rate) @ self.x0
+        # an overflow gives inf without a warning; kernel_context types it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return expm(tau[..., None, None] * self.rate) @ self.x0
 
 
 @dataclass

@@ -6,11 +6,11 @@ remain representable.  An optional affine amplitude ``amp0 + amp1.(x-mean)``
 extends the class just enough to keep it closed under first-order
 operators; plain densities have amp0 = 1, amp1 = 0.
 
-Packets move along a directed ``kernels.KernelContext``, the matriciant
-from s to t and the moment-frame anchors at both ends.  All components of
-a mixture move along the same context, so a mixture holds them as stacked
-arrays and each of its operations is one stacked computation; a packet is
-a mixture of one.
+The solver takes and returns one Gaussian field, the GaussianMixture: its
+K components are stacked arrays, each of its operations is one stacked
+computation, and all components move along the same directed
+``kernels.KernelContext``.  A GaussianPacket is the parameter record of
+one component, entering the solver as ``GaussianMixture([packet])``.
 
 Evaluation expands each component's exponent -(x-m)^T Q (x-m) / 2 eps
 over the quadratic features [y, y y^T, 1] of y = x - c, so one product of
@@ -29,11 +29,11 @@ changes no bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCovarianceError
+from .errors import InputError, InvalidCovarianceError, NormalizationError
 from .kernels import KernelContext, exp_product, kernel_context
 from .model import BLOCK_ENTRIES, ModelParams, normalize_moment
 from .variations import fraction, propagate_pair
@@ -80,6 +80,8 @@ def _points(x, n: int) -> tuple[np.ndarray, bool]:
 
 @dataclass
 class GaussianPacket:
+    """Parameters of one component: mean (n,), num, den (n, n), weight, amp0, amp1 (n,)."""
+
     mean: np.ndarray
     num: np.ndarray
     den: np.ndarray
@@ -95,44 +97,31 @@ class GaussianPacket:
         self.den = np.atleast_2d(np.asarray(self.den, dtype=float))
         if self.amp1 is not None:
             self.amp1 = np.atleast_1d(np.asarray(self.amp1, dtype=float))
-            if not np.any(self.amp1):
-                self.amp1 = None
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def precision(self, density_valid: bool = True) -> np.ndarray:
-        return fraction(self.num, self.den, density_valid=density_valid)
-
-    def covariance(self, params: ModelParams) -> np.ndarray:
-        return params.diffusion * np.linalg.inv(self.precision())
-
-    def total_mass(self) -> float:
-        # the Gaussian factor integrates to 1, the odd amplitude part to 0
-        return self.weight * self.amp0
-
-    def first_moment(self, params: ModelParams, normalized: bool = False) -> np.ndarray:
-        return GaussianMixture([self]).first_moment(params, normalized)
+        n = len(self.mean)
+        shapes = (self.mean.shape, self.num.shape, self.den.shape,
+                  (n,) if self.amp1 is None else self.amp1.shape)
+        if shapes != ((n,), (n, n), (n, n), (n,)):
+            raise InputError("packet needs mean (n,), num and den (n, n) and amp1 (n,); "
+                             f"got mean, num, den, amp1 of shapes {shapes}")
+        if self.amp1 is not None and not np.any(self.amp1):
+            self.amp1 = None
 
     def eval(self, params: ModelParams, x) -> np.ndarray:
         return GaussianMixture([self]).eval(params, x)
 
 
 class GaussianMixture:
-    """Weighted sum of packets, held as stacks over its K components: mean
-    (K, n), num and den (K, n, n), weight and amp0 (K,), amp1 (K, n) or None
-    when no component carries one.  `components` rebuilds the packets."""
+    """Weighted sum of K Gaussian components, held as stacks: mean (K, n), num
+    and den (K, n, n), weight and amp0 (K,), amp1 (K, n) or None when no
+    component carries one.  `components` lists their parameter records."""
 
     def __init__(self, components):
         comps = list(components)
-        if not comps:
-            raise InvalidCovarianceError("mixture needs at least one component")
-        if len({c.dim for c in comps}) != 1:
-            raise InvalidCovarianceError("mixture components disagree on dimension")
+        if len(dims := {len(c.mean) for c in comps}) != 1:
+            raise InputError(f"mixture needs components of one dimension, got {sorted(dims)}")
         self._set(*(np.array([getattr(c, f) for c in comps], dtype=float)
                     for f in ("mean", "num", "den", "weight", "amp0")),
-                  np.array([np.zeros(c.dim) if c.amp1 is None else c.amp1 for c in comps]))
+                  np.array([np.zeros_like(c.mean) if c.amp1 is None else c.amp1 for c in comps]))
 
     @classmethod
     def _of(cls, *stacks) -> "GaussianMixture":
@@ -149,10 +138,6 @@ class GaussianMixture:
         amp1 = [None] * len(self.weight) if self.amp1 is None else self.amp1
         return [GaussianPacket(self.mean[k], self.num[k], self.den[k], float(self.weight[k]),
                                float(self.amp0[k]), amp1[k]) for k in range(len(self.weight))]
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[1]
 
     def precision(self, density_valid: bool = True) -> np.ndarray:
         return fraction(self.num, self.den, density_valid=density_valid)
@@ -175,7 +160,7 @@ class GaussianMixture:
         det = np.linalg.det(q)
         if (det <= 0).any():
             raise InvalidCovarianceError("precision determinant must be positive")
-        n = self.dim
+        n = self.mean.shape[1]
         scale = self.weight * np.sqrt(det / (2.0 * np.pi * eps) ** n)
         pts, single = _points(x, n)
         n_pts = len(pts)
@@ -232,22 +217,15 @@ class GaussianMixture:
         return self._of(self.mean, self.num, self.den, self.weight, self.amp0, self.amp1)
 
 
-def as_mixture(g: GaussianPacket | GaussianMixture) -> GaussianMixture:
-    if isinstance(g, GaussianPacket):
-        return GaussianMixture([g])
-    return g
-
-
-def propagate_packet(p: GaussianPacket | GaussianMixture, ctx: KernelContext):
-    """Advance a packet, or all components of a mixture at once, along a
-    directed context: the matriciant blocks ctx.m around the moment-frame
-    anchors ctx.x_start at ctx.s and ctx.x_end at ctx.t (the trajectory of
-    the full density the packets belong to); returns the same type.
+def propagate_packet(mix: GaussianMixture, ctx: KernelContext) -> GaussianMixture:
+    """Advance all components of a mixture at once along a directed context:
+    the matriciant blocks ctx.m around the moment-frame anchors ctx.x_start
+    at ctx.s and ctx.x_end at ctx.t (the trajectory of the full density the
+    components belong to).
 
     The zero-anchored ``kernel_context(params, t, s)`` is the plain linear
     drift-diffusion flow, and ``ctx.reversed()`` the flow back from t to s.
     """
-    mix = as_mixture(p)
     m = ctx.m
     num, den = propagate_pair(m, mix.num, mix.den)
     mean = ctx.x_end + _mv(m.dd, mix.mean - ctx.x_start)
@@ -257,13 +235,13 @@ def propagate_packet(p: GaussianPacket | GaussianMixture, ctx: KernelContext):
         q_s = mix.precision(density_valid=False)
         q_t = fraction(num, den, density_valid=False)
         amp1 = _mv(q_t, _mv(m.dd, np.linalg.solve(q_s, mix.amp1[..., None])[..., 0]))
-    out = GaussianMixture._of(mean, num, den, mix.weight, mix.amp0, amp1)
-    return out if isinstance(p, GaussianMixture) else out.components[0]
+    return GaussianMixture._of(mean, num, den, mix.weight, mix.amp0, amp1)
 
 
 def evolve_packet(p0: GaussianPacket, params: ModelParams,
-                  t: float, s: float) -> GaussianPacket:
-    """Exact solution of the mean-coupled equation from a single plain packet.
+                  t: float, s: float) -> GaussianMixture:
+    """Exact solution of the mean-coupled equation from a single plain
+    packet of unit weight, as a mixture of one.
 
     The packet is its own density, so its mean is the initial first moment;
     it moves along the context anchored on the moment trajectory from there.
@@ -273,9 +251,13 @@ def evolve_packet(p0: GaussianPacket, params: ModelParams,
             "evolve_packet needs a plain density packet; "
             "evolve amplitude-carrying packets through an evolution plan"
         )
-    p0.precision(density_valid=True)
+    if p0.weight != 1.0:  # the feedback reads the raw moment, weight times mean
+        raise NormalizationError(f"evolve_packet needs weight 1, got {p0.weight:.12g}; "
+                                 "evolve other masses as raw fields through evolve_analytic")
+    mix = GaussianMixture([p0])
+    mix.precision(density_valid=True)
     if t == s:
-        return replace(p0)
-    out = propagate_packet(p0, kernel_context(params, t, s, p0.mean))
+        return mix
+    out = propagate_packet(mix, kernel_context(params, t, s, p0.mean))
     out.precision(density_valid=True)
     return out

@@ -28,7 +28,7 @@ from .errors import InputError
 from .evolution import evolve_analytic, inverse_evolve, plan_for
 from .kernels import KernelContext
 from .model import ModelParams, MomentTrajectory, SampledDensity, _vector
-from .packets import GaussianMixture, GaussianPacket, as_mixture, evolve_packet
+from .packets import GaussianMixture, GaussianPacket, evolve_packet
 from .variations import Matriciant, matriciant
 
 ZERO_ALPHA_TOL = 1e-10
@@ -52,10 +52,6 @@ class InitialOperator:
     @property
     def dim(self) -> int:
         return self.lin.shape[0]
-
-    @classmethod
-    def identity(cls, dim: int) -> "InitialOperator":
-        return cls(1.0, np.zeros(dim), np.zeros(dim))
 
     def shift_argument(self, delta) -> "InitialOperator":
         """Operator with its argument shifted: self evaluated at x + delta."""
@@ -121,17 +117,16 @@ def _apply_to_sampled(op: InitialOperator, d: SampledDensity) -> tuple[SampledDe
     return out, out.total_mass()
 
 
-def apply_operator(op: InitialOperator,
-                   field: GaussianMixture | GaussianPacket | SampledDensity,
+def apply_operator(op: InitialOperator, field: GaussianMixture | SampledDensity,
                    params: ModelParams):
     """Raw image of the operator and its integral (no normalization)."""
     if isinstance(field, SampledDensity):
         return _apply_to_sampled(op, field)
-    return _apply_to_mixture(op, as_mixture(field), params)
+    return _apply_to_mixture(op, field, params)
 
 
 def apply_initial_op(op: InitialOperator,
-                     gamma: GaussianMixture | GaussianPacket | SampledDensity,
+                     gamma: GaussianMixture | SampledDensity,
                      params: ModelParams) -> OperatorApplication:
     """Operator image of the initial data, normalized by its integral when
     that integral is meaningfully nonzero; otherwise the raw zero-mass field
@@ -166,7 +161,7 @@ class SymmetryShifts:
 
 
 def build_shifts(op: InitialOperator,
-                 gamma: GaussianMixture | GaussianPacket | SampledDensity,
+                 gamma: GaussianMixture | SampledDensity,
                  params: ModelParams, s: float,
                  moment_override=None) -> SymmetryShifts:
     """Precompute every trajectory the shift-based routes need.
@@ -213,7 +208,7 @@ def symmetry_apply_shift(op: InitialOperator, u: GaussianMixture,
     l_t = shifts.drift_shift.at(t)
     x_u = shifts.base_moment.at(t)
     delta_op = -y_t + l_t
-    moved = as_mixture(u).shifted(y_t - l_t - x_u)  # u evaluated at x + delta_op + X_u
+    moved = u.shifted(y_t - l_t - x_u)  # u evaluated at x + delta_op + X_u
     a_t = _centered_operator(op, shifts, t).shift_argument(delta_op)
     field, _ = apply_operator(a_t, moved, shifts.params)
     if shifts.normalized:
@@ -226,7 +221,7 @@ def symmetry_apply_conclusion(op: InitialOperator, u: GaussianMixture,
     """Conclusion route: apply the evolved operator in the centered frame,
     compose with the drift shift, and move onto the image trajectory."""
     x_u = shifts.base_moment.at(t)
-    w = as_mixture(u).shifted(-x_u)
+    w = u.shifted(-x_u)
     applied, _ = apply_operator(_centered_operator(op, shifts, t), w, shifts.params)
     field = applied.shifted(shifts.image_moment.at(t) - shifts.drift_shift.at(t))
     if shifts.normalized:

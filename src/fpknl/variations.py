@@ -66,7 +66,8 @@ def matriciant(params: ModelParams, t: float, s: float) -> Matriciant:
     inverse move reads finite blocks."""
     n = params.dim
     tau = float(t) - float(s)
-    m = expm(tau * pair_generator(params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = expm(tau * pair_generator(params))
     if not np.isfinite(m).all():
         raise KernelValidityError(
             f"matriciant is not finite at |t - s| = {abs(tau):.6g}: "

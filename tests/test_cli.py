@@ -152,6 +152,27 @@ def test_numerical_domain_error_exit_code(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("component, message", [
+    ({"num": [[1.0, 0.0]]}, "packet needs"),
+    ({"mean": [0.5], "num": EYE2, "den": [[1.0]]}, "packet needs"),
+    ({"mean": [0.5, 0.0], "num": EYE2, "den": EYE2}, "mixture needs"),
+], ids=["num-shape", "second-num-shape", "second-dimension"])
+def test_gaussian_component_shapes_are_config_errors(tmp_path, capsys, component, message):
+    # the first two used to end in a numpy ValueError traceback, exit code 1
+    # ("a check failed"), the third in InvalidCovarianceError, exit code 3
+    cfg = base_config(tmp_path / "out")
+    comps = cfg["initial"]["components"]
+    if "mean" in component:
+        comps.append(component)
+    else:
+        comps[0].update(component)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def sampled_csv(tmp_path, eps=0.5, mean=0.3, nodes=401):
     x = np.linspace(-8.0, 8.0, nodes)
     u = np.exp(-(x - mean) ** 2 / (2 * eps)) / np.sqrt(2 * np.pi * eps)

@@ -9,8 +9,7 @@ from fpknl import (GaussianMixture, GaussianPacket,
                    IllPosedInverseError, KernelValidityError, ModelParams,
                    NormalizationError, SampledDensity, TruncationError,
                    evolution, evolve_analytic, evolve_packet,
-                   evolve_quadrature, inverse_evolve, plan_for,
-                   plan_from_final_moment)
+                   evolve_quadrature, inverse_evolve, plan_for)
 
 
 def params_1d(lam=1.0, eps=0.1, feedback=-0.5, kappa=1.0):
@@ -20,6 +19,10 @@ def params_1d(lam=1.0, eps=0.1, feedback=-0.5, kappa=1.0):
 
 def unit_packet(mean=0.5, num=1.0, den=1.0):
     return GaussianPacket(mean=[mean], num=[[num]], den=[[den]])
+
+
+def unit_field(mean=0.5, num=1.0, den=1.0):
+    return GaussianMixture([unit_packet(mean, num, den)])
 
 
 def sampled_from(packet, params, x_min=-8.0, x_max=8.0, nodes=801):
@@ -32,8 +35,8 @@ def sampled_from(packet, params, x_min=-8.0, x_max=8.0, nodes=801):
 def test_single_packet_reproduces_direct_evolution():
     p = params_1d()
     pk = unit_packet()
-    plan = plan_for(p, 0.0, 1.0, pk)
-    out = evolve_analytic(pk, plan).components[0]
+    plan = plan_for(p, 0.0, 1.0, GaussianMixture([pk]))
+    out = evolve_analytic(GaussianMixture([pk]), plan)
     direct = evolve_packet(pk, p, 1.0, 0.0)
     np.testing.assert_allclose(out.mean, direct.mean, atol=1e-15)
     np.testing.assert_allclose(out.precision(), direct.precision(), atol=1e-15)
@@ -42,8 +45,8 @@ def test_single_packet_reproduces_direct_evolution():
 def test_identity_at_equal_times():
     p = params_1d()
     pk = unit_packet()
-    plan = plan_for(p, 0.5, 0.5, pk)
-    out = evolve_analytic(pk, plan).components[0]
+    plan = plan_for(p, 0.5, 0.5, GaussianMixture([pk]))
+    out = evolve_analytic(GaussianMixture([pk]), plan).components[0]
     np.testing.assert_allclose(out.mean, pk.mean)
     np.testing.assert_allclose(out.den, pk.den)
 
@@ -87,7 +90,7 @@ def test_mass_preserved_exactly_analytic():
 
 def test_normalization_gate():
     p = params_1d()
-    heavy = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]], weight=2.0)
+    heavy = GaussianMixture([GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]], weight=2.0)])
     plan = plan_for(p, 0.0, 1.0, heavy)
     with pytest.raises(NormalizationError):
         evolve_analytic(heavy, plan)
@@ -103,7 +106,7 @@ def test_quadrature_matches_analytic():
     gamma = sampled_from(pk, p, -6.0, 6.0, 1201)
     plan = plan_for(p, 0.0, 1.0, gamma)
     out = evolve_quadrature(gamma, plan)
-    exact = evolve_analytic(pk, plan).eval(p, out.points())
+    exact = evolve_analytic(GaussianMixture([pk]), plan).eval(p, out.points())
     assert np.max(np.abs(out.values.ravel() - exact)) < 1e-6
 
 
@@ -143,9 +146,9 @@ def test_analytic_inverse_shares_the_backward_kernel_guard():
     # horizon names the matriciant (the analytic inverse used to reach an SVD
     # and raise numpy's LinAlgError)
     p = params_1d(lam=3.0)
-    pk = unit_packet()
+    u = unit_field()
     with pytest.raises(KernelValidityError, match=r"\|t - s\| = 250.*overflows"):
-        inverse_evolve(pk, plan_for(p, 0.0, 250.0, pk))
+        inverse_evolve(u, plan_for(p, 0.0, 250.0, u))
 
 
 def test_analytic_forward_names_an_overflowing_matriciant():
@@ -154,8 +157,9 @@ def test_analytic_forward_names_an_overflowing_matriciant():
     p = params_1d(lam=3.0)
     pk = unit_packet(num=4.0)
     overflow = r"\|t - s\| = 250.*overflows"
+    mix = GaussianMixture([pk])
     with pytest.raises(KernelValidityError, match=overflow):
-        evolve_analytic(pk, plan_for(p, 0.0, 250.0, pk))
+        evolve_analytic(mix, plan_for(p, 0.0, 250.0, mix))
     with pytest.raises(KernelValidityError, match=overflow):
         evolve_packet(pk, p, 250.0, 0.0)
 
@@ -167,7 +171,7 @@ def test_plan_names_an_overflowing_moment_trajectory():
     p = params_1d(lam=1.0, eps=0.5, feedback=-10.0)
     pk = unit_packet()
     overflow = r"\|t - s\| = 100.*moment trajectory overflows"
-    for initial in (pk, sampled_from(pk, p, -8.0, 8.0, 401)):
+    for initial in (GaussianMixture([pk]), sampled_from(pk, p, -8.0, 8.0, 401)):
         with pytest.raises(KernelValidityError, match=overflow):
             plan_for(p, 0.0, 100.0, initial)
 
@@ -213,9 +217,9 @@ def test_analytic_roundtrip_exact_parameters():
 def test_analytic_roundtrip_property(lam, feedback, mean, num, den, t):
     p = ModelParams(drift=[[lam]], coupling_state=[[0.0]],
                     coupling_mean=[[feedback]], diffusion=0.3, coupling=1.0)
-    pk = GaussianPacket(mean=[mean], num=[[num]], den=[[den]])
-    plan = plan_for(p, 0.0, t, pk)
-    rec = inverse_evolve(evolve_analytic(pk, plan), plan).components[0]
+    mix = unit_field(mean, num, den)
+    plan = plan_for(p, 0.0, t, mix)
+    rec = inverse_evolve(evolve_analytic(mix, plan), plan).components[0]
     scale = max(1.0, abs(num), abs(den))
     assert abs(rec.mean[0] - mean) < 1e-10 * scale
     assert abs(rec.num[0, 0] - num) < 1e-10 * scale
@@ -227,8 +231,8 @@ def _long_roundtrip(drift, tau):
     feedback, eps, mean, num = (-0.5, 0.1, 0.5, 4.0) if drift > 0 else (-0.3, 0.2, 0.3, 2.0)
     p = params_1d(lam=drift, eps=eps, feedback=feedback)
     pk = unit_packet(mean=mean, num=num)
-    plan = plan_for(p, 0.0, tau, pk)
-    return pk, inverse_evolve(evolve_analytic(pk, plan), plan).components[0]
+    plan = plan_for(p, 0.0, tau, GaussianMixture([pk]))
+    return pk, inverse_evolve(evolve_analytic(GaussianMixture([pk]), plan), plan).components[0]
 
 
 @pytest.mark.parametrize("drift, tau", [(-1.0, 20.0), (-3.0, 10.0), (3.0, 2.0)])
@@ -356,12 +360,12 @@ def test_sampled_inverse_is_repeatable_and_leaves_global_rng_alone():
 
 
 def test_plan_from_final_moment_closes_the_loop():
+    # the trajectory through the plan's end anchor at the final time passes
+    # through the initial moment at the start
     p = params_1d()
-    pk = unit_packet(mean=0.5)
-    fwd = plan_for(p, 0.0, 1.0, pk)
-    x_t = fwd.x_end
-    plan = plan_from_final_moment(p, 0.0, 1.0, x_t)
-    np.testing.assert_allclose(plan.x_start, [0.5], atol=1e-14)
+    fwd = plan_for(p, 0.0, 1.0, unit_field(mean=0.5))
+    x_s = p.moment_trajectory(fwd.x_end, 1.0).at(0.0)
+    np.testing.assert_allclose(x_s, [0.5], atol=1e-14)
 
 
 def test_2d_quadrature_matches_analytic():
@@ -374,7 +378,7 @@ def test_2d_quadrature_matches_analytic():
                                          [-7.0, -7.0], [7.0, 7.0], [55, 55])
     plan = plan_for(p, 0.0, 0.5, gamma)
     out = evolve_quadrature(gamma, plan)
-    exact = evolve_analytic(pk, plan).eval(p, out.points())
+    exact = evolve_analytic(GaussianMixture([pk]), plan).eval(p, out.points())
     assert np.max(np.abs(out.values.ravel() - exact)) < 1e-8
     assert out.total_mass() == pytest.approx(1.0, abs=1e-6)
 
@@ -386,8 +390,9 @@ def test_2d_analytic_roundtrip():
                     diffusion=0.3, coupling=1.0)
     pk = GaussianPacket(mean=[0.4, -0.1], num=np.eye(2),
                         den=np.array([[1.0, 0.2], [0.2, 1.5]]))
-    plan = plan_for(p, 0.0, 0.8, pk)
-    back = inverse_evolve(evolve_analytic(pk, plan), plan).components[0]
+    mix = GaussianMixture([pk])
+    plan = plan_for(p, 0.0, 0.8, mix)
+    back = inverse_evolve(evolve_analytic(mix, plan), plan).components[0]
     np.testing.assert_allclose(back.mean, pk.mean, atol=1e-12)
     np.testing.assert_allclose(back.num, pk.num, atol=1e-12)
     np.testing.assert_allclose(back.den, pk.den, atol=1e-12)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from fpknl import (DeltaLimitError, KernelContext, KernelValidityError, Matriciant,
-                   ModelParams, backward_quadratic_form, kernel, kernel_context,
+from fpknl import (DeltaLimitError, GaussianPacket, KernelContext, KernelValidityError,
+                   Matriciant, ModelParams, evolve_packet, kernel, kernel_context,
                    kernel_matrix)
 from fpknl import kernels
 
@@ -12,6 +14,26 @@ E = np.e
 def params_1d(lam=0.0, eps=1.0, feedback=0.0, kappa=0.0):
     return ModelParams(drift=[[lam]], coupling_state=[[0.0]],
                        coupling_mean=[[feedback]], diffusion=eps, coupling=kappa)
+
+
+def formal_kernel(ctx, x, y):
+    """The kernel's closed form as written, along a context in either
+    direction (kernel itself runs forward only): backward the spread is not
+    positive definite, so the prefactor takes |det| and the exponent grows."""
+    m, eps = ctx.m, ctx.params.diffusion
+    w = m.dn @ np.linalg.inv(m.nn)
+    xi = np.atleast_1d(x) - ctx.x_end - m.dd @ (np.atleast_1d(y) - ctx.x_start)
+    pref = (2 * np.pi * eps) ** (-len(xi) / 2) / np.sqrt(abs(np.linalg.det(w)))
+    return pref * np.exp(-xi @ np.linalg.solve(w, xi) / (2 * eps))
+
+
+def backward_quadratic_form(ctx, q_envelope):
+    """Quadratic coefficient (in y) of the exponent of formal_kernel along
+    ctx times a Gaussian envelope exp(-(y-c)^T Q (y-c) / 2 eps); the integral
+    of that product converges iff this matrix is negative definite."""
+    m = ctx.m
+    core = m.dd.T @ np.linalg.inv(m.dn @ np.linalg.inv(m.nn)) @ m.dd
+    return -0.5 / ctx.params.diffusion * (core + q_envelope)
 
 
 def test_zero_drift_reduces_to_heat_kernel():
@@ -95,8 +117,8 @@ def test_inverse_kernel_is_time_swapped_forward():
     ctx_fwd = kernel_context(p, 1.0, 0.0, x_start=[0.0])
     ctx_bwd = kernel_context(p, 0.0, 1.0, x_start=[0.0])
     for x, y in [(0.3, -0.4), (1.1, 0.2)]:
-        assert kernel(ctx_fwd.reversed(), [x], [y]) == pytest.approx(
-            kernel(ctx_bwd, [x], [y]), rel=1e-14)
+        assert formal_kernel(ctx_fwd.reversed(), [x], [y]) == pytest.approx(
+            formal_kernel(ctx_bwd, [x], [y]), rel=1e-14)
 
 
 def test_inverse_kernel_exponent_grows():
@@ -104,8 +126,8 @@ def test_inverse_kernel_exponent_grows():
     back = kernel_context(params_1d(1.0, 1.0), 1.0, 0.0).reversed()
     coeff = back.m.nn[0, 0] / back.m.dn[0, 0]
     assert coeff == pytest.approx(-0.15651764274966568, abs=1e-14)
-    near = kernel(back, [0.1], [0.0])
-    far = kernel(back, [3.0], [0.0])
+    near = formal_kernel(back, [0.1], [0.0])
+    far = formal_kernel(back, [3.0], [0.0])
     assert far > near  # grows away from the center
 
 
@@ -123,7 +145,8 @@ def test_delta_limit_guard():
     ctx = kernel_context(p, 1e-12, 0.0)
     with pytest.raises(DeltaLimitError):
         kernel(ctx, [0.0], [0.0])
-    with pytest.raises(DeltaLimitError):
+    # backward, however short, is refused before the delta limit is reached
+    with pytest.raises(KernelValidityError, match="backward"):
         kernel(ctx.reversed(), [0.0], [0.0])
 
 
@@ -137,11 +160,15 @@ def test_forward_kernel_rejects_non_spd_spread():
         kernel(ctx, [0.0], [0.0])
     with pytest.raises(KernelValidityError, match="kernel spread"):
         kernel_matrix(ctx, [[0.0]], [[0.0]])
-    # backward in time the same blocks are evaluated as written
+    # backward in time the same blocks are refused before the spread is
+    # read: kernels run forward only (the exponent would be sign indefinite)
     back = KernelContext(params=p, m=Matriciant(t=0.0, s=1.0, nn=bad.nn, dn=bad.dn,
                                                 dd=bad.dd),
                          x_start=np.zeros(1), x_end=np.zeros(1))
-    assert np.isfinite(kernel(back, [0.0], [0.0]))
+    with pytest.raises(KernelValidityError, match="backward"):
+        kernel(back, [0.0], [0.0])
+    with pytest.raises(KernelValidityError, match="backward"):
+        kernel_matrix(back, [[0.0]], [[0.0]])
 
 
 def test_kernel_matrix_matches_pointwise():
@@ -204,6 +231,12 @@ def test_kernel_matrix_matches_pointwise_off_center(dim, kind):
     ctx = {"lin": kernel_context(p, 0.7, 0.0), "nl": anchored,
            "nl_inv": anchored.reversed()}[kind]
     m, xo, yo = ctx.m, ctx.x_end, ctx.x_start
+    if ctx.t < ctx.s:
+        # kernels run forward only: both forms refuse the backward context
+        for evaluate in (kernel, kernel_matrix):
+            with pytest.raises(KernelValidityError, match="backward"):
+                evaluate(ctx, xo + 1000.0, yo + 1000.0)
+        return
     axis = np.linspace(-2.0, 2.0, 41 if dim == 1 else 9)
     ys = 1000.0 + np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
                            axis=-1).reshape(-1, dim)
@@ -246,7 +279,7 @@ def test_kernel_matrix_row_blocks_through_the_shared_evaluator(dim, monkeypatch)
 
 def test_backward_matriciant_is_lazy(monkeypatch):
     # a context builds one matriciant; reversed() inverts its blocks and
-    # builds none, so forward and backward kernels cost one exponential
+    # builds none, so a forward and a backward move cost one exponential
     calls = []
     real = kernels.matriciant
 
@@ -259,7 +292,8 @@ def test_backward_matriciant_is_lazy(monkeypatch):
     kernel(ctx, [0.0], [0.0])
     kernel_matrix(ctx, [[0.0]], [[0.0]])
     assert calls == [(0.9, 0.1)]
-    kernel(ctx.reversed(), [0.0], [0.0])
+    back = ctx.reversed()
+    assert (back.t, back.s) == (0.1, 0.9)
     assert calls == [(0.9, 0.1)]
 
 
@@ -289,3 +323,19 @@ def test_overflowing_moment_anchor_raises_kernel_validity_error():
     lin = kernel_context(p, 100.0, 0.0)
     assert np.all(np.isfinite(lin.x_end))
     assert 0.0 < kernel(lin, [[0.0]], [[0.0]]) < np.inf
+
+
+def test_overflow_raises_the_typed_error_not_a_warning():
+    # the matrix exponentials overflow quietly and the finiteness checks
+    # after them name the horizon; numpy's overflow warning used to escape
+    # first, and under warnings-as-errors replaced the typed error
+    stable = ModelParams([[3.0]], [[0.0]], [[-0.5]], 0.1, 1.0)
+    packet = GaussianPacket([0.5], [[1.0]], [[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: kernel_context(stable, 250.0, 0.0),
+                      lambda: evolve_packet(packet, stable, 250.0, 0.0),
+                      lambda: kernel_context(params_1d(1.0, 0.5, feedback=-10.0, kappa=1.0),
+                                             100.0, 0.0, x_start=[0.5])):
+            with pytest.raises(KernelValidityError, match="overflows"):
+                build()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fpknl import (GaussianMixture, GaussianPacket, InvalidCovarianceError,
-                   KernelContext, KernelValidityError, ModelParams, evolve_packet,
-                   kernel_context, matriciant, propagate_packet, residual_field,
-                   spacetime_samples)
+from fpknl import (GaussianMixture, GaussianPacket, InputError, InvalidCovarianceError,
+                   KernelContext, KernelValidityError, ModelParams, NormalizationError,
+                   checks, evolve_packet, kernel_context, matriciant, propagate_packet,
+                   residual_field, spacetime_samples)
 from fpknl import packets
 
 
@@ -39,9 +39,9 @@ def test_evolve_identity_at_equal_times():
     p = params_1d(lam=1.0, eps=0.5)
     pk = GaussianPacket(mean=[0.3], num=[[1.0]], den=[[1.0]])
     out = evolve_packet(pk, p, 2.0, 2.0)
-    np.testing.assert_allclose(out.mean, pk.mean)
-    np.testing.assert_allclose(out.num, pk.num)
-    np.testing.assert_allclose(out.den, pk.den)
+    np.testing.assert_allclose(out.mean[0], pk.mean)
+    np.testing.assert_allclose(out.num[0], pk.num)
+    np.testing.assert_allclose(out.den[0], pk.den)
 
 
 def test_heat_variance_growth():
@@ -49,8 +49,8 @@ def test_heat_variance_growth():
     p = params_1d(lam=0.0, eps=0.5)
     pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
     out = evolve_packet(pk, p, 1.0, 0.0)
-    assert out.precision()[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
-    cov = out.covariance(p)
+    assert out.precision()[0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
+    cov = p.diffusion * np.linalg.inv(out.precision()[0])
     assert cov[0, 0] == pytest.approx(1.5, abs=1e-12)
 
 
@@ -64,7 +64,8 @@ def test_mean_follows_moment_trajectory():
 def test_packet_moments_of_valid_packet():
     p = params_1d(eps=0.5)
     pk = GaussianPacket(mean=[-0.3], num=[[1.0]], den=[[3.0]], weight=0.9)
-    mass, mean, cov = pk.total_mass(), pk.mean, pk.covariance(p)
+    mix = GaussianMixture([pk])
+    mass, mean, cov = mix.total_mass(), pk.mean, p.diffusion * np.linalg.inv(mix.precision()[0])
     assert mass == pytest.approx(0.9)
     assert mean[0] == pytest.approx(-0.3)
     assert cov[0, 0] == pytest.approx(1.5, abs=1e-13)
@@ -74,7 +75,7 @@ def test_mass_invariant_along_evolution():
     p = params_1d(lam=0.7, eps=0.2, feedback=-0.4, kappa=1.0)
     pk = GaussianPacket(mean=[0.6], num=[[1.2]], den=[[0.8]], weight=1.0)
     for t in (0.1, 0.5, 1.0, 2.0):
-        assert evolve_packet(pk, p, t, 0.0).total_mass() == pk.total_mass()
+        assert evolve_packet(pk, p, t, 0.0).total_mass() == GaussianMixture([pk]).total_mass()
 
 
 def test_grid_mass_of_evolved_packet():
@@ -113,9 +114,9 @@ def test_reduction_identity_links_linear_and_coupled_flows():
     pk = GaussianPacket(mean=[0.5], num=[[1.1]], den=[[0.9]])
     t = 0.9
     coupled = evolve_packet(pk, p, t, 0.0)
-    linear = propagate_packet(pk, kernel_context(p, t, 0.0))
+    linear = propagate_packet(GaussianMixture([pk]), kernel_context(p, t, 0.0))
     x_coupled = p.moment_trajectory(pk.mean, 0.0).at(t)
-    x_linear = linear.mean  # drift-only mean law
+    x_linear = linear.mean[0]  # drift-only mean law
     xs = np.linspace(-3, 3, 57).reshape(-1, 1)
     np.testing.assert_allclose(
         coupled.eval(p, xs),
@@ -131,6 +132,41 @@ def test_evolve_packet_names_an_overflowing_moment_trajectory():
     with pytest.raises(KernelValidityError,
                        match=r"\|t - s\| = 100.*moment trajectory overflows"):
         evolve_packet(pk, p, 100.0, 0.0)
+
+
+@pytest.mark.parametrize("weight", [2.0, 0.5, 0.0])
+def test_evolve_packet_refuses_a_packet_that_is_not_unit_mass(weight):
+    # the feedback reads the raw moment weight * mean, so a packet of another
+    # weight solves a different equation; the FD oracle check used to report
+    # linf 0.53 and moment deviation 0.61 at weight 2 instead of an error
+    p, _ = checks.reference_case()
+    pk = GaussianPacket([0.5], [[1.0]], [[1.0]], weight=weight)
+    with pytest.raises(NormalizationError, match="weight 1"):
+        evolve_packet(pk, p, 0.5, 0.0)
+    with pytest.raises(NormalizationError, match="weight 1"):
+        checks.fd_vs_analytic(p, pk, nx=601, dt=1e-4, t_end=0.5)
+
+
+@pytest.mark.parametrize("fields", [
+    {"mean": [0.5], "num": [[1.0, 0.0]], "den": [[1.0]]},
+    {"mean": [0.5], "num": np.eye(2), "den": np.eye(2)},
+    {"mean": [[0.5, 0.1]], "num": np.eye(2), "den": np.eye(2)},
+    {"mean": [0.5, 0.1], "num": np.eye(2), "den": [[1.0]]},
+    {"mean": [0.5], "num": [[1.0]], "den": [[1.0]], "amp1": [1.0, 2.0]},
+])
+def test_packet_rejects_mismatched_shapes(fields):
+    # used to surface later as numpy's solve or inhomogeneous-array ValueError
+    with pytest.raises(InputError, match="packet needs"):
+        GaussianPacket(**fields)
+
+
+def test_mixture_rejects_components_of_different_dimensions():
+    # used to raise InvalidCovarianceError, reported as a numerical error
+    one = GaussianPacket([0.5], [[1.0]], [[1.0]])
+    two = GaussianPacket([0.5, 0.0], np.eye(2), np.eye(2))
+    for comps in ([one, two], []):
+        with pytest.raises(InputError, match="one dimension"):
+            GaussianMixture(comps)
 
 
 def test_invalid_covariance_detected():
@@ -198,14 +234,13 @@ def test_mixture_eval_and_moment_match_per_component_reference(dim):
     vals, moment = reference_mixture(comps, p.diffusion, pts)
     for got, want in ((mix.eval(p, pts), vals), (mix.first_moment(p), moment)):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
-    # a packet is a mixture of one, and the stacked flow moves each
-    # component exactly as it would move alone
+    # a packet evaluates as the mixture of one, and the stacked flow moves
+    # each component exactly as it would move alone
     ctx = KernelContext(p, matriciant(p, 0.7, 0.0), x_start=moment, x_end=np.ones(dim))
     moved = propagate_packet(mix, ctx).components
     for c, c_t in zip(comps, moved):
         assert np.array_equal(c.eval(p, pts), GaussianMixture([c]).eval(p, pts))
-        assert np.array_equal(c.first_moment(p), GaussianMixture([c]).first_moment(p))
-        alone = propagate_packet(c, ctx)
+        alone = propagate_packet(GaussianMixture([c]), ctx).components[0]
         for f in ("mean", "num", "den", "amp1"):
             assert np.array_equal(getattr(alone, f), getattr(c_t, f))
     # components come back as the packets that went in

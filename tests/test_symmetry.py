@@ -19,16 +19,20 @@ def params_1d(lam=1.0, eps=0.1, feedback=-0.5, kappa=1.0):
                        coupling_mean=[[feedback]], diffusion=eps, coupling=kappa)
 
 
-def unit_packet(mean=0.5, num=1.0, den=1.0):
-    return GaussianPacket(mean=[mean], num=[[num]], den=[[den]])
+def unit_field(mean=0.5, num=1.0, den=1.0):
+    return GaussianMixture([GaussianPacket(mean=[mean], num=[[num]], den=[[den]])])
+
+
+# the operator that leaves every field as it is
+IDENTITY = InitialOperator(1.0, [0.0], [0.0])
 
 
 # -------------------------------------------------------------- applications
 
 def test_identity_operator_returns_input():
     p = params_1d()
-    pk = unit_packet()
-    app = apply_initial_op(InitialOperator.identity(1), pk, p)
+    pk = unit_field()
+    app = apply_initial_op(IDENTITY, pk, p)
     assert app.alpha == pytest.approx(1.0)
     assert app.normalized
     xs = np.linspace(-3, 3, 41).reshape(-1, 1)
@@ -38,7 +42,7 @@ def test_identity_operator_returns_input():
 def test_explicit_seed_on_centered_gaussian_has_zero_mass():
     # (x - mean + d/dx) applied to its own Gaussian integrates to zero
     p = params_1d(eps=0.4)
-    pk = unit_packet(mean=0.3, num=1.2, den=0.9)
+    pk = unit_field(mean=0.3, num=1.2, den=0.9)
     op = InitialOperator(const=-0.3, lin=[1.0], grad=[1.0])
     app = apply_initial_op(op, pk, p)
     assert app.alpha == pytest.approx(0.0, abs=1e-15)
@@ -47,7 +51,7 @@ def test_explicit_seed_on_centered_gaussian_has_zero_mass():
 
 def test_position_operator_yields_mean():
     p = params_1d(eps=0.4)
-    pk = unit_packet(mean=0.8)
+    pk = unit_field(mean=0.8)
     op = InitialOperator(const=0.0, lin=[1.0], grad=[0.0])
     app = apply_initial_op(op, pk, p)
     assert app.alpha == pytest.approx(0.8, abs=1e-14)
@@ -55,7 +59,7 @@ def test_position_operator_yields_mean():
 
 def test_gradient_operator_gives_odd_zero_mass_field():
     p = params_1d(eps=0.4)
-    pk = unit_packet(mean=0.2)
+    pk = unit_field(mean=0.2)
     op = InitialOperator(const=0.0, lin=[0.0], grad=[1.0])
     app = apply_initial_op(op, pk, p)
     assert app.alpha == pytest.approx(0.0, abs=1e-15)
@@ -64,14 +68,14 @@ def test_gradient_operator_gives_odd_zero_mass_field():
     assert vals[0] == pytest.approx(-vals[1], abs=1e-14)  # odd about the mean
     # proportional to (x - mean) times the Gaussian
     d = 0.5
-    expected = d * pk.precision()[0, 0] / p.diffusion * pk.eval(p, [0.2 + d])
+    expected = d * pk.precision()[0, 0, 0] / p.diffusion * pk.eval(p, [0.2 + d])
     assert vals[1] == pytest.approx(-expected, rel=1e-12)
 
 
 def test_apply_operator_on_sampled_matches_analytic():
     from fpknl import SampledDensity
     p = params_1d(eps=0.4)
-    pk = unit_packet(mean=0.3)
+    pk = unit_field(mean=0.3)
     op = InitialOperator(const=0.2, lin=[0.7], grad=[-0.4])
     gamma = SampledDensity.from_callable(lambda q: pk.eval(p, q),
                                          [-8.0], [8.0], [3201])
@@ -131,7 +135,7 @@ def routes_on(params, packet, op, t, override=None):
 
 def test_routes_agree_for_generic_operator():
     p = params_1d(lam=1.0, eps=0.4, feedback=-0.5, kappa=0.7)
-    pk = unit_packet(mean=0.6, num=1.2, den=0.9)
+    pk = unit_field(mean=0.6, num=1.2, den=0.9)
     op = InitialOperator(const=0.4, lin=[0.9], grad=[-0.5])
     a, b, c, _ = routes_on(p, pk, op, 0.8)
     assert np.max(np.abs(a - b)) < 1e-8
@@ -140,8 +144,8 @@ def test_routes_agree_for_generic_operator():
 
 def test_routes_agree_for_explicit_seed_and_match_closed_form():
     p = params_1d()
-    pk = unit_packet()
-    op = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean)
+    pk = unit_field()
+    op = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean[0])
     a, b, c, xs = routes_on(p, pk, op, 1.0, override=[0.2])
     closed = linsym_closed_form(p, 1.0, 0.0, 1.0, 1.0, 0.5, 0.2)(xs)
     assert np.max(np.abs(a - b)) < 1e-8
@@ -159,7 +163,7 @@ def test_routes_agree_for_explicit_seed_and_match_closed_form():
 def test_routes_agree_property(a0, a1, ag, lam, mean, t):
     # a0 bounded away from 0 keeps the operator image clearly normalizable
     p = params_1d(lam=lam, eps=0.4, feedback=-0.5, kappa=0.7)
-    pk = unit_packet(mean=mean, num=1.1, den=0.9)
+    pk = unit_field(mean=mean, num=1.1, den=0.9)
     op = InitialOperator(const=a0, lin=[a1], grad=[ag])
     alpha = a0 + a1 * mean
     if abs(alpha) < 0.05:
@@ -172,8 +176,8 @@ def test_routes_agree_property(a0, a1, ag, lam, mean, t):
 
 def test_identity_operator_routes_return_solution():
     p = params_1d()
-    pk = unit_packet()
-    op = InitialOperator.identity(1)
+    pk = unit_field()
+    op = IDENTITY
     a, b, c, xs = routes_on(p, pk, op, 1.0)
     plan = plan_for(p, 0.0, 1.0, pk)
     u_vals = evolve_analytic(pk, plan).eval(p, xs)
@@ -183,8 +187,8 @@ def test_identity_operator_routes_return_solution():
 
 def test_zero_mass_route_needs_moment_override():
     p = params_1d()
-    pk = unit_packet()
-    op = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean)
+    pk = unit_field()
+    op = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean[0])
     with pytest.raises(InputError):
         build_shifts(op, pk, p, 0.0)
 
@@ -208,7 +212,7 @@ def test_zero_mass_field_has_no_normalized_moment(sampled):
 
 def test_image_moment_trajectories():
     p = params_1d()
-    pk = unit_packet()
+    pk = unit_field()
     op = InitialOperator(const=0.4, lin=[0.9], grad=[-0.5])
     shifts = build_shifts(op, pk, p, 0.0)
     # image moment follows the coupled rate, the drift shift the linear rate
@@ -240,8 +244,8 @@ def test_routes_agree_in_two_dimensions():
     p = ModelParams(drift=lam, coupling_state=np.zeros((2, 2)),
                     coupling_mean=np.array([[-0.4, 0.1], [0.0, -0.3]]),
                     diffusion=0.35, coupling=0.8)
-    pk = GaussianPacket(mean=[0.5, -0.3], num=np.eye(2),
-                        den=np.array([[1.0, 0.2], [0.2, 1.4]]))
+    pk = GaussianMixture([GaussianPacket(mean=[0.5, -0.3], num=np.eye(2),
+                                         den=np.array([[1.0, 0.2], [0.2, 1.4]]))])
     t = 0.7
     plan = plan_for(p, 0.0, t, pk)
     u = evolve_analytic(pk, plan)
@@ -259,7 +263,7 @@ def test_routes_agree_in_two_dimensions():
     # explicit seed lifted row-wise, zero-mass image with supplied moment
     seed = [0.2, -0.1]
     for direction in (0, 1):
-        lop = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean,
+        lop = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean[0],
                               direction=direction)
         sh = build_shifts(lop, pk, p, 0.0, moment_override=seed)
         assert sh.alpha == pytest.approx(0.0, abs=1e-14)
@@ -273,8 +277,8 @@ def test_routes_agree_in_two_dimensions():
 
 def test_transformed_field_solves_equation_at_second_order():
     p = params_1d()
-    pk = unit_packet()
-    op = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean)
+    pk = unit_field()
+    op = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean[0])
     app = apply_initial_op(op, pk, p)
     seed = [0.2]
 
