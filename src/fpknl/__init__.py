@@ -14,7 +14,6 @@ from .symmetry import (InitialOperator, OperatorApplication, SymmetryShifts,
                        evolve_operator, linsym_closed_form, linsym_operator,
                        residual_field, spacetime_samples, symmetry_apply_conclusion,
                        symmetry_apply_evolution, symmetry_apply_shift)
-from .variations import (Matriciant, fraction, matriciant, matriciant_rk4,
-                         propagate_pair, riccati_factor)
+from .variations import Matriciant, fraction, matriciant, matriciant_rk4, propagate_pair
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .symmetry import (apply_initial_op, build_shifts, linsym_closed_form,
                        linsym_operator, residual_field, spacetime_samples,
                        symmetry_apply_conclusion, symmetry_apply_evolution,
                        symmetry_apply_shift)
-from .variations import matriciant, matriciant_rk4, riccati_factor
+from .variations import matriciant, matriciant_rk4, propagate_pair
 
 # tolerances shared with the command line's per-run checks
 QUADRATURE_TOL = 1e-6        # quadrature mass and first moment
@@ -237,8 +237,9 @@ def check_riccati_residual() -> list[CheckResult]:
         den0 = _random_spd(rng, n)
         lam_m = params.effective_drift
         def q_at(tt):
-            return riccati_factor(matriciant(params, tt, 0.0), num0, den0,
-                                  symmetrize=False)
+            # the raw fraction, unsymmetrized: it solves the flow exactly
+            num, den = propagate_pair(matriciant(params, tt, 0.0), num0, den0)
+            return np.linalg.solve(den.mT, num.mT).mT
 
         h = 1e-5
         for t in np.linspace(0.05, 0.8, samples):

@@ -273,7 +273,7 @@ def task_evolve(cfg: dict, params: ModelParams):
         out = evolve(initial, plan)
         rows += _sample_rows(t, xs, sample(out))
         mass = out.total_mass()
-        mom = out.first_moment(params)
+        mom = out.first_moment()
         dev = float(np.max(np.abs(mom - plan.x_end)))
         results += [checks.result(f"mass@t={t:g}", abs(mass - 1), tol),
                     checks.result(f"moment@t={t:g}", dev, tol)]
@@ -310,7 +310,7 @@ def task_symmetry(cfg: dict, params: ModelParams):
         raise ConfigurationError("the symmetry task needs a gaussian initial block")
     sc = cfg.get("symmetry", {})
     op_cfg = sc.get("operator", "linsym")
-    x_gamma = initial.first_moment(params, normalized=True)
+    x_gamma = initial.first_moment(normalized=True)
     if op_cfg == "linsym":
         op = linsym_operator(params, matriciant(params, s, s), x_gamma)
     else:

@@ -60,7 +60,7 @@ def plan_for(params: ModelParams, s: float, t: float,
     if moment_override is not None:
         x0 = _vector(moment_override, params.dim, "moment_override")
     else:
-        x0 = initial.first_moment(params, normalized=True)
+        x0 = initial.first_moment(normalized=True)
     return kernel_context(params, t, s, x0)
 
 
@@ -133,7 +133,7 @@ def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixtur
             f"{INVERSE_PRECISION:.0e}); rounding swamps the initial data"
         )
     out = propagate_packet(u, back)
-    out.precision(density_valid=True)  # backward blocks must keep a valid shape
+    out.precision()  # backward blocks must keep a valid shape
     return out
 
 

@@ -185,9 +185,8 @@ class SampledDensity:
     def total_mass(self) -> float:
         return float(np.sum(self.weights() * self.values))
 
-    def first_moment(self, params=None, normalized: bool = False) -> np.ndarray:
-        """Trapezoid integral of x times the samples; params is accepted for
-        the shared field interface and unused."""
+    def first_moment(self, normalized: bool = False) -> np.ndarray:
+        """Trapezoid integral of x times the samples, raw or per unit mass."""
         wv = self.weights() * self.values
         moment = np.array([np.sum(wv * self.coordinate(i)) for i in range(self.dim)])
         return normalize_moment(moment, self.total_mass()) if normalized else moment

@@ -2,9 +2,12 @@
 
 A packet stores the precision fraction (num, den) rather than the
 precision itself, so the propagation law stays linear and focal points
-remain representable.  An optional affine amplitude ``amp0 + amp1.(x-mean)``
-extends the class just enough to keep it closed under first-order
-operators; plain densities have amp0 = 1, amp1 = 0.
+remain representable.  A component is ``weight (amp0 N - dipole . grad N)``
+with N the normalized Gaussian: the dipole extends the class just enough
+to keep it closed under first-order operators, it is the component's
+share of the first moment beyond amp0 times the mean, and the linear flow
+moves it as it moves a mean offset, ``dipole -> dd @ dipole``.  Plain
+densities have amp0 = 1 and no dipole.
 
 The solver takes and returns one Gaussian field, the GaussianMixture: its
 K components are stacked arrays, each of its operations is one stacked
@@ -80,14 +83,14 @@ def _points(x, n: int) -> tuple[np.ndarray, bool]:
 
 @dataclass
 class GaussianPacket:
-    """Parameters of one component: mean (n,), num, den (n, n), weight, amp0, amp1 (n,)."""
+    """Parameters of one component: mean (n,), num, den (n, n), weight, amp0, dipole (n,)."""
 
     mean: np.ndarray
     num: np.ndarray
     den: np.ndarray
     weight: float = 1.0
     amp0: float = 1.0
-    amp1: np.ndarray | None = None
+    dipole: np.ndarray | None = None
 
     def __post_init__(self):
         # num itself need not stay symmetric along the flow; only the
@@ -95,16 +98,16 @@ class GaussianPacket:
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         self.num = np.atleast_2d(np.asarray(self.num, dtype=float))
         self.den = np.atleast_2d(np.asarray(self.den, dtype=float))
-        if self.amp1 is not None:
-            self.amp1 = np.atleast_1d(np.asarray(self.amp1, dtype=float))
+        if self.dipole is not None:
+            self.dipole = np.atleast_1d(np.asarray(self.dipole, dtype=float))
         n = len(self.mean)
         shapes = (self.mean.shape, self.num.shape, self.den.shape,
-                  (n,) if self.amp1 is None else self.amp1.shape)
+                  (n,) if self.dipole is None else self.dipole.shape)
         if shapes != ((n,), (n, n), (n, n), (n,)):
-            raise InputError("packet needs mean (n,), num and den (n, n) and amp1 (n,); "
-                             f"got mean, num, den, amp1 of shapes {shapes}")
-        if self.amp1 is not None and not np.any(self.amp1):
-            self.amp1 = None
+            raise InputError("packet needs mean (n,), num and den (n, n) and dipole (n,); "
+                             f"got mean, num, den, dipole of shapes {shapes}")
+        if self.dipole is not None and not np.any(self.dipole):
+            self.dipole = None
 
     def eval(self, params: ModelParams, x) -> np.ndarray:
         return GaussianMixture([self]).eval(params, x)
@@ -112,7 +115,7 @@ class GaussianPacket:
 
 class GaussianMixture:
     """Weighted sum of K Gaussian components, held as stacks: mean (K, n), num
-    and den (K, n, n), weight and amp0 (K,), amp1 (K, n) or None when no
+    and den (K, n, n), weight and amp0 (K,), dipole (K, n) or None when no
     component carries one.  `components` lists their parameter records."""
 
     def __init__(self, components):
@@ -121,7 +124,8 @@ class GaussianMixture:
             raise InputError(f"mixture needs components of one dimension, got {sorted(dims)}")
         self._set(*(np.array([getattr(c, f) for c in comps], dtype=float)
                     for f in ("mean", "num", "den", "weight", "amp0")),
-                  np.array([np.zeros_like(c.mean) if c.amp1 is None else c.amp1 for c in comps]))
+                  np.array([np.zeros_like(c.mean) if c.dipole is None else c.dipole
+                            for c in comps]))
 
     @classmethod
     def _of(cls, *stacks) -> "GaussianMixture":
@@ -129,28 +133,27 @@ class GaussianMixture:
         mix._set(*stacks)
         return mix
 
-    def _set(self, mean, num, den, weight, amp0, amp1) -> None:
+    def _set(self, mean, num, den, weight, amp0, dipole) -> None:
         self.mean, self.num, self.den, self.weight, self.amp0 = mean, num, den, weight, amp0
-        self.amp1 = amp1 if amp1 is not None and np.any(amp1) else None
+        self.dipole = dipole if dipole is not None and np.any(dipole) else None
 
     @property
     def components(self) -> list[GaussianPacket]:
-        amp1 = [None] * len(self.weight) if self.amp1 is None else self.amp1
+        dipole = [None] * len(self.weight) if self.dipole is None else self.dipole
         return [GaussianPacket(self.mean[k], self.num[k], self.den[k], float(self.weight[k]),
-                               float(self.amp0[k]), amp1[k]) for k in range(len(self.weight))]
+                               float(self.amp0[k]), dipole[k]) for k in range(len(self.weight))]
 
-    def precision(self, density_valid: bool = True) -> np.ndarray:
-        return fraction(self.num, self.den, density_valid=density_valid)
+    def precision(self) -> np.ndarray:
+        return fraction(self.num, self.den)
 
     def total_mass(self) -> float:
         return float(_in_order(self.weight * self.amp0))
 
-    def first_moment(self, params: ModelParams, normalized: bool = False) -> np.ndarray:
+    def first_moment(self, normalized: bool = False) -> np.ndarray:
         """Integral of x times the mixture, raw or per unit mass."""
-        q = self.precision(density_valid=False)
         out = self.amp0[:, None] * self.mean
-        if self.amp1 is not None:
-            out = out + params.diffusion * np.linalg.solve(q, self.amp1[..., None])[..., 0]
+        if self.dipole is not None:
+            out = out + self.dipole
         raw = _in_order(self.weight[:, None] * out)
         return normalize_moment(raw, self.total_mass()) if normalized else raw
 
@@ -175,12 +178,14 @@ class GaussianMixture:
             hd = _mv(hg, d)
             coef = np.concatenate([-2.0 * hd, hg.reshape(len(g), n * n),
                                    (hd * d).sum(axis=1, keepdims=True)], axis=1)
-            if self.amp1 is None:
+            if self.dipole is None:
                 amp = (scale[g] * self.amp0[g])[:, None]
             else:
-                # amp0 + amp1.(x - m) = (amp0 - amp1.d) + amp1.y
-                a1 = self.amp1[g]
-                a0 = (self.amp0[g] - (self.amp1[g] * d).sum(axis=1))[:, None]
+                # amp0 N - dipole . grad N = (amp0 + a1.(x - m)) N with
+                # a1 = Q dipole / eps = -2 H dipole, and
+                # amp0 + a1.(x - m) = (amp0 - a1.d) + a1.y
+                a1 = -2.0 * _mv(hg, self.dipole[g])
+                a0 = (self.amp0[g] - (a1 * d).sum(axis=1))[:, None]
             # near-equal blocks of points, each holding at most about
             # BLOCK_ENTRIES entries of the (K, points) product or of the
             # features; at four or more points a block, none is left with
@@ -195,7 +200,7 @@ class GaussianMixture:
                 np.multiply(y[:, None], y, out=feats[n:-1].reshape(n, n, -1))
                 feats[-1] = 1.0
                 block = exp_product(coef, feats)
-                if self.amp1 is not None:
+                if self.dipole is not None:
                     block *= scale[g][:, None]
                     amp = a1 @ y
                     amp += a0
@@ -207,21 +212,21 @@ class GaussianMixture:
 
     def shifted(self, delta) -> "GaussianMixture":
         return self._of(self.mean + np.asarray(delta, dtype=float), self.num, self.den,
-                        self.weight, self.amp0, self.amp1)
+                        self.weight, self.amp0, self.dipole)
 
     def scaled(self, factor: float) -> "GaussianMixture":
         return self._of(self.mean, self.num, self.den, self.weight * float(factor),
-                        self.amp0, self.amp1)
+                        self.amp0, self.dipole)
 
     def copy(self) -> "GaussianMixture":
-        return self._of(self.mean, self.num, self.den, self.weight, self.amp0, self.amp1)
+        return self._of(self.mean, self.num, self.den, self.weight, self.amp0, self.dipole)
 
 
 def propagate_packet(mix: GaussianMixture, ctx: KernelContext) -> GaussianMixture:
     """Advance all components of a mixture at once along a directed context:
     the matriciant blocks ctx.m around the moment-frame anchors ctx.x_start
     at ctx.s and ctx.x_end at ctx.t (the trajectory of the full density the
-    components belong to).
+    components belong to).  A dipole moves as a mean offset does, by dd.
 
     The zero-anchored ``kernel_context(params, t, s)`` is the plain linear
     drift-diffusion flow, and ``ctx.reversed()`` the flow back from t to s.
@@ -229,13 +234,8 @@ def propagate_packet(mix: GaussianMixture, ctx: KernelContext) -> GaussianMixtur
     m = ctx.m
     num, den = propagate_pair(m, mix.num, mix.den)
     mean = ctx.x_end + _mv(m.dd, mix.mean - ctx.x_start)
-    amp1 = None
-    if mix.amp1 is not None:
-        # affine amplitude rides the same flow: amp1' = Q_t dd Q_s^{-1} amp1
-        q_s = mix.precision(density_valid=False)
-        q_t = fraction(num, den, density_valid=False)
-        amp1 = _mv(q_t, _mv(m.dd, np.linalg.solve(q_s, mix.amp1[..., None])[..., 0]))
-    return GaussianMixture._of(mean, num, den, mix.weight, mix.amp0, amp1)
+    dipole = None if mix.dipole is None else _mv(m.dd, mix.dipole)
+    return GaussianMixture._of(mean, num, den, mix.weight, mix.amp0, dipole)
 
 
 def evolve_packet(p0: GaussianPacket, params: ModelParams,
@@ -246,18 +246,18 @@ def evolve_packet(p0: GaussianPacket, params: ModelParams,
     The packet is its own density, so its mean is the initial first moment;
     it moves along the context anchored on the moment trajectory from there.
     """
-    if p0.amp1 is not None or p0.amp0 != 1.0:
+    if p0.dipole is not None or p0.amp0 != 1.0:
         raise InvalidCovarianceError(
             "evolve_packet needs a plain density packet; "
-            "evolve amplitude-carrying packets through an evolution plan"
+            "evolve dipole or amplitude-carrying packets through an evolution plan"
         )
     if p0.weight != 1.0:  # the feedback reads the raw moment, weight times mean
         raise NormalizationError(f"evolve_packet needs weight 1, got {p0.weight:.12g}; "
                                  "evolve other masses as raw fields through evolve_analytic")
     mix = GaussianMixture([p0])
-    mix.precision(density_valid=True)
+    mix.precision()
     if t == s:
         return mix
     out = propagate_packet(mix, kernel_context(params, t, s, p0.mean))
-    out.precision(density_valid=True)
+    out.precision()
     return out

@@ -5,8 +5,9 @@ solution.  Three equivalent constructions are provided:
 
 * shift route: center, apply the time-evolved operator, re-center around
   the image's own moment trajectory;
-* conclusion route: the evolved operator composed with the drift shift,
-  applied in the moving frame;
+* conclusion route: the evolved operator composed with the drift shift
+  (the image's moment offset moved by the matriciant block dd), applied
+  in the moving frame;
 * conjugation route: forward evolution of (operator applied to the
   recovered initial data), i.e. evolve o operator o inverse.
 
@@ -61,13 +62,13 @@ class InitialOperator:
 
 
 def evolve_operator(op: InitialOperator, params: ModelParams,
-                    t: float, s: float) -> InitialOperator:
-    """Coefficients of the operator carried by the drift-only linear flow.
+                    m: Matriciant) -> InitialOperator:
+    """Coefficients of the operator carried by the drift-only linear flow
+    over the matriciant m.
 
     They obey d(lin)/dt = L^T lin, d(grad)/dt = 2 eps lin - L grad with the
     constant part frozen, i.e. the same block law as the precision pair.
     """
-    m = matriciant(params, t, s)
     return InitialOperator(op.const, m.nn @ op.lin,
                            params.diffusion * (m.dn @ op.lin) + m.dd @ op.grad)
 
@@ -96,13 +97,15 @@ class OperatorApplication:
 
 def _apply_to_mixture(op: InitialOperator, mix: GaussianMixture,
                       params: ModelParams) -> tuple[GaussianMixture, float]:
-    if mix.amp1 is not None:
-        raise InputError("operator application to an amplitude-carrying packet "
-                         "would leave the affine class")
-    q = mix.precision(density_valid=False)
+    if mix.dipole is not None:
+        raise InputError("operator application to a dipole-carrying packet "
+                         "would leave the first-order class")
+    # (const + lin.x) N + grad . grad N: lin.(x - m) N = -eps inv(Q) lin . grad N
+    q = mix.precision()
     amp0 = mix.amp0 * (op.const + mix.mean @ op.lin)
-    amp1 = mix.amp0[:, None] * (op.lin - q @ op.grad / params.diffusion)
-    out = GaussianMixture._of(mix.mean, mix.num, mix.den, mix.weight, amp0, amp1)
+    lin = params.diffusion * np.linalg.solve(q, op.lin[:, None])[..., 0]
+    dipole = mix.amp0[:, None] * (lin - op.grad)
+    out = GaussianMixture._of(mix.mean, mix.num, mix.den, mix.weight, amp0, dipole)
     return out, out.total_mass()
 
 
@@ -144,8 +147,8 @@ class SymmetryShifts:
 
     base_moment   : trajectory of the solution being transformed
     image_moment  : trajectory seeded at the operator image's moment
-    lam           : image moment relative to the base moment at time s
-    drift_shift   : lam carried by the drift-only law (rate -L)
+    lam           : image moment relative to the base moment at time s; the
+                    drift-only flow carries it to dd(t, s) @ lam at time t
     alpha         : integral of (operator applied to the initial data)
     normalized    : whether outputs are divided by alpha
     """
@@ -155,7 +158,6 @@ class SymmetryShifts:
     base_moment: MomentTrajectory
     image_moment: MomentTrajectory
     lam: np.ndarray
-    drift_shift: MomentTrajectory
     alpha: float
     normalized: bool
 
@@ -170,12 +172,12 @@ def build_shifts(op: InitialOperator,
     mass, moment_override fixes the image trajectory; otherwise the image
     moment is the ratio of raw integrals.
     """
-    x_gamma = gamma.first_moment(params, normalized=True)
+    x_gamma = gamma.first_moment(normalized=True)
     app = apply_initial_op(op, gamma, params)
     if moment_override is not None:
         x_image = _vector(moment_override, params.dim, "moment_override")
     elif app.normalized:
-        x_image = app.field.first_moment(params)
+        x_image = app.field.first_moment()
     else:
         raise InputError(
             "operator image has zero mass; supply moment_override to seed "
@@ -186,30 +188,27 @@ def build_shifts(op: InitialOperator,
         params=params, s=float(s),
         base_moment=params.moment_trajectory(x_gamma, s),
         image_moment=params.moment_trajectory(x_image, s),
-        lam=lam,
-        drift_shift=MomentTrajectory(t0=float(s), x0=lam,
-                                     rate=-params.effective_drift),
-        alpha=app.alpha, normalized=app.normalized,
+        lam=lam, alpha=app.alpha, normalized=app.normalized,
     )
 
 
 def _centered_operator(op: InitialOperator, shifts: SymmetryShifts,
-                       t: float) -> InitialOperator:
-    """Time-evolved operator in the frame centered on the base solution."""
-    return evolve_operator(op.shift_argument(shifts.base_moment.x0),
-                           shifts.params, t, shifts.s)
+                       m: Matriciant) -> InitialOperator:
+    """Operator evolved over m in the frame centered on the base solution."""
+    return evolve_operator(op.shift_argument(shifts.base_moment.x0), shifts.params, m)
 
 
 def symmetry_apply_shift(op: InitialOperator, u: GaussianMixture,
                          shifts: SymmetryShifts, t: float) -> GaussianMixture:
     """Shift route: evolved centered operator and solution, both evaluated
     at the composed shift, then re-anchored on the image trajectory."""
+    m = matriciant(shifts.params, t, shifts.s)
     y_t = shifts.image_moment.at(t)
-    l_t = shifts.drift_shift.at(t)
+    l_t = m.dd @ shifts.lam
     x_u = shifts.base_moment.at(t)
     delta_op = -y_t + l_t
     moved = u.shifted(y_t - l_t - x_u)  # u evaluated at x + delta_op + X_u
-    a_t = _centered_operator(op, shifts, t).shift_argument(delta_op)
+    a_t = _centered_operator(op, shifts, m).shift_argument(delta_op)
     field, _ = apply_operator(a_t, moved, shifts.params)
     if shifts.normalized:
         field = field.scaled(1.0 / shifts.alpha)
@@ -220,10 +219,11 @@ def symmetry_apply_conclusion(op: InitialOperator, u: GaussianMixture,
                               shifts: SymmetryShifts, t: float) -> GaussianMixture:
     """Conclusion route: apply the evolved operator in the centered frame,
     compose with the drift shift, and move onto the image trajectory."""
+    m = matriciant(shifts.params, t, shifts.s)
     x_u = shifts.base_moment.at(t)
     w = u.shifted(-x_u)
-    applied, _ = apply_operator(_centered_operator(op, shifts, t), w, shifts.params)
-    field = applied.shifted(shifts.image_moment.at(t) - shifts.drift_shift.at(t))
+    applied, _ = apply_operator(_centered_operator(op, shifts, m), w, shifts.params)
+    field = applied.shifted(shifts.image_moment.at(t) - m.dd @ shifts.lam)
     if shifts.normalized:
         field = field.scaled(1.0 / shifts.alpha)
     return field

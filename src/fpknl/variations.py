@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import FocalPointError, InputError, InvalidCovarianceError, KernelValidityError
+from .errors import FocalPointError, InvalidCovarianceError, KernelValidityError
 from .model import ModelParams
 
 # reciprocal condition number below which den counts as singular
 FOCAL_RCOND = 1e-12
-SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,12 +103,6 @@ def propagate_pair(m: Matriciant, num0: np.ndarray,
     return m.nn @ num0, m.dn @ num0 + m.dd @ den0
 
 
-def check_symmetric(a: np.ndarray, name: str, tol: float = SYMMETRY_TOL) -> None:
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > tol * scale:
-        raise InputError(f"{name} must be symmetric to {tol:.0e} (relative)")
-
-
 def _where(bad: np.ndarray) -> str:
     """' (component k)' for the first flagged matrix of a stack, '' for one matrix."""
     return "" if bad.ndim == 0 else f" (component {int(np.flatnonzero(bad)[0])})"
@@ -129,18 +122,14 @@ def require_spd(a: np.ndarray, what: str, error: type[Exception]) -> None:
         raise error(f"{what}{_where(low == low.min())} is not positive definite") from None
 
 
-def fraction(num: np.ndarray, den: np.ndarray, density_valid: bool = False,
-             symmetrize: bool = True) -> np.ndarray:
-    """num @ inv(den) for one pair or (..., n, n) stacks (one SVD, solve and
-    validity test, same arithmetic per matrix as alone), symmetrized by
-    default; optionally checked positive definite.  symmetrize=False returns
-    the raw fraction, which satisfies the quadratic matrix flow exactly even
-    when it is not symmetric.
+def fraction(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The precision num @ inv(den) for one pair or (..., n, n) stacks (one
+    SVD, solve and validity test, same arithmetic per matrix as alone),
+    checked symmetric positive definite and then symmetrized.
 
     Raises FocalPointError when den is singular to working precision and
-    InvalidCovarianceError when a density-valid factor is requested but the
-    result is not positive definite, naming the first failing component of
-    a stack.
+    InvalidCovarianceError when the result is not symmetric positive
+    definite, naming the first failing component of a stack.
     """
     num = np.atleast_2d(np.asarray(num, dtype=float))
     den = np.atleast_2d(np.asarray(den, dtype=float))
@@ -152,22 +141,5 @@ def fraction(num: np.ndarray, den: np.ndarray, density_valid: bool = False,
         raise FocalPointError(f"denominator factor{_where(focal)} singular "
                               f"(reciprocal condition {rcond[focal][0]:.3e})")
     q = np.linalg.solve(den.mT, num.mT).mT
-    if density_valid:
-        require_spd(q, "precision factor", InvalidCovarianceError)
-    if symmetrize:
-        q = 0.5 * (q + q.mT)
-    return q
-
-
-def riccati_factor(m: Matriciant, num0, den0, density_valid: bool = False,
-                   symmetrize: bool = True) -> np.ndarray:
-    """Propagate (num0, den0) through the matriciant and form the fraction.
-
-    num0 must be symmetric; the initial fraction num0 @ inv(den0) solves the
-    quadratic matrix flow dQ/dt + 2Q^2 - L^T Q - Q L = 0 and so does the
-    returned factor.
-    """
-    num0 = np.atleast_2d(np.asarray(num0, dtype=float))
-    check_symmetric(num0, "num0")
-    num, den = propagate_pair(m, num0, den0)
-    return fraction(num, den, density_valid=density_valid, symmetrize=symmetrize)
+    require_spd(q, "precision factor", InvalidCovarianceError)
+    return 0.5 * (q + q.mT)

@@ -58,7 +58,7 @@ def test_mixture_matches_analytic_pathway():
     linf = compare(res.snapshots[0], exact)
     assert linf < 5e-3
     # the self-consistent grid moment follows the closed form
-    closed = p.moment_trajectory(mix.first_moment(p), 0.0).at(res.times)[:, 0]
+    closed = p.moment_trajectory(mix.first_moment(), 0.0).at(res.times)[:, 0]
     assert np.max(np.abs(res.moments - closed)) < 1e-3
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from fpknl import (GaussianMixture, GaussianPacket, InputError, InvalidCovarianceError,
                    KernelContext, KernelValidityError, ModelParams, NormalizationError,
-                   checks, evolve_packet, kernel_context, matriciant, propagate_packet,
-                   residual_field, spacetime_samples)
+                   SampledDensity, checks, evolve_packet, kernel_context, matriciant,
+                   propagate_packet, residual_field, spacetime_samples)
 from fpknl import packets
 
 
@@ -152,7 +152,7 @@ def test_evolve_packet_refuses_a_packet_that_is_not_unit_mass(weight):
     {"mean": [0.5], "num": np.eye(2), "den": np.eye(2)},
     {"mean": [[0.5, 0.1]], "num": np.eye(2), "den": np.eye(2)},
     {"mean": [0.5, 0.1], "num": np.eye(2), "den": [[1.0]]},
-    {"mean": [0.5], "num": [[1.0]], "den": [[1.0]], "amp1": [1.0, 2.0]},
+    {"mean": [0.5], "num": [[1.0]], "den": [[1.0]], "dipole": [1.0, 2.0]},
 ])
 def test_packet_rejects_mismatched_shapes(fields):
     # used to surface later as numpy's solve or inhomogeneous-array ValueError
@@ -198,20 +198,33 @@ def test_2d_residual_second_order():
     assert coarse[1] / fine[1] == pytest.approx(4.0, abs=1.0)
 
 
+def precision_of(num, den):
+    """Symmetrized num @ inv(den), over stacks too, with plain numpy."""
+    q = np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2))
+    return 0.5 * (q + np.swapaxes(q, -1, -2))
+
+
+def gradient_amplitude(c, eps):
+    """Coefficient a1 of the affine amplitude amp0 + a1.(x - mean) that the
+    dipole stands for: -dipole . grad N = (Q dipole / eps).(x - mean) N."""
+    if c.dipole is None:
+        return np.zeros_like(c.mean)
+    return precision_of(c.num, c.den) @ c.dipole / eps
+
+
 def reference_mixture(comps, eps, pts):
     """Values and raw first moment of a packet list, one packet at a time
     with plain numpy."""
     vals, moment = np.zeros(len(pts)), np.zeros(pts.shape[1])
     for c in comps:
-        q = np.linalg.solve(c.den.T, c.num.T).T
-        q = 0.5 * (q + q.T)
+        q = precision_of(c.num, c.den)
         n = len(c.mean)
         xi = pts - c.mean
-        amp = c.amp0 + (0.0 if c.amp1 is None else xi @ c.amp1)
+        amp = c.amp0 + xi @ gradient_amplitude(c, eps)
         norm = np.sqrt(np.linalg.det(q) / (2 * np.pi * eps) ** n)
         quad = np.einsum("ij,jk,ik->i", xi, q, xi)
         vals += c.weight * norm * amp * np.exp(-quad / (2 * eps))
-        shift = 0.0 if c.amp1 is None else eps * np.linalg.inv(q) @ c.amp1
+        shift = 0.0 if c.dipole is None else c.dipole
         moment += c.weight * (c.amp0 * c.mean + shift)
     return vals, moment
 
@@ -228,11 +241,11 @@ def test_mixture_eval_and_moment_match_per_component_reference(dim):
         comps.append(GaussianPacket(
             mean=rng.uniform(-1, 1, dim), num=(a @ a.T + np.eye(dim)) @ den, den=den,
             weight=rng.uniform(0.1, 1.0), amp0=rng.uniform(0.5, 1.5),
-            amp1=None if k % 3 == 0 else rng.standard_normal(dim)))
+            dipole=None if k % 3 == 0 else rng.standard_normal(dim)))
     mix = GaussianMixture(comps)
     pts = rng.standard_normal((500, dim))
     vals, moment = reference_mixture(comps, p.diffusion, pts)
-    for got, want in ((mix.eval(p, pts), vals), (mix.first_moment(p), moment)):
+    for got, want in ((mix.eval(p, pts), vals), (mix.first_moment(), moment)):
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
     # a packet evaluates as the mixture of one, and the stacked flow moves
     # each component exactly as it would move alone
@@ -241,23 +254,22 @@ def test_mixture_eval_and_moment_match_per_component_reference(dim):
     for c, c_t in zip(comps, moved):
         assert np.array_equal(c.eval(p, pts), GaussianMixture([c]).eval(p, pts))
         alone = propagate_packet(GaussianMixture([c]), ctx).components[0]
-        for f in ("mean", "num", "den", "amp1"):
+        for f in ("mean", "num", "den", "dipole"):
             assert np.array_equal(getattr(alone, f), getattr(c_t, f))
     # components come back as the packets that went in
     for a, b in zip(comps, mix.components):
         for f in ("mean", "num", "den", "weight", "amp0"):
             assert np.array_equal(getattr(a, f), getattr(b, f))
-        assert (a.amp1 is None) == (b.amp1 is None)
+        assert (a.dipole is None) == (b.dipole is None)
 
 
 def component_terms(comps, eps, pts):
     """(K, points) values of each packet alone, by the direct formula."""
     terms = []
     for c in comps:
-        q = np.linalg.solve(c.den.T, c.num.T).T
-        q = 0.5 * (q + q.T)
+        q = precision_of(c.num, c.den)
         xi = pts - c.mean
-        amp = c.amp0 + (0.0 if c.amp1 is None else xi @ c.amp1)
+        amp = c.amp0 + xi @ gradient_amplitude(c, eps)
         norm = np.sqrt(np.linalg.det(q) / (2 * np.pi * eps) ** len(c.mean))
         quad = np.einsum("ij,jk,ik->i", xi, q, xi)
         terms.append(c.weight * norm * amp * np.exp(-quad / (2 * eps)))
@@ -277,9 +289,9 @@ def assert_eval_matches_terms(comps, eps, pts):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n_comp", [1, 4, 16])
-@pytest.mark.parametrize("with_amp1", [False, True])
-def test_mixture_eval_matches_direct_formula(dim, n_comp, with_amp1):
-    rng = np.random.default_rng(100 * dim + n_comp + 7 * with_amp1)
+@pytest.mark.parametrize("with_dipole", [False, True])
+def test_mixture_eval_matches_direct_formula(dim, n_comp, with_dipole):
+    rng = np.random.default_rng(100 * dim + n_comp + 7 * with_dipole)
     comps = []
     for _ in range(n_comp):
         a = rng.standard_normal((dim, dim))
@@ -288,7 +300,7 @@ def test_mixture_eval_matches_direct_formula(dim, n_comp, with_amp1):
             mean=rng.uniform(-1, 1, dim), num=scale * (a @ a.T + 0.5 * np.eye(dim)),
             den=scale * np.eye(dim), weight=rng.uniform(0.1, 1.0),
             amp0=rng.uniform(-0.5, 1.5),
-            amp1=rng.standard_normal(dim) if with_amp1 else None))
+            dipole=rng.standard_normal(dim) if with_dipole else None))
     pts = np.concatenate([rng.standard_normal((400, dim))]
                          + [c.mean + 0.2 * rng.standard_normal((20, dim)) for c in comps])
     assert_eval_matches_terms(comps, 0.15, pts)
@@ -303,8 +315,8 @@ def test_mixture_eval_keeps_far_apart_components_exact(dim, sep):
     rng = np.random.default_rng(int(sep) + dim)
     eps = 0.1
     comps = [GaussianPacket(mean=np.full(dim, s * sep), num=2.0 * np.eye(dim),
-                            den=np.eye(dim), weight=0.5, amp1=amp1)
-             for s in (-1.0, 1.0) for amp1 in (None, rng.standard_normal(dim))]
+                            den=np.eye(dim), weight=0.5, dipole=dipole)
+             for s in (-1.0, 1.0) for dipole in (None, rng.standard_normal(dim))]
     pts = np.concatenate([c.mean + np.sqrt(eps / 2.0) * rng.standard_normal((100, dim))
                           for c in comps])
     assert_eval_matches_terms(comps, eps, pts)
@@ -323,7 +335,7 @@ def test_mixture_eval_in_blocks_equals_one_block(dim, monkeypatch):
         comps.append(GaussianPacket(
             mean=rng.uniform(-1, 1, dim), num=a @ a.T + np.eye(dim), den=np.eye(dim),
             weight=rng.uniform(0.1, 1.0), amp0=rng.uniform(0.5, 1.5),
-            amp1=None if k == 0 else rng.standard_normal(dim)))
+            dipole=None if k == 0 else rng.standard_normal(dim)))
     mix = GaussianMixture(comps)
     pts = rng.standard_normal((503, dim))
     whole = mix.eval(p, pts)
@@ -334,3 +346,50 @@ def test_mixture_eval_in_blocks_equals_one_block(dim, monkeypatch):
     for b in (4, 7, 250):
         monkeypatch.setattr(packets, "BLOCK_ENTRIES", 5 * dim * b)
         assert np.array_equal(mix.eval(p, pts), whole)
+
+
+def dipole_mixture(rng, dim, n_comp=5):
+    comps = []
+    for k in range(n_comp):
+        a = rng.standard_normal((dim, dim))
+        den = rng.uniform(0.5, 2.0) * np.eye(dim) + 0.1 * rng.standard_normal((dim, dim))
+        comps.append(GaussianPacket(
+            mean=rng.uniform(-1, 1, dim), num=(a @ a.T + np.eye(dim)) @ den, den=den,
+            weight=rng.uniform(0.1, 1.0), amp0=rng.uniform(0.5, 1.5),
+            dipole=None if k == 0 else rng.standard_normal(dim)))
+    return GaussianMixture(comps)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dipole_moves_as_the_gradient_amplitude_law(dim):
+    # the gradient amplitude a1 = Q dipole / eps moved as
+    # a1' = Q_t dd Q_s^{-1} a1 is the same field as the dipole moved by dd,
+    # forward and back along the reversed context
+    rng = np.random.default_rng(40 + dim)
+    lam = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
+    p = ModelParams(drift=lam, coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=-0.4 * np.eye(dim), diffusion=0.25, coupling=1.0)
+    mix = dipole_mixture(rng, dim)
+    ctx = KernelContext(p, matriciant(p, 0.8, 0.1), x_start=rng.uniform(-1, 1, dim),
+                        x_end=rng.uniform(-1, 1, dim))
+    eps = p.diffusion
+    fwd = propagate_packet(mix, ctx)
+    for src, move in ((mix, ctx), (fwd, ctx.reversed())):
+        out = propagate_packet(src, move)
+        q_s, q_t = precision_of(src.num, src.den), precision_of(out.num, out.den)
+        a1_s = (q_s @ src.dipole[..., None])[..., 0] / eps
+        want = (q_t @ move.m.dd @ np.linalg.solve(q_s, a1_s[..., None]))[..., 0]
+        got = (q_t @ out.dipole[..., None])[..., 0] / eps
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dipole_first_moment_is_the_moment_of_the_field(dim):
+    rng = np.random.default_rng(60 + dim)
+    p = ModelParams(drift=np.eye(dim), coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=np.zeros((dim, dim)), diffusion=0.2)
+    mix = dipole_mixture(rng, dim)
+    nodes = 1601 if dim == 1 else 321
+    sampled = SampledDensity.from_callable(lambda x: mix.eval(p, x), [-6.0] * dim,
+                                           [6.0] * dim, [nodes] * dim)
+    np.testing.assert_allclose(mix.first_moment(), sampled.first_moment(), rtol=0, atol=1e-10)

@@ -204,7 +204,7 @@ def test_zero_mass_field_has_no_normalized_moment(sampled):
         field = SampledDensity.from_callable(lambda pts: mix.eval(p, pts),
                                              [-6.0], [6.0], [1201])
     with pytest.raises(DegenerateMomentError):
-        field.first_moment(p, normalized=True)
+        field.first_moment(normalized=True)
     op = InitialOperator(const=0.4, lin=[0.9], grad=[-0.5])
     with pytest.raises(DegenerateMomentError):
         build_shifts(op, field, p, 0.0, moment_override=[0.1])
@@ -215,16 +215,17 @@ def test_image_moment_trajectories():
     pk = unit_field()
     op = InitialOperator(const=0.4, lin=[0.9], grad=[-0.5])
     shifts = build_shifts(op, pk, p, 0.0)
-    # image moment follows the coupled rate, the drift shift the linear rate
+    # image moment follows the coupled rate, the drift shift dd @ lam the
+    # linear rate
     rate = p.moment_rate[0, 0]
     lam_rate = -p.effective_drift[0, 0]
     t = 0.7
     x0 = shifts.image_moment.x0[0]
     assert shifts.image_moment.at(t)[0] == pytest.approx(x0 * np.exp(rate * t),
                                                          rel=1e-12)
-    assert shifts.drift_shift.at(t)[0] == pytest.approx(
+    assert (matriciant(p, t, 0.0).dd @ shifts.lam)[0] == pytest.approx(
         shifts.lam[0] * np.exp(lam_rate * t), rel=1e-12)
-    assert shifts.drift_shift.at(0.0)[0] == pytest.approx(shifts.lam[0])
+    assert (matriciant(p, 0.0, 0.0).dd @ shifts.lam)[0] == pytest.approx(shifts.lam[0])
 
 
 def test_drift_shift_consistency_relation():

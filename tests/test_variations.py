@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fpknl import (FocalPointError, InputError, InvalidCovarianceError,
+from fpknl import (FocalPointError, InvalidCovarianceError,
                    ModelParams, fraction, matriciant, matriciant_rk4,
-                   riccati_factor)
+                   propagate_pair)
 
 E = np.e
 
@@ -119,13 +119,13 @@ def test_mixing_block_positive_forward_1d(lam, tau):
 
 def test_fraction_identity_at_start():
     m = matriciant(params_1d(0.9), 0.0, 0.0)
-    np.testing.assert_allclose(riccati_factor(m, [[1.0]], [[1.0]]), [[1.0]])
+    np.testing.assert_allclose(fraction(*propagate_pair(m, [[1.0]], [[1.0]])), [[1.0]])
 
 
 def test_fraction_heat_spread():
     # zero drift, unit seeds: den grows to 3, so the factor drops to 1/3
     m = matriciant(params_1d(0.0), 1.0, 0.0)
-    q = riccati_factor(m, [[1.0]], [[1.0]], density_valid=True)
+    q = fraction(*propagate_pair(m, [[1.0]], [[1.0]]))
     assert q[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
 
 
@@ -138,10 +138,14 @@ def test_raw_fraction_solves_quadratic_flow():
     b = rng.uniform(-1, 1, size=(2, 2))
     den0 = b @ b.T + 0.4 * np.eye(2)
     h = 1e-5
+
+    def raw_fraction(t):
+        # num @ inv(den) as propagated, unsymmetrized
+        num, den = propagate_pair(matriciant(p, t, 0.0), num0, den0)
+        return num @ np.linalg.inv(den)
+
     for t in (0.2, 0.6):
-        q = riccati_factor(matriciant(p, t, 0.0), num0, den0, symmetrize=False)
-        qp = riccati_factor(matriciant(p, t + h, 0.0), num0, den0, symmetrize=False)
-        qm = riccati_factor(matriciant(p, t - h, 0.0), num0, den0, symmetrize=False)
+        q, qp, qm = raw_fraction(t), raw_fraction(t + h), raw_fraction(t - h)
         res = (qp - qm) / (2 * h) + 2 * q @ q - lam.T @ q - q @ lam
         assert np.max(np.abs(res)) < 1e-8
 
@@ -150,28 +154,32 @@ def test_focal_point_raises():
     # zero drift: den(t) = 2 t num0 + den0 crosses zero at t = 0.5
     m = matriciant(params_1d(0.0), 0.5, 0.0)
     with pytest.raises(FocalPointError):
-        riccati_factor(m, [[1.0]], [[-1.0]])
+        fraction(*propagate_pair(m, [[1.0]], [[-1.0]]))
 
 
 def test_nonsymmetric_seed_rejected():
+    # a seed whose fraction is not symmetric is no density's precision
     m = matriciant(params_nd(np.zeros((2, 2))), 1.0, 0.0)
-    with pytest.raises(InputError):
-        riccati_factor(m, [[1.0, 0.5], [0.0, 1.0]], np.eye(2))
+    with pytest.raises(InvalidCovarianceError, match="not symmetric"):
+        fraction(*propagate_pair(m, [[1.0, 0.5], [0.0, 1.0]], np.eye(2)))
 
 
 def test_density_valid_rejects_indefinite():
     m = matriciant(params_1d(0.0), 0.1, 0.0)
     with pytest.raises(InvalidCovarianceError):
-        riccati_factor(m, [[-1.0]], [[1.0]], density_valid=True)
+        fraction(*propagate_pair(m, [[-1.0]], [[1.0]]))
 
 
 def test_fraction_symmetrizes_result():
+    # num = Q den for a symmetric Q: the raw fraction is symmetric only up
+    # to rounding, the returned one exactly
     rng = np.random.default_rng(9)
     a = rng.uniform(-1, 1, size=(3, 3))
-    num = a @ a.T + 0.5 * np.eye(3)
+    sym = a @ a.T + 0.5 * np.eye(3)
     den = rng.uniform(-1, 1, size=(3, 3)) + 3.0 * np.eye(3)
-    q = fraction(num, den)
-    np.testing.assert_allclose(q, q.T, atol=1e-15)
+    q = fraction(sym @ den, den)
+    assert np.array_equal(q, q.T)
+    np.testing.assert_allclose(q, sym, rtol=1e-13)
 
 
 # --------------------------------------------------------- stacked fraction
@@ -185,13 +193,16 @@ def valid_stack(rng, k, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("valid, symmetrize", [(False, True), (True, True), (False, False)])
-def test_stacked_fraction_equals_each_slice_bit_for_bit(n, valid, symmetrize):
+@pytest.mark.parametrize("nested, fortran", [(False, True), (True, True), (False, False)])
+def test_stacked_fraction_equals_each_slice_bit_for_bit(n, nested, fortran):
+    # any (..., n, n) stack, in either memory order: a (12,) or a (2, 6) one
     num, den = valid_stack(np.random.default_rng(30 + n), 12, n)
-    stacked = fraction(num, den, density_valid=valid, symmetrize=symmetrize)
-    alone = np.stack([fraction(a, b, density_valid=valid, symmetrize=symmetrize)
-                      for a, b in zip(num, den)])
-    assert np.array_equal(stacked, alone)
+    alone = np.stack([fraction(a, b) for a, b in zip(num, den)])
+    if fortran:
+        num, den = np.asfortranarray(num), np.asfortranarray(den)
+    if nested:
+        num, den = num.reshape(2, 6, n, n), den.reshape(2, 6, n, n)
+    assert np.array_equal(fraction(num, den).reshape(12, n, n), alone)
 
 
 def test_stacked_fraction_names_the_failing_component():
@@ -204,11 +215,11 @@ def test_stacked_fraction_names_the_failing_component():
     indefinite[2] = np.diag([1.0, -1.0]) @ den[2]
     with pytest.raises(InvalidCovarianceError,
                        match=r"factor \(component 2\) is not positive definite"):
-        fraction(indefinite, den, density_valid=True)
+        fraction(indefinite, den)
     skew = num.copy()
     skew[4] = np.array([[1.0, 0.5], [0.0, 1.0]]) @ den[4]
     with pytest.raises(InvalidCovarianceError, match=r"\(component 4\) is not symmetric"):
-        fraction(skew, den, density_valid=True)
+        fraction(skew, den)
     # a single matrix keeps the message without an index
     with pytest.raises(FocalPointError, match=r"^denominator factor singular"):
         fraction(num[3], singular[3])
