@@ -27,7 +27,7 @@ from . import __version__, checks
 from .errors import ConfigurationError, FpknlError, InputError
 from .evolution import (evolve_analytic, evolve_quadrature, inverse_evolve,
                         plan_for)
-from .model import ModelParams, SampledDensity
+from .model import ModelParams, SampledDensity, _vector
 from .packets import GaussianMixture, GaussianPacket
 from .symmetry import (InitialOperator, build_shifts, linsym_operator,
                        symmetry_apply_conclusion, symmetry_apply_evolution,
@@ -197,8 +197,16 @@ def build_initial(cfg: dict, params: ModelParams):
                  for c in ic.get("components", [])]
         if not comps:
             raise ConfigurationError("gaussian initial needs components")
-        return GaussianMixture(comps)
-    path = ic.get("path")
+        initial = GaussianMixture(comps)
+    else:
+        initial = _read_samples(ic.get("path"))
+    if initial.dim != params.dim:
+        raise ConfigurationError(f"the initial block has dimension {initial.dim}, "
+                                 f"but model.dimension is {params.dim}")
+    return initial
+
+
+def _read_samples(path) -> SampledDensity:
     if not path:
         raise ConfigurationError("sampled initial needs a path")
     try:
@@ -317,6 +325,8 @@ def task_symmetry(cfg: dict, params: ModelParams):
         op = InitialOperator(const=op_cfg["const"], lin=op_cfg["lin"],
                              grad=op_cfg["grad"])
     override = sc.get("image_moment")
+    if override is not None:
+        override = _vector(override, params.dim, "symmetry.image_moment")
     shifts = build_shifts(op, initial, params, s, moment_override=override)
     plan_end = plan_for(params, s, t_end, initial)
     u_end = evolve_analytic(initial, plan_end)

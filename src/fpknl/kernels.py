@@ -95,7 +95,7 @@ def kernel_context(params: ModelParams, t: float, s: float,
     else:
         x_start = _vector(x_start, n, "x_start")
         x_end = params.moment_trajectory(x_start, s).at(t)
-        if not (np.isfinite(x_start).all() and np.isfinite(x_end).all()):
+        if not np.isfinite(x_end).all():
             raise KernelValidityError(
                 f"moment-frame anchor is not finite at |t - s| = {abs(t - s):.6g}: "
                 "the moment trajectory overflows double precision over this horizon"

@@ -35,6 +35,8 @@ def _vector(x, n: int, name: str = "vector") -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.shape != (n,):
         raise ConfigurationError(f"{name} must have shape ({n},), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ConfigurationError(f"{name} contains non-finite entries")
     return v
 
 
@@ -151,6 +153,8 @@ class SampledDensity:
                 f"x_min/dx must have one entry per value axis ({n}), "
                 f"got {self.x_min.shape} and {self.dx.shape}"
             )
+        if not (np.all(np.isfinite(self.x_min)) and np.all(np.isfinite(self.dx))):
+            raise InputError("grid origin and spacing must be finite")
         if np.any(self.dx <= 0):
             raise InputError("grid spacing must be positive")
         if not np.all(np.isfinite(self.values)):

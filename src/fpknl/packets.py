@@ -63,13 +63,14 @@ def _groups(mean: np.ndarray, reach: np.ndarray):
     within CENTER_REACH, else the first remaining mean and the members
     within that of it."""
     left = np.arange(len(mean))
-    while True:
+    while len(mean):
         for center in (mean.sum(axis=0) / len(mean), mean[0]):
             d = mean - center
             near = (d * d).sum(axis=1) * reach <= CENTER_REACH
             if near.all():
                 yield left, center, d
                 return
+        near[0] = True  # the seed, even a non-finite one: every group takes one
         yield left[near], center, d[near]
         left, mean, reach = left[~near], mean[~near], reach[~near]
 
@@ -106,6 +107,9 @@ class GaussianPacket:
         if shapes != ((n,), (n, n), (n, n), (n,)):
             raise InputError("packet needs mean (n,), num and den (n, n) and dipole (n,); "
                              f"got mean, num, den, dipole of shapes {shapes}")
+        fields = (self.mean, self.num, self.den, self.weight, self.amp0, self.dipole)
+        if not all(np.isfinite(f).all() for f in fields if f is not None):
+            raise InputError("packet needs finite mean, num, den, weight, amp0 and dipole")
         if self.dipole is not None and not np.any(self.dipole):
             self.dipole = None
 
@@ -136,6 +140,10 @@ class GaussianMixture:
     def _set(self, mean, num, den, weight, amp0, dipole) -> None:
         self.mean, self.num, self.den, self.weight, self.amp0 = mean, num, den, weight, amp0
         self.dipole = dipole if dipole is not None and np.any(dipole) else None
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[1]
 
     @property
     def components(self) -> list[GaussianPacket]:

@@ -173,6 +173,42 @@ def test_gaussian_component_shapes_are_config_errors(tmp_path, capsys, component
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["weight", "image_moment", "grid"])
+def test_non_finite_inputs_are_config_errors(tmp_path, capsys, case):
+    # a NaN weight used to exit 3 blaming the horizon, a NaN image moment
+    # to spin forever in mixture evaluation, and a NaN grid origin to exit
+    # 0 with every CSV value nan and every check passing
+    cfg = base_config(tmp_path / "out")
+    if case == "weight":
+        cfg["initial"]["components"][0]["weight"] = float("nan")
+    elif case == "image_moment":
+        cfg = base_config(tmp_path / "out", task="symmetry",
+                          symmetry={"operator": "linsym", "image_moment": [float("nan")]})
+    else:
+        cfg["grid"]["x_min"] = float("nan")
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "moment_override" not in err
+
+
+@pytest.mark.parametrize("task", ["evolve", "inverse", "symmetry", "sampled-inverse"])
+def test_initial_dimension_must_match_the_model(tmp_path, capsys, task):
+    # the messages used to name internal arguments (x_start, x_u_t)
+    cfg = base_config(tmp_path / "out", task=task.removeprefix("sampled-"))
+    if task == "sampled-inverse":
+        cfg["model"].update(dimension=2, drift=EYE2, coupling_state=EYE2,
+                            coupling_mean=EYE2)
+        cfg["initial"] = {"kind": "sampled", "path": str(sampled_csv(tmp_path))}
+        dims = (1, 2)
+    else:
+        cfg["initial"]["components"][0].update(mean=[0.5, 0.0], num=EYE2, den=EYE2)
+        dims = (2, 1)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert ("the initial block has dimension {}, but model.dimension is {}".format(*dims)
+            in err)
+
+
 def sampled_csv(tmp_path, eps=0.5, mean=0.3, nodes=401):
     x = np.linspace(-8.0, 8.0, nodes)
     u = np.exp(-(x - mean) ** 2 / (2 * eps)) / np.sqrt(2 * np.pi * eps)

@@ -172,6 +172,21 @@ def test_bad_spacing_rejected():
         SampledDensity([0.0], [-0.1], np.ones(5))
 
 
+@pytest.mark.parametrize("x_min, dx", [(np.nan, 0.1), (-np.inf, 0.1), (0.0, np.nan),
+                                       (0.0, np.inf)])
+def test_non_finite_grid_rejected(x_min, dx):
+    # a NaN origin used to give a grid of NaN nodes whose mass and moment
+    # checks all passed
+    with pytest.raises(InputError, match="finite"):
+        SampledDensity([x_min], [dx], np.ones(5))
+
+
+def test_non_finite_moment_rejected():
+    p = make_params([[1.0]], [[0.0]], [[0.0]])
+    with pytest.raises(ConfigurationError, match="x0 contains non-finite"):
+        p.moment_trajectory([np.nan])
+
+
 def test_2d_mass_and_moment():
     d = SampledDensity.from_callable(
         lambda p: np.exp(-0.5 * ((p[:, 0] - 0.3) ** 2 + (p[:, 1] + 0.2) ** 2))

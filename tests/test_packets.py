@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,25 @@ def test_packet_rejects_mismatched_shapes(fields):
     # used to surface later as numpy's solve or inhomogeneous-array ValueError
     with pytest.raises(InputError, match="packet needs"):
         GaussianPacket(**fields)
+
+
+@pytest.mark.parametrize("field", ["mean", "num", "den", "weight", "amp0", "dipole"])
+def test_packet_rejects_non_finite_fields(field):
+    # a NaN weight used to surface as a KernelValidityError blaming the
+    # horizon, a NaN num as a silently NaN evolved field
+    fields = {"mean": [0.5], "num": [[1.0]], "den": [[1.0]], "dipole": [0.1]}
+    fields[field] = np.full_like(fields.get(field, 1.0), np.nan, dtype=float)
+    with pytest.raises(InputError, match="finite"):
+        GaussianPacket(**fields)
+
+
+def test_groups_take_every_component_even_a_non_finite_mean():
+    # a NaN mean is near no center, so the grouping used to yield empty
+    # groups forever and eval never returned; islice bounds the loop
+    mean = np.array([[0.0], [np.nan], [5.0], [np.nan]])
+    groups = list(itertools.islice(packets._groups(mean, np.full(4, 100.0)), 5))
+    members = np.concatenate([g for g, _, _ in groups])
+    assert sorted(members) == [0, 1, 2, 3]
 
 
 def test_mixture_rejects_components_of_different_dimensions():
