@@ -199,27 +199,24 @@ def build_initial(cfg: dict, params: ModelParams):
             raise ConfigurationError("gaussian initial needs components")
         initial = GaussianMixture(comps)
     else:
-        initial = _read_samples(ic.get("path"))
+        path = ic.get("path")
+        if not path:
+            raise ConfigurationError("sampled initial needs a path")
+        try:
+            data = np.loadtxt(path, delimiter=",")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read samples {path}: {exc}") from exc
+        if data.ndim != 2 or data.shape[1] != 2:
+            raise ConfigurationError("sampled initial must be two CSV columns: x,u")
+        x, u = data[:, 0], data[:, 1]
+        dx = np.diff(x)
+        if np.max(np.abs(dx - dx[0])) > 1e-9 * abs(dx[0]):
+            raise ConfigurationError("sampled initial grid must be uniform")
+        initial = SampledDensity([x[0]], [dx[0]], u)
     if initial.dim != params.dim:
         raise ConfigurationError(f"the initial block has dimension {initial.dim}, "
                                  f"but model.dimension is {params.dim}")
     return initial
-
-
-def _read_samples(path) -> SampledDensity:
-    if not path:
-        raise ConfigurationError("sampled initial needs a path")
-    try:
-        data = np.loadtxt(path, delimiter=",")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read samples {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ConfigurationError("sampled initial must be two CSV columns: x,u")
-    x, u = data[:, 0], data[:, 1]
-    dx = np.diff(x)
-    if np.max(np.abs(dx - dx[0])) > 1e-9 * abs(dx[0]):
-        raise ConfigurationError("sampled initial grid must be uniform")
-    return SampledDensity([x[0]], [dx[0]], u)
 
 
 def _times(cfg: dict) -> tuple[float, float, list[float]]:
