@@ -225,6 +225,9 @@ def _times(cfg: dict) -> tuple[float, float, list[float]]:
         raise ConfigurationError("this task needs a time block")
     start, end = float(tc["start"]), float(tc["end"])
     snaps = list(tc.get("snapshots", [tc["end"]]))
+    if not np.isfinite([start, end, *snaps]).all():
+        raise ConfigurationError(f"time values must be finite, got start {start:g}, "
+                                 f"end {end:g}, snapshots {snaps}")
     if end < start or not all(start <= t <= end for t in snaps):
         raise ConfigurationError(f"time needs start <= snapshots <= end, got start "
                                  f"{start:g}, end {end:g}, snapshots {snaps}")
@@ -361,17 +364,18 @@ def task_verify(cfg: dict, params: ModelParams):
     if cfg.get("initial", {}).get("kind") == "gaussian":
         # the checks need a unit-mass density, whatever the component's share
         packet = replace(build_initial(cfg, params).components[0], weight=1.0)
+    start, t_end = _times(cfg)[:2] if "time" in cfg else (0.0, 1.0)
     results = []
     for name in names:
         if name == "fd-reduction":
-            if cfg.get("time", {}).get("start", 0.0) != 0.0:
+            if start != 0.0:
                 raise ConfigurationError("the fd-reduction check runs the FD oracle from "
                                          "the initial packet at t = 0; time.start must be 0")
             fd = vc.get("fd", {})
             gc = cfg.get("grid", {})
             results += checks.check_fd_reduction(
                 params=params, packet=packet, nx=gc.get("nodes", 1200),
-                dt=fd.get("dt", 2e-5), t_end=cfg.get("time", {}).get("end", 1.0),
+                dt=fd.get("dt", 2e-5), t_end=t_end,
                 x_min=gc.get("x_min", -6.0), x_max=gc.get("x_max", 6.0),
                 refine=fd.get("refine", True))
         elif name in MODEL_CHECKS:

@@ -19,14 +19,19 @@ singular values at or below rcond * sigma_max are dropped, rcond being
 INVERSE_RCOND.  The quadrature matrix is numerically low-rank, so the SVD
 comes from a randomized range finder: a sketch of SKETCH_START Gaussian
 columns from a local generator seeded with SKETCH_SEED (repeatable, and
-the global numpy state is untouched), doubled until the sketch's smallest
-singular value lies below SKETCH_STOP * rcond times its largest, so that
-every singular value above the cutoff is captured.  A near-full-rank
-system, one that would need a sketch of more than N/3 columns, is solved
-by np.linalg.lstsq instead.  Either way the solution is checked against
-the full matrix: inputs that no initial data can explain raise
-IllPosedInverseError, naming the rank kept, the cutoff, the forward
-residual and the factorization.
+the global numpy state is untouched), grown by SKETCH_STEP columns until
+the sketch's smallest singular value lies below SKETCH_STOP * rcond times
+its largest, so that every singular value above the cutoff is captured.
+Each step orthogonalizes its new columns against the kept basis twice and
+extends the kept triangular factor, whose singular values the stop test
+reads; the SVD of the wide Q^T A comes from the QR of its transpose and
+a k x k SVD.  A near-full-rank system, one that would need a sketch of
+more than N/3 columns, is solved by np.linalg.lstsq instead, as soon as
+a sketch's singular values, falling on at the rate of their second half,
+would not reach the stop level within N/3 columns.  Either way the
+solution is checked against the full matrix: inputs that no initial data
+can explain raise IllPosedInverseError, naming the rank kept, the
+cutoff, the forward residual and the factorization.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ EDGE_DECAY_TOL = 1e-12
 INVERSE_RCOND = 1e-8
 INVERSE_PRECISION = 1e-10
 SKETCH_START = 128
+SKETCH_STEP = SKETCH_START // 2
 SKETCH_STOP = 1e-3
 SKETCH_SEED = 20110601
 
@@ -112,8 +118,9 @@ def forward_quadrature_matrix(gamma: SampledDensity,
     pts = gamma.points()
     a = kernel_matrix(plan, pts, pts)
     a *= gamma.weights().ravel()
-    # the kernel tails underflow to subnormals, which halve the speed of
-    # every product with A; below the smallest normal double they are zero
+    # kernel_matrix returns no subnormal, but a weight can push a normal
+    # entry below the smallest normal double; subnormals halve the speed of
+    # every product with A, so such entries are zero too
     np.putmask(a, a < np.finfo(a.dtype).tiny, 0.0)
     return a
 
@@ -137,6 +144,45 @@ def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixtur
     return out
 
 
+def _extend_range(q: np.ndarray, r: np.ndarray, y: np.ndarray):
+    """Orthonormal basis and R factor of [previous sketch, y], given the
+    previous sketch's q and r: y is orthogonalized against q twice (block
+    Gram-Schmidt), and the remainder's QR supplies the new columns, so r
+    stays block upper triangular."""
+    if not q.shape[1]:
+        return np.linalg.qr(y)
+    c = q.T @ y
+    y = y - q @ c
+    c2 = q.T @ y
+    y -= q @ c2
+    qy, ry = np.linalg.qr(y)
+    return np.hstack([q, qy]), np.block([[r, c + c2], [np.zeros((len(ry), len(r))), ry]])
+
+
+def _apply_reflectors(h: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """qb @ z for the orthonormal factor qb of np.linalg.qr(..., mode="raw"),
+    never formed: row j of h holds Householder vector j past its implied
+    unit entry at column j, and qb is the product of the reflectors."""
+    x = np.zeros(h.shape[1])
+    x[:len(z)] = z
+    for j in range(len(tau) - 1, -1, -1):
+        v = h[j, j + 1:]
+        step = tau[j] * (x[j] + v @ x[j + 1:])
+        x[j] -= step
+        x[j + 1:] -= step * v
+    return x
+
+
+def _can_reach(sy: np.ndarray, widest: int, level: float) -> bool:
+    """Whether a sketch's singular values sy, decaying on past their last
+    one as fast as over their second half, fall to level * sy[0] within
+    widest columns.  Kernel spectra decay ever faster, so this projection
+    errs towards growing the sketch."""
+    half = len(sy) // 2
+    slope = np.log(sy[-1] / sy[half]) / (len(sy) - 1 - half)
+    return np.log(sy[-1] / sy[0]) + slope * (widest - len(sy)) <= np.log(level)
+
+
 def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
     """Truncated-SVD least squares with lstsq's cutoff rule, through the
     randomized range finder of the module docstring (Halko, Martinsson &
@@ -151,19 +197,25 @@ def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
     # that it loses (k = 256 at N = 401: 58 ms against 24-32 ms)
     widest = max(n // 3, SKETCH_START if n >= 2 * SKETCH_START else 0)
     rng = np.random.default_rng(SKETCH_SEED)
-    y = np.empty((a.shape[0], 0))
+    q, r = np.empty((a.shape[0], 0)), np.empty((0, 0))
     k = SKETCH_START
     while k <= widest:
-        y = np.hstack([y, a @ rng.standard_normal((n, k - y.shape[1]))])
-        q, r = np.linalg.qr(y)
+        q, r = _extend_range(q, r, a @ rng.standard_normal((n, k - q.shape[1])))
         sy = np.linalg.svd(r, compute_uv=False)
         if sy[-1] <= SKETCH_STOP * rcond * sy[0]:
-            ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
+            # SVD of the wide q^T a through the QR of its transpose: with
+            # (q^T a)^T = qb rb and rb^T = u diag(s) vt, the right singular
+            # vectors are qb vt^T, and qb is applied to a k-vector only
+            h, tau = np.linalg.qr(a.T @ q, mode="raw")
+            ub, s, vt = np.linalg.svd(np.tril(h[:, :k]))
             cutoff = rcond * s[0]
             keep = s > cutoff
-            sol = vt[keep].T @ ((ub[:, keep].T @ (q.T @ rhs)) / s[keep])
-            return sol, int(keep.sum()), cutoff, f"randomized sketch k={k}"
-        k *= 2
+            coef = vt[keep].T @ ((ub[:, keep].T @ (q.T @ rhs)) / s[keep])
+            return (_apply_reflectors(h, tau, coef), int(keep.sum()), cutoff,
+                    f"randomized sketch k={k}")
+        if not _can_reach(sy, widest, SKETCH_STOP * rcond):
+            break
+        k += SKETCH_STEP
     sol, _, rank, s = np.linalg.lstsq(a, rhs, rcond=rcond)
     return sol, int(rank), rcond * s[0], "lstsq"
 

@@ -38,6 +38,9 @@ class FDConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
+        if not np.isfinite([self.x_min, self.x_max, self.dt, self.t_end]).all():
+            raise ConfigurationError("x_min, x_max, dt and t_end must be finite, got "
+                                     f"{self.x_min}, {self.x_max}, {self.dt}, {self.t_end}")
         if self.nx < 8:
             raise ConfigurationError("need at least 8 grid nodes")
         if self.x_max <= self.x_min:

@@ -21,6 +21,7 @@ by constructing the determining operator identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,11 @@ class InitialOperator:
         if self.lin.shape != self.grad.shape:
             raise InputError("lin and grad coefficient vectors must match in length")
         object.__setattr__(self, "const", float(self.const))
+        # math.isfinite, not np.isfinite: the symmetry routes build operators
+        # on every call, and on a few coefficients it costs a third as much
+        if not all(map(math.isfinite, (self.const, *self.lin, *self.grad))):
+            raise InputError(f"operator coefficients must be finite, got const "
+                             f"{self.const}, lin {self.lin}, grad {self.grad}")
 
     @property
     def dim(self) -> int:

@@ -381,6 +381,34 @@ def test_fd_reduction_rejects_nonzero_start(tmp_path, capsys):
     assert "time.start must be 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["fd-dt", "time-end", "time-snapshot"])
+def test_verify_rejects_non_finite_fd_and_time_settings(tmp_path, capsys, case):
+    # a NaN dt used to die in fd_solve with a raw ValueError (exit 1), and a
+    # NaN end to exit 3 with a KernelValidityError that blamed the horizon
+    cfg = base_config(tmp_path / "out", task="verify",
+                      verify={"checks": ["fd-reduction"], "fd": {"refine": False}})
+    if case == "fd-dt":
+        cfg["verify"]["fd"]["dt"] = float("nan")
+    elif case == "time-end":
+        cfg["time"] = {"start": 0.0, "end": float("nan")}
+    else:
+        cfg["time"] = {"start": 0.0, "end": 1.0, "snapshots": [float("inf")]}
+    assert main(["verify", str(write_config(tmp_path, cfg))]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("operator", [
+    {"const": float("nan"), "lin": [1.0], "grad": [1.0]},
+    {"const": 1.0, "lin": [1.0], "grad": [float("inf")]},
+], ids=["const-nan", "grad-inf"])
+def test_symmetry_operator_rejects_non_finite_coefficients(tmp_path, capsys, operator):
+    # each used to exit 1 with a failed symmetry-routes check (value nan),
+    # the second after leaking a RuntimeWarning from mixture evaluation
+    cfg = base_config(tmp_path / "out", task="symmetry", symmetry={"operator": operator})
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert "operator coefficients must be finite" in capsys.readouterr().err
+
+
 def test_fd_reduction_from_start_zero_unchanged(tmp_path):
     cfg = json.loads((ROOT / "configs" / "verify_quick.json").read_text())
     cfg["verify"]["checks"] = ["fd-reduction"]

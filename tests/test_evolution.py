@@ -316,10 +316,13 @@ def _grid_1d(nodes, eps=0.5, tau=0.1):
 
 # grid and the factorization its solve must use; the "narrow" cases have a
 # kernel narrow enough that the lstsq rank exceeds the first sketch, so it
-# grows (at N = 801 too: 256 columns stay within the N/3 cap)
+# grows (at N = 801 too: 256 columns stay within the N/3 cap); the "mid"
+# case has its rank at the stop level between 128 and 192, and the 2D case
+# is near full rank
 SOLVE_CASES = {
     "1d-401": (lambda: _grid_1d(401), "randomized sketch k=128"),
     "1d-1201": (lambda: _grid_1d(1201), "randomized sketch k=128"),
+    "1d-801-mid": (lambda: _grid_1d(801, eps=0.4, tau=0.08), "randomized sketch k=192"),
     "1d-narrow": (lambda: _grid_1d(1201, eps=0.15), "randomized sketch k=256"),
     "1d-801-narrow": (lambda: _grid_1d(801, eps=0.15), "randomized sketch k=256"),
     "2d-31x31": (lambda: _grid_2d(31), "lstsq"),
@@ -327,7 +330,7 @@ SOLVE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(SOLVE_CASES))
-def test_sampled_solve_matches_lstsq(case):
+def test_sampled_solve_matches_lstsq(case, monkeypatch):
     grid, how = SOLVE_CASES[case]
     gamma, plan = grid()
     u = evolve_quadrature(gamma, plan)
@@ -335,16 +338,64 @@ def test_sampled_solve_matches_lstsq(case):
     rhs = u.values.ravel()
     rcond = evolution.INVERSE_RCOND
     ref, _, ref_rank, _ = np.linalg.lstsq(a, rhs, rcond=rcond)
+    sketches = []
+    real_extend = evolution._extend_range
+
+    def counting(q, r, y):
+        sketches.append(y.shape[1])
+        return real_extend(q, r, y)
+
+    monkeypatch.setattr(evolution, "_extend_range", counting)
     sol, rank, _, used = evolution._sketch_solve(a, rhs, rcond)
+    monkeypatch.undo()
     assert used == how
     assert rank == ref_rank
+    start, step = evolution.SKETCH_START, evolution.SKETCH_STEP
+    if how == "lstsq":
+        # a near-full-rank system stops at the first sketch whose decay
+        # cannot reach the stop level within the cap
+        assert len(sketches) <= 1
+    else:
+        k = int(how.rsplit("=", 1)[1])
+        assert sketches == [start] + [step] * ((k - start) // step)
     if case.endswith("narrow"):
-        assert ref_rank > evolution.SKETCH_START
+        assert ref_rank > start
+    if case.endswith("mid"):
+        s = np.linalg.svd(a, compute_uv=False)
+        stop_rank = int((s > evolution.SKETCH_STOP * rcond * s[0]).sum())
+        assert start < stop_rank <= start + step
     if case.startswith("2d"):
         assert ref_rank > rhs.size // 3
     assert np.max(np.abs(sol - ref)) < 1e-6
     back = inverse_evolve(u, plan)
     np.testing.assert_array_equal(back.values.ravel(), sol)
+
+
+def test_extend_range_keeps_an_orthonormal_basis_and_a_triangular_factor():
+    # three steps of a sketch with a rapidly decaying spectrum: q stays
+    # orthonormal, q r reproduces every column drawn and r upper triangular
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((300, 120)))
+    a = (u * np.logspace(0, -14, 120)) @ u.T
+    q, r = np.empty((300, 0)), np.empty((0, 0))
+    ys = []
+    for width in (40, 20, 20):
+        ys.append(a @ rng.standard_normal((300, width)))
+        q, r = evolution._extend_range(q, r, ys[-1])
+    y = np.hstack(ys)
+    assert q.shape == (300, 80) and r.shape == (80, 80)
+    assert np.max(np.abs(q.T @ q - np.eye(80))) < 1e-13
+    assert np.max(np.abs(q @ r - y)) < 1e-13 * np.max(np.abs(y))
+    assert not np.tril(r, -1).any()
+
+
+def test_reflectors_apply_the_orthonormal_factor_of_the_qr():
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((200, 30)) * np.logspace(0, -12, 30)
+    qb, _ = np.linalg.qr(b)
+    h, tau = np.linalg.qr(b, mode="raw")
+    z = rng.standard_normal(30)
+    assert np.max(np.abs(evolution._apply_reflectors(h, tau, z) - qb @ z)) < 1e-14
 
 
 def test_sampled_inverse_is_repeatable_and_leaves_global_rng_alone():

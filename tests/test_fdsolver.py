@@ -124,6 +124,17 @@ def test_cfl_guard():
         fd_solve(p, sample(pk, p, cfg), cfg)
 
 
+@pytest.mark.parametrize("field", ["x_min", "x_max", "dt", "t_end"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_settings_rejected(field, value):
+    # a NaN dt used to pass every comparison and die converting the step
+    # count, a raw ValueError
+    settings = dict(x_min=-4.0, x_max=4.0, nx=401, dt=1e-4, t_end=0.1)
+    settings[field] = value
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        FDConfig(**settings)
+
+
 def test_snapshot_must_sit_on_step_grid():
     p = heat_params(0.5)
     with pytest.raises(ConfigurationError):

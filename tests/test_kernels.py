@@ -263,18 +263,103 @@ def test_kernel_matrix_row_blocks_through_the_shared_evaluator(dim, monkeypatch)
     real = kernels.exp_product
     seen = []
 
-    def recording(left, right):
-        seen.append((left, right))
-        return real(left, right)
+    def recording(left, right, underflow=False):
+        seen.append((left, right, underflow))
+        return real(left, right, underflow)
 
     monkeypatch.setattr(kernels, "exp_product", recording)
     whole = kernel_matrix(ctx, pts, pts)
-    (left, right), = seen
+    (left, right, underflow), = seen
     # near-equal blocks of at least four rows: a one-row block would take
     # numpy's matrix-vector product instead
     for n_blocks in (2, 5, 9):
-        parts = [real(rows, right) for rows in np.array_split(left, n_blocks)]
+        parts = [real(rows, right, underflow) for rows in np.array_split(left, n_blocks)]
         assert np.array_equal(np.vstack(parts), whole)
+
+
+def _recorded_kernel_matrix(monkeypatch, ctx, xs, ys):
+    """kernel_matrix(ctx, xs, ys), the exponents of its feature product, the
+    underflow flag it passed to exp_product and the exponent bound behind it."""
+    seen, bounds = [], []
+    real_product, real_bound = kernels.exp_product, kernels._lowest_exponent
+
+    def recording_product(left, right, underflow=False):
+        seen.append((left, right, underflow))
+        return real_product(left, right, underflow)
+
+    def recording_bound(*args):
+        bounds.append(real_bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(kernels, "exp_product", recording_product)
+    monkeypatch.setattr(kernels, "_lowest_exponent", recording_bound)
+    mat = kernel_matrix(ctx, xs, ys)
+    monkeypatch.undo()
+    (left, right, underflow), = seen
+    return mat, left @ right, underflow, bounds[0]
+
+
+def _grid(dim, lo, hi, nodes):
+    axis = np.linspace(lo, hi, nodes)
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+def _underflowing_context(dim):
+    # the quad_inverse shape in 1D ([-8, 8], diffusion 0.5, t - s 0.1) and a
+    # 2D grid as wide against its kernel: both reach exponents below LOG_TINY
+    if dim == 1:
+        p = ModelParams(drift=[[1.0]], coupling_state=[[0.0]], coupling_mean=[[-0.5]],
+                        diffusion=0.5, coupling=1.0)
+        return kernel_context(p, 0.1, 0.0, x_start=[0.3]), _grid(1, -8.0, 8.0, 801)
+    p = ModelParams(drift=[[0.6, 0.2], [-0.1, 0.4]], coupling_state=np.zeros((2, 2)),
+                    coupling_mean=[[-0.3, 0.0], [0.1, -0.2]], diffusion=0.4, coupling=1.0)
+    return kernel_context(p, 0.1, 0.0, x_start=[0.3, -0.2]), _grid(2, -7.0, 7.0, 31)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_matrix_zeroes_the_entries_below_the_smallest_normal(dim, monkeypatch):
+    # entries whose exponential falls below the smallest normal double come
+    # back as zero, never as a subnormal; the others keep their bits
+    ctx, pts = _underflowing_context(dim)
+    mat, expo, underflow, _ = _recorded_kernel_matrix(monkeypatch, ctx, pts, pts)
+    tiny = np.finfo(float).tiny
+    ref = np.exp(expo)
+    assert ((ref > 0.0) & (ref < tiny)).any()  # one exp would give subnormals
+    assert underflow
+    ref[ref < tiny] = 0.0
+    assert np.array_equal(mat, ref)
+    assert not ((mat != 0.0) & (np.abs(mat) < tiny)).any()
+
+
+def test_kernel_matrix_without_underflow_is_one_exp(monkeypatch):
+    p = ModelParams(drift=np.eye(2), coupling_state=np.zeros((2, 2)),
+                    coupling_mean=-0.5 * np.eye(2), diffusion=0.3, coupling=1.0)
+    ctx = kernel_context(p, 0.6, 0.0, x_start=[0.2, 0.2])
+    pts = _grid(2, -3.0, 3.0, 13)
+    mat, expo, underflow, bound = _recorded_kernel_matrix(monkeypatch, ctx, pts, pts)
+    assert not underflow and bound >= kernels.LOG_TINY
+    assert np.array_equal(mat, np.exp(expo))
+
+
+def test_corner_bound_never_exceeds_the_smallest_exponent(monkeypatch):
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        dim = 1 + trial % 3
+        drift = rng.normal(0.0, 1.0, (dim, dim))
+        feedback = rng.normal(0.0, 0.5, (dim, dim))
+        p = ModelParams(drift=drift, coupling_state=np.zeros((dim, dim)),
+                        coupling_mean=feedback, diffusion=rng.uniform(0.05, 1.0),
+                        coupling=1.0)
+        ctx = kernel_context(p, rng.uniform(0.01, 1.0), 0.0,
+                             x_start=rng.normal(0.0, 1.0, dim))
+        xs = rng.normal(0.0, rng.uniform(0.5, 6.0), (rng.integers(1, 40), dim))
+        ys = rng.normal(rng.normal(0.0, 2.0, dim), rng.uniform(0.5, 6.0),
+                        (rng.integers(1, 40), dim))
+        _, expo, _, bound = _recorded_kernel_matrix(monkeypatch, ctx, xs, ys)
+        assert bound <= expo.min()
+        if dim == 1:
+            # in 1D the corners are differences of points: the bound is tight
+            assert expo.min() - bound <= 1e-9 * (1.0 + abs(expo.min()))
 
 
 def test_backward_matriciant_is_lazy(monkeypatch):
