@@ -4,7 +4,12 @@ A plan is a directed ``KernelContext``: the matriciant from s to t and the
 moment-frame anchors x_start and x_end at both ends, computed up front
 from the input's initial moment; kernels and packet propagation consume
 it read-only.  Gaussian mixtures evolve in closed form; sampled densities
-go through trapezoid quadrature of the kernel.
+go through trapezoid quadrature of the kernel.  The quadrature builds the
+kernel's features once and then takes one cache-sized block of kernel
+rows at a time through the product, the exp and the product with the
+weighted samples, so it never holds an N x N array; the sampled inverse,
+which needs all of A, fills it block by block, weights and flush
+included.  A field and a plan of different dimensions raise InputError.
 
 The left inverse on the analytic pathway is exact backward block algebra
 along ``plan.reversed()``.  Its denominator den = dn @ num + dd @ den is a
@@ -38,9 +43,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IllPosedInverseError, NormalizationError, TruncationError
-from .kernels import KernelContext, kernel_context, kernel_matrix
-from .model import BLOCK_ENTRIES, ModelParams, SampledDensity, _vector
+from .errors import IllPosedInverseError, InputError, NormalizationError, TruncationError
+from .kernels import KernelContext, exp_product, kernel_context, kernel_features
+from .model import ModelParams, SampledDensity, _vector, row_blocks
 from .packets import GaussianMixture, propagate_packet
 
 MASS_TOL_ANALYTIC = 1e-10
@@ -78,10 +83,18 @@ def _check_mass(mass: float, tol: float) -> None:
         )
 
 
+def _require_same_dim(field: GaussianMixture | SampledDensity,
+                      plan: KernelContext) -> None:
+    if field.dim != plan.params.dim:
+        raise InputError(f"a {field.dim}D {type(field).__name__} cannot move "
+                         f"along a {plan.params.dim}D plan")
+
+
 def evolve_analytic(mix: GaussianMixture, plan: KernelContext,
                     require_normalized: bool = True) -> GaussianMixture:
     """Propagate all components at once in closed form around the shared
     trajectory; a raw field (require_normalized=False) may carry any mass."""
+    _require_same_dim(mix, plan)
     if require_normalized:
         _check_mass(mix.total_mass(), MASS_TOL_ANALYTIC)
     if plan.t == plan.s:
@@ -90,7 +103,9 @@ def evolve_analytic(mix: GaussianMixture, plan: KernelContext,
 
 
 def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDensity:
-    """Trapezoid quadrature of the evolution kernel on the input grid."""
+    """Trapezoid quadrature of the evolution kernel on the input grid, one
+    cache-sized row block of the kernel at a time: no N x N array is held."""
+    _require_same_dim(gamma, plan)
     edge = gamma.edge_max()
     if edge > EDGE_DECAY_TOL:
         raise TruncationError(
@@ -101,27 +116,33 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
         return gamma.copy()
     pts = gamma.points()
     weighted = (gamma.weights() * gamma.values).ravel()
-    n_pts = pts.shape[0]
-    out = np.empty(n_pts)
-    # bound the dense kernel block to BLOCK_ENTRIES entries at a time
-    chunk = max(1, BLOCK_ENTRIES // n_pts)
-    for i0 in range(0, n_pts, chunk):
-        block = kernel_matrix(plan, pts[i0:i0 + chunk], pts)
-        out[i0:i0 + chunk] = block @ weighted
+    left, right, underflow = kernel_features(plan, pts, pts)
+    out = np.empty(len(pts))
+    blocks = row_blocks(len(pts), len(pts))
+    buf = np.empty((max(b.stop - b.start for b in blocks), len(pts)))
+    for rows in blocks:
+        block = exp_product(left[rows], right, underflow, out=buf[:rows.stop - rows.start])
+        np.matmul(block, weighted, out=out[rows])
     return SampledDensity(gamma.x_min.copy(), gamma.dx.copy(),
                           out.reshape(gamma.values.shape))
 
 
 def forward_quadrature_matrix(gamma: SampledDensity,
                               plan: KernelContext) -> np.ndarray:
-    """Matrix A with (A @ values) = forward quadrature on the input grid."""
+    """Matrix A with (A @ values) = forward quadrature on the input grid,
+    filled one cache-sized row block at a time."""
     pts = gamma.points()
-    a = kernel_matrix(plan, pts, pts)
-    a *= gamma.weights().ravel()
-    # kernel_matrix returns no subnormal, but a weight can push a normal
-    # entry below the smallest normal double; subnormals halve the speed of
-    # every product with A, so such entries are zero too
-    np.putmask(a, a < np.finfo(a.dtype).tiny, 0.0)
+    w = gamma.weights().ravel()
+    left, right, underflow = kernel_features(plan, pts, pts)
+    a = np.empty((len(pts), len(pts)))
+    tiny = np.finfo(a.dtype).tiny
+    for rows in row_blocks(len(pts), len(pts)):
+        block = exp_product(left[rows], right, underflow, out=a[rows])
+        block *= w
+        # exp_product returns no subnormal, but a weight can push a normal
+        # entry below the smallest normal double; subnormals halve the
+        # speed of every product with A, so such entries are zero too
+        np.putmask(block, block < tiny, 0.0)
     return a
 
 
@@ -247,6 +268,7 @@ def inverse_evolve(u: GaussianMixture | SampledDensity, plan: KernelContext):
     (the literal backward-kernel integral diverges for forward images);
     singular values at or below INVERSE_RCOND * sigma_max are dropped.
     """
+    _require_same_dim(u, plan)
     if plan.t == plan.s:
         return u.copy()
     solve = _inverse_sampled if isinstance(u, SampledDensity) else _inverse_analytic

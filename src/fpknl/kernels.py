@@ -23,8 +23,14 @@ expanded into row norms and one matrix product,
     xp^T C xp + yp^T C yp - 2 (xp C) yp^T,
 
 with the row norms and the log prefactor carried as two extra columns of
-that same product, so the only large array is the (rows, cols) block
-itself, exponentiated in place.  That product and its exponential are
+that same product.  ``kernel_features`` builds those features once per
+call: it checks the context, centers both point sets and decides whether
+any exponent may underflow.  Any row slice of its left factor gives those
+rows of the kernel, so a consumer takes one cache-sized block of rows at
+a time (``model.row_blocks``) through the product, the in-place exp and
+its own use of the block while the block stays in cache; the quadrature
+operator never holds the N x N matrix, and ``kernel_matrix`` is the
+single block of all rows.  That product and its exponential are
 ``exp_product``, the one Gaussian evaluator: mixture evaluation (packets
 module) calls it too, with the quadratic features of its points on one
 side and each component's exponent coefficients on the other.  The
@@ -35,17 +41,22 @@ shift; without it, on a grid a distance R from the anchors the absolute
 error of every exponent grows like R^2 / (2 diffusion spread) machine
 epsilons (about 1e-9 relative at R = 1000).
 
+Points are (N, dim) arrays, or one (dim,) point; any other shape raises
+InputError rather than being re-read as points of another dimension.  An
+empty point set gives an empty kernel.
+
 Kernel matrix entries below the smallest normal double are zero, never
 subnormal.  numpy's exp (2.4.6, one core of a Xeon) takes about 1.2 ns
 per entry whose result is a normal double, 18 ns per entry that
 underflows to zero and 125-135 ns per subnormal result, and the wide
 grids of the sampled inverse put about 8% of their entries there.  So
-kernel_matrix bounds the block's lowest exponent from the corners of the
-box that the point differences fill (the exponent is concave in the
-difference), and only when that bound lies below LOG_TINY does
-exp_product zero the entries under LOG_TINY before the exp and again
-after it; every other block, mixture evaluation included, takes the
-single in-place exp.
+kernel_features bounds the lowest exponent over all pairs from the
+corners of the box that the point differences fill (the exponent is
+concave in the difference), and only when that bound lies below LOG_TINY
+does exp_product look for exponents under LOG_TINY, block by block: a
+block that holds some has them zeroed before the exp and again after it.
+Every other block, mixture evaluation included, takes the single
+in-place exp.
 
 A matriciant that overflows double precision (long horizons) is never
 built: ``matriciant`` raises KernelValidityError naming |t - s|.
@@ -60,7 +71,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DeltaLimitError, KernelValidityError
+from .errors import DeltaLimitError, InputError, KernelValidityError
 from .model import ModelParams, _vector
 from .variations import Matriciant, matriciant, require_spd
 
@@ -138,6 +149,15 @@ def _spread(m: Matriciant) -> tuple[np.ndarray, float]:
     return 0.5 * (w + w.T), det
 
 
+def _points(x, n: int) -> np.ndarray:
+    """x as an (N, n) array of points: an (N, n) array or one (n,) point;
+    anything else is None."""
+    pts = np.asarray(x, dtype=float)
+    if pts.shape == (n,):
+        return pts[None]
+    return pts if pts.ndim == 2 and pts.shape[1] == n else None
+
+
 def _frame(ctx: KernelContext, x, y):
     """(C, prefactor, anchored x rows, transported anchored y rows)."""
     m = ctx.m
@@ -148,43 +168,60 @@ def _frame(ctx: KernelContext, x, y):
         raise DeltaLimitError(
             f"|t - s| = {m.tau:.3e} below {DELTA_TOL:.0e}: kernel degenerates to a delta"
         )
-    w, det = _spread(m)
     n, eps = ctx.params.dim, ctx.params.diffusion
+    xs, ys = _points(x, n), _points(y, n)
+    if xs is None or ys is None:
+        raise InputError(
+            f"kernel points must be (N, {n}) arrays or one ({n},) point in {n}D, got "
+            f"x of shape {np.shape(x)} and y of shape {np.shape(y)}"
+        )
+    w, det = _spread(m)
     c = -0.5 / eps * np.linalg.inv(w)
     # a numpy scalar turns a zero determinant into inf for the check below
     pref = (2.0 * np.pi * eps) ** (-n / 2.0) * np.float64(det) ** -0.5
     _require_finite(m, "prefactor", pref)
-    xp = np.asarray(x, dtype=float).reshape(-1, n) - ctx.x_end
-    yp = (np.asarray(y, dtype=float).reshape(-1, n) - ctx.x_start) @ m.dd.T
-    return c, pref, xp, yp
+    return c, pref, xs - ctx.x_end, (ys - ctx.x_start) @ m.dd.T
 
 
 def kernel(ctx: KernelContext, x, y) -> np.ndarray | float:
     """Kernel at paired points: row i of x with row i of y, a single row
     broadcasting; a single value comes back as a float."""
     c, pref, xp, yp = _frame(ctx, x, y)
+    if len(xp) != len(yp) and 1 not in (len(xp), len(yp)):
+        raise InputError(f"paired kernel points differ in number: {len(xp)} x "
+                         f"against {len(yp)} y rows")
     xi = xp - yp
     vals = pref * np.exp(np.einsum("...j,jk,...k->...", xi, c, xi))
-    return vals if vals.size > 1 else float(vals[0])
+    return float(vals[0]) if vals.size == 1 else vals
 
 
-def kernel_matrix(ctx: KernelContext, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Dense kernel values over the product of output points xs and input
-    points ys, both (N, dim) arrays, from centered row norms and one
-    matrix product."""
+def kernel_features(ctx: KernelContext, xs, ys) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(left, right, underflow) with ``exp_product(left, right, underflow)``
+    the kernel over the product of output points xs and input points ys:
+    the centered features [xc, xp^T C xp + log pref, 1] of the xs rows and
+    [-2 yp, 1, yp^T C yp] of the ys columns, and whether some exponent may
+    lie below LOG_TINY.  Any row slice of left gives those rows of the
+    kernel."""
     c, pref, xp, yp = _frame(ctx, xs, ys)
+    n = xp.shape[1]
+    if not (len(xp) and len(yp)):
+        return np.zeros((len(xp), n + 2)), np.zeros((n + 2, len(yp))), False
     center = 0.5 * (xp.mean(axis=0) + yp.mean(axis=0))
     xp -= center
     yp -= center
     xc = xp @ c
     log_pref = np.log(pref)
-    # exponent plus log prefactor as one product:
-    # [xc, xp^T C xp + log pref, 1] @ [-2 yp, 1, yp^T C yp]^T
     left = np.column_stack([xc, np.einsum("ij,ij->i", xc, xp) + log_pref,
                             np.ones(len(xp))])
     right = np.column_stack([-2.0 * yp, np.ones(len(yp)),
                              np.einsum("ij,ij->i", yp @ c, yp)])
-    return exp_product(left, right.T, _lowest_exponent(c, log_pref, xp, yp) < LOG_TINY)
+    return left, right.T, _lowest_exponent(c, log_pref, xp, yp) < LOG_TINY
+
+
+def kernel_matrix(ctx: KernelContext, xs, ys) -> np.ndarray:
+    """Dense kernel values over the product of output points xs and input
+    points ys, both (N, dim) arrays: one exp_product of kernel_features."""
+    return exp_product(*kernel_features(ctx, xs, ys))
 
 
 def _lowest_exponent(c: np.ndarray, log_pref: float, xp: np.ndarray,
@@ -206,22 +243,23 @@ def _lowest_exponent(c: np.ndarray, log_pref: float, xp: np.ndarray,
     return float(lowest - ROUNDING_ALLOWANCE * size)
 
 
-def exp_product(left: np.ndarray, right: np.ndarray,
-                underflow: bool = False) -> np.ndarray:
+def exp_product(left: np.ndarray, right: np.ndarray, underflow: bool = False,
+                out: np.ndarray | None = None) -> np.ndarray:
     """exp(left @ right): the one Gaussian evaluator.  One factor holds the
     quadratic features of the points, the other the coefficients of the
     exponents, so each entry is one exponent at one point; the product is
-    exponentiated in place, leaving it the only large array.
+    exponentiated in place, in ``out`` when given, leaving it the only
+    large array.
 
     With ``underflow`` (some exponent may lie below LOG_TINY) the entries
-    below LOG_TINY come back as zero: they are zeroed before the exp, which
-    keeps them off numpy's slow path, and again after it."""
-    block = left @ right
-    if not underflow:
+    below LOG_TINY come back as zero: where the block holds any, they are
+    zeroed before the exp, which keeps them off numpy's slow path, and
+    again after it."""
+    block = np.matmul(left, right, out=out)
+    if not (underflow and block.min() < LOG_TINY):
         return np.exp(block, out=block)
     keep = block >= LOG_TINY
     block *= keep
     np.exp(block, out=block)
     block *= keep
     return block
-

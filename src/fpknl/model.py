@@ -18,8 +18,30 @@ from .errors import ConfigurationError, DegenerateMomentError, InputError
 
 ZERO_MASS_TOL = 1e-12
 # most float64 entries a dense intermediate block (kernel or mixture
-# evaluation) holds at a time
-BLOCK_ENTRIES = 4_000_000
+# evaluation) holds at a time.  2^16 entries are 512 KiB, a quarter of a
+# core's 2 MiB L2, so one block's product, exp and consumer all run in
+# cache; larger blocks stream each pass through memory.  Measured with
+# evolve_quadrature (Xeon, one core, one BLAS thread, ms per call, median
+# of 15, grid classes of the quad_forward benchmark):
+#
+#   grid    rows at 2^16   2^14   2^15   2^16   2^17   2^18   2^20   4e6
+#   N 1201        52        3.30   3.42   2.78   3.31   3.80   4.46   4.79
+#   N 1801        36        7.61   6.63   6.29   6.28   6.99   8.75  12.13
+#   N 2401        27       15.48  13.88  12.81  12.54  14.01  15.87  18.79
+#   31^2          64        3.19   2.91   2.80   2.79   3.08   3.85   3.32
+#   45^2          32       12.86  11.32  10.43   9.90  10.85  12.53  13.78
+#
+# Mixture evaluation shares the constant: 2048 points of up to 16
+# components stay one block.
+BLOCK_ENTRIES = 2 ** 16
+
+
+def row_blocks(rows: int, row_entries: int) -> list[slice]:
+    """Near-equal slices of range(rows), each covering about BLOCK_ENTRIES
+    entries at row_entries entries a row, and at least one row."""
+    n_blocks = min(rows, max(1, -(-rows * row_entries // BLOCK_ENTRIES)))
+    return [slice(b * rows // n_blocks, (b + 1) * rows // n_blocks)
+            for b in range(n_blocks)]
 
 
 def _square_matrix(a, name: str) -> np.ndarray:

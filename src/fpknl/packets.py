@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InputError, InvalidCovarianceError, NormalizationError
 from .kernels import KernelContext, exp_product, kernel_context
-from .model import BLOCK_ENTRIES, ModelParams, normalize_moment
+from .model import ModelParams, normalize_moment, row_blocks
 from .variations import fraction, propagate_pair
 
 # largest |mean - center|^2 tr(Q) / (2 diffusion) of a component that
@@ -198,13 +198,11 @@ class GaussianMixture:
             # BLOCK_ENTRIES entries of the (K, points) product or of the
             # features; at four or more points a block, none is left with
             # the single point that numpy's matmul would round differently
-            n_blocks = max(1, -(-n_pts * max(coef.shape) // BLOCK_ENTRIES))
             part = np.empty(n_pts)
-            for b in range(n_blocks):
-                lo, hi = b * n_pts // n_blocks, (b + 1) * n_pts // n_blocks
-                feats = np.empty((coef.shape[1], hi - lo))
+            for rows in row_blocks(n_pts, max(coef.shape)):
+                feats = np.empty((coef.shape[1], rows.stop - rows.start))
                 y = feats[:n]
-                np.subtract(pts[lo:hi].T, center[:, None], out=y)
+                np.subtract(pts[rows].T, center[:, None], out=y)
                 np.multiply(y[:, None], y, out=feats[n:-1].reshape(n, n, -1))
                 feats[-1] = 1.0
                 block = exp_product(coef, feats)
@@ -214,7 +212,7 @@ class GaussianMixture:
                     amp += a0
                 # weighted sum in component order, the same for every block
                 block *= amp
-                block.sum(axis=0, out=part[lo:hi])
+                block.sum(axis=0, out=part[rows])
             vals = part if vals is None else vals + part
         return vals[0] if single else vals
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpknl import (GaussianMixture, GaussianPacket,
-                   IllPosedInverseError, KernelValidityError, ModelParams,
+                   IllPosedInverseError, InputError, KernelValidityError, ModelParams,
                    NormalizationError, SampledDensity, TruncationError,
                    evolution, evolve_analytic, evolve_packet,
-                   evolve_quadrature, inverse_evolve, plan_for)
+                   evolve_quadrature, inverse_evolve, kernel_matrix, model, plan_for)
 
 
 def params_1d(lam=1.0, eps=0.1, feedback=-0.5, kappa=1.0):
@@ -447,3 +448,73 @@ def test_2d_analytic_roundtrip():
     np.testing.assert_allclose(back.mean, pk.mean, atol=1e-12)
     np.testing.assert_allclose(back.num, pk.num, atol=1e-12)
     np.testing.assert_allclose(back.den, pk.den, atol=1e-12)
+
+
+# ------------------------------------------------------- blocked quadrature
+
+def _dense_quadrature(gamma, plan):
+    pts = gamma.points()
+    return kernel_matrix(plan, pts, pts) @ (gamma.weights() * gamma.values).ravel()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("rows", ["default", "unequal", "single"])
+def test_blocked_quadrature_equals_the_dense_kernel(dim, rows, monkeypatch):
+    # row blocks of the kernel, each multiplied into the weighted samples,
+    # give the dense product up to the matrix-vector product's rounding
+    gamma, plan = _grid_1d(1201) if dim == 1 else _grid_2d(31)
+    n = gamma.values.size
+    entries = {"default": model.BLOCK_ENTRIES,
+               # 5 blocks of unequal rows (240 and 241, 192 and 193)
+               "unequal": -(-n * n // 5),
+               # one row at a time: the matrix-vector path of every block
+               "single": 1}[rows]
+    monkeypatch.setattr(model, "BLOCK_ENTRIES", entries)
+    if rows == "unequal":
+        sizes = {b.stop - b.start for b in model.row_blocks(n, n)}
+        assert len(model.row_blocks(n, n)) == 5 and len(sizes) == 2
+    out = evolve_quadrature(gamma, plan).values.ravel()
+    ref = _dense_quadrature(gamma, plan)
+    np.testing.assert_allclose(out, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("nodes", [401, 801, 1201])
+def test_forward_quadrature_matrix_is_the_weighted_dense_kernel(nodes):
+    # filled block by block, A keeps the bits of the dense kernel times the
+    # weights with the entries below the smallest normal double flushed
+    gamma, plan = _grid_1d(nodes)
+    assert len(model.row_blocks(nodes, nodes)) > 1
+    pts = gamma.points()
+    ref = kernel_matrix(plan, pts, pts) * gamma.weights().ravel()
+    ref[ref < np.finfo(float).tiny] = 0.0
+    assert np.array_equal(evolution.forward_quadrature_matrix(gamma, plan), ref)
+
+
+def test_quadrature_never_holds_the_kernel_matrix():
+    # N = 2401: the dense kernel alone would take 46 MB
+    p = params_1d(eps=0.15)
+    gamma = sampled_from(unit_packet(mean=0.3, num=4.0), p, -6.0, 6.0, 2401)
+    plan = plan_for(p, 0.0, 0.8, gamma)
+    evolve_quadrature(gamma, plan)  # warm numpy's and BLAS's one-off buffers
+    tracemalloc.start()
+    try:
+        evolve_quadrature(gamma, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_a_plan_of_another_dimension_is_an_input_error():
+    # a 1D grid along a 2D plan died in numpy's matmul or broadcasting
+    gamma_1d, plan_1d = _grid_1d(201)
+    gamma_2d, plan_2d = _grid_2d(21)
+    mix_1d = unit_field(mean=0.3)
+    for field, plan in ((gamma_1d, plan_2d), (gamma_2d, plan_1d), (mix_1d, plan_2d)):
+        calls = [inverse_evolve]
+        calls.append(evolve_analytic if isinstance(field, GaussianMixture)
+                     else evolve_quadrature)
+        for call in calls:
+            with pytest.raises(InputError, match=rf"a {field.dim}D \w+ cannot move "
+                                                 rf"along a {plan.params.dim}D plan"):
+                call(field, plan)

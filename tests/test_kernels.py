@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fpknl import (DeltaLimitError, GaussianPacket, KernelContext, KernelValidityError,
+from fpknl import (DeltaLimitError, GaussianPacket, InputError, KernelContext,
+                   KernelValidityError,
                    Matriciant, ModelParams, evolve_packet, kernel, kernel_context,
                    kernel_matrix)
 from fpknl import kernels
@@ -424,3 +425,60 @@ def test_overflow_raises_the_typed_error_not_a_warning():
                                              100.0, 0.0, x_start=[0.5])):
             with pytest.raises(KernelValidityError, match="overflows"):
                 build()
+
+
+def _context_2d():
+    p = ModelParams(drift=np.eye(2), coupling_state=np.zeros((2, 2)),
+                    coupling_mean=-0.5 * np.eye(2), diffusion=0.3, coupling=1.0)
+    return kernel_context(p, 0.6, 0.0, x_start=[0.2, 0.2])
+
+
+@pytest.mark.parametrize("xs, ys", [
+    (np.zeros((4, 1)), np.zeros((4, 1))),   # 1D points, paired up as 2D ones before
+    (np.zeros((3, 2)), np.zeros((6, 1))),
+    (np.zeros((3, 3)), np.zeros((3, 2))),
+    (np.zeros(4), np.zeros(4)),
+    (np.zeros((2, 2, 2)), np.zeros((2, 2))),
+    (0.0, np.zeros(2)),
+])
+def test_points_of_the_wrong_width_are_input_errors(xs, ys):
+    ctx = _context_2d()
+    for evaluate in (kernel, kernel_matrix):
+        with pytest.raises(InputError, match=r"\(N, 2\) arrays or one \(2,\) point") as err:
+            evaluate(ctx, xs, ys)
+        assert f"x of shape {np.shape(xs)}" in str(err.value)
+        assert f"y of shape {np.shape(ys)}" in str(err.value)
+
+
+def test_paired_points_of_different_counts_are_input_errors():
+    with pytest.raises(InputError, match="3 x against 2 y rows"):
+        kernel(_context_2d(), np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+def test_empty_point_sets_give_empty_kernels():
+    # no points is an empty answer, as for mixture evaluation, not a
+    # "Mean of empty slice" warning and a reduction error
+    ctx = _context_2d()
+    some, none = np.zeros((3, 2)), np.zeros((0, 2))
+    assert kernel_matrix(ctx, none, some).shape == (0, 3)
+    assert kernel_matrix(ctx, some, none).shape == (3, 0)
+    assert kernel_matrix(ctx, none, none).shape == (0, 0)
+    for xs, ys in ((none, none), (none, some[:1]), (some[:1], none)):
+        vals = kernel(ctx, xs, ys)
+        assert isinstance(vals, np.ndarray) and vals.shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_matrix_is_one_product_of_the_features(dim, monkeypatch):
+    # kernel_matrix evaluates exactly what kernel_features hands a blocked
+    # consumer: the same factors, the same flag, the same bits
+    ctx, pts = _underflowing_context(dim)
+    left, right, underflow = kernels.kernel_features(ctx, pts, pts)
+    mat, expo, recorded, _ = _recorded_kernel_matrix(monkeypatch, ctx, pts, pts)
+    assert underflow and recorded == underflow
+    assert np.array_equal(expo, left @ right)
+    assert np.array_equal(mat, kernels.exp_product(left, right, underflow))
+    # a preallocated output row block is filled in place
+    out = np.empty((7, len(pts)))
+    block = kernels.exp_product(left[3:10], right, underflow, out=out)
+    assert block is out and np.array_equal(out, mat[3:10])

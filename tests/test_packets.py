@@ -7,7 +7,7 @@ from fpknl import (GaussianMixture, GaussianPacket, InputError, InvalidCovarianc
                    KernelContext, KernelValidityError, ModelParams, NormalizationError,
                    SampledDensity, checks, evolve_packet, kernel_context, matriciant,
                    propagate_packet, residual_field, spacetime_samples)
-from fpknl import packets
+from fpknl import model, packets
 
 
 def params_1d(lam=0.0, eps=0.5, feedback=0.0, kappa=0.0):
@@ -365,7 +365,7 @@ def test_mixture_eval_in_blocks_equals_one_block(dim, monkeypatch):
     # takes the same matrix-matrix path as the single block (a one-row
     # block goes through a matrix-vector product, about 1e-14 off)
     for b in (4, 7, 250):
-        monkeypatch.setattr(packets, "BLOCK_ENTRIES", 5 * dim * b)
+        monkeypatch.setattr(model, "BLOCK_ENTRIES", 5 * dim * b)
         assert np.array_equal(mix.eval(p, pts), whole)
 
 
