@@ -62,10 +62,10 @@ def result(name, value, tol, detail="") -> CheckResult:
 
 
 def parameter_error(original: GaussianMixture, recovered: GaussianMixture) -> float:
-    """Largest difference in mean, num, den or weight between matching
-    components of two Gaussian mixtures."""
+    """Largest difference in mean, scaled covariance or weight between
+    matching components of two Gaussian mixtures."""
     return float(max(np.max(np.abs(getattr(recovered, f) - getattr(original, f)))
-                     for f in ("mean", "num", "den", "weight")))
+                     for f in ("mean", "cov", "weight")))
 
 
 def route_spread(fields) -> float:
@@ -275,8 +275,7 @@ def check_roundtrip(params=None, packet=None) -> list[CheckResult]:
         q_params, q_packet = reference_case()
         detail += f"; 1D reference case in place of the dim-{params.dim} model"
     center = float(q_packet.mean[0])
-    cov = q_params.diffusion * np.linalg.inv(GaussianMixture([q_packet]).precision()[0])
-    half = 10.0 * float(np.sqrt(cov[0, 0]))
+    half = 10.0 * float(np.sqrt(q_params.diffusion * GaussianMixture([q_packet]).cov[0, 0, 0]))
     gamma = _sample_packet(q_packet, q_params, center - half, center + half, 801)
     qplan = plan_for(q_params, 0.0, 0.1, gamma)
     u_q = evolve_quadrature(gamma, qplan)

@@ -11,11 +11,11 @@ weighted samples, so it never holds an N x N array; the sampled inverse,
 which needs all of A, fills it block by block, weights and flush
 included.  A field and a plan of different dimensions raise InputError.
 
-The left inverse on the analytic pathway is exact backward block algebra
-along ``plan.reversed()``.  Its denominator den = dn @ num + dd @ den is a
-sum whose rounding is at most eps times the sum of the magnitudes of its
-terms; where that bound, relative to the result, exceeds INVERSE_PRECISION
-the backward flow has cancelled the initial data and IllPosedInverseError
+The left inverse on the analytic pathway moves the covariances along
+``plan.reversed()``, S(s) = dd S(t) dd^T + w with its blocks.  That sum
+rounds by at most eps times the sum of the magnitudes of its terms; where
+that bound, relative to the result, exceeds INVERSE_PRECISION the
+backward flow has cancelled the initial data and IllPosedInverseError
 names |t - s| and the precision kept.  On sampled densities the literal
 backward-kernel integral diverges for every forward image (the growing
 exponent always wins), so the inverse is realized as a truncated-SVD
@@ -43,10 +43,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IllPosedInverseError, InputError, NormalizationError, TruncationError
-from .kernels import KernelContext, exp_product, kernel_context, kernel_features
+from .errors import (IllPosedInverseError, InvalidCovarianceError, NormalizationError,
+                     TruncationError)
+from .kernels import (KernelContext, _require_same_dim, exp_product, kernel_context,
+                      kernel_features)
 from .model import ModelParams, SampledDensity, _vector, row_blocks
 from .packets import GaussianMixture, propagate_packet
+from .variations import require_spd
 
 MASS_TOL_ANALYTIC = 1e-10
 MASS_TOL_QUADRATURE = 1e-6
@@ -81,13 +84,6 @@ def _check_mass(mass: float, tol: float) -> None:
             f"input mass {mass:.12g} is not 1 within {tol:.0e}; only "
             "evolve_analytic takes raw fields (require_normalized=False)"
         )
-
-
-def _require_same_dim(field: GaussianMixture | SampledDensity,
-                      plan: KernelContext) -> None:
-    if field.dim != plan.params.dim:
-        raise InputError(f"a {field.dim}D {type(field).__name__} cannot move "
-                         f"along a {plan.params.dim}D plan")
 
 
 def evolve_analytic(mix: GaussianMixture, plan: KernelContext,
@@ -149,19 +145,20 @@ def forward_quadrature_matrix(gamma: SampledDensity,
 def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixture:
     back = plan.reversed()
     m = back.m
-    # den = dn @ num + dd @ den rounds by at most eps times the magnitudes
-    # of its terms; relative to den that bounds the precision it keeps
-    terms = np.abs(m.dn) @ np.abs(u.num) + np.abs(m.dd) @ np.abs(u.den)
-    lost = float(np.max(np.finfo(float).eps * terms.max(axis=(-2, -1))
-                        / np.abs(m.dn @ u.num + m.dd @ u.den).max(axis=(-2, -1))))
+    out = propagate_packet(u, back)
+    # S(s) rounds by at most eps times the magnitudes of its terms: relative
+    # to S(s), the precision it keeps (none where the terms cancel to 0)
+    terms = np.abs(m.dd) @ np.abs(u.cov) @ np.abs(m.dd.T) + np.abs(m.w)
+    with np.errstate(divide="ignore"):
+        lost = float(np.max(np.finfo(float).eps * terms.max(axis=(-2, -1))
+                            / np.abs(out.cov).max(axis=(-2, -1))))
     if lost > INVERSE_PRECISION:
         raise IllPosedInverseError(
             f"analytic inverse over |t - s| = {abs(plan.t - plan.s):.6g}: the "
-            f"backward denominator is precise only to {lost:.1e} relative (limit "
+            f"backward covariance is precise only to {lost:.1e} relative (limit "
             f"{INVERSE_PRECISION:.0e}); rounding swamps the initial data"
         )
-    out = propagate_packet(u, back)
-    out.precision()  # backward blocks must keep a valid shape
+    require_spd(out.cov, "recovered covariance", InvalidCovarianceError)
     return out
 
 

@@ -104,11 +104,20 @@ class KernelContext:
 
     def reversed(self) -> "KernelContext":
         """Left-inverse context from t back to s: the exact inverse of the
-        fundamental matrix [[nn, 0], [dn, dd]], with the anchors swapped."""
+        fundamental matrix [[nn, 0], [dn, dd]] with the anchors swapped and
+        the spread -inv(dd) w inv(dd)^T of the forward w (from the inverted
+        blocks a covariance roundtrip lost 2.2e-11, not 2.8e-14, at drift 2)."""
         m = self.m
         nn, dd = np.linalg.inv(m.nn), np.linalg.inv(m.dd)
-        back = Matriciant(t=m.s, s=m.t, nn=nn, dn=-dd @ m.dn @ nn, dd=dd)
+        back = Matriciant(t=m.s, s=m.t, nn=nn, dn=-dd @ m.dn @ nn, dd=dd,
+                          w=-dd @ m.w @ dd.T)
         return KernelContext(self.params, back, x_start=self.x_end, x_end=self.x_start)
+
+
+def _require_same_dim(field, ctx: KernelContext) -> None:
+    if field.dim != ctx.params.dim:
+        raise InputError(f"a {field.dim}D {type(field).__name__} cannot move "
+                         f"along a {ctx.params.dim}D plan")
 
 
 def kernel_context(params: ModelParams, t: float, s: float,
@@ -139,16 +148,6 @@ def _require_finite(m: Matriciant, what: str, *values) -> None:
         )
 
 
-def _spread(m: Matriciant) -> tuple[np.ndarray, float]:
-    """(symmetrized spread dn @ inv(nn), its determinant before symmetrizing);
-    the spread must be positive definite."""
-    w = np.linalg.solve(m.nn.T, m.dn.T).T
-    det = float(np.linalg.det(w))
-    _require_finite(m, "spread", w, det)
-    require_spd(w, "kernel spread", KernelValidityError)
-    return 0.5 * (w + w.T), det
-
-
 def _points(x, n: int) -> np.ndarray:
     """x as an (N, n) array of points: an (N, n) array or one (n,) point;
     anything else is None."""
@@ -175,8 +174,10 @@ def _frame(ctx: KernelContext, x, y):
             f"kernel points must be (N, {n}) arrays or one ({n},) point in {n}D, got "
             f"x of shape {np.shape(x)} and y of shape {np.shape(y)}"
         )
-    w, det = _spread(m)
-    c = -0.5 / eps * np.linalg.inv(w)
+    det = float(np.linalg.det(m.w))
+    _require_finite(m, "spread", m.w, det)
+    require_spd(m.w, "kernel spread", KernelValidityError)
+    c = -0.5 / eps * np.linalg.inv(0.5 * (m.w + m.w.T))
     # a numpy scalar turns a zero determinant into inf for the check below
     pref = (2.0 * np.pi * eps) ** (-n / 2.0) * np.float64(det) ** -0.5
     _require_finite(m, "prefactor", pref)

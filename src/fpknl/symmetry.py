@@ -106,12 +106,11 @@ def _apply_to_mixture(op: InitialOperator, mix: GaussianMixture,
     if mix.dipole is not None:
         raise InputError("operator application to a dipole-carrying packet "
                          "would leave the first-order class")
-    # (const + lin.x) N + grad . grad N: lin.(x - m) N = -eps inv(Q) lin . grad N
-    q = mix.precision()
+    # (const + lin.x) N + grad . grad N: lin.(x - m) N = -eps S lin . grad N
     amp0 = mix.amp0 * (op.const + mix.mean @ op.lin)
-    lin = params.diffusion * np.linalg.solve(q, op.lin[:, None])[..., 0]
+    lin = params.diffusion * (mix.cov @ op.lin)
     dipole = mix.amp0[:, None] * (lin - op.grad)
-    out = GaussianMixture._of(mix.mean, mix.num, mix.den, mix.weight, amp0, dipole)
+    out = GaussianMixture._of(mix.mean, mix.cov, mix.weight, amp0, dipole)
     return out, out.total_mass()
 
 

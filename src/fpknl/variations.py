@@ -1,13 +1,14 @@
 """Fundamental solution of the paired linear system behind the Riccati flow.
 
-The Gaussian precision factor is carried as a fraction Q = num @ inv(den)
+The paper's Gaussian precision factor is a fraction Q = num @ inv(den)
 whose parts obey the linear pair
 
     d(num)/dt = L^T num,          num(s) = num0,
     d(den)/dt = 2 num - L den,    den(s) = den0,
 
-with L the effective drift.  Propagating the pair instead of Q itself
-keeps the flow linear and makes focal points (singular den) representable.
+with L the effective drift.  The pair keeps the flow linear through focal
+points (singular den); a density meets none, so mixtures carry S = inv(Q)
+moved by the matriciant's dd and spread w, and ``fraction`` forms Q once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class Matriciant:
     den(t) = dn @ num0 + dd @ den0
 
     dd is also the mean propagator of the drift-only flow: a Gaussian mean
-    moving with dm/dt = -L m satisfies m(t) = dd @ m(s).
+    moving with dm/dt = -L m satisfies m(t) = dd @ m(s).  The spread
+    w = dn @ inv(nn) (unless given) moves S = inv(Q) as dd S dd^T + w.
     """
 
     t: float
@@ -40,6 +42,11 @@ class Matriciant:
     nn: np.ndarray
     dn: np.ndarray
     dd: np.ndarray
+    w: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.w is None:
+            object.__setattr__(self, "w", np.linalg.solve(self.nn.T, self.dn.T).T)
 
     @property
     def tau(self) -> float:

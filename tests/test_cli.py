@@ -152,6 +152,13 @@ def test_numerical_domain_error_exit_code(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_singular_den_is_a_focal_point_where_the_initial_is_built(tmp_path, capsys):
+    cfg = base_config(tmp_path / "out")
+    cfg["initial"]["components"][0]["den"] = [[0.0]]
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    assert "numerical error: FocalPointError" in capsys.readouterr().err
+
+
 EYE2 = [[1.0, 0.0], [0.0, 1.0]]
 
 

@@ -5,9 +5,11 @@ import pytest
 
 from fpknl import (GaussianMixture, GaussianPacket, InputError, InvalidCovarianceError,
                    KernelContext, KernelValidityError, ModelParams, NormalizationError,
-                   SampledDensity, checks, evolve_packet, kernel_context, matriciant,
-                   propagate_packet, residual_field, spacetime_samples)
-from fpknl import model, packets
+                   SampledDensity, build_shifts, checks, evolve_analytic, evolve_packet,
+                   inverse_evolve, kernel_context, linsym_operator, matriciant, plan_for,
+                   propagate_packet, residual_field, spacetime_samples,
+                   symmetry_apply_conclusion, symmetry_apply_evolution, symmetry_apply_shift)
+from fpknl import model, packets, variations
 
 
 def params_1d(lam=0.0, eps=0.5, feedback=0.0, kappa=0.0):
@@ -42,8 +44,7 @@ def test_evolve_identity_at_equal_times():
     pk = GaussianPacket(mean=[0.3], num=[[1.0]], den=[[1.0]])
     out = evolve_packet(pk, p, 2.0, 2.0)
     np.testing.assert_allclose(out.mean[0], pk.mean)
-    np.testing.assert_allclose(out.num[0], pk.num)
-    np.testing.assert_allclose(out.den[0], pk.den)
+    np.testing.assert_allclose(out.cov[0], pk.den @ np.linalg.inv(pk.num))
 
 
 def test_heat_variance_growth():
@@ -51,8 +52,8 @@ def test_heat_variance_growth():
     p = params_1d(lam=0.0, eps=0.5)
     pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
     out = evolve_packet(pk, p, 1.0, 0.0)
-    assert out.precision()[0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
-    cov = p.diffusion * np.linalg.inv(out.precision()[0])
+    assert np.linalg.inv(out.cov[0])[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
+    cov = p.diffusion * out.cov[0]
     assert cov[0, 0] == pytest.approx(1.5, abs=1e-12)
 
 
@@ -67,7 +68,7 @@ def test_packet_moments_of_valid_packet():
     p = params_1d(eps=0.5)
     pk = GaussianPacket(mean=[-0.3], num=[[1.0]], den=[[3.0]], weight=0.9)
     mix = GaussianMixture([pk])
-    mass, mean, cov = mix.total_mass(), pk.mean, p.diffusion * np.linalg.inv(mix.precision()[0])
+    mass, mean, cov = mix.total_mass(), pk.mean, p.diffusion * mix.cov[0]
     assert mass == pytest.approx(0.9)
     assert mean[0] == pytest.approx(-0.3)
     assert cov[0, 0] == pytest.approx(1.5, abs=1e-13)
@@ -190,6 +191,61 @@ def test_mixture_rejects_components_of_different_dimensions():
             GaussianMixture(comps)
 
 
+def test_mixture_points_of_the_wrong_width_are_input_errors():
+    # a 2D mixture used to re-read (4, 1) points as 2 points and (3, 4)
+    # points as 6, with no error
+    p = ModelParams(drift=np.eye(2), coupling_state=np.zeros((2, 2)),
+                    coupling_mean=np.zeros((2, 2)), diffusion=0.3)
+    mix = GaussianMixture([GaussianPacket([0.1, -0.2], np.eye(2), np.eye(2))])
+    for pts in (np.zeros((4, 1)), np.zeros((3, 4)), np.zeros(4), 0.0, np.zeros((2, 2, 2))):
+        with pytest.raises(InputError, match=r"\(N, 2\) arrays or one \(2,\) point"):
+            mix.eval(p, pts)
+    assert mix.eval(p, np.zeros((3, 2))).shape == (3,)
+    assert np.ndim(mix.eval(p, np.zeros(2))) == 0
+    # 1D callers keep passing flat grids, and one scalar point
+    p1 = params_1d()
+    one = GaussianMixture([GaussianPacket([0.1], [[1.0]], [[1.0]])])
+    grid = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(one.eval(p1, grid), one.eval(p1, grid.reshape(-1, 1)))
+    assert one.eval(p1, 0.5) == one.eval(p1, [[0.5]])[0]
+    with pytest.raises(InputError, match=r"\(N, 1\) arrays"):
+        one.eval(p1, np.zeros((3, 2)))
+
+
+def test_propagating_along_a_context_of_another_dimension_is_an_input_error():
+    # used to die in numpy matmul ("mismatch in its core dimension")
+    mix = GaussianMixture([GaussianPacket([0.1, -0.2], np.eye(2), np.eye(2))])
+    with pytest.raises(InputError, match="2D GaussianMixture cannot move along a 1D plan"):
+        propagate_packet(mix, kernel_context(params_1d(), 0.5, 0.0))
+
+
+def test_a_built_mixture_never_forms_the_fraction_again(monkeypatch):
+    # the pair (num, den) becomes a covariance once, where the mixture is
+    # built; evaluation, evolution, the inverse and the three symmetry
+    # routes move that covariance alone
+    p, pk = checks.reference_case()
+    mix = GaussianMixture([pk])
+
+    def refuse(num, den):
+        raise AssertionError("fraction formed again")
+
+    for module in (variations, packets):
+        monkeypatch.setattr(module, "fraction", refuse)
+    with pytest.raises(AssertionError, match="fraction formed again"):
+        GaussianMixture([pk])
+    xs = np.linspace(-2.0, 3.0, 11)
+    plan = plan_for(p, 0.0, 1.0, mix)
+    u = evolve_analytic(mix, plan)
+    assert np.all(u.eval(p, xs) > 0.0)
+    np.testing.assert_allclose(inverse_evolve(u, plan).cov, mix.cov, rtol=0, atol=1e-12)
+    op = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean)
+    shifts = build_shifts(op, mix, p, 0.0, moment_override=[0.2])
+    routes = [symmetry_apply_shift(op, u, shifts, 1.0).eval(p, xs),
+              symmetry_apply_conclusion(op, u, shifts, 1.0).eval(p, xs),
+              symmetry_apply_evolution(op, u, plan, moment_override=[0.2]).eval(p, xs)]
+    assert checks.route_spread(routes) <= checks.ROUTE_TOL
+
+
 def test_invalid_covariance_detected():
     p = params_1d()
     pk = GaussianPacket(mean=[0.0], num=[[-1.0]], den=[[1.0]])
@@ -275,13 +331,18 @@ def test_mixture_eval_and_moment_match_per_component_reference(dim):
     for c, c_t in zip(comps, moved):
         assert np.array_equal(c.eval(p, pts), GaussianMixture([c]).eval(p, pts))
         alone = propagate_packet(GaussianMixture([c]), ctx).components[0]
-        for f in ("mean", "num", "den", "dipole"):
+        for f in ("mean", "den", "dipole"):
             assert np.array_equal(getattr(alone, f), getattr(c_t, f))
-    # components come back as the packets that went in
+    # components come back as the packets that went in, with num = I and
+    # den the covariance, and rebuild the same mixture
     for a, b in zip(comps, mix.components):
-        for f in ("mean", "num", "den", "weight", "amp0"):
+        for f in ("mean", "weight", "amp0"):
             assert np.array_equal(getattr(a, f), getattr(b, f))
         assert (a.dipole is None) == (b.dipole is None)
+        assert np.array_equal(b.num, np.eye(dim))
+        cov = np.linalg.inv(precision_of(a.num, a.den))
+        assert np.max(np.abs(b.den - cov)) <= 1e-13 * np.max(np.abs(cov))
+    assert np.array_equal(GaussianMixture(mix.components).cov, mix.cov)
 
 
 def component_terms(comps, eps, pts):
@@ -397,7 +458,7 @@ def test_dipole_moves_as_the_gradient_amplitude_law(dim):
     fwd = propagate_packet(mix, ctx)
     for src, move in ((mix, ctx), (fwd, ctx.reversed())):
         out = propagate_packet(src, move)
-        q_s, q_t = precision_of(src.num, src.den), precision_of(out.num, out.den)
+        q_s, q_t = np.linalg.inv(src.cov), np.linalg.inv(out.cov)
         a1_s = (q_s @ src.dipole[..., None])[..., 0] / eps
         want = (q_t @ move.m.dd @ np.linalg.solve(q_s, a1_s[..., None]))[..., 0]
         got = (q_t @ out.dipole[..., None])[..., 0] / eps

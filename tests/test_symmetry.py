@@ -68,7 +68,7 @@ def test_gradient_operator_gives_odd_zero_mass_field():
     assert vals[0] == pytest.approx(-vals[1], abs=1e-14)  # odd about the mean
     # proportional to (x - mean) times the Gaussian
     d = 0.5
-    expected = d * pk.precision()[0, 0, 0] / p.diffusion * pk.eval(p, [0.2 + d])
+    expected = d / pk.cov[0, 0, 0] / p.diffusion * pk.eval(p, [0.2 + d])
     assert vals[1] == pytest.approx(-expected, rel=1e-12)
 
 
