@@ -163,7 +163,7 @@ class GaussianMixture:
         eps = params.diffusion
         n = self.dim
         # sqrt(det Q) = 1 / prod(diag chol); inv(S) rounds less than
-        # inv(chol)^T inv(chol) (2.9e-15 against 4.4e-15 on the reference case)
+        # inv(chol)^T inv(chol) (reference case: 2.9e-15 against 4.4e-15 relative)
         chol = np.linalg.cholesky(self.cov)
         q = np.linalg.inv(self.cov)
         scale = self.weight / (np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1)

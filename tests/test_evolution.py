@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpknl import (GaussianMixture, GaussianPacket,
-                   IllPosedInverseError, InputError, KernelValidityError, ModelParams,
+                   IllPosedInverseError, InputError, InvalidCovarianceError,
+                   KernelValidityError, ModelParams,
                    NormalizationError, SampledDensity, TruncationError,
                    evolution, evolve_analytic, evolve_packet,
                    evolve_quadrature, inverse_evolve, kernel_matrix, model, plan_for)
@@ -260,6 +261,15 @@ def test_analytic_inverse_rejects_cancelled_precision(tau):
     # den off by 1.95e-3 without an error, at tau 10 to blame a focal point
     with pytest.raises(IllPosedInverseError, match=rf"\|t - s\| = {tau:g}.*precise only"):
         _long_roundtrip(3.0, tau)
+
+
+def test_analytic_inverse_rejects_a_field_no_gaussian_evolves_into():
+    # narrower than the spread the flow adds over t - s = 1: the recovered
+    # covariance is negative
+    p = params_1d()
+    u = unit_field(num=100.0)
+    with pytest.raises(InvalidCovarianceError, match="recovered covariance.*not positive definite"):
+        inverse_evolve(u, plan_for(p, 0.0, 1.0, u))
 
 
 def test_quadrature_roundtrip():
