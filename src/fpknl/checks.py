@@ -188,13 +188,14 @@ def check_mass_conservation(params=None, packet=None) -> list[CheckResult]:
 # ------------------------------------------------------------- matriciant laws
 
 def check_matriciant_laws() -> list[CheckResult]:
+    def drift_only(lam):
+        return ModelParams([[lam]], [[0.0]], [[0.0]], diffusion=1.0)
+
     rng = np.random.default_rng(20240)
     count, rk4_count = 100, 10
     worst_nn = worst_dn = 0.0
     for _ in range(count):
-        lam = rng.uniform(-2.0, 2.0)
-        params = ModelParams(drift=[[lam]], coupling_state=[[0.0]],
-                             coupling_mean=[[0.0]], diffusion=1.0)
+        params = drift_only(rng.uniform(-2.0, 2.0))
         t, s, tau = rng.uniform(-1.5, 1.5, size=3)
         m_ts, m_st, m_tt = (matriciant(params, t, s), matriciant(params, s, tau),
                             matriciant(params, t, tau))
@@ -203,9 +204,7 @@ def check_matriciant_laws() -> list[CheckResult]:
         worst_dn = max(worst_dn, float(abs(dn - m_tt.dn[0, 0])))
     worst_rk4 = 0.0
     for _ in range(rk4_count):
-        lam = rng.uniform(-2.0, 2.0)
-        params = ModelParams(drift=[[lam]], coupling_state=[[0.0]],
-                             coupling_mean=[[0.0]], diffusion=1.0)
+        params = drift_only(rng.uniform(-2.0, 2.0))
         t, s = rng.uniform(-1.0, 1.0, size=2)
         a = matriciant(params, t, s)
         b = matriciant_rk4(params, t, s, steps=2000)

@@ -27,7 +27,7 @@ from . import __version__, checks
 from .errors import ConfigurationError, FpknlError, InputError
 from .evolution import (evolve_analytic, evolve_quadrature, inverse_evolve,
                         plan_for)
-from .model import ModelParams, SampledDensity, _vector
+from .model import ModelParams, SampledDensity, _vector, require_finite
 from .packets import GaussianMixture, GaussianPacket
 from .symmetry import (InitialOperator, build_shifts, linsym_operator,
                        symmetry_apply_conclusion, symmetry_apply_evolution,
@@ -225,9 +225,7 @@ def _times(cfg: dict) -> tuple[float, float, list[float]]:
         raise ConfigurationError("this task needs a time block")
     start, end = float(tc["start"]), float(tc["end"])
     snaps = list(tc.get("snapshots", [tc["end"]]))
-    if not np.isfinite([start, end, *snaps]).all():
-        raise ConfigurationError(f"time values must be finite, got start {start:g}, "
-                                 f"end {end:g}, snapshots {snaps}")
+    require_finite(ConfigurationError, "time start, end and snapshots", start, end, snaps)
     if end < start or not all(start <= t <= end for t in snaps):
         raise ConfigurationError(f"time needs start <= snapshots <= end, got start "
                                  f"{start:g}, end {end:g}, snapshots {snaps}")

@@ -34,8 +34,9 @@ class DeltaLimitError(FpknlError):
 
 
 class KernelValidityError(FpknlError):
-    """Kernel or matriciant is not finite over the horizon, a kernel is asked
-    for backward in time, or the kernel's spread is not positive definite."""
+    """The matriciant (dd, w), an anchor or a kernel normalization overflows
+    over the horizon, a kernel is asked for backward in time, or its spread
+    is not positive definite."""
 
 
 class NormalizationError(FpknlError):

@@ -14,9 +14,9 @@ included.  A field and a plan of different dimensions raise InputError.
 The left inverse on the analytic pathway moves the covariances along
 ``plan.reversed()``, S(s) = dd S(t) dd^T + w with its blocks.  That sum
 rounds by at most eps times the sum of the magnitudes of its terms; where
-that bound, relative to the result, exceeds INVERSE_PRECISION the
-backward flow has cancelled the initial data and IllPosedInverseError
-names |t - s| and the precision kept.  On sampled densities the literal
+that bound, relative to the result, exceeds INVERSE_PRECISION, or dd is
+singular or the sum overflows, the forward flow has lost the initial
+data and IllPosedInverseError names |t - s|.  On sampled densities the literal
 backward-kernel integral diverges for every forward image (the growing
 exponent always wins), so the inverse is realized as a truncated-SVD
 least-squares solve of the forward quadrature system, with lstsq's rule:
@@ -143,21 +143,26 @@ def forward_quadrature_matrix(gamma: SampledDensity,
 
 
 def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixture:
-    back = plan.reversed()
-    m = back.m
-    out = propagate_packet(u, back)
-    # S(s) rounds by at most eps times the magnitudes of its terms: relative
-    # to S(s), the precision it keeps (none where the terms cancel to 0)
-    terms = np.abs(m.dd) @ np.abs(u.cov) @ np.abs(m.dd.T) + np.abs(m.w)
-    with np.errstate(divide="ignore"):
+    horizon = f"analytic inverse over |t - s| = {abs(plan.t - plan.s):.6g}"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            back = plan.reversed()
+            out = propagate_packet(u, back)
+        except np.linalg.LinAlgError:  # dd underflowed to a singular matrix
+            out = None
+        if out is None or not (np.isfinite(out.cov).all() and np.isfinite(out.mean).all()):
+            raise IllPosedInverseError(
+                f"{horizon}: dd is singular or the backward field overflows in double "
+                "precision; the forward flow has forgotten the initial data")
+        # S(s) rounds by at most eps times the magnitudes of its terms:
+        # relative to S(s), the precision it keeps (none where they cancel to 0)
+        terms = np.abs(back.m.dd) @ np.abs(u.cov) @ np.abs(back.m.dd.T) + np.abs(back.m.w)
         lost = float(np.max(np.finfo(float).eps * terms.max(axis=(-2, -1))
                             / np.abs(out.cov).max(axis=(-2, -1))))
     if lost > INVERSE_PRECISION:
         raise IllPosedInverseError(
-            f"analytic inverse over |t - s| = {abs(plan.t - plan.s):.6g}: the "
-            f"backward covariance is precise only to {lost:.1e} relative (limit "
-            f"{INVERSE_PRECISION:.0e}); rounding swamps the initial data"
-        )
+            f"{horizon}: the backward covariance is precise only to {lost:.1e} "
+            f"relative (limit {INVERSE_PRECISION:.0e}); rounding swamps the initial data")
     require_spd(out.cov, "recovered covariance", InvalidCovarianceError)
     return out
 

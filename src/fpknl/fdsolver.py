@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .model import ModelParams, SampledDensity
+from .model import ModelParams, SampledDensity, require_finite
 
 CFL_LIMIT = 0.25
 MASS_DRIFT_FLAG = 1e-4
@@ -38,9 +38,8 @@ class FDConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if not np.isfinite([self.x_min, self.x_max, self.dt, self.t_end]).all():
-            raise ConfigurationError("x_min, x_max, dt and t_end must be finite, got "
-                                     f"{self.x_min}, {self.x_max}, {self.dt}, {self.t_end}")
+        for name in ("x_min", "x_max", "dt", "t_end"):
+            require_finite(ConfigurationError, name, getattr(self, name))
         if self.nx < 8:
             raise ConfigurationError("need at least 8 grid nodes")
         if self.x_max <= self.x_min:

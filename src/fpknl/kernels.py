@@ -7,7 +7,7 @@ from t to s that the analytic inverse takes, is the exact block inverse
 (no second matrix exponential) with the anchors swapped.  Kernels run
 forward in time only (s < t; backward, KernelValidityError): the kernel
 is a Gaussian in (x - X(t)) - dd @ (y - X(s)) with covariance
-``diffusion * spread`` where ``spread = dn @ inv(nn)`` is symmetric
+``diffusion * spread`` where the matriciant's ``spread = w`` is symmetric
 positive definite.  With zero anchors (``kernel_context(params, t, s)``)
 it is the propagator of the drift-only linear equation; anchored on the
 moment trajectory it is the mean-coupled kernel, the linear one moved
@@ -58,10 +58,11 @@ block that holds some has them zeroed before the exp and again after it.
 Every other block, mixture evaluation included, takes the single
 in-place exp.
 
-A matriciant that overflows double precision (long horizons) is never
-built: ``matriciant`` raises KernelValidityError naming |t - s|.
-kernel_context raises the same error when the moment trajectory overflows
-an anchor, and evaluation when the spread or the prefactor overflows.
+A matriciant (dd, w) stays bounded at every horizon for a stable drift; a
+mode growing along the move (unstable forward, stable backward) overflows
+it, and ``matriciant`` raises KernelValidityError naming |t - s|, as do
+kernel_context for an overflowing anchor and evaluation for an
+overflowing normalization.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DeltaLimitError, InputError, KernelValidityError
-from .model import ModelParams, _vector
+from .model import ModelParams, _vector, require_finite
 from .variations import Matriciant, matriciant, require_spd
 
 DELTA_TOL = 1e-9
@@ -103,14 +104,13 @@ class KernelContext:
         return self.m.s
 
     def reversed(self) -> "KernelContext":
-        """Left-inverse context from t back to s: the exact inverse of the
-        fundamental matrix [[nn, 0], [dn, dd]] with the anchors swapped and
-        the spread -inv(dd) w inv(dd)^T of the forward w (from the inverted
-        blocks a covariance roundtrip lost 2.2e-11, not 2.8e-14, at drift 2)."""
+        """Left-inverse context from t back to s, with the anchors swapped:
+        the inverse of dd and the spread -inv(dd) w inv(dd)^T that takes
+        off exactly what the forward w added (recomputed from inverted
+        blocks, a covariance roundtrip lost 2.2e-11, not 2.8e-14, at drift 2)."""
         m = self.m
-        nn, dd = np.linalg.inv(m.nn), np.linalg.inv(m.dd)
-        back = Matriciant(t=m.s, s=m.t, nn=nn, dn=-dd @ m.dn @ nn, dd=dd,
-                          w=-dd @ m.w @ dd.T)
+        dd = np.linalg.inv(m.dd)
+        back = Matriciant(t=m.s, s=m.t, dd=dd, w=-dd @ m.w @ dd.T)
         return KernelContext(self.params, back, x_start=self.x_end, x_end=self.x_start)
 
 
@@ -135,17 +135,8 @@ def kernel_context(params: ModelParams, t: float, s: float,
         if not np.isfinite(x_end).all():
             raise KernelValidityError(
                 f"moment-frame anchor is not finite at |t - s| = {abs(t - s):.6g}: "
-                "the moment trajectory overflows double precision over this horizon"
-            )
+                "the moment trajectory overflows double precision over this horizon")
     return KernelContext(params, matriciant(params, t, s), x_start, x_end)
-
-
-def _require_finite(m: Matriciant, what: str, *values) -> None:
-    if not all(np.isfinite(v).all() for v in values):
-        raise KernelValidityError(
-            f"kernel {what} is not finite at |t - s| = {abs(m.tau):.6g}: "
-            "the matriciant overflows double precision over this horizon"
-        )
 
 
 def _points(x, n: int) -> np.ndarray:
@@ -160,12 +151,13 @@ def _points(x, n: int) -> np.ndarray:
 def _frame(ctx: KernelContext, x, y):
     """(C, prefactor, anchored x rows, transported anchored y rows)."""
     m = ctx.m
-    if m.tau < 0:
-        raise KernelValidityError(f"kernel requested backward in time (t - s = {m.tau:.6g}); "
+    tau = m.t - m.s
+    if tau < 0:
+        raise KernelValidityError(f"kernel requested backward in time (t - s = {tau:.6g}); "
                                   "kernels run forward only, inverse_evolve inverts")
-    if m.tau < DELTA_TOL:
+    if tau < DELTA_TOL:
         raise DeltaLimitError(
-            f"|t - s| = {m.tau:.3e} below {DELTA_TOL:.0e}: kernel degenerates to a delta"
+            f"|t - s| = {tau:.3e} below {DELTA_TOL:.0e}: kernel degenerates to a delta"
         )
     n, eps = ctx.params.dim, ctx.params.diffusion
     xs, ys = _points(x, n), _points(y, n)
@@ -174,13 +166,13 @@ def _frame(ctx: KernelContext, x, y):
             f"kernel points must be (N, {n}) arrays or one ({n},) point in {n}D, got "
             f"x of shape {np.shape(x)} and y of shape {np.shape(y)}"
         )
-    det = float(np.linalg.det(m.w))
-    _require_finite(m, "spread", m.w, det)
     require_spd(m.w, "kernel spread", KernelValidityError)
     c = -0.5 / eps * np.linalg.inv(0.5 * (m.w + m.w.T))
-    # a numpy scalar turns a zero determinant into inf for the check below
-    pref = (2.0 * np.pi * eps) ** (-n / 2.0) * np.float64(det) ** -0.5
-    _require_finite(m, "prefactor", pref)
+    det = np.linalg.det(m.w)
+    with np.errstate(divide="ignore"):
+        pref = (2.0 * np.pi * eps) ** (-n / 2.0) * det ** -0.5
+    require_finite(KernelValidityError, f"kernel normalization at |t - s| = {tau:.6g}",
+                   det, pref)
     return c, pref, xs - ctx.x_end, (ys - ctx.x_start) @ m.dd.T
 
 

@@ -9,6 +9,7 @@ closed form before the density is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +45,21 @@ def row_blocks(rows: int, row_entries: int) -> list[slice]:
             for b in range(n_blocks)]
 
 
+def require_finite(error: type[Exception], what: str, *values) -> None:
+    """Raise error naming what unless every value (a number, an array, or
+    None for an absent field) is finite.  Numbers take math.isfinite, a third
+    of np.isfinite's cost: the symmetry routes check operators on every call."""
+    for v in values:
+        if v is not None and not (math.isfinite(v) if isinstance(v, float)
+                                  else np.isfinite(v).all()):
+            raise error(f"{what} must be finite" + (f", got {v}" if np.size(v) <= 9 else ""))
+
+
 def _square_matrix(a, name: str) -> np.ndarray:
     m = np.atleast_2d(np.asarray(a, dtype=float))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigurationError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ConfigurationError(f"{name} contains non-finite entries")
+    require_finite(ConfigurationError, name, m)
     return m
 
 
@@ -57,8 +67,7 @@ def _vector(x, n: int, name: str = "vector") -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.shape != (n,):
         raise ConfigurationError(f"{name} must have shape ({n},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ConfigurationError(f"{name} contains non-finite entries")
+    require_finite(ConfigurationError, name, v)
     return v
 
 
@@ -99,8 +108,7 @@ class ModelParams:
             )
         if not (np.isfinite(self.diffusion) and self.diffusion > 0):
             raise ConfigurationError(f"diffusion must be positive, got {self.diffusion}")
-        if not np.isfinite(self.coupling):
-            raise ConfigurationError("coupling must be finite")
+        require_finite(ConfigurationError, "coupling", self.coupling)
         object.__setattr__(self, "drift", d)
         object.__setattr__(self, "coupling_state", cs)
         object.__setattr__(self, "coupling_mean", cm)
@@ -175,12 +183,10 @@ class SampledDensity:
                 f"x_min/dx must have one entry per value axis ({n}), "
                 f"got {self.x_min.shape} and {self.dx.shape}"
             )
-        if not (np.all(np.isfinite(self.x_min)) and np.all(np.isfinite(self.dx))):
-            raise InputError("grid origin and spacing must be finite")
+        require_finite(InputError, "grid origin and spacing", self.x_min, self.dx)
         if np.any(self.dx <= 0):
             raise InputError("grid spacing must be positive")
-        if not np.all(np.isfinite(self.values)):
-            raise InputError("sampled values must be finite")
+        require_finite(InputError, "sampled values", self.values)
 
     @property
     def dim(self) -> int:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InputError, InvalidCovarianceError, NormalizationError
 from .kernels import KernelContext, _points, _require_same_dim, exp_product, kernel_context
-from .model import ModelParams, normalize_moment, row_blocks
+from .model import ModelParams, normalize_moment, require_finite, row_blocks
 from .variations import fraction
 
 # largest |mean - center|^2 tr(Q) / (2 diffusion) of a component that
@@ -100,9 +100,8 @@ class GaussianPacket:
         if shapes != ((n,), (n, n), (n, n), (n,)):
             raise InputError("packet needs mean (n,), num and den (n, n) and dipole (n,); "
                              f"got mean, num, den, dipole of shapes {shapes}")
-        fields = (self.mean, self.num, self.den, self.weight, self.amp0, self.dipole)
-        if not all(np.isfinite(f).all() for f in fields if f is not None):
-            raise InputError("packet needs finite mean, num, den, weight, amp0 and dipole")
+        for name in ("mean", "num", "den", "weight", "amp0", "dipole"):
+            require_finite(InputError, f"packet {name}", getattr(self, name))
         if self.dipole is not None and not np.any(self.dipole):
             self.dipole = None
 

@@ -21,7 +21,6 @@ by constructing the determining operator identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import InputError
 from .evolution import evolve_analytic, inverse_evolve, plan_for
 from .kernels import KernelContext
-from .model import ModelParams, MomentTrajectory, SampledDensity, _vector
+from .model import ModelParams, MomentTrajectory, SampledDensity, _vector, require_finite
 from .packets import GaussianMixture, GaussianPacket, evolve_packet
 from .variations import Matriciant, matriciant
 
@@ -50,11 +49,7 @@ class InitialOperator:
         if self.lin.shape != self.grad.shape:
             raise InputError("lin and grad coefficient vectors must match in length")
         object.__setattr__(self, "const", float(self.const))
-        # math.isfinite, not np.isfinite: the symmetry routes build operators
-        # on every call, and on a few coefficients it costs a third as much
-        if not all(map(math.isfinite, (self.const, *self.lin, *self.grad))):
-            raise InputError(f"operator coefficients must be finite, got const "
-                             f"{self.const}, lin {self.lin}, grad {self.grad}")
+        require_finite(InputError, "operator coefficients", self.const, *self.lin, *self.grad)
 
     @property
     def dim(self) -> int:

@@ -13,7 +13,9 @@ moved by the matriciant's dd and spread w, and ``fraction`` forms Q once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -23,34 +25,37 @@ from .model import ModelParams
 
 # reciprocal condition number below which den counts as singular
 FOCAL_RCOND = 1e-12
+# largest 1-norm of a chunk that expm takes with no squaring of its own
+# (theta_13, Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+THETA_13 = 5.37
 
 
 @dataclass(frozen=True)
 class Matriciant:
-    """Blocks of the fundamental matrix of the pair system between times s and t.
-
-    num(t) = nn @ num0
-    den(t) = dn @ num0 + dd @ den0
-
-    dd is also the mean propagator of the drift-only flow: a Gaussian mean
-    moving with dm/dt = -L m satisfies m(t) = dd @ m(s).  The spread
-    w = dn @ inv(nn) (unless given) moves S = inv(Q) as dd S dd^T + w.
-    """
+    """The pair's fundamental matrix [[nn, 0], [dn, dd]] from s to t, held as
+    the mean propagator dd (m(t) = dd @ m(s)) and the spread w = dn @ inv(nn)
+    (S = inv(Q) moves to dd S dd^T + w): both stay bounded for a stable drift,
+    where nn = inv(dd)^T grows.  nn and dn = w @ nn are derived, once each."""
 
     t: float
     s: float
-    nn: np.ndarray
-    dn: np.ndarray
     dd: np.ndarray
-    w: np.ndarray | None = None
+    w: np.ndarray
 
-    def __post_init__(self):
-        if self.w is None:
-            object.__setattr__(self, "w", np.linalg.solve(self.nn.T, self.dn.T).T)
+    @cached_property
+    def nn(self) -> np.ndarray:
+        return np.linalg.inv(self.dd).T
 
-    @property
-    def tau(self) -> float:
-        return self.t - self.s
+    @cached_property
+    def dn(self) -> np.ndarray:
+        return self.w @ self.nn
+
+    @classmethod
+    def of_fundamental(cls, t: float, s: float, m: np.ndarray) -> "Matriciant":
+        """From the pair system's fundamental matrix m from s to t."""
+        n = len(m) // 2
+        return cls(float(t), float(s), m[n:, n:],
+                   np.linalg.solve(m[:n, :n].T, m[n:, :n].T).T)
 
 
 def pair_generator(params: ModelParams) -> np.ndarray:
@@ -65,48 +70,46 @@ def pair_generator(params: ModelParams) -> np.ndarray:
 
 
 def matriciant(params: ModelParams, t: float, s: float) -> Matriciant:
-    """Exact blocks via one 2n x 2n matrix exponential (entire in t - s).
-
-    Blocks that overflow double precision (long horizons) raise
-    KernelValidityError naming |t - s|, so every kernel, packet and
-    inverse move reads finite blocks."""
-    n = params.dim
+    """dd and w from one expm over (t - s) / 2^k, with k the least that
+    brings the chunk's 1-norm to at most THETA_13 (0 for a short horizon),
+    then k doublings dd <- dd^2, w <- w + dd w dd^T (Van Loan, IEEE TAC 23,
+    1978).  A dd or w that overflows double precision (a mode growing over
+    a long horizon) raises KernelValidityError naming |t - s|."""
+    a = pair_generator(params)
     tau = float(t) - float(s)
+    frac, k = math.frexp(abs(tau) * np.linalg.norm(a, 1) / THETA_13)
+    k = max(0, k - (frac == 0.5))
     with np.errstate(over="ignore", invalid="ignore"):
-        m = expm(tau * pair_generator(params))
-    if not np.isfinite(m).all():
-        raise KernelValidityError(
-            f"matriciant is not finite at |t - s| = {abs(tau):.6g}: "
-            "it overflows double precision over this horizon"
-        )
-    return Matriciant(t=float(t), s=float(s),
-                      nn=m[:n, :n], dn=m[n:, :n], dd=m[n:, n:])
+        chunk = Matriciant.of_fundamental(t, s, expm(math.ldexp(tau, -k) * a))
+        dd, w = chunk.dd, chunk.w
+        for _ in range(k):
+            w = w + dd @ w @ dd.T
+            dd = dd @ dd
+    if not (np.isfinite(dd).all() and np.isfinite(w).all()):
+        raise KernelValidityError(f"matriciant is not finite at |t - s| = {abs(tau):.6g}: "
+                                  "it overflows double precision over this horizon")
+    return Matriciant(chunk.t, chunk.s, dd, w)
 
 
 def matriciant_rk4(params: ModelParams, t: float, s: float,
                    steps: int = 1000) -> Matriciant:
-    """Fixed-step RK4 integration of the block ODE.
-
-    Independent oracle for :func:`matriciant`; never the production path.
-    """
-    n = params.dim
+    """Fixed-step RK4 integration of the block ODE: an independent oracle
+    for :func:`matriciant`, never the production path."""
     a = pair_generator(params)
     h = (float(t) - float(s)) / steps
-    m = np.eye(2 * n)
+    m = np.eye(len(a))
     for _ in range(steps):
         k1 = a @ m
         k2 = a @ (m + 0.5 * h * k1)
         k3 = a @ (m + 0.5 * h * k2)
         k4 = a @ (m + h * k3)
         m = m + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return Matriciant(t=float(t), s=float(s),
-                      nn=m[:n, :n], dn=m[n:, :n], dd=m[n:, n:])
+    return Matriciant.of_fundamental(t, s, m)
 
 
 def propagate_pair(m: Matriciant, num0: np.ndarray,
                    den0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    num0 = np.atleast_2d(np.asarray(num0, dtype=float))
-    den0 = np.atleast_2d(np.asarray(den0, dtype=float))
+    num0, den0 = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (num0, den0))
     return m.nn @ num0, m.dn @ num0 + m.dd @ den0
 
 
@@ -116,8 +119,11 @@ def _where(bad: np.ndarray) -> str:
 
 
 def require_spd(a: np.ndarray, what: str, error: type[Exception]) -> None:
-    """Raise error unless each matrix of the (..., n, n) stack a is symmetric
-    to 1e-9 relative and its symmetric part has a Cholesky factor."""
+    """Raise error unless each matrix of the (..., n, n) stack a is finite,
+    symmetric to 1e-9 relative and its symmetric part has a Cholesky factor."""
+    bad = ~np.isfinite(a).all(axis=(-2, -1))
+    if bad.any():
+        raise error(f"{what}{_where(bad)} is not finite")
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     asym = np.abs(a - a.mT).max(axis=(-2, -1)) > 1e-9 * scale
     if asym.any():

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,36 +135,65 @@ def test_quadrature_uncoupled_matches_linear_propagation():
     assert np.max(np.abs(out.values.ravel() - exact)) < 1e-6
 
 
+# drift -3 grows e^(3 tau) forward; the mean feedback 3.5 keeps the moment
+# trajectory stable (rate -0.5), so over t - s = 250 the matriciant is
+# what overflows
+MATRICIANT_OVERFLOW = r"matriciant is not finite at \|t - s\| = 250.*overflows"
+
+
+def growing_params():
+    return params_1d(lam=-3.0, feedback=3.5)
+
+
 def test_quadrature_long_horizon_names_the_overflow():
-    # drift 3 over t - s = 250 overflows the matriciant; the error must say
-    # so rather than blame the (finite) input samples
-    p = params_1d(lam=3.0)
+    # the error must name the overflowing matriciant rather than blame the
+    # (finite) input samples
+    p = growing_params()
     gamma = sampled_from(unit_packet(), p, -3.0, 3.0, 301)
-    with pytest.raises(KernelValidityError, match=r"\|t - s\| = 250.*overflows"):
+    with pytest.raises(KernelValidityError, match=MATRICIANT_OVERFLOW):
         evolve_quadrature(gamma, plan_for(p, 0.0, 250.0, gamma))
 
 
 def test_analytic_inverse_shares_the_backward_kernel_guard():
-    # both backward moves go through KernelContext.reversed(): an overflowing
-    # horizon names the matriciant (the analytic inverse used to reach an SVD
-    # and raise numpy's LinAlgError)
-    p = params_1d(lam=3.0)
+    # an overflowing horizon names the matriciant before any inverse runs
+    # (the analytic inverse used to reach an SVD and raise numpy's
+    # LinAlgError): forward on a growing drift, and backward from 250 to 0
+    # on drift 3, whose moment rate 0.5 the feedback -3.5 keeps shrinking
     u = unit_field()
-    with pytest.raises(KernelValidityError, match=r"\|t - s\| = 250.*overflows"):
-        inverse_evolve(u, plan_for(p, 0.0, 250.0, u))
+    backward = params_1d(lam=3.0, feedback=-3.5)
+    for p, s, t in ((growing_params(), 0.0, 250.0), (backward, 250.0, 0.0)):
+        with pytest.raises(KernelValidityError, match=MATRICIANT_OVERFLOW):
+            inverse_evolve(u, plan_for(p, s, t, u))
 
 
 def test_analytic_forward_names_an_overflowing_matriciant():
-    # drift 3 over t - s = 250 overflows the matriciant; the forward pathways
-    # used to return num = den = inf and fail later in eval as a focal point
+    # the forward pathways used to return num = den = inf and fail later in
+    # eval as a focal point
+    p = growing_params()
+    pk = unit_packet(num=4.0)
+    mix = GaussianMixture([pk])
+    with pytest.raises(KernelValidityError, match=MATRICIANT_OVERFLOW):
+        evolve_analytic(mix, plan_for(p, 0.0, 250.0, mix))
+    with pytest.raises(KernelValidityError, match=MATRICIANT_OVERFLOW):
+        evolve_packet(pk, p, 250.0, 0.0)
+
+
+@pytest.mark.parametrize("tau", [250.0, 400.0])
+def test_stable_drift_reaches_its_stationary_law_at_long_horizons(tau):
+    # drift 3 leaves the Ornstein-Uhlenbeck law of precision 3 (scaled
+    # covariance 1/3); the unnormalized block e^(3 tau) used to overflow
+    # the matriciant from about t - s = 236 on, and every pathway raised
     p = params_1d(lam=3.0)
     pk = unit_packet(num=4.0)
-    overflow = r"\|t - s\| = 250.*overflows"
     mix = GaussianMixture([pk])
-    with pytest.raises(KernelValidityError, match=overflow):
-        evolve_analytic(mix, plan_for(p, 0.0, 250.0, mix))
-    with pytest.raises(KernelValidityError, match=overflow):
-        evolve_packet(pk, p, 250.0, 0.0)
+    plan = plan_for(p, 0.0, tau, mix)
+    fields = (evolve_packet(pk, p, tau, 0.0), evolve_analytic(mix, plan))
+    for u in fields:
+        assert abs(1.0 / u.cov[0, 0, 0] - 3.0) <= 1e-8
+    gamma = sampled_from(pk, p, -3.0, 3.0, 301)
+    quad = evolve_quadrature(gamma, plan_for(p, 0.0, tau, gamma))
+    exact = fields[1].eval(p, quad.points())
+    assert np.max(np.abs(quad.values.ravel() - exact)) <= 1e-8
 
 
 def test_plan_names_an_overflowing_moment_trajectory():
@@ -261,6 +291,22 @@ def test_analytic_inverse_rejects_cancelled_precision(tau):
     # den off by 1.95e-3 without an error, at tau 10 to blame a focal point
     with pytest.raises(IllPosedInverseError, match=rf"\|t - s\| = {tau:g}.*precise only"):
         _long_roundtrip(3.0, tau)
+
+
+@pytest.mark.parametrize("tau", [120.0, 236.0, 250.0, 400.0])
+def test_analytic_inverse_names_a_horizon_the_flow_forgot(tau):
+    # drift 3 shrinks dd to e^(-3 tau): its inverse overflowed the backward
+    # sum to a covariance of nan, which passed every check (120, 236), and
+    # where dd underflows to 0 numpy's LinAlgError escaped (250, 400)
+    p = params_1d(lam=3.0)
+    u = unit_field(num=4.0)
+    plan = plan_for(p, 0.0, tau, u)
+    fwd = evolve_analytic(u, plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllPosedInverseError,
+                           match=rf"analytic inverse over \|t - s\| = {tau:g}:"):
+            inverse_evolve(fwd, plan)
 
 
 def test_analytic_inverse_rejects_a_field_no_gaussian_evolves_into():

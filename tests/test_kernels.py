@@ -152,10 +152,10 @@ def test_delta_limit_guard():
 
 
 def test_forward_kernel_rejects_non_spd_spread():
-    # forward in time the spread dn @ inv(nn) must be positive definite;
+    # forward in time the spread w must be positive definite;
     # blocks from the model always give one, so the blocks are made by hand
     p = params_1d(0.5, 0.5)
-    bad = Matriciant(t=1.0, s=0.0, nn=np.eye(1), dn=-np.eye(1), dd=np.eye(1))
+    bad = Matriciant(t=1.0, s=0.0, dd=np.eye(1), w=-np.eye(1))
     ctx = KernelContext(params=p, m=bad, x_start=np.zeros(1), x_end=np.zeros(1))
     with pytest.raises(KernelValidityError, match="kernel spread"):
         kernel(ctx, [0.0], [0.0])
@@ -163,8 +163,7 @@ def test_forward_kernel_rejects_non_spd_spread():
         kernel_matrix(ctx, [[0.0]], [[0.0]])
     # backward in time the same blocks are refused before the spread is
     # read: kernels run forward only (the exponent would be sign indefinite)
-    back = KernelContext(params=p, m=Matriciant(t=0.0, s=1.0, nn=bad.nn, dn=bad.dn,
-                                                dd=bad.dd),
+    back = KernelContext(params=p, m=Matriciant(t=0.0, s=1.0, dd=bad.dd, w=bad.w),
                          x_start=np.zeros(1), x_end=np.zeros(1))
     with pytest.raises(KernelValidityError, match="backward"):
         kernel(back, [0.0], [0.0])
@@ -384,16 +383,19 @@ def test_backward_matriciant_is_lazy(monkeypatch):
 
 
 def test_overflowing_matriciant_raises_kernel_validity_error():
-    # long horizons overflow the unnormalized blocks; the matriciant, and
-    # with it the zero-anchored, anchored and backward contexts, must name
-    # that instead of returning NaN later
-    p = params_1d(3.0, 0.1, feedback=-0.5, kappa=1.0)
-    overflow = r"\|t - s\| = 250.*overflows"
-    for build in (lambda: kernels.matriciant(p, 250.0, 0.0),
-                  lambda: kernels.matriciant(p, 0.0, 250.0),
-                  lambda: kernel_context(p, 250.0, 0.0),
-                  lambda: kernel_context(p, 250.0, 0.0, x_start=[0.4]),
-                  lambda: kernel_context(p, 0.0, 250.0)):
+    # a mode that grows along the move overflows dd and w over a long
+    # horizon: drift -3 forward (the feedback 3.5 keeps the moment rate at
+    # -0.5) and drift 3 backward.  The matriciant, and with it the
+    # zero-anchored, anchored and backward contexts, must name that instead
+    # of returning NaN later
+    growing = params_1d(-3.0, 0.1, feedback=3.5, kappa=1.0)
+    stable = params_1d(3.0, 0.1, feedback=-0.5, kappa=1.0)
+    overflow = r"matriciant is not finite at \|t - s\| = 250.*overflows"
+    for build in (lambda: kernels.matriciant(growing, 250.0, 0.0),
+                  lambda: kernels.matriciant(stable, 0.0, 250.0),
+                  lambda: kernel_context(growing, 250.0, 0.0),
+                  lambda: kernel_context(growing, 250.0, 0.0, x_start=[0.4]),
+                  lambda: kernel_context(stable, 0.0, 250.0)):
         with pytest.raises(KernelValidityError, match=overflow):
             build()
 
@@ -412,15 +414,18 @@ def test_overflowing_moment_anchor_raises_kernel_validity_error():
 
 
 def test_overflow_raises_the_typed_error_not_a_warning():
-    # the matrix exponentials overflow quietly and the finiteness checks
-    # after them name the horizon; numpy's overflow warning used to escape
-    # first, and under warnings-as-errors replaced the typed error
+    # the matrix exponentials and the doublings overflow quietly and the
+    # finiteness checks after them name the horizon; numpy's overflow
+    # warning used to escape first, and under warnings-as-errors replaced
+    # the typed error
+    growing = ModelParams([[-3.0]], [[0.0]], [[3.5]], 0.1, 1.0)
     stable = ModelParams([[3.0]], [[0.0]], [[-0.5]], 0.1, 1.0)
     packet = GaussianPacket([0.5], [[1.0]], [[1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for build in (lambda: kernel_context(stable, 250.0, 0.0),
-                      lambda: evolve_packet(packet, stable, 250.0, 0.0),
+        for build in (lambda: kernel_context(growing, 250.0, 0.0),
+                      lambda: kernel_context(stable, 0.0, 250.0),
+                      lambda: evolve_packet(packet, growing, 250.0, 0.0),
                       lambda: kernel_context(params_1d(1.0, 0.5, feedback=-10.0, kappa=1.0),
                                              100.0, 0.0, x_start=[0.5])):
             with pytest.raises(KernelValidityError, match="overflows"):

@@ -183,7 +183,7 @@ def test_non_finite_grid_rejected(x_min, dx):
 
 def test_non_finite_moment_rejected():
     p = make_params([[1.0]], [[0.0]], [[0.0]])
-    with pytest.raises(ConfigurationError, match="x0 contains non-finite"):
+    with pytest.raises(ConfigurationError, match="x0 must be finite"):
         p.moment_trajectory([np.nan])
 
 

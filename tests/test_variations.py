@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from scipy.linalg import expm
 from fpknl import (FocalPointError, InvalidCovarianceError,
                    ModelParams, fraction, matriciant, matriciant_rk4,
                    propagate_pair)
+from fpknl.variations import THETA_13, pair_generator, require_spd
 
 E = np.e
 
@@ -64,6 +67,34 @@ def test_rk4_oracle_agrees_with_exponential():
         for blk in ("nn", "dn", "dd"):
             np.testing.assert_allclose(getattr(a, blk), getattr(b, blk),
                                        atol=1e-10)
+
+
+
+def single_exponential(p, tau):
+    """dd and w of the pair system's fundamental matrix from one expm."""
+    m = expm(tau * pair_generator(p))
+    n = p.dim
+    return m[n:, n:], np.linalg.solve(m[:n, :n].T, m[n:, :n].T).T
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_doubled_blocks_match_one_exponential(n):
+    # over horizons whose chunk norm exceeds THETA_13 matriciant halves the
+    # horizon k times and doubles back; on non-normal drifts (a strong
+    # upper-triangular coupling) its dd and w must match one expm over the
+    # whole horizon, forward and backward
+    rng = np.random.default_rng(40 + n)
+    worst = 0.0
+    for _ in range(10):
+        lam = np.diag(rng.uniform(0.3, 1.5, n)) + np.triu(rng.uniform(-3.0, 3.0, (n, n)), 1)
+        p = params_nd(lam)
+        for tau in rng.uniform(4.0, 8.0) * np.array([1.0, -1.0]):
+            assert abs(tau) * np.linalg.norm(pair_generator(p), 1) > 2 * THETA_13
+            m = matriciant(p, tau, 0.0)
+            for got, want in zip((m.dd, m.w), single_exponential(p, tau)):
+                worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+    # 5.1e-13 at most over these draws, where the backward dd reaches e^12
+    assert worst < 1e-11
 
 
 @settings(max_examples=40)
@@ -223,3 +254,17 @@ def test_stacked_fraction_names_the_failing_component():
     # a single matrix keeps the message without an index
     with pytest.raises(FocalPointError, match=r"^denominator factor singular"):
         fraction(num[3], singular[3])
+
+
+@pytest.mark.parametrize("bad, where", [
+    (np.array([[np.nan]]), ""),
+    (np.array([[np.inf]]), ""),
+    (np.stack([np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)]),
+     " (component 1)"),
+])
+def test_require_spd_rejects_non_finite_matrices(bad, where):
+    # numpy's Cholesky returns nan for nan input without an error, so these
+    # used to pass as symmetric positive definite
+    message = rf"^recovered covariance{re.escape(where)} is not finite"
+    with pytest.raises(InvalidCovarianceError, match=message):
+        require_spd(bad, "recovered covariance", InvalidCovarianceError)
