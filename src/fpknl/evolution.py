@@ -150,10 +150,10 @@ def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixtur
             out = propagate_packet(u, back)
         except np.linalg.LinAlgError:  # dd underflowed to a singular matrix
             out = None
-        if out is None or not (np.isfinite(out.cov).all() and np.isfinite(out.mean).all()):
+        if out is None or not np.isfinite(out.cov).all():
             raise IllPosedInverseError(
-                f"{horizon}: dd is singular or the backward field overflows in double "
-                "precision; the forward flow has forgotten the initial data")
+                f"{horizon}: dd is singular or the backward covariance overflows in "
+                "double precision; the forward flow has forgotten the initial data")
         # S(s) rounds by at most eps times the magnitudes of its terms:
         # relative to S(s), the precision it keeps (none where they cancel to 0)
         terms = np.abs(back.m.dd) @ np.abs(u.cov) @ np.abs(back.m.dd.T) + np.abs(back.m.w)

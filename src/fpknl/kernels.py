@@ -135,7 +135,8 @@ def kernel_context(params: ModelParams, t: float, s: float,
         if not np.isfinite(x_end).all():
             raise KernelValidityError(
                 f"moment-frame anchor is not finite at |t - s| = {abs(t - s):.6g}: "
-                "the moment trajectory overflows double precision over this horizon")
+                "the moment trajectory overflows double precision over this horizon"
+            )
     return KernelContext(params, matriciant(params, t, s), x_start, x_end)
 
 
@@ -168,9 +169,8 @@ def _frame(ctx: KernelContext, x, y):
         )
     require_spd(m.w, "kernel spread", KernelValidityError)
     c = -0.5 / eps * np.linalg.inv(0.5 * (m.w + m.w.T))
-    det = np.linalg.det(m.w)
-    with np.errstate(divide="ignore"):
-        pref = (2.0 * np.pi * eps) ** (-n / 2.0) * det ** -0.5
+    det = np.linalg.det(m.w)  # a numpy scalar: a zero determinant gives pref inf
+    pref = (2.0 * np.pi * eps) ** (-n / 2.0) * det ** -0.5
     require_finite(KernelValidityError, f"kernel normalization at |t - s| = {tau:.6g}",
                    det, pref)
     return c, pref, xs - ctx.x_end, (ys - ctx.x_start) @ m.dd.T

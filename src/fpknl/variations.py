@@ -121,10 +121,10 @@ def _where(bad: np.ndarray) -> str:
 def require_spd(a: np.ndarray, what: str, error: type[Exception]) -> None:
     """Raise error unless each matrix of the (..., n, n) stack a is finite,
     symmetric to 1e-9 relative and its symmetric part has a Cholesky factor."""
-    bad = ~np.isfinite(a).all(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    bad = ~np.isfinite(scale)  # max and maximum propagate nan
     if bad.any():
         raise error(f"{what}{_where(bad)} is not finite")
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     asym = np.abs(a - a.mT).max(axis=(-2, -1)) > 1e-9 * scale
     if asym.any():
         raise error(f"{what}{_where(asym)} is not symmetric")
