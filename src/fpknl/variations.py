@@ -77,7 +77,7 @@ def matriciant(params: ModelParams, t: float, s: float) -> Matriciant:
     a long horizon) raises KernelValidityError naming |t - s|."""
     a = pair_generator(params)
     tau = float(t) - float(s)
-    frac, k = math.frexp(abs(tau) * np.linalg.norm(a, 1) / THETA_13)
+    frac, k = math.frexp(abs(tau) * np.abs(a).sum(axis=0).max() / THETA_13)  # 1-norm
     k = max(0, k - (frac == 0.5))
     with np.errstate(over="ignore", invalid="ignore"):
         chunk = Matriciant.of_fundamental(t, s, expm(math.ldexp(tau, -k) * a))
