@@ -80,15 +80,15 @@ def matriciant(params: ModelParams, t: float, s: float) -> Matriciant:
     frac, k = math.frexp(abs(tau) * np.abs(a).sum(axis=0).max() / THETA_13)  # 1-norm
     k = max(0, k - (frac == 0.5))
     with np.errstate(over="ignore", invalid="ignore"):
-        chunk = Matriciant.of_fundamental(t, s, expm(math.ldexp(tau, -k) * a))
-        dd, w = chunk.dd, chunk.w
+        m = Matriciant.of_fundamental(t, s, expm(math.ldexp(tau, -k) * a))
         for _ in range(k):
-            w = w + dd @ w @ dd.T
-            dd = dd @ dd
-    if not (np.isfinite(dd).all() and np.isfinite(w).all()):
+            m = Matriciant(m.t, m.s, m.dd @ m.dd, m.w + m.dd @ m.w @ m.dd.T)
+    # one chunk of 1-norm at most THETA_13 is bounded by e^THETA_13
+    if (k or not math.isfinite(tau)) and not (np.isfinite(m.dd).all()
+                                              and np.isfinite(m.w).all()):
         raise KernelValidityError(f"matriciant is not finite at |t - s| = {abs(tau):.6g}: "
                                   "it overflows double precision over this horizon")
-    return Matriciant(chunk.t, chunk.s, dd, w)
+    return m
 
 
 def matriciant_rk4(params: ModelParams, t: float, s: float,
