@@ -84,8 +84,7 @@ def matriciant(params: ModelParams, t: float, s: float) -> Matriciant:
         for _ in range(k):
             m = Matriciant(m.t, m.s, m.dd @ m.dd, m.w + m.dd @ m.w @ m.dd.T)
     # one chunk of 1-norm at most THETA_13 is bounded by e^THETA_13
-    if (k or not math.isfinite(tau)) and not (np.isfinite(m.dd).all()
-                                              and np.isfinite(m.w).all()):
+    if (k or not math.isfinite(tau)) and not np.isfinite([m.dd, m.w]).all():
         raise KernelValidityError(f"matriciant is not finite at |t - s| = {abs(tau):.6g}: "
                                   "it overflows double precision over this horizon")
     return m
