@@ -8,7 +8,8 @@ whose parts obey the linear pair
 
 with L the effective drift.  The pair keeps the flow linear through focal
 points (singular den); a density meets none, so mixtures carry S = inv(Q)
-moved by the matriciant's dd and spread w, and ``fraction`` forms Q once.
+moved by dd and the spread w, the two blocks a Matriciant holds (bounded
+for a stable drift, doubled to any horizon); ``fraction`` forms Q once.
 """
 
 from __future__ import annotations

@@ -194,6 +194,9 @@ def test_stable_drift_reaches_its_stationary_law_at_long_horizons(tau):
     quad = evolve_quadrature(gamma, plan_for(p, 0.0, tau, gamma))
     exact = fields[1].eval(p, quad.points())
     assert np.max(np.abs(quad.values.ravel() - exact)) <= 1e-8
+    offset = quad.coordinate(0) - quad.first_moment(normalized=True)[0]
+    var = np.sum(quad.weights() * quad.values * offset ** 2) / quad.total_mass()
+    assert abs(p.diffusion / var - 3.0) <= 1e-8
 
 
 def test_plan_names_an_overflowing_moment_trajectory():
