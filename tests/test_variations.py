@@ -69,7 +69,6 @@ def test_rk4_oracle_agrees_with_exponential():
                                        atol=1e-10)
 
 
-
 def single_exponential(p, tau):
     """dd and w of the pair system's fundamental matrix from one expm."""
     m = expm(tau * pair_generator(p))
@@ -79,10 +78,10 @@ def single_exponential(p, tau):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_doubled_blocks_match_one_exponential(n):
-    # over horizons whose chunk norm exceeds THETA_13 matriciant halves the
-    # horizon k times and doubles back; on non-normal drifts (a strong
-    # upper-triangular coupling) its dd and w must match one expm over the
-    # whole horizon, forward and backward
+    # where |t - s| times the generator's 1-norm exceeds THETA_13 (here at
+    # least twice), matriciant halves the horizon k times and doubles back;
+    # on non-normal drifts (a strong upper-triangular coupling) its dd and w
+    # must match one expm over the whole horizon, forward and backward
     rng = np.random.default_rng(40 + n)
     worst = 0.0
     for _ in range(10):
