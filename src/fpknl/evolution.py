@@ -4,12 +4,34 @@ A plan is a directed ``KernelContext``: the matriciant from s to t and the
 moment-frame anchors x_start and x_end at both ends, computed up front
 from the input's initial moment; kernels and packet propagation consume
 it read-only.  Gaussian mixtures evolve in closed form; sampled densities
-go through trapezoid quadrature of the kernel.  The quadrature builds the
-kernel's features once and then takes one cache-sized block of kernel
-rows at a time through the product, the exp and the product with the
-weighted samples, so it never holds an N x N array; the sampled inverse,
-which needs all of A, fills it block by block, weights and flush
-included.  A field and a plan of different dimensions raise InputError.
+go through trapezoid quadrature of the kernel.  A field and a plan of
+different dimensions raise InputError.
+
+The quadrature builds the kernel's features once and then takes one
+cache-sized block of kernel rows at a time, so it never holds an N x N
+array.  On the uniform grid the exponent is a quadratic in the input
+node's index along the last axis: with the input nodes split into runs
+y_b + m step (m = 0 .. B-1) along that axis, v = dx[-1] dd[:, -1] the
+transported step and C the exponent matrix, exactly
+
+    e(x, y_b + m step) = e(x, y_b) - 2 m g(x) + 2 m h(b) + m^2 q,
+    g = xc . v,  h = yp_b^T C v,  q = v^T C v.
+
+So a block of rows is rowsum(P o (Q @ (R o W)^T)): P = exp(e(x, y_b)) is
+exp_product over the run starts only, Q = exp(-2 m g) has one row per
+output node, R = exp(2 m h + m^2 q) one row per run start, and W holds the
+weighted samples, zero-padded to whole runs.  That is N^2 / B + N B
+exponentials and one GEMM in place of N^2 exponentials: the exact-algebra
+relative of the fast Gauss transform (Greengard & Strain, SIAM J. Sci.
+Stat. Comput. 12, 1991), with no truncated series.  B is the largest
+power of two up to RUN_MAX and the last axis' length for which
+|2 m g| + |2 m h + m^2 q| stays within TABLE_EXPONENT over all table
+entries, so neither table overflows or turns subnormal, and the entries
+that P's underflow flush drops are below tiny * e^TABLE_EXPONENT (about
+1.4e-280).  A kernel only a few grid steps wide leaves no B above 1, and
+B = 1 is the plain loop: P over every input node times W.  The sampled
+inverse, which needs all of A, fills it block by block over every
+column, weights and flush included.
 
 The left inverse on the analytic pathway moves the covariances along
 ``plan.reversed()``, S(s) = dd S(t) dd^T + w with its blocks.  That sum
@@ -45,8 +67,8 @@ import numpy as np
 
 from .errors import (IllPosedInverseError, InvalidCovarianceError, NormalizationError,
                      TruncationError)
-from .kernels import (KernelContext, _require_same_dim, exp_product, kernel_context,
-                      kernel_features)
+from .kernels import (KernelContext, _require_same_dim, exp_product, exponent_matrix,
+                      kernel_context, kernel_features)
 from .model import ModelParams, SampledDensity, _vector, row_blocks
 from .packets import GaussianMixture, propagate_packet
 from .variations import require_spd
@@ -60,6 +82,10 @@ SKETCH_START = 128
 SKETCH_STEP = SKETCH_START // 2
 SKETCH_STOP = 1e-3
 SKETCH_SEED = 20110601
+# longest run of input nodes one base column serves, and the bound on the
+# exponents of its offset tables (module docstring)
+RUN_MAX = 64
+TABLE_EXPONENT = 64.0
 
 
 def plan_for(params: ModelParams, s: float, t: float,
@@ -98,9 +124,39 @@ def evolve_analytic(mix: GaussianMixture, plan: KernelContext,
     return propagate_packet(mix, plan)
 
 
+def _runs(plan: KernelContext, gamma: SampledDensity, pts: np.ndarray):
+    """(B, left, right, underflow, row exponents, column exponents): the
+    longest run B of input nodes along the grid's last axis, a power of two
+    up to RUN_MAX, whose offset tables keep every exponent within
+    TABLE_EXPONENT; the kernel features over all rows and the run starts
+    (the base columns, one per B nodes); -2 g(x) per row and the table
+    2 m h(b) + m^2 q over base columns b and offsets m.  B = 1 is the
+    kernel over all input nodes, without tables."""
+    left, right, underflow = kernel_features(plan, pts, pts)
+    dim, n_last = gamma.dim, gamma.values.shape[-1]
+    v = gamma.dx[-1] * plan.m.dd[:, -1]  # one step along the last axis, transported
+    cv = exponent_matrix(plan) @ v
+    g2 = -2.0 * (left[:, :dim] @ v)
+    g_most = np.abs(g2).max()
+    # right[:dim] holds -2 yp of the input nodes: 2 h = -cv . right
+    h2 = (-(cv @ right[:dim])).reshape(-1, n_last)
+    run = 1 << (min(RUN_MAX, n_last).bit_length() - 1)
+    while run > 1:
+        offsets = np.arange(run)
+        cols = np.multiply.outer(h2[:, ::run].ravel(), offsets) + offsets ** 2 * (v @ cv)
+        if (run - 1) * g_most + np.abs(cols).max() <= TABLE_EXPONENT:
+            base = right.reshape(dim + 2, -1, n_last)[:, :, ::run].reshape(dim + 2, -1)
+            return run, left, base, underflow, g2, cols
+        run //= 2
+    return 1, left, right, underflow, None, None
+
+
 def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDensity:
     """Trapezoid quadrature of the evolution kernel on the input grid, one
-    cache-sized row block of the kernel at a time: no N x N array is held."""
+    cache-sized row block at a time: no N x N array is held.  Along runs of
+    B nodes of the grid's last axis a block is rowsum(P o (Q @ (R o W)^T)),
+    with P the kernel over the run starts and Q, R the offset tables of the
+    module docstring; B = 1 is P @ W over every input node."""
     _require_same_dim(gamma, plan)
     edge = gamma.edge_max()
     if edge > EDGE_DECAY_TOL:
@@ -111,14 +167,32 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
     if plan.t == plan.s:
         return gamma.copy()
     pts = gamma.points()
-    weighted = (gamma.weights() * gamma.values).ravel()
-    left, right, underflow = kernel_features(plan, pts, pts)
+    weighted = gamma.weights() * gamma.values
+    run, left, right, underflow, g2, cols = _runs(plan, gamma, pts)
+    n_base = right.shape[1]
     out = np.empty(len(pts))
-    blocks = row_blocks(len(pts), len(pts))
-    buf = np.empty((max(b.stop - b.start for b in blocks), len(pts)))
+    # a block holds P, and with runs also Q and Q @ (R o W)^T
+    blocks = row_blocks(len(pts), n_base if run == 1 else 2 * n_base + run)
+    most = max(b.stop - b.start for b in blocks)
+    buf = np.empty((most, n_base))
+    if run == 1:
+        weighted = weighted.ravel()
+    else:
+        # R o W over the run starts and offsets, the runs zero-padded
+        n_last = gamma.values.shape[-1]
+        padded = np.pad(weighted.reshape(-1, n_last), ((0, 0), (0, -n_last % run)))
+        weighted = (np.exp(cols) * padded.reshape(cols.shape)).T
+        offsets = np.arange(run)
+        sums, tables = np.empty((most, n_base)), np.empty((most, run))
     for rows in blocks:
-        block = exp_product(left[rows], right, underflow, out=buf[:rows.stop - rows.start])
-        np.matmul(block, weighted, out=out[rows])
+        size = rows.stop - rows.start
+        block = exp_product(left[rows], right, underflow, out=buf[:size])
+        if run == 1:
+            np.matmul(block, weighted, out=out[rows])
+        else:
+            table = np.multiply.outer(g2[rows], offsets, out=tables[:size])
+            summed = np.matmul(np.exp(table, out=table), weighted, out=sums[:size])
+            out[rows] = np.einsum("ij,ij->i", block, summed)
     return SampledDensity(gamma.x_min.copy(), gamma.dx.copy(),
                           out.reshape(gamma.values.shape))
 

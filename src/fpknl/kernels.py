@@ -26,11 +26,15 @@ with the row norms and the log prefactor carried as two extra columns of
 that same product.  ``kernel_features`` builds those features once per
 call: it checks the context, centers both point sets and decides whether
 any exponent may underflow.  Any row slice of its left factor gives those
-rows of the kernel, so a consumer takes one cache-sized block of rows at
-a time (``model.row_blocks``) through the product, the in-place exp and
-its own use of the block while the block stays in cache; the quadrature
-operator never holds the N x N matrix, and ``kernel_matrix`` is the
-single block of all rows.  That product and its exponential are
+rows of the kernel, and any column slice of its right factor those
+columns, so a consumer takes one cache-sized block of rows at a time
+(``model.row_blocks``) through the product, the in-place exp and its own
+use of the block while the block stays in cache.  The quadrature operator
+takes only the columns that start runs along the grid's last axis and
+moves them to the other nodes by two exponential tables (evolution
+module), so it never holds the N x N matrix; the sampled inverse fills
+all of it block by block, and ``kernel_matrix`` is the single block of
+all rows.  That product and its exponential are
 ``exp_product``, the one Gaussian evaluator: mixture evaluation (packets
 module) calls it too, with the quadratic features of its points on one
 side and each component's exponent coefficients on the other.  The
@@ -124,8 +128,11 @@ def kernel_context(params: ModelParams, t: float, s: float,
                    x_start=None) -> KernelContext:
     """Context from s to t anchored on the moment trajectory through x_start
     at s; without x_start both anchors are zero (the drift-only kernel),
-    with no trajectory to overflow where the matriciant does not.  An
-    anchor that overflows double precision raises KernelValidityError."""
+    with no trajectory to overflow where the matriciant does not.  A NaN
+    or infinite t or s raises InputError (the matriciant checks them before
+    the trajectory runs); an anchor that overflows double precision raises
+    KernelValidityError."""
+    m = matriciant(params, t, s)
     n = params.dim
     if x_start is None:
         x_start = x_end = np.zeros(n)
@@ -137,7 +144,7 @@ def kernel_context(params: ModelParams, t: float, s: float,
                 f"moment-frame anchor is not finite at |t - s| = {abs(t - s):.6g}: "
                 "the moment trajectory overflows double precision over this horizon"
             )
-    return KernelContext(params, matriciant(params, t, s), x_start, x_end)
+    return KernelContext(params, m, x_start, x_end)
 
 
 def _points(x, n: int) -> np.ndarray:
@@ -147,6 +154,15 @@ def _points(x, n: int) -> np.ndarray:
     if pts.shape == (n,):
         return pts[None]
     return pts if pts.ndim == 2 and pts.shape[1] == n else None
+
+
+def exponent_matrix(ctx: KernelContext) -> np.ndarray:
+    """C = -inv(spread) / (2 diffusion), the kernel's exponent xi^T C xi;
+    a spread that is not symmetric positive definite raises
+    KernelValidityError."""
+    w = ctx.m.w
+    require_spd(w, "kernel spread", KernelValidityError)
+    return -0.5 / ctx.params.diffusion * np.linalg.inv(0.5 * (w + w.T))
 
 
 def _frame(ctx: KernelContext, x, y):
@@ -167,8 +183,7 @@ def _frame(ctx: KernelContext, x, y):
             f"kernel points must be (N, {n}) arrays or one ({n},) point in {n}D, got "
             f"x of shape {np.shape(x)} and y of shape {np.shape(y)}"
         )
-    require_spd(m.w, "kernel spread", KernelValidityError)
-    c = -0.5 / eps * np.linalg.inv(0.5 * (m.w + m.w.T))
+    c = exponent_matrix(ctx)
     det = np.linalg.det(m.w)  # a numpy scalar: a zero determinant gives pref inf
     pref = (2.0 * np.pi * eps) ** (-n / 2.0) * det ** -0.5
     require_finite(KernelValidityError, f"kernel normalization at |t - s| = {tau:.6g}",

@@ -19,18 +19,21 @@ from .errors import ConfigurationError, DegenerateMomentError, InputError
 
 ZERO_MASS_TOL = 1e-12
 # most float64 entries a dense intermediate block (kernel or mixture
-# evaluation) holds at a time.  2^16 entries are 512 KiB, a quarter of a
-# core's 2 MiB L2, so one block's product, exp and consumer all run in
-# cache; larger blocks stream each pass through memory.  Measured with
-# evolve_quadrature (Xeon, one core, one BLAS thread, ms per call, median
-# of 15, grid classes of the quad_forward benchmark):
+# evaluation) holds at a time; the quadrature's factored loop counts its
+# kernel block, its offset table and its GEMM product together.  2^16
+# entries are 512 KiB, a quarter of a core's 2 MiB L2, so one block's
+# product, exp and consumer all run in cache; much larger blocks stream
+# each pass through memory.  Measured with evolve_quadrature (Xeon, one
+# core, one BLAS thread, ms per call, median of 15, the quietest of three
+# runs; the other two ran up to 1.6x slower with the same shape), one
+# input of each grid class of the quad_forward benchmark, B its run:
 #
-#   grid    rows at 2^16   2^14   2^15   2^16   2^17   2^18   2^20   4e6
-#   N 1201        52        3.30   3.42   2.78   3.31   3.80   4.46   4.79
-#   N 1801        36        7.61   6.63   6.29   6.28   6.99   8.75  12.13
-#   N 2401        27       15.48  13.88  12.81  12.54  14.01  15.87  18.79
-#   31^2          64        3.19   2.91   2.80   2.79   3.08   3.85   3.32
-#   45^2          32       12.86  11.32  10.43   9.90  10.85  12.53  13.78
+#   grid    B  rows at 2^16   2^14   2^15   2^16   2^17   2^18   2^20   4e6
+#   N 1201  64      600       0.72   0.66   0.64   0.69   0.66   0.70   0.67
+#   N 1801  64      450       1.02   0.95   0.90   0.87   1.60   1.58   1.57
+#   N 2401  64      400       1.30   1.17   1.20   1.20   1.22   2.23   2.27
+#   31^2     8      240       0.85   0.78   0.74   0.76   0.86   0.86   0.84
+#   45^2     8      119       2.36   2.07   2.08   3.02   3.17   5.98   6.29
 #
 # Mixture evaluation shares the constant: 2048 points of up to 16
 # components stay one block.

@@ -260,6 +260,5 @@ def evolve_packet(p0: GaussianPacket, params: ModelParams,
         raise NormalizationError(f"evolve_packet needs weight 1, got {p0.weight:.12g}; "
                                  "evolve other masses as raw fields through evolve_analytic")
     mix = GaussianMixture([p0])
-    if t == s:
-        return mix
-    return propagate_packet(mix, kernel_context(params, t, s, p0.mean))
+    ctx = kernel_context(params, t, s, p0.mean)  # checks t and s, even where equal
+    return mix if t == s else propagate_packet(mix, ctx)

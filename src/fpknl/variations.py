@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import FocalPointError, InvalidCovarianceError, KernelValidityError
-from .model import ModelParams
+from .errors import FocalPointError, InputError, InvalidCovarianceError, KernelValidityError
+from .model import ModelParams, require_finite
 
 # reciprocal condition number below which den counts as singular
 FOCAL_RCOND = 1e-12
@@ -74,8 +74,15 @@ def matriciant(params: ModelParams, t: float, s: float) -> Matriciant:
     """dd and w from one expm over (t - s) / 2^k, with k the least that
     brings the chunk's 1-norm to at most THETA_13 (0 for a short horizon),
     then k doublings dd <- dd^2, w <- w + dd w dd^T (Van Loan, IEEE TAC 23,
-    1978).  A dd or w that overflows double precision (a mode growing over
-    a long horizon) raises KernelValidityError naming |t - s|."""
+    1978).  At t == s the blocks are dd = I and w = 0, with no expm.  A NaN
+    or infinite t or s raises InputError; a dd or w that overflows double
+    precision (a mode growing over a long horizon) raises
+    KernelValidityError naming |t - s|."""
+    require_finite(InputError, "time t", t)
+    require_finite(InputError, "time s", s)
+    if t == s:
+        n = params.dim
+        return Matriciant(float(t), float(s), np.eye(n), np.zeros((n, n)))
     a = pair_generator(params)
     tau = float(t) - float(s)
     frac, k = math.frexp(abs(tau) * np.abs(a).sum(axis=0).max() / THETA_13)  # 1-norm

@@ -13,6 +13,7 @@ from fpknl import (GaussianMixture, GaussianPacket,
                    NormalizationError, SampledDensity, TruncationError,
                    evolution, evolve_analytic, evolve_packet,
                    evolve_quadrature, inverse_evolve, kernel_matrix, model, plan_for)
+from fpknl.kernels import exp_product
 
 
 def params_1d(lam=1.0, eps=0.1, feedback=-0.5, kappa=1.0):
@@ -517,9 +518,11 @@ def test_2d_analytic_roundtrip():
 
 # ------------------------------------------------------- blocked quadrature
 
-def _dense_quadrature(gamma, plan):
+def _dense_quadrature(gamma, plan, rows=slice(None)):
+    """Output rows of the quadrature from the dense kernel over every input
+    node (a sample of rows keeps a 3D grid's kernel small)."""
     pts = gamma.points()
-    return kernel_matrix(plan, pts, pts) @ (gamma.weights() * gamma.values).ravel()
+    return kernel_matrix(plan, pts[rows], pts) @ (gamma.weights() * gamma.values).ravel()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -543,6 +546,100 @@ def test_blocked_quadrature_equals_the_dense_kernel(dim, rows, monkeypatch):
     np.testing.assert_allclose(out, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
 
 
+def _grid_3d():
+    lam = np.array([[0.6, 0.2, 0.0], [-0.1, 0.4, 0.1], [0.0, 0.1, 0.5]])
+    p = ModelParams(drift=lam, coupling_state=np.zeros((3, 3)),
+                    coupling_mean=-0.2 * np.eye(3), diffusion=0.4, coupling=1.0)
+    pk = GaussianPacket(mean=[0.3, -0.2, 0.1], num=np.eye(3), den=np.eye(3))
+    gamma = SampledDensity.from_callable(lambda q: pk.eval(p, q), [-7.0] * 3, [7.0] * 3,
+                                         [25, 27, 29])
+    return gamma, plan_for(p, 0.0, 0.5, gamma)
+
+
+def _grid_forward(nodes):
+    # a quad_forward-shaped 1D grid: a packet of sd 0.5 on [-6, 6]
+    p = params_1d(eps=0.15)
+    gamma = sampled_from(unit_packet(mean=0.3, num=4.0), p, -6.0, 6.0, nodes)
+    return gamma, plan_for(p, 0.0, 0.8, gamma)
+
+
+def _grid_narrow():
+    # a kernel a few grid steps wide: its offset tables would leave the
+    # exponent bound for every run above 1
+    p = params_1d(eps=0.01)
+    gamma = sampled_from(unit_packet(num=50.0), p, -3.0, 3.0, 1201)
+    return gamma, plan_for(p, 0.0, 0.01, gamma)
+
+
+# grid, the run the factored loop takes along its last axis, and whether
+# some exponent of its base columns underflows
+FACTORED_CASES = {
+    "1d-1201": (lambda: _grid_forward(1201), 64, False),
+    "1d-2401": (lambda: _grid_forward(2401), 64, False),
+    "2d-31x31": (lambda: _grid_2d(31), 4, False),
+    "2d-45x45": (lambda: _grid_2d(45), 4, False),
+    "3d-25x27x29": (_grid_3d, 4, True),  # 29 nodes: the last run is padded
+    "1d-narrow": (_grid_narrow, 1, True),
+    "1d-801-wide-box": (lambda: _grid_1d(801), 16, True),
+}
+
+
+@pytest.mark.parametrize("case", list(FACTORED_CASES))
+def test_factored_quadrature_equals_the_dense_kernel(case, monkeypatch):
+    # along runs of the last axis the kernel is the base columns' kernel
+    # times two exponential tables; the sum over a run is one GEMM, and the
+    # result is the dense product up to its rounding.  Each call takes
+    # N x (n_other * ceil(n_last / B)) kernel entries from exp_product, not
+    # N^2; B = 1 is the plain blocked loop over every column
+    grid, run, underflow = FACTORED_CASES[case]
+    gamma, plan = grid()
+    entries = []
+
+    def recording(*args, **kwargs):
+        block = exp_product(*args, **kwargs)
+        entries.append(block.size)
+        return block
+
+    monkeypatch.setattr(evolution, "exp_product", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evolve_quadrature(gamma, plan).values.ravel()
+    *other, n_last = gamma.values.shape
+    assert sum(entries) == gamma.values.size * int(np.prod(other)) * -(-n_last // run)
+    chosen = evolution._runs(plan, gamma, gamma.points())
+    assert (chosen[0], chosen[3]) == (run, underflow)
+    # every row up to 2401 nodes; on the 3D grid every 37th row, the peak's
+    # among them, so the reference kernel has 529 rows, not 19575
+    rows = np.arange(0, out.size, 1 if out.size <= 2401 else 37)
+    rows = np.union1d(rows, np.argmax(np.abs(out)))
+    ref = _dense_quadrature(gamma, plan, rows)
+    np.testing.assert_allclose(out[rows], ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+
+def test_unresolved_kernel_takes_no_tables_and_warns_nothing():
+    # t - s = 1e-3 on 401 nodes: the kernel is under a grid step wide, so
+    # the loop runs over every column (B = 1) and no table exponentiates
+    # past double precision.  The mass this returns is wrong (1.025) and
+    # raises nothing; that is the open trapezoid-resolution defect
+    p = params_1d()
+    gamma = sampled_from(unit_packet(), p, -6.0, 6.0, 401)
+    plan = plan_for(p, 0.0, 1e-3, gamma)
+    assert evolution._runs(plan, gamma, gamma.points())[0] == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evolve_quadrature(gamma, plan)
+    assert np.array_equal(out.values.ravel(), _blocked_quadrature(gamma, plan))
+
+
+def _blocked_quadrature(gamma, plan):
+    """The unfactored loop: every kernel column, a row block at a time."""
+    pts = gamma.points()
+    weighted = (gamma.weights() * gamma.values).ravel()
+    left, right, underflow = evolution.kernel_features(plan, pts, pts)
+    return np.concatenate([exp_product(left[rows], right, underflow) @ weighted
+                           for rows in model.row_blocks(len(pts), len(pts))])
+
+
 @pytest.mark.parametrize("nodes", [401, 801, 1201])
 def test_forward_quadrature_matrix_is_the_weighted_dense_kernel(nodes):
     # filled block by block, A keeps the bits of the dense kernel times the
@@ -557,9 +654,7 @@ def test_forward_quadrature_matrix_is_the_weighted_dense_kernel(nodes):
 
 def test_quadrature_never_holds_the_kernel_matrix():
     # N = 2401: the dense kernel alone would take 46 MB
-    p = params_1d(eps=0.15)
-    gamma = sampled_from(unit_packet(mean=0.3, num=4.0), p, -6.0, 6.0, 2401)
-    plan = plan_for(p, 0.0, 0.8, gamma)
+    gamma, plan = _grid_forward(2401)
     evolve_quadrature(gamma, plan)  # warm numpy's and BLAS's one-off buffers
     tracemalloc.start()
     try:

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from fpknl import (DeltaLimitError, GaussianPacket, InputError, KernelContext,
-                   KernelValidityError,
+from fpknl import (DeltaLimitError, GaussianMixture, GaussianPacket, InputError,
+                   KernelContext, KernelValidityError,
                    Matriciant, ModelParams, evolve_packet, kernel, kernel_context,
-                   kernel_matrix)
+                   kernel_matrix, plan_for)
 from fpknl import kernels
 
 E = np.e
@@ -397,6 +397,23 @@ def test_overflowing_matriciant_raises_kernel_validity_error():
                   lambda: kernel_context(growing, 250.0, 0.0, x_start=[0.4]),
                   lambda: kernel_context(stable, 0.0, 250.0)):
         with pytest.raises(KernelValidityError, match=overflow):
+            build()
+
+
+@pytest.mark.parametrize("t, s, name", [(np.nan, 0.0, "t"), (np.inf, 0.0, "t"),
+                                        (1.0, np.nan, "s"), (1.0, -np.inf, "s"),
+                                        (np.inf, np.inf, "t")])
+def test_non_finite_times_name_themselves(t, s, name):
+    # plan_for(p, 0, nan, field) raised KernelValidityError "moment trajectory
+    # overflows double precision", blaming an overflow that did not happen,
+    # and evolve_packet returned its packet unchanged at t = s = inf
+    p = params_1d(1.0, 0.5, feedback=-0.5, kappa=1.0)
+    packet = GaussianPacket([0.5], [[1.0]], [[1.0]])
+    for build in (lambda: kernel_context(p, t, s),
+                  lambda: kernel_context(p, t, s, x_start=[0.5]),
+                  lambda: plan_for(p, s, t, GaussianMixture([packet])),
+                  lambda: evolve_packet(packet, p, t, s)):
+        with pytest.raises(InputError, match=rf"time {name} must be finite"):
             build()
 
 

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fpknl import (FocalPointError, InvalidCovarianceError,
+from fpknl import (FocalPointError, InputError, InvalidCovarianceError,
                    ModelParams, fraction, matriciant, matriciant_rk4,
-                   propagate_pair)
+                   propagate_pair, variations)
 from fpknl.variations import THETA_13, pair_generator, require_spd
 
 E = np.e
@@ -30,6 +30,32 @@ def test_identity_at_coincident_times():
     assert m.nn[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert m.dd[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert m.dn[0, 0] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_coincident_times_take_no_exponential(monkeypatch):
+    # every linsym_operator caller builds matriciant(params, s, s) only to
+    # read its identity blocks; they need no expm
+    def no_expm(a):
+        raise AssertionError("expm called at t == s")
+
+    monkeypatch.setattr(variations, "expm", no_expm)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        p = ModelParams(*(rng.normal(size=(n, n)) for _ in range(3)), 0.4, 1.0)
+        m = matriciant(p, 0.6, 0.6)
+        assert (m.t, m.s) == (0.6, 0.6)
+        assert np.array_equal(m.dd, np.eye(n)) and np.array_equal(m.w, np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("t, s", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
+                                  (1.0, -np.inf), (np.inf, np.inf)])
+def test_non_finite_times_are_input_errors(t, s):
+    # matriciant(p, nan, 0) used to return NaN blocks, and kernel_context
+    # blamed an overflowing moment trajectory that never happened
+    p = params_1d(0.7)
+    name = "t" if not np.isfinite(t) else "s"
+    with pytest.raises(InputError, match=rf"time {name} must be finite"):
+        matriciant(p, t, s)
 
 
 def test_zero_drift_blocks():
