@@ -29,9 +29,37 @@ power of two up to RUN_MAX and the last axis' length for which
 entries, so neither table overflows or turns subnormal, and the entries
 that P's underflow flush drops are below tiny * e^TABLE_EXPONENT (about
 1.4e-280).  A kernel only a few grid steps wide leaves no B above 1, and
-B = 1 is the plain loop: P over every input node times W.  The sampled
-inverse, which needs all of A, fills it block by block over every
-column, weights and flush included.
+B = 1 is the plain loop: P over every input node times W.
+
+The sampled inverse holds A, but fills it only over a band and leaves
+every other entry exactly 0.  At an output point x the kernel is a
+Gaussian in the input y centered on c(x) = x_start + dd^-1 (x - x_end),
+with standard deviation sigma_i, sigma_i^2 = diffusion (dd^-1 w dd^-T)_ii,
+along axis i (kernels.input_width), so its exponent stays above
+-BAND_EXPONENT only within r = sqrt(2 BAND_EXPONENT) sigma_0 of c_0(x)
+along the first axis.  The rows go in near-equal blocks of at most
+BAND_ROWS, and a block takes the columns of the nodes whose first
+coordinate lies within r of its rows' centers, rounded out to whole
+nodes and clipped to the grid; in dims >= 2 these are whole inner lines
+of the flattened index, a superset.  The fill exponentiates only those
+blocks, underflow path, weights and flush included; A Omega and A^T Q in
+the sketch and the residual A x run over the same blocks, and lstsq
+reads the zero-filled A.  A dropped entry is below e^-40 = 4.2e-18 of
+the kernel's peak: 26 times below half an ulp of the largest entry, and
+3e4 times below the 1.3e-13 relative error that the expanded exponent
+already puts in every entry.  In 1D every kept entry has the bits of
+the full product; in 2D, BLAS takes another kernel for another block
+shape and a few entries move by up to 5.7e-14 relative.  On [-8, 8]
+at diffusion 0.5 and t - s = 0.1 the band holds 0.44, 0.39 and 0.37 of
+N^2 at N = 401, 801 and 1201 (0.23 for a narrow kernel at diffusion
+0.15, 0.72 on a 2D 31^2 grid).  One inverse_evolve on those grids, one
+core of a Xeon with one BLAS thread, medians of 15 calls (ms):
+
+    N                    full A   band
+    401                   11.9    10.0
+    801                   23.4    17.8
+    1201                  49.4    28.8
+    1201, diffusion 0.15  98.4    64.2
 
 The left inverse on the analytic pathway moves the covariances along
 ``plan.reversed()``, S(s) = dd S(t) dd^T + w with its blocks.  That sum
@@ -65,10 +93,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (IllPosedInverseError, InvalidCovarianceError, NormalizationError,
-                     TruncationError)
+from .errors import (IllPosedInverseError, InvalidCovarianceError, KernelValidityError,
+                     NormalizationError, TruncationError)
 from .kernels import (KernelContext, _require_same_dim, exp_product, exponent_matrix,
-                      kernel_context, kernel_features)
+                      input_width, kernel_context, kernel_features)
 from .model import ModelParams, SampledDensity, _vector, row_blocks
 from .packets import GaussianMixture, propagate_packet
 from .variations import require_spd
@@ -86,6 +114,12 @@ SKETCH_SEED = 20110601
 # exponents of its offset tables (module docstring)
 RUN_MAX = 64
 TABLE_EXPONENT = 64.0
+# the sampled inverse's band (module docstring): entries whose exponent lies
+# below -BAND_EXPONENT, under e^-40 = 4.2e-18 of the kernel's peak and 26
+# times below half an ulp of the largest entry, stay 0; each column window
+# serves a block of at most BAND_ROWS rows
+BAND_EXPONENT = 40.0
+BAND_ROWS = 64
 
 
 def plan_for(params: ModelParams, s: float, t: float,
@@ -197,23 +231,71 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
                           out.reshape(gamma.values.shape))
 
 
+def _band(gamma: SampledDensity, plan: KernelContext) -> list[tuple[slice, slice]]:
+    """(rows, cols) blocks that hold every entry of the quadrature matrix
+    above e^-BAND_EXPONENT of the kernel's peak: near-equal blocks of about
+    BAND_ROWS rows, each with the window of input nodes along the grid's
+    first axis within sqrt(2 BAND_EXPONENT) sigma_0 of its rows' kernel
+    centers, as whole inner lines of the flattened index and clipped to
+    the grid.  A block whose window misses the grid is left out; a
+    singular or overflowing dd^-1 opens every window to the whole grid."""
+    n, n0 = gamma.values.size, gamma.values.shape[0]
+    n_blocks = -(-n // BAND_ROWS)
+    bounds = np.arange(n_blocks + 1) * n // n_blocks
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            back = plan.reversed()  # dd^-1, with the anchors swapped
+            centers = back.x_end[0] + (gamma.points() - back.x_start) @ back.m.dd[0]
+            reach = np.sqrt(2.0 * BAND_EXPONENT) * input_width(plan)[0]
+        except np.linalg.LinAlgError:  # singular dd: the kernel is flat in y
+            centers, reach = np.full(n, np.nan), 0.0
+        first = (np.minimum.reduceat(centers, bounds[:-1]) - reach - gamma.x_min[0]) / gamma.dx[0]
+        last = (np.maximum.reduceat(centers, bounds[:-1]) + reach - gamma.x_min[0]) / gamma.dx[0]
+    # fmax and fmin take the grid's end over a nan
+    lo = np.fmin(np.fmax(np.floor(first), 0), n0)
+    hi = np.fmax(np.fmin(np.ceil(last) + 1, n0), lo)
+    inner = n // n0
+    return [(slice(start, stop), slice(int(a) * inner, int(b) * inner))
+            for start, stop, a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist(), lo, hi)
+            if b > a]
+
+
 def forward_quadrature_matrix(gamma: SampledDensity,
                               plan: KernelContext) -> np.ndarray:
     """Matrix A with (A @ values) = forward quadrature on the input grid,
-    filled one cache-sized row block at a time."""
+    filled over the blocks of its band (_band) only: every other entry, below
+    e^-BAND_EXPONENT of the kernel's peak, is exactly 0."""
     pts = gamma.points()
     w = gamma.weights().ravel()
     left, right, underflow = kernel_features(plan, pts, pts)
-    a = np.empty((len(pts), len(pts)))
+    band = _band(gamma, plan)
+    a = np.zeros((len(pts), len(pts)))
     tiny = np.finfo(a.dtype).tiny
-    for rows in row_blocks(len(pts), len(pts)):
-        block = exp_product(left[rows], right, underflow, out=a[rows])
-        block *= w
+    shapes = [(rows.stop - rows.start, cols.stop - cols.start) for rows, cols in band]
+    # one contiguous buffer for every block: exp and the flush run about a
+    # third faster there than on the strided view of A the block lands in
+    buf = np.empty(max((r * c for r, c in shapes), default=0))
+    for (rows, cols), (r, c) in zip(band, shapes):
+        block = exp_product(left[rows], right[:, cols], underflow,
+                            out=buf[:r * c].reshape(r, c))
+        block *= w[cols]
         # exp_product returns no subnormal, but a weight can push a normal
         # entry below the smallest normal double; subnormals halve the
         # speed of every product with A, so such entries are zero too
         np.putmask(block, block < tiny, 0.0)
+        a[rows, cols] = block
     return a
+
+
+def _band_product(a: np.ndarray, band, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """a @ x, or a.T @ x, over the band's blocks of the square a alone."""
+    out = np.zeros(x.shape)
+    for rows, cols in band:
+        if transpose:
+            out[cols] += a[rows, cols].T @ x[rows]
+        else:
+            np.matmul(a[rows, cols], x[cols], out=out[rows])
+    return out
 
 
 def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixture:
@@ -280,7 +362,7 @@ def _can_reach(sy: np.ndarray, widest: int, level: float) -> bool:
     return np.log(sy[-1] / sy[0]) + slope * (widest - len(sy)) <= np.log(level)
 
 
-def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
+def _sketch_solve(a: np.ndarray, band, rhs: np.ndarray, rcond: float):
     """Truncated-SVD least squares with lstsq's cutoff rule, through the
     randomized range finder of the module docstring (Halko, Martinsson &
     Tropp, SIAM Review 2011) or, for a near-full-rank A, lstsq itself.
@@ -297,13 +379,14 @@ def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
     q, r = np.empty((a.shape[0], 0)), np.empty((0, 0))
     k = SKETCH_START
     while k <= widest:
-        q, r = _extend_range(q, r, a @ rng.standard_normal((n, k - q.shape[1])))
+        y = _band_product(a, band, rng.standard_normal((n, k - q.shape[1])))
+        q, r = _extend_range(q, r, y)
         sy = np.linalg.svd(r, compute_uv=False)
         if sy[-1] <= SKETCH_STOP * rcond * sy[0]:
             # SVD of the wide q^T a through the QR of its transpose: with
             # (q^T a)^T = qb rb and rb^T = u diag(s) vt, the right singular
             # vectors are qb vt^T, and qb is applied to a k-vector only
-            h, tau = np.linalg.qr(a.T @ q, mode="raw")
+            h, tau = np.linalg.qr(_band_product(a, band, q, transpose=True), mode="raw")
             ub, s, vt = np.linalg.svd(np.tril(h[:, :k]))
             cutoff = rcond * s[0]
             keep = s > cutoff
@@ -318,10 +401,17 @@ def _sketch_solve(a: np.ndarray, rhs: np.ndarray, rcond: float):
 
 
 def _inverse_sampled(u: SampledDensity, plan: KernelContext) -> SampledDensity:
+    if plan.t < plan.s:
+        raise KernelValidityError(
+            f"the sampled inverse solves the forward quadrature system, so it takes "
+            f"the forward plan the samples were evolved along (s < t), not a backward "
+            f"one (t - s = {plan.t - plan.s:.6g}); samples move forward by "
+            "evolve_quadrature along plan.reversed()")
+    band = _band(u, plan)
     a = forward_quadrature_matrix(u, plan)
     rhs = u.values.ravel()
-    sol, rank, cutoff, how = _sketch_solve(a, rhs, INVERSE_RCOND)
-    resid = float(np.max(np.abs(a @ sol - rhs)))
+    sol, rank, cutoff, how = _sketch_solve(a, band, rhs, INVERSE_RCOND)
+    resid = float(np.max(np.abs(_band_product(a, band, sol) - rhs)))
     limit = 1e-6 * max(1.0, float(np.max(np.abs(rhs))))
     if resid > limit:
         raise IllPosedInverseError(

@@ -33,17 +33,19 @@ use of the block while the block stays in cache.  The quadrature operator
 takes only the columns that start runs along the grid's last axis and
 moves them to the other nodes by two exponential tables (evolution
 module), so it never holds the N x N matrix; the sampled inverse fills
-all of it block by block, and ``kernel_matrix`` is the single block of
-all rows.  That product and its exponential are
-``exp_product``, the one Gaussian evaluator: mixture evaluation (packets
-module) calls it too, with the quadratic features of its points on one
-side and each component's exponent coefficients on the other.  The
-expansion subtracts terms of the size
-of the squared coordinates, so both point sets are first shifted by one
-common center (the midpoint of their row means).  xi is unchanged by the
-shift; without it, on a grid a distance R from the anchors the absolute
-error of every exponent grows like R^2 / (2 diffusion spread) machine
-epsilons (about 1e-9 relative at R = 1000).
+the band of it where the kernel is above e^-40 of its peak, block by
+block (``input_width``, the kernel's standard deviation in y per axis,
+sets that band), and ``kernel_matrix`` is the single block of all rows.
+That product and its exponential are ``exp_product``, the one Gaussian
+evaluator: mixture evaluation (packets module) calls it too, with the
+quadratic features of its points on one side and each component's
+exponent coefficients on the other.  The expansion subtracts terms of
+the size of the squared coordinates, so both point sets are first
+shifted by one common center (the midpoint of their row means).  xi is
+unchanged by the shift; without it, on a grid a distance R from the
+anchors the absolute error of every exponent grows like
+R^2 / (2 diffusion spread) machine epsilons (about 1e-9 relative at
+R = 1000).
 
 Points are (N, dim) arrays, or one (dim,) point; any other shape raises
 InputError rather than being re-read as points of another dimension.  An
@@ -163,6 +165,15 @@ def exponent_matrix(ctx: KernelContext) -> np.ndarray:
     w = ctx.m.w
     require_spd(w, "kernel spread", KernelValidityError)
     return -0.5 / ctx.params.diffusion * np.linalg.inv(0.5 * (w + w.T))
+
+
+def input_width(ctx: KernelContext) -> np.ndarray:
+    """sigma_i, the kernel's standard deviation along axis i of the input
+    variable y at a fixed output point x: y is centered on x_start +
+    dd^-1 (x - x_end) with covariance diffusion dd^-1 w dd^-T, the reversed
+    move's spread with its sign flipped.  A singular dd, whose kernel is
+    flat in y, raises LinAlgError."""
+    return np.sqrt(-ctx.params.diffusion * np.diagonal(ctx.reversed().m.w))
 
 
 def _frame(ctx: KernelContext, x, y):

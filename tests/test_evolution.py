@@ -413,7 +413,8 @@ def test_sampled_solve_matches_lstsq(case, monkeypatch):
         return real_extend(q, r, y)
 
     monkeypatch.setattr(evolution, "_extend_range", counting)
-    sol, rank, _, used = evolution._sketch_solve(a, rhs, rcond)
+    band = evolution._band(u, plan)
+    sol, rank, _, used = evolution._sketch_solve(a, band, rhs, rcond)
     monkeypatch.undo()
     assert used == how
     assert rank == ref_rank
@@ -436,6 +437,13 @@ def test_sampled_solve_matches_lstsq(case, monkeypatch):
     assert np.max(np.abs(sol - ref)) < 1e-6
     back = inverse_evolve(u, plan)
     np.testing.assert_array_equal(back.values.ravel(), sol)
+    # the band leaves out only entries below e^-BAND_EXPONENT of the peak:
+    # the same solve over the whole untruncated kernel lands within 1e-8
+    pts = u.points()
+    whole = kernel_matrix(plan, pts, pts) * u.weights().ravel()
+    untruncated, *_ = evolution._sketch_solve(
+        whole, [(slice(0, rhs.size), slice(0, rhs.size))], rhs, rcond)
+    assert np.max(np.abs(sol - untruncated)) < 1e-8
 
 
 def test_extend_range_keeps_an_orthonormal_basis_and_a_triangular_factor():
@@ -640,16 +648,97 @@ def _blocked_quadrature(gamma, plan):
                            for rows in model.row_blocks(len(pts), len(pts))])
 
 
-@pytest.mark.parametrize("nodes", [401, 801, 1201])
-def test_forward_quadrature_matrix_is_the_weighted_dense_kernel(nodes):
-    # filled block by block, A keeps the bits of the dense kernel times the
-    # weights with the entries below the smallest normal double flushed
-    gamma, plan = _grid_1d(nodes)
-    assert len(model.row_blocks(nodes, nodes)) > 1
+def _grid_wide():
+    # a kernel wider than its grid: every window of the band would run past
+    # both ends of [-3, 3] and is clipped to the whole grid
+    p = params_1d(eps=0.5)
+    gamma = sampled_from(unit_packet(mean=0.3), p, -3.0, 3.0, 301)
+    return gamma, plan_for(p, 0.0, 1.0, gamma)
+
+
+# 1D grids keep the bits of the dense kernel in the band; in 2D, BLAS takes
+# another kernel for another block shape, which moves a few entries by an
+# ulp of the exponent (5.7e-14 relative at most on 31^2, as the row blocks
+# of a full-width fill did)
+BAND_CASES = {
+    401: lambda: _grid_1d(401),
+    801: lambda: _grid_1d(801),
+    1201: lambda: _grid_1d(1201),
+    "2d-31x31": lambda: _grid_2d(31),
+    "1d-whole-grid": _grid_wide,
+}
+
+
+@pytest.mark.parametrize("case", list(BAND_CASES))
+def test_forward_quadrature_matrix_is_the_weighted_dense_kernel(case):
+    # filled over its band, A holds the dense kernel times the weights, with
+    # the entries below the smallest normal double flushed; outside the band
+    # it is exactly 0, where the dense kernel is below e^-BAND_EXPONENT of
+    # its largest entry
+    gamma, plan = BAND_CASES[case]()
+    n = gamma.values.size
     pts = gamma.points()
     ref = kernel_matrix(plan, pts, pts) * gamma.weights().ravel()
     ref[ref < np.finfo(float).tiny] = 0.0
-    assert np.array_equal(evolution.forward_quadrature_matrix(gamma, plan), ref)
+    a = evolution.forward_quadrature_matrix(gamma, plan)
+    band = evolution._band(gamma, plan)
+    inside = np.zeros(a.shape, dtype=bool)
+    for rows, cols in band:
+        inside[rows, cols] = True
+    if gamma.dim == 1:
+        assert np.array_equal(a[inside], ref[inside])
+    else:
+        np.testing.assert_allclose(a[inside], ref[inside], rtol=1e-13, atol=0)
+    assert not a[~inside].any()
+    assert ref[~inside].max(initial=0.0) <= np.exp(-evolution.BAND_EXPONENT) * ref.max()
+    # several blocks, the first window clipped at the grid's start and the
+    # last at its end
+    assert len(band) > 1 and band[0][1].start == 0 and band[-1][1].stop == n
+    if case == "1d-whole-grid":
+        assert all(cols == slice(0, n) for _, cols in band)
+    else:
+        assert inside.mean() < 0.75
+
+
+def test_the_sampled_inverse_exponentiates_only_its_band(monkeypatch):
+    # a quad_inverse-shaped fill: N 1201, diffusion 0.5, t - s 0.1.  The
+    # kernel takes exp_product over the band's area alone, under half of N^2
+    gamma, plan = _grid_1d(1201)
+    entries = []
+
+    def recording(*args, **kwargs):
+        block = exp_product(*args, **kwargs)
+        entries.append(block.size)
+        return block
+
+    monkeypatch.setattr(evolution, "exp_product", recording)
+    evolution.forward_quadrature_matrix(gamma, plan)
+    area = sum((rows.stop - rows.start) * (cols.stop - cols.start)
+               for rows, cols in evolution._band(gamma, plan))
+    assert sum(entries) == area < gamma.values.size ** 2 / 2
+
+
+@pytest.mark.parametrize("tau", [20.0, 250.0])
+def test_a_flow_that_forgets_its_input_opens_the_band_to_the_whole_grid(tau):
+    # drift 3 shrinks dd to 8.8e-27 over t - s = 20 and to 0 over 250: the
+    # kernel is all but flat in its input, dd^-1 is huge or does not exist,
+    # and every window is the whole grid, with no warning and no LinAlgError
+    p = params_1d(lam=3.0, eps=0.5)
+    gamma = sampled_from(unit_packet(mean=0.3), p, -3.0, 3.0, 201)
+    plan = plan_for(p, 0.0, tau, gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        band = evolution._band(gamma, plan)
+    assert len(band) == 4 and all(cols == slice(0, 201) for _, cols in band)
+
+
+def test_the_sampled_inverse_names_a_backward_plan():
+    # along plan.reversed() the kernel runs backward, and the error used to
+    # say "inverse_evolve inverts" to a caller of inverse_evolve
+    gamma, plan = _grid_1d(401)
+    with pytest.raises(KernelValidityError, match=r"takes the forward plan .* not a backward "
+                                                  r"one \(t - s = -0\.1\)"):
+        inverse_evolve(evolve_quadrature(gamma, plan), plan.reversed())
 
 
 def test_quadrature_never_holds_the_kernel_matrix():

@@ -504,3 +504,24 @@ def test_kernel_matrix_is_one_product_of_the_features(dim, monkeypatch):
     out = np.empty((7, len(pts)))
     block = kernels.exp_product(left[3:10], right, underflow, out=out)
     assert block is out and np.array_equal(out, mat[3:10])
+
+
+def test_input_width_is_the_kernels_spread_in_its_input():
+    # at a fixed output point the kernel is a Gaussian in y about
+    # x_start + dd^-1 (x - x_end); its variance along each axis, measured on
+    # a grid by the trapezoid rule, is input_width squared
+    p = ModelParams(drift=np.array([[0.6, 0.2], [-0.1, 0.4]]), coupling_state=np.zeros((2, 2)),
+                    coupling_mean=np.array([[-0.3, 0.0], [0.1, -0.2]]),
+                    diffusion=0.4, coupling=1.0)
+    ctx = kernel_context(p, 0.5, 0.0, x_start=[0.3, -0.2])
+    x = np.array([0.4, 0.1])
+    center = ctx.x_start + np.linalg.solve(ctx.m.dd, x - ctx.x_end)
+    sigma = kernels.input_width(ctx)
+    axes = [c + np.linspace(-10 * sigma.max(), 10 * sigma.max(), 401) for c in center]
+    ys = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    vals = kernel_matrix(ctx, x, ys).reshape(401, 401)
+    mass = np.trapezoid(np.trapezoid(vals, axes[1]), axes[0])
+    for i, axis in enumerate(axes):
+        marginal = np.trapezoid(vals, axes[1 - i], axis=1 - i) / mass
+        variance = np.trapezoid((axis - center[i]) ** 2 * marginal, axis)
+        assert np.sqrt(variance) == pytest.approx(sigma[i], rel=1e-10)
