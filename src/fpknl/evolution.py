@@ -31,35 +31,49 @@ that P's underflow flush drops are below tiny * e^TABLE_EXPONENT (about
 1.4e-280).  A kernel only a few grid steps wide leaves no B above 1, and
 B = 1 is the plain loop: P over every input node times W.
 
-The sampled inverse holds A, but fills it only over a band and leaves
-every other entry exactly 0.  At an output point x the kernel is a
-Gaussian in the input y centered on c(x) = x_start + dd^-1 (x - x_end),
-with standard deviation sigma_i, sigma_i^2 = diffusion (dd^-1 w dd^-T)_ii,
-along axis i (kernels.input_width), so its exponent stays above
--BAND_EXPONENT only within r = sqrt(2 BAND_EXPONENT) sigma_0 of c_0(x)
-along the first axis.  The rows go in near-equal blocks of at most
-BAND_ROWS, and a block takes the columns of the nodes whose first
-coordinate lies within r of its rows' centers, rounded out to whole
-nodes and clipped to the grid; in dims >= 2 these are whole inner lines
-of the flattened index, a superset.  The fill exponentiates only those
-blocks, underflow path, weights and flush included; A Omega and A^T Q in
-the sketch and the residual A x run over the same blocks, and lstsq
-reads the zero-filled A.  A dropped entry is below e^-40 = 4.2e-18 of
-the kernel's peak: 26 times below half an ulp of the largest entry, and
-3e4 times below the 1.3e-13 relative error that the expanded exponent
-already puts in every entry.  In 1D every kept entry has the bits of
-the full product; in 2D, BLAS takes another kernel for another block
-shape and a few entries move by up to 5.7e-14 relative.  On [-8, 8]
-at diffusion 0.5 and t - s = 0.1 the band holds 0.44, 0.39 and 0.37 of
-N^2 at N = 401, 801 and 1201 (0.23 for a narrow kernel at diffusion
-0.15, 0.72 on a 2D 31^2 grid).  One inverse_evolve on those grids, one
-core of a Xeon with one BLAS thread, medians of 15 calls (ms):
+The sampled inverse holds A as the blocks of a band, each its own
+contiguous array, and every other entry is exactly 0.  At an output
+point x the kernel is a Gaussian in the input y centered on
+c(x) = x_start + dd^-1 (x - x_end), with standard deviation sigma_i,
+sigma_i^2 = diffusion (dd^-1 w dd^-T)_ii, along axis i
+(kernels.input_width), so its exponent stays above -BAND_EXPONENT only
+within r = sqrt(2 BAND_EXPONENT) sigma_0 of c_0(x) along the first axis.
+The rows go in near-equal blocks of at most BAND_ROWS, and a block takes
+the columns of the nodes whose first coordinate lies within r of its
+rows' centers, rounded out to whole nodes and clipped to the grid; in
+dims >= 2 these are whole inner lines of the flattened index, a
+superset.  Only those blocks are exponentiated, underflow path, weights
+and flush included; A Omega and A^T Q in the sketch and the residual A x
+run over the same blocks, and only lstsq gets the dense A, assembled
+from them.  A dropped entry is below e^-40 = 4.2e-18 of the kernel's
+peak: 26 times below half an ulp of the largest entry, and 3e4 times
+below the 1.3e-13 relative error that the expanded exponent already puts
+in every entry.  In 1D every kept entry has the bits of the full
+product; in 2D, BLAS takes another kernel for another block shape and a
+few entries move by up to 5.7e-14 relative.  On [-8, 8] at diffusion 0.5
+and t - s = 0.1 the band holds 0.44, 0.39 and 0.37 of N^2 at N = 401, 801
+and 1201 (0.23 for a narrow kernel at diffusion 0.15, 0.72 on a 2D 31^2
+grid).  A kernel whose input width sigma_0 exceeds the grid's span along
+the first axis, or a singular dd, averages every sample over the whole
+grid: the flow has forgotten the initial data, and the sampled inverse
+raises IllPosedInverseError naming |t - s|, sigma_0 and the span.
 
-    N                    full A   band
-    401                   11.9    10.0
-    801                   23.4    17.8
-    1201                  49.4    28.8
-    1201, diffusion 0.15  98.4    64.2
+The sketch's dense algebra is paid once where it can be.  The Gaussian
+test matrix depends on (N, width) alone, so it is drawn once and kept,
+read-only, in a small memo.  The range basis Q comes from the raw
+Householder factors of LAPACK's QR through the compact WY form
+(Joffrain et al., ACM TOMS 32, 2006) by one GEMM, in place of numpy's
+orgqr, which costs about as much as the factorization itself.  One
+inverse_evolve on the grids above, one core of a Xeon with one BLAS
+thread: the median over 5 alternating processes of each one's median of
+15 calls (ms).  "Full A" fills all of A, "band" fills the band into a
+zero N x N array, and "blocks" is this module:
+
+    N                    full A   band   blocks
+    401                   12.3    11.0     9.2
+    801                   32.3    19.6    15.8
+    1201                  57.0    32.0    24.4
+    1201, diffusion 0.15 121.3    78.2    62.4
 
 The left inverse on the analytic pathway moves the covariances along
 ``plan.reversed()``, S(s) = dd S(t) dd^T + w with its blocks.  That sum
@@ -91,7 +105,10 @@ cutoff, the forward residual and the factorization.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import (IllPosedInverseError, InvalidCovarianceError, KernelValidityError,
                      NormalizationError, TruncationError)
@@ -260,41 +277,44 @@ def _band(gamma: SampledDensity, plan: KernelContext) -> list[tuple[slice, slice
             if b > a]
 
 
-def forward_quadrature_matrix(gamma: SampledDensity,
-                              plan: KernelContext) -> np.ndarray:
-    """Matrix A with (A @ values) = forward quadrature on the input grid,
-    filled over the blocks of its band (_band) only: every other entry, below
-    e^-BAND_EXPONENT of the kernel's peak, is exactly 0."""
+def forward_quadrature_matrix(gamma: SampledDensity, plan: KernelContext):
+    """The matrix A with (A @ values) = forward quadrature on the input grid,
+    as the blocks of its band (_band): (rows, cols, block) triples, each
+    block its own contiguous array with A[rows, cols] = block.  Every other
+    entry, below e^-BAND_EXPONENT of the kernel's peak, is 0; _dense
+    assembles the N x N matrix."""
     pts = gamma.points()
     w = gamma.weights().ravel()
     left, right, underflow = kernel_features(plan, pts, pts)
-    band = _band(gamma, plan)
-    a = np.zeros((len(pts), len(pts)))
-    tiny = np.finfo(a.dtype).tiny
-    shapes = [(rows.stop - rows.start, cols.stop - cols.start) for rows, cols in band]
-    # one contiguous buffer for every block: exp and the flush run about a
-    # third faster there than on the strided view of A the block lands in
-    buf = np.empty(max((r * c for r, c in shapes), default=0))
-    for (rows, cols), (r, c) in zip(band, shapes):
-        block = exp_product(left[rows], right[:, cols], underflow,
-                            out=buf[:r * c].reshape(r, c))
+    tiny = np.finfo(float).tiny
+    blocks = []
+    for rows, cols in _band(gamma, plan):
+        block = exp_product(left[rows], right[:, cols], underflow)
         block *= w[cols]
         # exp_product returns no subnormal, but a weight can push a normal
         # entry below the smallest normal double; subnormals halve the
         # speed of every product with A, so such entries are zero too
         np.putmask(block, block < tiny, 0.0)
+        blocks.append((rows, cols, block))
+    return blocks
+
+
+def _dense(blocks, n: int) -> np.ndarray:
+    """The N x N matrix that the band's blocks hold, 0 elsewhere."""
+    a = np.zeros((n, n))
+    for rows, cols, block in blocks:
         a[rows, cols] = block
     return a
 
 
-def _band_product(a: np.ndarray, band, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """a @ x, or a.T @ x, over the band's blocks of the square a alone."""
+def _band_product(blocks, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """A @ x, or A.T @ x, for the square A that the band's blocks hold."""
     out = np.zeros(x.shape)
-    for rows, cols in band:
+    for rows, cols, block in blocks:
         if transpose:
-            out[cols] += a[rows, cols].T @ x[rows]
+            out[cols] += block.T @ x[rows]
         else:
-            np.matmul(a[rows, cols], x[cols], out=out[rows])
+            np.matmul(block, x[cols], out=out[rows])
     return out
 
 
@@ -323,18 +343,39 @@ def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixtur
     return out
 
 
+def _qr(y: np.ndarray):
+    """Reduced QR of the tall y, with Q formed from the raw Householder
+    factors by one GEMM.  In compact WY form (Joffrain et al., ACM TOMS 32,
+    2006) the product of the reflectors is I - V T V^T, V unit lower
+    trapezoidal and T^-1 = striu(V^T V) + diag(1 / tau); so
+    T = (I + diag(tau) striu(V^T V))^-1 diag(tau), a unit triangular solve
+    that a tau of 0 (a reflector that is the identity) leaves well posed,
+    and Q = I[:, :k] - V (T V_k^T) with V_k the first k rows of V."""
+    vt, tau = np.linalg.qr(y, mode="raw")
+    k = len(tau)
+    r = np.triu(vt[:, :k].T)
+    # row j of V^T: reflector j past its unit entry at column j, zeros before
+    vt[:, :k] = np.triu(vt[:, :k], 1)
+    np.fill_diagonal(vt, 1.0)
+    unit = np.triu(vt @ vt.T, 1) * tau[:, None]
+    t_vk = solve_triangular(unit, tau[:, None] * vt[:, :k], unit_diagonal=True)
+    q = vt.T @ -t_vk
+    q[:k] += np.eye(k)
+    return q, r
+
+
 def _extend_range(q: np.ndarray, r: np.ndarray, y: np.ndarray):
     """Orthonormal basis and R factor of [previous sketch, y], given the
     previous sketch's q and r: y is orthogonalized against q twice (block
-    Gram-Schmidt), and the remainder's QR supplies the new columns, so r
-    stays block upper triangular."""
+    Gram-Schmidt), and the remainder's QR (_qr) supplies the new columns,
+    so r stays block upper triangular."""
     if not q.shape[1]:
-        return np.linalg.qr(y)
+        return _qr(y)
     c = q.T @ y
     y = y - q @ c
     c2 = q.T @ y
     y -= q @ c2
-    qy, ry = np.linalg.qr(y)
+    qy, ry = _qr(y)
     return np.hstack([q, qy]), np.block([[r, c + c2], [np.zeros((len(ry), len(r))), ry]])
 
 
@@ -362,31 +403,44 @@ def _can_reach(sy: np.ndarray, widest: int, level: float) -> bool:
     return np.log(sy[-1] / sy[0]) + slope * (widest - len(sy)) <= np.log(level)
 
 
-def _sketch_solve(a: np.ndarray, band, rhs: np.ndarray, rcond: float):
-    """Truncated-SVD least squares with lstsq's cutoff rule, through the
-    randomized range finder of the module docstring (Halko, Martinsson &
-    Tropp, SIAM Review 2011) or, for a near-full-rank A, lstsq itself.
+@functools.lru_cache(maxsize=8)  # (N, width) pairs: 1.2 MB each at N 1201, k 128
+def _sketch(n: int, width: int) -> np.ndarray:
+    """The (n, width) Gaussian test matrix: the (n, SKETCH_START) block and
+    then the (n, SKETCH_STEP) blocks that a generator seeded with
+    SKETCH_SEED draws in turn, side by side.  It depends on (n, width)
+    alone, so it is drawn once and kept read-only."""
+    rng = np.random.default_rng(SKETCH_SEED)
+    steps = [SKETCH_START] + [SKETCH_STEP] * ((width - SKETCH_START) // SKETCH_STEP)
+    omega = np.hstack([rng.standard_normal((n, k)) for k in steps])
+    omega.flags.writeable = False
+    return omega
+
+
+def _sketch_solve(blocks, rhs: np.ndarray, rcond: float):
+    """Truncated-SVD least squares with lstsq's cutoff rule for the square A
+    that the band's blocks hold, through the randomized range finder of the
+    module docstring (Halko, Martinsson & Tropp, SIAM Review 2011) or, for
+    a near-full-rank A, lstsq itself on the dense A.
 
     Returns (solution, rank kept, sigma cutoff, factorization name).
     """
-    n = a.shape[1]
+    n = rhs.size
     # the first sketch runs on any system at least twice its size; up to
     # N/3 columns the sketch beats a dense factorization (single-threaded
     # BLAS: k = 256 at N = 801 took 100 ms against lstsq's 180 ms), past
     # that it loses (k = 256 at N = 401: 58 ms against 24-32 ms)
     widest = max(n // 3, SKETCH_START if n >= 2 * SKETCH_START else 0)
-    rng = np.random.default_rng(SKETCH_SEED)
-    q, r = np.empty((a.shape[0], 0)), np.empty((0, 0))
+    q, r = np.empty((n, 0)), np.empty((0, 0))
     k = SKETCH_START
     while k <= widest:
-        y = _band_product(a, band, rng.standard_normal((n, k - q.shape[1])))
+        y = _band_product(blocks, _sketch(n, k)[:, q.shape[1]:])
         q, r = _extend_range(q, r, y)
         sy = np.linalg.svd(r, compute_uv=False)
         if sy[-1] <= SKETCH_STOP * rcond * sy[0]:
             # SVD of the wide q^T a through the QR of its transpose: with
             # (q^T a)^T = qb rb and rb^T = u diag(s) vt, the right singular
             # vectors are qb vt^T, and qb is applied to a k-vector only
-            h, tau = np.linalg.qr(_band_product(a, band, q, transpose=True), mode="raw")
+            h, tau = np.linalg.qr(_band_product(blocks, q, transpose=True), mode="raw")
             ub, s, vt = np.linalg.svd(np.tril(h[:, :k]))
             cutoff = rcond * s[0]
             keep = s > cutoff
@@ -396,7 +450,7 @@ def _sketch_solve(a: np.ndarray, band, rhs: np.ndarray, rcond: float):
         if not _can_reach(sy, widest, SKETCH_STOP * rcond):
             break
         k += SKETCH_STEP
-    sol, _, rank, s = np.linalg.lstsq(a, rhs, rcond=rcond)
+    sol, _, rank, s = np.linalg.lstsq(_dense(blocks, n), rhs, rcond=rcond)
     return sol, int(rank), rcond * s[0], "lstsq"
 
 
@@ -407,11 +461,22 @@ def _inverse_sampled(u: SampledDensity, plan: KernelContext) -> SampledDensity:
             f"the forward plan the samples were evolved along (s < t), not a backward "
             f"one (t - s = {plan.t - plan.s:.6g}); samples move forward by "
             "evolve_quadrature along plan.reversed()")
-    band = _band(u, plan)
-    a = forward_quadrature_matrix(u, plan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            sigma, why = float(input_width(plan)[0]), ""
+        except np.linalg.LinAlgError:  # singular dd: the kernel is flat in y
+            sigma, why = np.inf, " (dd is singular)"
+    span = (u.values.shape[0] - 1) * float(u.dx[0])
+    if not sigma <= span:
+        raise IllPosedInverseError(
+            f"sampled inverse over |t - s| = {abs(plan.t - plan.s):.6g}: the kernel's "
+            f"input width sigma_0 = {sigma:.3g}{why} exceeds the grid's span {span:.6g} "
+            "along its first axis, so every sample averages over the whole grid; the "
+            "forward flow has forgotten the initial data")
+    blocks = forward_quadrature_matrix(u, plan)
     rhs = u.values.ravel()
-    sol, rank, cutoff, how = _sketch_solve(a, band, rhs, INVERSE_RCOND)
-    resid = float(np.max(np.abs(_band_product(a, band, sol) - rhs)))
+    sol, rank, cutoff, how = _sketch_solve(blocks, rhs, INVERSE_RCOND)
+    resid = float(np.max(np.abs(_band_product(blocks, sol) - rhs)))
     limit = 1e-6 * max(1.0, float(np.max(np.abs(rhs))))
     if resid > limit:
         raise IllPosedInverseError(

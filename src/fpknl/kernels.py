@@ -32,9 +32,9 @@ columns, so a consumer takes one cache-sized block of rows at a time
 use of the block while the block stays in cache.  The quadrature operator
 takes only the columns that start runs along the grid's last axis and
 moves them to the other nodes by two exponential tables (evolution
-module), so it never holds the N x N matrix; the sampled inverse fills
-the band of it where the kernel is above e^-40 of its peak, block by
-block (``input_width``, the kernel's standard deviation in y per axis,
+module), so it never holds the N x N matrix; the sampled inverse holds
+the band of it where the kernel is above e^-40 of its peak as separate
+blocks (``input_width``, the kernel's standard deviation in y per axis,
 sets that band), and ``kernel_matrix`` is the single block of all rows.
 That product and its exponential are ``exp_product``, the one Gaussian
 evaluator: mixture evaluation (packets module) calls it too, with the
@@ -119,6 +119,19 @@ class KernelContext:
         back = Matriciant(t=m.s, s=m.t, dd=dd, w=-dd @ m.w @ dd.T)
         return KernelContext(self.params, back, x_start=self.x_end, x_end=self.x_start)
 
+    def reanchored(self, x_start) -> "KernelContext":
+        """The same move and matriciant, anchored on the moment trajectory
+        through x_start at s; an end anchor that overflows double precision
+        raises KernelValidityError."""
+        x_start = _vector(x_start, self.params.dim, "x_start")
+        x_end = self.params.moment_trajectory(x_start, self.s).at(self.t)
+        if not np.isfinite(x_end).all():
+            raise KernelValidityError(
+                f"moment-frame anchor is not finite at |t - s| = {abs(self.t - self.s):.6g}: "
+                "the moment trajectory overflows double precision over this horizon"
+            )
+        return KernelContext(self.params, self.m, x_start, x_end)
+
 
 def _require_same_dim(field, ctx: KernelContext) -> None:
     if field.dim != ctx.params.dim:
@@ -134,19 +147,9 @@ def kernel_context(params: ModelParams, t: float, s: float,
     or infinite t or s raises InputError (the matriciant checks them before
     the trajectory runs); an anchor that overflows double precision raises
     KernelValidityError."""
-    m = matriciant(params, t, s)
-    n = params.dim
-    if x_start is None:
-        x_start = x_end = np.zeros(n)
-    else:
-        x_start = _vector(x_start, n, "x_start")
-        x_end = params.moment_trajectory(x_start, s).at(t)
-        if not np.isfinite(x_end).all():
-            raise KernelValidityError(
-                f"moment-frame anchor is not finite at |t - s| = {abs(t - s):.6g}: "
-                "the moment trajectory overflows double precision over this horizon"
-            )
-    return KernelContext(params, m, x_start, x_end)
+    zero = np.zeros(params.dim)
+    ctx = KernelContext(params, matriciant(params, t, s), zero, zero)
+    return ctx if x_start is None else ctx.reanchored(x_start)
 
 
 def _points(x, n: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .evolution import evolve_analytic, inverse_evolve, plan_for
+from .evolution import evolve_analytic, inverse_evolve
 from .kernels import KernelContext
 from .model import ModelParams, MomentTrajectory, SampledDensity, _vector, require_finite
 from .packets import GaussianMixture, GaussianPacket, evolve_packet
@@ -233,12 +233,17 @@ def symmetry_apply_evolution(op: InitialOperator, u: GaussianMixture,
                              plan: KernelContext,
                              moment_override=None) -> GaussianMixture:
     """Conjugation route: recover the initial data with the left inverse,
-    apply the operator, evolve forward along the image's own trajectory."""
+    apply the operator, evolve forward along the image's own trajectory:
+    the plan's matriciant, re-anchored on the image's initial moment (or
+    the override)."""
     gamma = inverse_evolve(u, plan)
     app = apply_initial_op(op, gamma, plan.params)
-    plan_image = plan_for(plan.params, plan.s, plan.t, app.field,
-                          moment_override=moment_override)
-    return evolve_analytic(app.field, plan_image, require_normalized=app.normalized)
+    if moment_override is None:
+        x_image = app.field.first_moment(normalized=True)
+    else:
+        x_image = _vector(moment_override, plan.params.dim, "moment_override")
+    return evolve_analytic(app.field, plan.reanchored(x_image),
+                           require_normalized=app.normalized)
 
 
 def linsym_closed_form(params: ModelParams, t: float, s: float,

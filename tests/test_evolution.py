@@ -12,7 +12,8 @@ from fpknl import (GaussianMixture, GaussianPacket,
                    KernelValidityError, ModelParams,
                    NormalizationError, SampledDensity, TruncationError,
                    evolution, evolve_analytic, evolve_packet,
-                   evolve_quadrature, inverse_evolve, kernel_matrix, model, plan_for)
+                   evolve_quadrature, inverse_evolve, kernel_matrix, kernels, model,
+                   plan_for)
 from fpknl.kernels import exp_product
 
 
@@ -352,14 +353,18 @@ def test_inverse_rejects_rough_input():
         * np.exp(-u.coordinate(0) ** 2)
     with pytest.raises(IllPosedInverseError) as info:
         inverse_evolve(u, plan)
-    sv = np.linalg.svd(evolution.forward_quadrature_matrix(u, plan),
-                       compute_uv=False)
+    sv = np.linalg.svd(_dense_quadrature_matrix(u, plan), compute_uv=False)
     cutoff = evolution.INVERSE_RCOND * sv[0]
     msg = str(info.value)
     assert f"rank {int(np.sum(sv > cutoff))} of 801" in msg
     reported = float(re.search(r"sigma cutoff (\S+)", msg).group(1))
     assert reported == pytest.approx(cutoff, rel=1e-3)
     assert "forward residual" in msg and "factorization" in msg
+
+
+def _dense_quadrature_matrix(gamma, plan):
+    return evolution._dense(evolution.forward_quadrature_matrix(gamma, plan),
+                            gamma.values.size)
 
 
 def _grid_2d(nodes):
@@ -401,8 +406,9 @@ def test_sampled_solve_matches_lstsq(case, monkeypatch):
     grid, how = SOLVE_CASES[case]
     gamma, plan = grid()
     u = evolve_quadrature(gamma, plan)
-    a = evolution.forward_quadrature_matrix(u, plan)
+    blocks = evolution.forward_quadrature_matrix(u, plan)
     rhs = u.values.ravel()
+    a = evolution._dense(blocks, rhs.size)
     rcond = evolution.INVERSE_RCOND
     ref, _, ref_rank, _ = np.linalg.lstsq(a, rhs, rcond=rcond)
     sketches = []
@@ -413,8 +419,7 @@ def test_sampled_solve_matches_lstsq(case, monkeypatch):
         return real_extend(q, r, y)
 
     monkeypatch.setattr(evolution, "_extend_range", counting)
-    band = evolution._band(u, plan)
-    sol, rank, _, used = evolution._sketch_solve(a, band, rhs, rcond)
+    sol, rank, _, used = evolution._sketch_solve(blocks, rhs, rcond)
     monkeypatch.undo()
     assert used == how
     assert rank == ref_rank
@@ -442,7 +447,7 @@ def test_sampled_solve_matches_lstsq(case, monkeypatch):
     pts = u.points()
     whole = kernel_matrix(plan, pts, pts) * u.weights().ravel()
     untruncated, *_ = evolution._sketch_solve(
-        whole, [(slice(0, rhs.size), slice(0, rhs.size))], rhs, rcond)
+        [(slice(0, rhs.size), slice(0, rhs.size), whole)], rhs, rcond)
     assert np.max(np.abs(sol - untruncated)) < 1e-8
 
 
@@ -471,6 +476,73 @@ def test_reflectors_apply_the_orthonormal_factor_of_the_qr():
     h, tau = np.linalg.qr(b, mode="raw")
     z = rng.standard_normal(30)
     assert np.max(np.abs(evolution._apply_reflectors(h, tau, z) - qb @ z)) < 1e-14
+
+
+@pytest.mark.parametrize("rank", [120, 30, 0])
+def test_wy_basis_is_numpys_reduced_qr(rank):
+    # Q from the raw Householder factors in compact WY form: numpy's Q to
+    # 1e-14 and orthonormal, also past the numerical rank (rank of 120
+    # columns) and with an exactly zero column (a reflector with tau 0);
+    # R has numpy's bits
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((700, 120)))
+    spectrum = np.logspace(0, -18, 120)
+    spectrum[rank:] *= 1e-30
+    y = (u * spectrum) @ rng.standard_normal((120, 120))
+    if not rank:
+        y[:, 7] = 0.0
+        assert not np.linalg.qr(y, mode="raw")[1][7]
+    q_ref, r_ref = np.linalg.qr(y)
+    q, r = evolution._qr(y)
+    assert np.max(np.abs(q - q_ref)) < 1e-14
+    assert np.max(np.abs(q.T @ q - np.eye(120))) < 1e-14
+    np.testing.assert_array_equal(r, r_ref)
+
+
+def test_the_sketch_is_drawn_once_and_read_only():
+    # the memo holds the seeded stream's draws bit for bit: SKETCH_START
+    # columns, then SKETCH_STEP at a time, side by side
+    rng = np.random.default_rng(evolution.SKETCH_SEED)
+    start, step = evolution.SKETCH_START, evolution.SKETCH_STEP
+    fresh = [rng.standard_normal((333, width)) for width in (start, step, step)]
+    omega = evolution._sketch(333, start + 2 * step)
+    assert omega.shape == (333, start + 2 * step)
+    np.testing.assert_array_equal(omega, np.hstack(fresh))
+    np.testing.assert_array_equal(evolution._sketch(333, start), fresh[0])
+    assert evolution._sketch(333, start + 2 * step) is omega
+    assert not omega.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        omega[0, 0] = 0.0
+
+
+def test_the_sketch_holds_no_dense_matrix_but_lstsq_gets_one(monkeypatch):
+    # at N = 1201 the N x N matrix alone takes 8 N^2 bytes (11.5 MB); the
+    # blocks of the band take 0.37 of that
+    gamma, plan = _grid_1d(1201)
+    u = evolve_quadrature(gamma, plan)
+    inverse_evolve(u, plan)  # draw the sketch, warm numpy's and BLAS's buffers
+    tracemalloc.start()
+    try:
+        inverse_evolve(u, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1201 ** 2
+    # a near-full-rank system goes to lstsq on the assembled dense A
+    gamma, plan = _grid_2d(31)
+    u = evolve_quadrature(gamma, plan)
+    seen = []
+    real_lstsq = np.linalg.lstsq
+
+    def recording(a, b, rcond):
+        seen.append(a.copy())
+        return real_lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    inverse_evolve(u, plan)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], _dense_quadrature_matrix(u, plan))
 
 
 def test_sampled_inverse_is_repeatable_and_leaves_global_rng_alone():
@@ -671,24 +743,28 @@ BAND_CASES = {
 
 @pytest.mark.parametrize("case", list(BAND_CASES))
 def test_forward_quadrature_matrix_is_the_weighted_dense_kernel(case):
-    # filled over its band, A holds the dense kernel times the weights, with
-    # the entries below the smallest normal double flushed; outside the band
-    # it is exactly 0, where the dense kernel is below e^-BAND_EXPONENT of
-    # its largest entry
+    # A comes as the blocks of its band, each its own contiguous array that
+    # holds the dense kernel times the weights, with the entries below the
+    # smallest normal double flushed; outside the band A is exactly 0,
+    # where the dense kernel is below e^-BAND_EXPONENT of its largest entry
     gamma, plan = BAND_CASES[case]()
     n = gamma.values.size
     pts = gamma.points()
     ref = kernel_matrix(plan, pts, pts) * gamma.weights().ravel()
     ref[ref < np.finfo(float).tiny] = 0.0
-    a = evolution.forward_quadrature_matrix(gamma, plan)
+    blocks = evolution.forward_quadrature_matrix(gamma, plan)
     band = evolution._band(gamma, plan)
+    assert [(rows, cols) for rows, cols, _ in blocks] == band
+    for rows, cols, block in blocks:
+        assert block.flags.c_contiguous and block.flags.owndata
+        if gamma.dim == 1:
+            assert np.array_equal(block, ref[rows, cols])
+        else:
+            np.testing.assert_allclose(block, ref[rows, cols], rtol=1e-13, atol=0)
+    a = evolution._dense(blocks, n)
     inside = np.zeros(a.shape, dtype=bool)
     for rows, cols in band:
         inside[rows, cols] = True
-    if gamma.dim == 1:
-        assert np.array_equal(a[inside], ref[inside])
-    else:
-        np.testing.assert_allclose(a[inside], ref[inside], rtol=1e-13, atol=0)
     assert not a[~inside].any()
     assert ref[~inside].max(initial=0.0) <= np.exp(-evolution.BAND_EXPONENT) * ref.max()
     # several blocks, the first window clipped at the grid's start and the
@@ -730,6 +806,35 @@ def test_a_flow_that_forgets_its_input_opens_the_band_to_the_whole_grid(tau):
         warnings.simplefilter("error")
         band = evolution._band(gamma, plan)
     assert len(band) == 4 and all(cols == slice(0, 201) for _, cols in band)
+
+
+@pytest.mark.parametrize("tau, width", [(5.0, "1.33e+06"), (20.0, "4.66e+25"),
+                                        (250.0, "inf (dd is singular)")])
+def test_the_sampled_inverse_refuses_a_horizon_that_forgets_its_input(tau, width):
+    # drift 3: the kernel's input width outgrows the 16 units of the grid,
+    # and a minimum-norm solve returned a field 0.501 off with a passing
+    # forward residual
+    p = params_1d(lam=3.0, eps=0.5)
+    gamma = sampled_from(unit_packet(mean=0.3), p, -8.0, 8.0, 401)
+    plan = plan_for(p, 0.0, tau, gamma)
+    u = evolve_quadrature(gamma, plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllPosedInverseError,
+                           match=rf"\|t - s\| = {tau:g}: .* sigma_0 = {re.escape(width)} exceeds the "
+                                 r"grid's span 16 along its first axis"):
+            inverse_evolve(u, plan)
+
+
+def test_a_kernel_narrower_than_the_grid_still_inverts():
+    # t - s = 1 at drift 3: sigma_0 8.19 lies within the span 16, and the
+    # minimum-norm label of the roundtrip (0.172 off) is left as it is
+    p = params_1d(lam=3.0, eps=0.5)
+    gamma = sampled_from(unit_packet(mean=0.3), p, -8.0, 8.0, 401)
+    plan = plan_for(p, 0.0, 1.0, gamma)
+    assert kernels.input_width(plan)[0] == pytest.approx(8.19, abs=5e-3)
+    back = inverse_evolve(evolve_quadrature(gamma, plan), plan)
+    assert np.max(np.abs(back.values - gamma.values)) == pytest.approx(0.172, abs=1e-3)
 
 
 def test_the_sampled_inverse_names_a_backward_plan():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fpknl import (DegenerateMomentError, GaussianMixture, GaussianPacket,
                    InputError, ModelParams, SampledDensity, apply_initial_op,
-                   build_shifts, evolve_analytic, linsym_closed_form,
+                   build_shifts, evolve_analytic, inverse_evolve, kernels, linsym_closed_form,
                    linsym_operator, matriciant, plan_for, residual_field,
                    spacetime_samples, symmetry_apply_conclusion,
                    symmetry_apply_evolution, symmetry_apply_shift)
@@ -272,6 +272,38 @@ def test_routes_agree_in_two_dimensions():
         cc = symmetry_apply_evolution(lop, u, plan,
                                       moment_override=seed).eval(p, pts)
         assert np.max(np.abs(aa - cc)) < 1e-12
+
+
+@pytest.mark.parametrize("override", [None, [0.2, -0.1]])
+def test_conjugation_route_reuses_the_plans_matriciant(monkeypatch, override):
+    # the image plan is the plan's matriciant re-anchored on the image's
+    # trajectory: no matriciant is built, and the route has the bits of
+    # a fresh plan_for for the image
+    lam = np.array([[0.7, 0.2], [-0.15, 0.5]])
+    p = ModelParams(drift=lam, coupling_state=np.zeros((2, 2)),
+                    coupling_mean=np.array([[-0.4, 0.1], [0.0, -0.3]]),
+                    diffusion=0.35, coupling=0.8)
+    pk = GaussianMixture([GaussianPacket(mean=[0.5, -0.3], num=np.eye(2),
+                                         den=np.array([[1.0, 0.2], [0.2, 1.4]]))])
+    plan = plan_for(p, 0.0, 0.7, pk)
+    u = evolve_analytic(pk, plan)
+    op = InitialOperator(const=0.6, lin=[0.4, -0.3], grad=[0.2, 0.5])
+    calls = []
+    real = kernels.matriciant
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "matriciant", counting)
+    route = symmetry_apply_evolution(op, u, plan, moment_override=override)
+    monkeypatch.undo()
+    assert calls == []
+    app = apply_initial_op(op, inverse_evolve(u, plan), p)
+    fresh = plan_for(p, 0.0, 0.7, app.field, moment_override=override)
+    expected = evolve_analytic(app.field, fresh, require_normalized=app.normalized)
+    for name in ("weight", "mean", "cov", "amp0", "dipole"):
+        np.testing.assert_array_equal(getattr(route, name), getattr(expected, name))
 
 
 # ----------------------------------------------------------------- residuals
