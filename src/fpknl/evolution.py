@@ -60,20 +60,23 @@ raises IllPosedInverseError naming |t - s|, sigma_0 and the span.
 
 The sketch's dense algebra is paid once where it can be.  The Gaussian
 test matrix depends on (N, width) alone, so it is drawn once and kept,
-read-only, in a small memo.  The range basis Q comes from the raw
-Householder factors of LAPACK's QR through the compact WY form
-(Joffrain et al., ACM TOMS 32, 2006) by one GEMM, in place of numpy's
-orgqr, which costs about as much as the factorization itself.  One
-inverse_evolve on the grids above, one core of a Xeon with one BLAS
-thread: the median over 5 alternating processes of each one's median of
-15 calls (ms).  "Full A" fills all of A, "band" fills the band into a
-zero N x N array, and "blocks" is this module:
+read-only, in a small memo.  Both of the solve's QRs keep LAPACK's raw
+Householder factors, and one helper applies their Q in compact WY form
+(Joffrain et al., ACM TOMS 32, 2006): applied to I it forms the range
+basis by one GEMM, in place of numpy's orgqr, which costs about as much
+as the factorization itself, and applied to a k-vector it is two GEMVs.
+One inverse_evolve on the grids above, one core of a Xeon with one BLAS
+thread: the median over 7 alternating processes of each one's median of
+15 calls (ms).  "Extended" grew the sketch by block Gram-Schmidt on a
+kept basis and applied the second QR's reflectors one at a time;
+"refactored" is this module, whose growth steps cost more (the narrow
+kernel at diffusion 0.15 grows to k = 256):
 
-    N                    full A   band   blocks
-    401                   12.3    11.0     9.2
-    801                   32.3    19.6    15.8
-    1201                  57.0    32.0    24.4
-    1201, diffusion 0.15 121.3    78.2    62.4
+    N                     extended   refactored
+    401                      9.2         8.1
+    801                     15.0        14.2
+    1201                    26.5        21.4
+    1201, diffusion 0.15    57.8        67.1
 
 The left inverse on the analytic pathway moves the covariances along
 ``plan.reversed()``, S(s) = dd S(t) dd^T + w with its blocks.  That sum
@@ -91,16 +94,20 @@ columns from a local generator seeded with SKETCH_SEED (repeatable, and
 the global numpy state is untouched), grown by SKETCH_STEP columns until
 the sketch's smallest singular value lies below SKETCH_STOP * rcond times
 its largest, so that every singular value above the cutoff is captured.
-Each step orthogonalizes its new columns against the kept basis twice and
-extends the kept triangular factor, whose singular values the stop test
-reads; the SVD of the wide Q^T A comes from the QR of its transpose and
-a k x k SVD.  A near-full-rank system, one that would need a sketch of
-more than N/3 columns, is solved by np.linalg.lstsq instead, as soon as
-a sketch's singular values, falling on at the rate of their second half,
-would not reach the stop level within N/3 columns.  Either way the
-solution is checked against the full matrix: inputs that no initial data
-can explain raise IllPosedInverseError, naming the rank kept, the
-cutoff, the forward residual and the factorization.
+Each step factors the whole sketch A Omega_k anew with the same QR, and
+the stop test reads the singular values of its triangular factor R.  As
+sigma_min <= min |r_ii| and max |r_ii| <= sigma_max for a triangular R,
+a diagonal with min |r_ii| <= SKETCH_STOP * rcond * max |r_ii| passes
+the test with no SVD (95 of 127 tests over 120 benchmark inverses); only
+where it does not is the SVD of R taken.  The SVD of the wide Q^T A
+comes from the QR of its transpose and a k x k SVD.  A near-full-rank
+system, one that would need a sketch of more than N/3 columns, is solved
+by np.linalg.lstsq instead, as soon as a sketch's singular values,
+falling on at the rate of their second half, would not reach the stop
+level within N/3 columns.  Either way the solution is checked against
+the full matrix: inputs that no initial data can explain raise
+IllPosedInverseError, naming the rank kept, the cutoff, the forward
+residual and the factorization.
 """
 
 from __future__ import annotations
@@ -343,54 +350,44 @@ def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixtur
     return out
 
 
-def _qr(y: np.ndarray):
-    """Reduced QR of the tall y, with Q formed from the raw Householder
-    factors by one GEMM.  In compact WY form (Joffrain et al., ACM TOMS 32,
-    2006) the product of the reflectors is I - V T V^T, V unit lower
-    trapezoidal and T^-1 = striu(V^T V) + diag(1 / tau); so
-    T = (I + diag(tau) striu(V^T V))^-1 diag(tau), a unit triangular solve
-    that a tau of 0 (a reflector that is the identity) leaves well posed,
-    and Q = I[:, :k] - V (T V_k^T) with V_k the first k rows of V."""
+def _householder(y: np.ndarray):
+    """Householder QR of the tall (N, k) y from LAPACK's raw factors:
+    (vt, tau, r), with r numpy's R bit for bit and vt the (k, N) V^T, its
+    row j reflector j's vector v_j, a unit entry at column j and zeros
+    before it.  Q is the product of the reflectors I - tau_j v_j v_j^T,
+    applied by _apply_q and formed only where it is needed."""
     vt, tau = np.linalg.qr(y, mode="raw")
+    del y  # vt is a copy: a caller's temporary sketch is freed here
     k = len(tau)
     r = np.triu(vt[:, :k].T)
-    # row j of V^T: reflector j past its unit entry at column j, zeros before
     vt[:, :k] = np.triu(vt[:, :k], 1)
     np.fill_diagonal(vt, 1.0)
+    return vt, tau, r
+
+
+def _apply_q(vt: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Q z for the reduced (N, k) Q of _householder's reflectors and a
+    k-vector or (k, m) z, in compact WY form (Joffrain et al., ACM TOMS 32,
+    2006): the product of the reflectors is I - V T V^T, with
+    T^-1 = striu(V^T V) + diag(1 / tau); so
+    T = (I + diag(tau) striu(V^T V))^-1 diag(tau), a unit triangular solve
+    that a tau of 0 (a reflector that is the identity) leaves well posed,
+    and Q z = pad(z) - V (T V_k^T z), V_k the first k rows of V.  For a
+    vector that is two GEMVs past T; z = I forms Q by one (N, k) GEMM."""
+    k = len(tau)
     unit = np.triu(vt @ vt.T, 1) * tau[:, None]
-    t_vk = solve_triangular(unit, tau[:, None] * vt[:, :k], unit_diagonal=True)
-    q = vt.T @ -t_vk
-    q[:k] += np.eye(k)
-    return q, r
-
-
-def _extend_range(q: np.ndarray, r: np.ndarray, y: np.ndarray):
-    """Orthonormal basis and R factor of [previous sketch, y], given the
-    previous sketch's q and r: y is orthogonalized against q twice (block
-    Gram-Schmidt), and the remainder's QR (_qr) supplies the new columns,
-    so r stays block upper triangular."""
-    if not q.shape[1]:
-        return _qr(y)
-    c = q.T @ y
-    y = y - q @ c
-    c2 = q.T @ y
-    y -= q @ c2
-    qy, ry = _qr(y)
-    return np.hstack([q, qy]), np.block([[r, c + c2], [np.zeros((len(ry), len(r))), ry]])
-
-
-def _apply_reflectors(h: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """qb @ z for the orthonormal factor qb of np.linalg.qr(..., mode="raw"),
-    never formed: row j of h holds Householder vector j past its implied
-    unit entry at column j, and qb is the product of the reflectors."""
-    x = np.zeros(h.shape[1])
-    x[:len(z)] = z
-    for j in range(len(tau) - 1, -1, -1):
-        v = h[j, j + 1:]
-        step = tau[j] * (x[j] + v @ x[j + 1:])
-        x[j] -= step
-        x[j + 1:] -= step * v
+    t_vk = solve_triangular(unit, tau[:, None] * vt[:, :k], unit_diagonal=True, overwrite_b=True)
+    x = vt.T @ -(t_vk @ z)
+    x[:k] += z
     return x
+
+
+def _diagonal_stops(r: np.ndarray, level: float) -> bool:
+    """min |r_ii| <= level * max |r_ii| for the triangular r.  As
+    sigma_min <= min |r_ii| and max |r_ii| <= sigma_max, it implies the
+    stop test sigma_min <= level * sigma_max with no SVD."""
+    d = np.abs(np.diagonal(r))
+    return bool(d.min() <= level * d.max())
 
 
 def _can_reach(sy: np.ndarray, widest: int, level: float) -> bool:
@@ -430,26 +427,25 @@ def _sketch_solve(blocks, rhs: np.ndarray, rcond: float):
     # BLAS: k = 256 at N = 801 took 100 ms against lstsq's 180 ms), past
     # that it loses (k = 256 at N = 401: 58 ms against 24-32 ms)
     widest = max(n // 3, SKETCH_START if n >= 2 * SKETCH_START else 0)
-    q, r = np.empty((n, 0)), np.empty((0, 0))
-    k = SKETCH_START
-    while k <= widest:
-        y = _band_product(blocks, _sketch(n, k)[:, q.shape[1]:])
-        q, r = _extend_range(q, r, y)
-        sy = np.linalg.svd(r, compute_uv=False)
-        if sy[-1] <= SKETCH_STOP * rcond * sy[0]:
+    level = SKETCH_STOP * rcond
+    for k in range(SKETCH_START, widest + 1, SKETCH_STEP):
+        vt, tau, r = _householder(_band_product(blocks, _sketch(n, k)))
+        sy = None if _diagonal_stops(r, level) else np.linalg.svd(r, compute_uv=False)
+        if sy is None or sy[-1] <= level * sy[0]:
+            q = _apply_q(vt, tau, np.eye(k))
+            del vt  # the sketch's reflectors are not kept through the next QR
             # SVD of the wide q^T a through the QR of its transpose: with
-            # (q^T a)^T = qb rb and rb^T = u diag(s) vt, the right singular
-            # vectors are qb vt^T, and qb is applied to a k-vector only
-            h, tau = np.linalg.qr(_band_product(blocks, q, transpose=True), mode="raw")
-            ub, s, vt = np.linalg.svd(np.tril(h[:, :k]))
+            # (q^T a)^T = qb rb and rb^T = u diag(s) wt, the right singular
+            # vectors are qb wt^T, and qb is applied to a k-vector only
+            vt, tau, rb = _householder(_band_product(blocks, q, transpose=True))
+            ub, s, wt = np.linalg.svd(rb.T)
             cutoff = rcond * s[0]
             keep = s > cutoff
-            coef = vt[keep].T @ ((ub[:, keep].T @ (q.T @ rhs)) / s[keep])
-            return (_apply_reflectors(h, tau, coef), int(keep.sum()), cutoff,
+            coef = wt[keep].T @ ((ub[:, keep].T @ (q.T @ rhs)) / s[keep])
+            return (_apply_q(vt, tau, coef), int(keep.sum()), cutoff,
                     f"randomized sketch k={k}")
-        if not _can_reach(sy, widest, SKETCH_STOP * rcond):
+        if not _can_reach(sy, widest, level):
             break
-        k += SKETCH_STEP
     sol, _, rank, s = np.linalg.lstsq(_dense(blocks, n), rhs, rcond=rcond)
     return sol, int(rank), rcond * s[0], "lstsq"
 

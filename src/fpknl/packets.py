@@ -28,7 +28,11 @@ is shared only by components with s within CENTER_REACH: the mean of the
 means when all of them qualify, otherwise each group is seeded by the
 first remaining mean and evaluated as a product of its own.  The center
 depends on the components alone, so splitting the points into blocks
-changes no bit.  Points are those of kernels, or in 1D a flat (N,) grid.
+changes no bit.  Points are those of kernels, or in 1D a flat (N,) grid;
+a non-finite point raises InputError.  A point whose offset from a
+center is so large that its square would overflow is clipped to a
+distance where every component is still 0 in double precision, so far
+points evaluate to 0 with no overflow.
 """
 
 from __future__ import annotations
@@ -172,6 +176,10 @@ class GaussianMixture:
         if pts is None:
             raise InputError(f"mixture points must be (N, {n}) arrays or one ({n},) point "
                              f"in {n}D, got shape {x.shape}")
+        most = np.abs(pts).max(initial=0.0)  # nan or inf where a point is not finite
+        if not np.isfinite(most):
+            bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
+            raise InputError(f"mixture points must be finite, got {pts[bad]} at point {bad}")
         n_pts = len(pts)
         vals = None
         # exponent -(x-m)^T Q (x-m) / 2 eps = (y-d)^T H (y-d) with H = -Q / 2 eps,
@@ -179,7 +187,16 @@ class GaussianMixture:
         # features [y, y y^T, 1] are -2 H d, H and d^T H d
         h = (-0.5 / eps) * q
         # |d|^2 tr(-H) bounds the exponent terms that cancel (CENTER_REACH)
-        for g, center, d in _groups(self.mean, -np.einsum("kii->k", h)):
+        spread = -np.einsum("kii->k", h)
+        # an offset y is clipped to +-reach per axis: as |h_ij| <= tr(-h), a
+        # term of the product is then at most max/64, so none overflows and
+        # no inf - inf arises, while a point that far out (or clipped to
+        # it) has an exponent below -(max/64) lambda_min(-h) / max(1, tr(-h)),
+        # which exp takes to 0.  Centers lie within the means' box, so only
+        # a point past reach less the box's extent can need the clip
+        reach = (np.finfo(float).max / 64.0 / max(1.0, spread.max())) ** 0.5
+        far = most > reach - np.abs(self.mean).max()
+        for g, center, d in _groups(self.mean, spread):
             hg = h[g]
             hd = _mv(hg, d)
             coef = np.concatenate([-2.0 * hd, hg.reshape(len(g), n * n),
@@ -200,7 +217,10 @@ class GaussianMixture:
             for rows in row_blocks(n_pts, max(coef.shape)):
                 feats = np.empty((coef.shape[1], rows.stop - rows.start))
                 y = feats[:n]
-                np.subtract(pts[rows].T, center[:, None], out=y)
+                with np.errstate(over="ignore" if far else None):  # clipped next
+                    np.subtract(pts[rows].T, center[:, None], out=y)
+                if far:
+                    np.clip(y, -reach, reach, out=y)
                 np.multiply(y[:, None], y, out=feats[n:-1].reshape(n, n, -1))
                 feats[-1] = 1.0
                 block = exp_product(coef, feats)

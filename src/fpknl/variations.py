@@ -72,8 +72,9 @@ def pair_generator(params: ModelParams) -> np.ndarray:
 
 def matriciant(params: ModelParams, t: float, s: float) -> Matriciant:
     """dd and w from one expm over (t - s) / 2^k, with k the least that
-    brings the chunk's 1-norm to at most THETA_13 (0 for a short horizon),
-    then k doublings dd <- dd^2, w <- w + dd w dd^T (Van Loan, IEEE TAC 23,
+    brings the chunk's 1-norm to at most THETA_13 (0 for a short horizon;
+    taken from the exponents, so no |t - s| up to the largest double
+    overflows it), then k doublings dd <- dd^2, w <- w + dd w dd^T (Van Loan, IEEE TAC 23,
     1978).  At t == s the blocks are dd = I and w = 0, with no expm.  A NaN
     or infinite t or s raises InputError; a dd or w that overflows double
     precision (a mode growing over a long horizon) raises
@@ -85,8 +86,11 @@ def matriciant(params: ModelParams, t: float, s: float) -> Matriciant:
         return Matriciant(float(t), float(s), np.eye(n), np.zeros((n, n)))
     a = pair_generator(params)
     tau = float(t) - float(s)
-    frac, k = math.frexp(abs(tau) * np.abs(a).sum(axis=0).max() / THETA_13)  # 1-norm
-    k = max(0, k - (frac == 0.5))
+    # |tau| = mant 2^k_tau exactly, so mant's product with the 1-norm has
+    # the bits of tau's, scaled by 2^-k_tau, and cannot overflow
+    mant, k_tau = math.frexp(abs(tau))
+    frac, k = math.frexp(mant * np.abs(a).sum(axis=0).max() / THETA_13)  # 1-norm
+    k = max(0, k_tau + k - (frac == 0.5))
     with np.errstate(over="ignore", invalid="ignore"):
         m = Matriciant.of_fundamental(t, s, expm(math.ldexp(tau, -k) * a))
         for _ in range(k):

@@ -14,6 +14,7 @@ from fpknl import (GaussianMixture, GaussianPacket,
                    evolution, evolve_analytic, evolve_packet,
                    evolve_quadrature, inverse_evolve, kernel_matrix, kernels, model,
                    plan_for)
+from fpknl.checks import reference_case
 from fpknl.kernels import exp_product
 
 
@@ -199,6 +200,24 @@ def test_stable_drift_reaches_its_stationary_law_at_long_horizons(tau):
     offset = quad.coordinate(0) - quad.first_moment(normalized=True)[0]
     var = np.sum(quad.weights() * quad.values * offset ** 2) / quad.total_mass()
     assert abs(p.diffusion / var - 3.0) <= 1e-8
+
+
+@pytest.mark.parametrize("tau", [1e308, 1.7e308])
+def test_a_horizon_near_the_largest_double_keeps_the_stationary_law(tau):
+    # tau times the generator's 1-norm overflowed, frexp(inf) gave no
+    # doublings and the plan came back with dd = w = nan: evolve_analytic
+    # returned a nan mean and covariance and eval nan, with no error
+    p, pk = reference_case()
+    mix = GaussianMixture([pk])
+    # the blocks of 1e307, the stationary law, to one ulp
+    near, far = plan_for(p, 0.0, 1e307, mix), plan_for(p, 0.0, tau, mix)
+    ulp = np.finfo(float).eps
+    np.testing.assert_allclose(far.m.dd, near.m.dd, rtol=ulp, atol=0.0)
+    np.testing.assert_allclose(far.m.w, near.m.w, rtol=ulp, atol=0.0)
+    u = evolve_analytic(mix, far)
+    assert np.isfinite(u.mean).all() and np.isfinite(u.cov).all()
+    np.testing.assert_allclose(u.cov, evolve_analytic(mix, near).cov, rtol=ulp, atol=0.0)
+    assert np.isfinite(u.eval(p, np.array([0.0, 0.5]))).all()
 
 
 def test_plan_names_an_overflowing_moment_trajectory():
@@ -412,13 +431,13 @@ def test_sampled_solve_matches_lstsq(case, monkeypatch):
     rcond = evolution.INVERSE_RCOND
     ref, _, ref_rank, _ = np.linalg.lstsq(a, rhs, rcond=rcond)
     sketches = []
-    real_extend = evolution._extend_range
+    real_sketch = evolution._sketch
 
-    def counting(q, r, y):
-        sketches.append(y.shape[1])
-        return real_extend(q, r, y)
+    def counting(n, width):
+        sketches.append(width)
+        return real_sketch(n, width)
 
-    monkeypatch.setattr(evolution, "_extend_range", counting)
+    monkeypatch.setattr(evolution, "_sketch", counting)
     sol, rank, _, used = evolution._sketch_solve(blocks, rhs, rcond)
     monkeypatch.undo()
     assert used == how
@@ -429,8 +448,9 @@ def test_sampled_solve_matches_lstsq(case, monkeypatch):
         # cannot reach the stop level within the cap
         assert len(sketches) <= 1
     else:
+        # each growth step refactors the whole sketch, one width wider
         k = int(how.rsplit("=", 1)[1])
-        assert sketches == [start] + [step] * ((k - start) // step)
+        assert sketches == list(range(start, k + 1, step))
     if case.endswith("narrow"):
         assert ref_rank > start
     if case.endswith("mid"):
@@ -451,31 +471,31 @@ def test_sampled_solve_matches_lstsq(case, monkeypatch):
     assert np.max(np.abs(sol - untruncated)) < 1e-8
 
 
-def test_extend_range_keeps_an_orthonormal_basis_and_a_triangular_factor():
-    # three steps of a sketch with a rapidly decaying spectrum: q stays
-    # orthonormal, q r reproduces every column drawn and r upper triangular
+def test_a_grown_sketch_refactors_to_an_orthonormal_basis_and_a_triangular_factor():
+    # three widths of a sketch with a rapidly decaying spectrum, each one
+    # factored whole: q is orthonormal, q r reproduces every column drawn
+    # and r is upper triangular
     rng = np.random.default_rng(5)
     u, _ = np.linalg.qr(rng.standard_normal((300, 120)))
     a = (u * np.logspace(0, -14, 120)) @ u.T
-    q, r = np.empty((300, 0)), np.empty((0, 0))
-    ys = []
-    for width in (40, 20, 20):
-        ys.append(a @ rng.standard_normal((300, width)))
-        q, r = evolution._extend_range(q, r, ys[-1])
-    y = np.hstack(ys)
-    assert q.shape == (300, 80) and r.shape == (80, 80)
-    assert np.max(np.abs(q.T @ q - np.eye(80))) < 1e-13
-    assert np.max(np.abs(q @ r - y)) < 1e-13 * np.max(np.abs(y))
-    assert not np.tril(r, -1).any()
+    omega = rng.standard_normal((300, 80))
+    for width in (40, 60, 80):
+        y = a @ omega[:, :width]
+        vt, tau, r = evolution._householder(y)
+        q = evolution._apply_q(vt, tau, np.eye(width))
+        assert q.shape == (300, width) and r.shape == (width, width)
+        assert np.max(np.abs(q.T @ q - np.eye(width))) < 1e-13
+        assert np.max(np.abs(q @ r - y)) < 1e-13 * np.max(np.abs(y))
+        assert not np.tril(r, -1).any()
 
 
-def test_reflectors_apply_the_orthonormal_factor_of_the_qr():
+def test_the_wy_form_applies_the_orthonormal_factor_of_the_qr():
     rng = np.random.default_rng(6)
     b = rng.standard_normal((200, 30)) * np.logspace(0, -12, 30)
     qb, _ = np.linalg.qr(b)
-    h, tau = np.linalg.qr(b, mode="raw")
+    vt, tau, _ = evolution._householder(b)
     z = rng.standard_normal(30)
-    assert np.max(np.abs(evolution._apply_reflectors(h, tau, z) - qb @ z)) < 1e-14
+    assert np.max(np.abs(evolution._apply_q(vt, tau, z) - qb @ z)) < 1e-14
 
 
 @pytest.mark.parametrize("rank", [120, 30, 0])
@@ -493,10 +513,38 @@ def test_wy_basis_is_numpys_reduced_qr(rank):
         y[:, 7] = 0.0
         assert not np.linalg.qr(y, mode="raw")[1][7]
     q_ref, r_ref = np.linalg.qr(y)
-    q, r = evolution._qr(y)
+    vt, tau, r = evolution._householder(y)
+    q = evolution._apply_q(vt, tau, np.eye(120))
     assert np.max(np.abs(q - q_ref)) < 1e-14
     assert np.max(np.abs(q.T @ q - np.eye(120))) < 1e-14
     np.testing.assert_array_equal(r, r_ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 60),
+       kind=st.sampled_from(["full", "graded", "rank-deficient", "zero-diagonal"]),
+       level=st.sampled_from([evolution.SKETCH_STOP * evolution.INVERSE_RCOND, 1e-6, 1e-2]))
+def test_a_diagonal_stop_is_a_singular_value_stop(seed, k, kind, level):
+    # sigma_min <= min |r_ii| and max |r_ii| <= sigma_max for a triangular
+    # r, so where the diagonal passes the stop test the SVD's does too; an
+    # exact zero on the diagonal always stops
+    rng = np.random.default_rng(seed)
+    if kind == "rank-deficient":
+        rank = int(rng.integers(0, k))
+        r = np.linalg.qr(rng.standard_normal((2 * k, rank))
+                         @ rng.standard_normal((rank, k)), mode="r")
+    else:
+        r = np.triu(rng.standard_normal((k, k)))
+        if kind == "graded":
+            r *= np.logspace(0, -rng.uniform(0, 20), k)
+        elif kind == "zero-diagonal":
+            zero = int(rng.integers(k))
+            r[zero, zero] = 0.0
+    stops = evolution._diagonal_stops(r, level)
+    if stops:
+        sy = np.linalg.svd(r, compute_uv=False)
+        assert sy[-1] <= level * sy[0]
+    assert stops or kind != "zero-diagonal"
 
 
 def test_the_sketch_is_drawn_once_and_read_only():

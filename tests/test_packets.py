@@ -212,6 +212,54 @@ def test_mixture_points_of_the_wrong_width_are_input_errors():
         one.eval(p1, np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_input_errors(dim, bad):
+    # a nan point used to come back as nan with no error, an infinite one
+    # as nan with an "invalid value encountered in matmul" warning
+    p = ModelParams(drift=np.eye(dim), coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=np.zeros((dim, dim)), diffusion=0.3)
+    mix = GaussianMixture([GaussianPacket(np.full(dim, 0.1), np.eye(dim), np.eye(dim))])
+    pts = np.zeros((4, dim))
+    pts[2, -1] = bad
+    with pytest.raises(InputError, match=r"points must be finite, got .* at point 2$"):
+        mix.eval(p, pts)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_far_points_evaluate_to_zero_with_no_overflow(dim):
+    # in 1D [1e200, 0.5] came back right but warned of an overflow in
+    # y y^T, an error under the suite's filter; in 2D and 3D the cross
+    # terms of a positively correlated component (Q with negative
+    # off-diagonal entries) overflowed too and inf - inf gave nan.  The
+    # component at 1e150 is a group of its own
+    rng = np.random.default_rng(dim)
+    eps = 0.2
+    comps = [GaussianPacket(mean=rng.uniform(-1, 1, dim), num=np.eye(dim),
+                            den=0.8 + 0.2 * np.eye(dim), dipole=rng.standard_normal(dim)),
+             GaussianPacket(mean=np.full(dim, 1e150), num=2.0 * np.eye(dim),
+                            den=np.eye(dim), weight=0.5)]
+    p = ModelParams(drift=np.eye(dim), coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=np.zeros((dim, dim)), diffusion=eps)
+    near = comps[0].mean + 0.3 * rng.standard_normal((20, dim))
+    far = np.array([np.full(dim, 1e200), np.full(dim, -1e200), np.full(dim, 1.7e308),
+                    np.full(dim, -1.7e308), np.r_[1e200, near[0, 1:]]])
+    vals = GaussianMixture(comps).eval(p, np.concatenate([near, far]))
+    terms = component_terms(comps[:1], eps, near)[0]
+    assert np.max(np.abs(vals[:20] - terms) / np.abs(terms)) <= 1e-12
+    assert not vals[20:].any()
+    # the offset of -1.7e308 from a center at 1e307 overflows
+    lone = GaussianMixture(comps[1:]).shifted(np.full(dim, 1e307 - 1e150))
+    vals = lone.eval(p, np.concatenate([far, lone.mean]))
+    assert not vals[:5].any()
+    assert vals[5] == pytest.approx(0.5 * (2.0 / (2 * np.pi * eps)) ** (dim / 2), rel=1e-14)
+    if dim == 1:
+        ref_params, ref_packet = checks.reference_case()
+        out = GaussianMixture([ref_packet]).eval(ref_params, np.array([1e200, 0.5]))
+        assert out[0] == 0.0
+        assert out[1] == pytest.approx(1.0 / np.sqrt(2 * np.pi * 0.1), rel=1e-14)
+
+
 def test_propagating_along_a_context_of_another_dimension_is_an_input_error():
     # used to die in numpy matmul ("mismatch in its core dimension")
     mix = GaussianMixture([GaussianPacket([0.1, -0.2], np.eye(2), np.eye(2))])
