@@ -203,11 +203,13 @@ def build_initial(cfg: dict, params: ModelParams):
         if not path:
             raise ConfigurationError("sampled initial needs a path")
         try:
-            data = np.loadtxt(path, delimiter=",")
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
         except OSError as exc:
             raise ConfigurationError(f"cannot read samples {path}: {exc}") from exc
-        if data.ndim != 2 or data.shape[1] != 2:
+        if data.shape[1] != 2:
             raise ConfigurationError("sampled initial must be two CSV columns: x,u")
+        if len(data) < 2:
+            raise ConfigurationError("sampled initial needs at least two grid nodes, got 1")
         x, u = data[:, 0], data[:, 1]
         dx = np.diff(x)
         if np.max(np.abs(dx - dx[0])) > 1e-9 * abs(dx[0]):

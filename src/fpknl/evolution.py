@@ -53,30 +53,29 @@ product; in 2D, BLAS takes another kernel for another block shape and a
 few entries move by up to 5.7e-14 relative.  On [-8, 8] at diffusion 0.5
 and t - s = 0.1 the band holds 0.44, 0.39 and 0.37 of N^2 at N = 401, 801
 and 1201 (0.23 for a narrow kernel at diffusion 0.15, 0.72 on a 2D 31^2
-grid).  A kernel whose input width sigma_0 exceeds the grid's span along
-the first axis, or a singular dd, averages every sample over the whole
-grid: the flow has forgotten the initial data, and the sampled inverse
-raises IllPosedInverseError naming |t - s|, sigma_0 and the span.
+grid).  The band is also where the sampled inverse refuses a flow that
+has forgotten the initial data: a kernel whose input width sigma_0
+exceeds the grid's span along the first axis, or a singular dd, averages
+every sample over the whole grid, and _band raises IllPosedInverseError
+naming |t - s|, sigma_0 and the span before any entry is filled.
 
 The sketch's dense algebra is paid once where it can be.  The Gaussian
 test matrix depends on (N, width) alone, so it is drawn once and kept,
-read-only, in a small memo.  Both of the solve's QRs keep LAPACK's raw
-Householder factors, and one helper applies their Q in compact WY form
-(Joffrain et al., ACM TOMS 32, 2006): applied to I it forms the range
-basis by one GEMM, in place of numpy's orgqr, which costs about as much
-as the factorization itself, and applied to a k-vector it is two GEMVs.
-One inverse_evolve on the grids above, one core of a Xeon with one BLAS
-thread: the median over 7 alternating processes of each one's median of
-15 calls (ms).  "Extended" grew the sketch by block Gram-Schmidt on a
-kept basis and applied the second QR's reflectors one at a time;
-"refactored" is this module, whose growth steps cost more (the narrow
-kernel at diffusion 0.15 grows to k = 256):
+read-only, in a small memo.  The sketch's QR keeps LAPACK's raw
+Householder factors, and _basis forms its Q in compact WY form (Joffrain
+et al., ACM TOMS 32, 2006) by one GEMM, in place of numpy's orgqr, which
+costs about as much as the factorization itself.  One inverse_evolve on
+the grids above, one core of a Xeon with one BLAS thread, the median of
+41 calls interleaved in one process (ms): "two QRs" also took the
+Householder QR of A^T Q and applied its Q to the solution's k
+coefficients; "R only" is this module, which takes A^T Q's triangular
+factor alone (the narrow kernel at diffusion 0.15 grows to k = 256):
 
-    N                     extended   refactored
-    401                      9.2         8.1
-    801                     15.0        14.2
-    1201                    26.5        21.4
-    1201, diffusion 0.15    57.8        67.1
+    N                     two QRs    R only
+    401                     10.8       9.2
+    801                     16.4      15.6
+    1201                    27.5      26.1
+    1201, diffusion 0.15    88.0      85.3
 
 The left inverse on the analytic pathway moves the covariances along
 ``plan.reversed()``, S(s) = dd S(t) dd^T + w with its blocks.  That sum
@@ -99,8 +98,10 @@ the stop test reads the singular values of its triangular factor R.  As
 sigma_min <= min |r_ii| and max |r_ii| <= sigma_max for a triangular R,
 a diagonal with min |r_ii| <= SKETCH_STOP * rcond * max |r_ii| passes
 the test with no SVD (95 of 127 tests over 120 benchmark inverses); only
-where it does not is the SVD of R taken.  The SVD of the wide Q^T A
-comes from the QR of its transpose and a k x k SVD.  A near-full-rank
+where it does not is the SVD of R taken.  Once the sketch stops, B = Q^T A
+is solved through R_b alone, the triangular factor of B^T = Q_b R_b, and
+the k x k SVD R_b = W S U^T: the truncated solution is
+B^T U S^-2 U^T Q^T rhs over the kept singular values.  A near-full-rank
 system, one that would need a sketch of more than N/3 columns, is solved
 by np.linalg.lstsq instead, as soon as a sketch's singular values,
 falling on at the rate of their second half, would not reach the stop
@@ -120,7 +121,7 @@ from scipy.linalg import solve_triangular
 from .errors import (IllPosedInverseError, InvalidCovarianceError, KernelValidityError,
                      NormalizationError, TruncationError)
 from .kernels import (KernelContext, _require_same_dim, exp_product, exponent_matrix,
-                      input_width, kernel_context, kernel_features)
+                      kernel_context, kernel_features)
 from .model import ModelParams, SampledDensity, _vector, row_blocks
 from .packets import GaussianMixture, propagate_packet
 from .variations import require_spd
@@ -261,23 +262,33 @@ def _band(gamma: SampledDensity, plan: KernelContext) -> list[tuple[slice, slice
     BAND_ROWS rows, each with the window of input nodes along the grid's
     first axis within sqrt(2 BAND_EXPONENT) sigma_0 of its rows' kernel
     centers, as whole inner lines of the flattened index and clipped to
-    the grid.  A block whose window misses the grid is left out; a
-    singular or overflowing dd^-1 opens every window to the whole grid."""
+    the grid; a block whose window misses the grid is left out.  This is
+    where the sampled inverse refuses a flow that has forgotten its input:
+    a singular dd, or a sigma_0 beyond the grid's span along its first
+    axis, raises IllPosedInverseError."""
     n, n0 = gamma.values.size, gamma.values.shape[0]
-    n_blocks = -(-n // BAND_ROWS)
-    bounds = np.arange(n_blocks + 1) * n // n_blocks
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # dd^-2 overflows to an infinite sigma_0
         try:
             back = plan.reversed()  # dd^-1, with the anchors swapped
-            centers = back.x_end[0] + (gamma.points() - back.x_start) @ back.m.dd[0]
-            reach = np.sqrt(2.0 * BAND_EXPONENT) * input_width(plan)[0]
+            # kernels.input_width along the first axis, from the move at hand
+            sigma, why = float(np.sqrt(-plan.params.diffusion * back.m.w[0, 0])), ""
         except np.linalg.LinAlgError:  # singular dd: the kernel is flat in y
-            centers, reach = np.full(n, np.nan), 0.0
-        first = (np.minimum.reduceat(centers, bounds[:-1]) - reach - gamma.x_min[0]) / gamma.dx[0]
-        last = (np.maximum.reduceat(centers, bounds[:-1]) + reach - gamma.x_min[0]) / gamma.dx[0]
-    # fmax and fmin take the grid's end over a nan
-    lo = np.fmin(np.fmax(np.floor(first), 0), n0)
-    hi = np.fmax(np.fmin(np.ceil(last) + 1, n0), lo)
+            sigma, why = np.inf, " (dd is singular)"
+    span = (n0 - 1) * float(gamma.dx[0])
+    if not sigma <= span:
+        raise IllPosedInverseError(
+            f"sampled inverse over |t - s| = {abs(plan.t - plan.s):.6g}: the kernel's "
+            f"input width sigma_0 = {sigma:.3g}{why} exceeds the grid's span {span:.6g} "
+            "along its first axis, so every sample averages over the whole grid; the "
+            "forward flow has forgotten the initial data")
+    n_blocks = -(-n // BAND_ROWS)
+    bounds = np.arange(n_blocks + 1) * n // n_blocks
+    centers = back.x_end[0] + (gamma.points() - back.x_start) @ back.m.dd[0]
+    reach = np.sqrt(2.0 * BAND_EXPONENT) * sigma
+    first = (np.minimum.reduceat(centers, bounds[:-1]) - reach - gamma.x_min[0]) / gamma.dx[0]
+    last = (np.maximum.reduceat(centers, bounds[:-1]) + reach - gamma.x_min[0]) / gamma.dx[0]
+    lo = np.clip(np.floor(first), 0, n0)
+    hi = np.clip(np.ceil(last) + 1, lo, n0)
     inner = n // n0
     return [(slice(start, stop), slice(int(a) * inner, int(b) * inner))
             for start, stop, a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist(), lo, hi)
@@ -355,7 +366,7 @@ def _householder(y: np.ndarray):
     (vt, tau, r), with r numpy's R bit for bit and vt the (k, N) V^T, its
     row j reflector j's vector v_j, a unit entry at column j and zeros
     before it.  Q is the product of the reflectors I - tau_j v_j v_j^T,
-    applied by _apply_q and formed only where it is needed."""
+    formed by _basis only where it is needed."""
     vt, tau = np.linalg.qr(y, mode="raw")
     del y  # vt is a copy: a caller's temporary sketch is freed here
     k = len(tau)
@@ -365,21 +376,20 @@ def _householder(y: np.ndarray):
     return vt, tau, r
 
 
-def _apply_q(vt: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Q z for the reduced (N, k) Q of _householder's reflectors and a
-    k-vector or (k, m) z, in compact WY form (Joffrain et al., ACM TOMS 32,
-    2006): the product of the reflectors is I - V T V^T, with
-    T^-1 = striu(V^T V) + diag(1 / tau); so
+def _basis(vt: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The reduced (N, k) Q of _householder's reflectors in compact WY form
+    (Joffrain et al., ACM TOMS 32, 2006): the product of the reflectors is
+    I - V T V^T, with T^-1 = striu(V^T V) + diag(1 / tau); so
     T = (I + diag(tau) striu(V^T V))^-1 diag(tau), a unit triangular solve
     that a tau of 0 (a reflector that is the identity) leaves well posed,
-    and Q z = pad(z) - V (T V_k^T z), V_k the first k rows of V.  For a
-    vector that is two GEMVs past T; z = I forms Q by one (N, k) GEMM."""
+    and Q = I_k - V (T V_k^T), V_k the first k rows of V and I_k the first
+    k columns of I: one (N, k) GEMM past T."""
     k = len(tau)
     unit = np.triu(vt @ vt.T, 1) * tau[:, None]
     t_vk = solve_triangular(unit, tau[:, None] * vt[:, :k], unit_diagonal=True, overwrite_b=True)
-    x = vt.T @ -(t_vk @ z)
-    x[:k] += z
-    return x
+    q = vt.T @ -t_vk
+    q[:k] += np.eye(k)
+    return q
 
 
 def _diagonal_stops(r: np.ndarray, level: float) -> bool:
@@ -432,18 +442,16 @@ def _sketch_solve(blocks, rhs: np.ndarray, rcond: float):
         vt, tau, r = _householder(_band_product(blocks, _sketch(n, k)))
         sy = None if _diagonal_stops(r, level) else np.linalg.svd(r, compute_uv=False)
         if sy is None or sy[-1] <= level * sy[0]:
-            q = _apply_q(vt, tau, np.eye(k))
-            del vt  # the sketch's reflectors are not kept through the next QR
-            # SVD of the wide q^T a through the QR of its transpose: with
-            # (q^T a)^T = qb rb and rb^T = u diag(s) wt, the right singular
-            # vectors are qb wt^T, and qb is applied to a k-vector only
-            vt, tau, rb = _householder(_band_product(blocks, q, transpose=True))
-            ub, s, wt = np.linalg.svd(rb.T)
+            q = _basis(vt, tau)
+            del vt  # the sketch's reflectors are not kept through A^T q
+            # with B = q^T A, B^T = qb rb and rb = w s u^T, B's truncated pseudo-
+            # inverse is qb w s^-1 u^T = B^T u s^-2 u^T: rb is all it takes
+            bt = _band_product(blocks, q, transpose=True)
+            _, s, ut = np.linalg.svd(np.linalg.qr(bt, mode="r"))
             cutoff = rcond * s[0]
             keep = s > cutoff
-            coef = wt[keep].T @ ((ub[:, keep].T @ (q.T @ rhs)) / s[keep])
-            return (_apply_q(vt, tau, coef), int(keep.sum()), cutoff,
-                    f"randomized sketch k={k}")
+            x = bt @ (ut[keep].T @ ((ut[keep] @ (q.T @ rhs)) / s[keep] ** 2))
+            return x, int(keep.sum()), cutoff, f"randomized sketch k={k}"
         if not _can_reach(sy, widest, level):
             break
     sol, _, rank, s = np.linalg.lstsq(_dense(blocks, n), rhs, rcond=rcond)
@@ -457,18 +465,6 @@ def _inverse_sampled(u: SampledDensity, plan: KernelContext) -> SampledDensity:
             f"the forward plan the samples were evolved along (s < t), not a backward "
             f"one (t - s = {plan.t - plan.s:.6g}); samples move forward by "
             "evolve_quadrature along plan.reversed()")
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            sigma, why = float(input_width(plan)[0]), ""
-        except np.linalg.LinAlgError:  # singular dd: the kernel is flat in y
-            sigma, why = np.inf, " (dd is singular)"
-    span = (u.values.shape[0] - 1) * float(u.dx[0])
-    if not sigma <= span:
-        raise IllPosedInverseError(
-            f"sampled inverse over |t - s| = {abs(plan.t - plan.s):.6g}: the kernel's "
-            f"input width sigma_0 = {sigma:.3g}{why} exceeds the grid's span {span:.6g} "
-            "along its first axis, so every sample averages over the whole grid; the "
-            "forward flow has forgotten the initial data")
     blocks = forward_quadrature_matrix(u, plan)
     rhs = u.values.ravel()
     sol, rank, cutoff, how = _sketch_solve(blocks, rhs, INVERSE_RCOND)

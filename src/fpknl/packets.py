@@ -71,7 +71,8 @@ def _groups(mean: np.ndarray, reach: np.ndarray):
     while len(mean):
         for center in (mean.sum(axis=0) / len(mean), mean[0]):
             d = mean - center
-            near = (d * d).sum(axis=1) * reach <= CENTER_REACH
+            with np.errstate(over="ignore"):  # an infinite distance is not near
+                near = (d * d).sum(axis=1) * reach <= CENTER_REACH
             if near.all():
                 yield left, center, d
                 return

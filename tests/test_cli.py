@@ -250,6 +250,17 @@ def test_sampled_initial_requires_uniform_grid(tmp_path):
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
 
 
+def test_a_one_row_sampled_initial_names_the_missing_node(tmp_path, capsys):
+    # one row of x,u has both columns but a single grid node
+    path = tmp_path / "one.csv"
+    path.write_text("0.0,1.0\n")
+    cfg = base_config(tmp_path / "out")
+    cfg["initial"] = {"kind": "sampled", "path": str(path)}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "needs at least two grid nodes, got 1" in err and "columns" not in err
+
+
 def test_verify_task_quick_checks(tmp_path):
     out = tmp_path / "out"
     cfg = base_config(out, task="verify",

@@ -471,6 +471,35 @@ def test_sampled_solve_matches_lstsq(case, monkeypatch):
     assert np.max(np.abs(sol - untruncated)) < 1e-8
 
 
+def test_each_sketch_width_takes_one_householder_qr(monkeypatch):
+    # the sketch A Omega_k is factored once per width; A^T Q is factored
+    # for its triangular factor alone, never by _householder
+    gamma, plan = SOLVE_CASES["1d-801-mid"][0]()
+    u = evolve_quadrature(gamma, plan)
+    blocks = evolution.forward_quadrature_matrix(u, plan)
+    rhs = u.values.ravel()
+    widths, factored = [], []
+    real_sketch, real_householder = evolution._sketch, evolution._householder
+
+    def sketch(n, width):
+        widths.append(width)
+        return real_sketch(n, width)
+
+    def householder(y):
+        factored.append(y.copy())
+        return real_householder(y)
+
+    monkeypatch.setattr(evolution, "_sketch", sketch)
+    monkeypatch.setattr(evolution, "_householder", householder)
+    *_, how = evolution._sketch_solve(blocks, rhs, evolution.INVERSE_RCOND)
+    monkeypatch.undo()
+    assert how == "randomized sketch k=192" and widths == [128, 192]
+    assert len(factored) == len(widths)
+    for width, y in zip(widths, factored):
+        sketched = evolution._band_product(blocks, real_sketch(rhs.size, width))
+        np.testing.assert_array_equal(y, sketched)
+
+
 def test_a_grown_sketch_refactors_to_an_orthonormal_basis_and_a_triangular_factor():
     # three widths of a sketch with a rapidly decaying spectrum, each one
     # factored whole: q is orthonormal, q r reproduces every column drawn
@@ -482,20 +511,11 @@ def test_a_grown_sketch_refactors_to_an_orthonormal_basis_and_a_triangular_facto
     for width in (40, 60, 80):
         y = a @ omega[:, :width]
         vt, tau, r = evolution._householder(y)
-        q = evolution._apply_q(vt, tau, np.eye(width))
+        q = evolution._basis(vt, tau)
         assert q.shape == (300, width) and r.shape == (width, width)
         assert np.max(np.abs(q.T @ q - np.eye(width))) < 1e-13
         assert np.max(np.abs(q @ r - y)) < 1e-13 * np.max(np.abs(y))
         assert not np.tril(r, -1).any()
-
-
-def test_the_wy_form_applies_the_orthonormal_factor_of_the_qr():
-    rng = np.random.default_rng(6)
-    b = rng.standard_normal((200, 30)) * np.logspace(0, -12, 30)
-    qb, _ = np.linalg.qr(b)
-    vt, tau, _ = evolution._householder(b)
-    z = rng.standard_normal(30)
-    assert np.max(np.abs(evolution._apply_q(vt, tau, z) - qb @ z)) < 1e-14
 
 
 @pytest.mark.parametrize("rank", [120, 30, 0])
@@ -514,7 +534,7 @@ def test_wy_basis_is_numpys_reduced_qr(rank):
         assert not np.linalg.qr(y, mode="raw")[1][7]
     q_ref, r_ref = np.linalg.qr(y)
     vt, tau, r = evolution._householder(y)
-    q = evolution._apply_q(vt, tau, np.eye(120))
+    q = evolution._basis(vt, tau)
     assert np.max(np.abs(q - q_ref)) < 1e-14
     assert np.max(np.abs(q.T @ q - np.eye(120))) < 1e-14
     np.testing.assert_array_equal(r, r_ref)
@@ -843,17 +863,19 @@ def test_the_sampled_inverse_exponentiates_only_its_band(monkeypatch):
 
 
 @pytest.mark.parametrize("tau", [20.0, 250.0])
-def test_a_flow_that_forgets_its_input_opens_the_band_to_the_whole_grid(tau):
+def test_the_band_refuses_a_flow_that_forgets_its_input(tau):
     # drift 3 shrinks dd to 8.8e-27 over t - s = 20 and to 0 over 250: the
     # kernel is all but flat in its input, dd^-1 is huge or does not exist,
-    # and every window is the whole grid, with no warning and no LinAlgError
+    # and the band, the one place that measures the kernel's footprint on
+    # the grid, refuses it with no warning and no LinAlgError
     p = params_1d(lam=3.0, eps=0.5)
     gamma = sampled_from(unit_packet(mean=0.3), p, -3.0, 3.0, 201)
     plan = plan_for(p, 0.0, tau, gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        band = evolution._band(gamma, plan)
-    assert len(band) == 4 and all(cols == slice(0, 201) for _, cols in band)
+        with pytest.raises(IllPosedInverseError, match=r"exceeds the grid's span 6 along its "
+                                                       r"first axis"):
+            evolution._band(gamma, plan)
 
 
 @pytest.mark.parametrize("tau, width", [(5.0, "1.33e+06"), (20.0, "4.66e+25"),

@@ -436,6 +436,18 @@ def test_mixture_eval_matches_direct_formula(dim, n_comp, with_dipole):
     assert_eval_matches_terms(comps, 0.15, pts)
 
 
+def test_means_too_far_apart_to_group_evaluate_with_no_overflow():
+    # the squared distance between means at -1e200 and 1e200 overflows to
+    # inf, an error under the suite's filter; inf is "not near", so each
+    # component still takes a center of its own
+    params, _ = checks.reference_case()
+    mix = GaussianMixture([GaussianPacket(mean=[m], num=[[1.0]], den=[[1.0]], weight=0.5)
+                           for m in (1e200, -1e200)])
+    vals = mix.eval(params, np.array([0.0, 1e200, -1e200]))
+    assert vals[0] == 0.0
+    np.testing.assert_allclose(vals[1:], 0.5 / np.sqrt(2 * np.pi * 0.1), rtol=1e-14)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("sep", [100.0, 1000.0])
 def test_mixture_eval_keeps_far_apart_components_exact(dim, sep):
