@@ -29,13 +29,11 @@ def main():
     params, packet = reference_case()
     cfg = FDConfig(x_min=-6.0, x_max=6.0, nx=args.nx, dt=args.dt,
                    t_end=args.t_end, snapshot_times=(args.t_end,))
-    x = cfg.x
-    gamma = SampledDensity([cfg.x_min], [cfg.dx],
-                           packet.eval(params, x.reshape(-1, 1)))
+    grid = ([cfg.x_min], [cfg.x_max], [cfg.nx])
+    gamma = SampledDensity.from_callable(lambda p: packet.eval(params, p), *grid)
 
     exact_pk = evolve_packet(packet, params, args.t_end, 0.0)
-    exact = SampledDensity([cfg.x_min], [cfg.dx],
-                           exact_pk.eval(params, x.reshape(-1, 1)))
+    exact = SampledDensity.from_callable(lambda p: exact_pk.eval(params, p), *grid)
 
     start = time.perf_counter()
     fd = fd_solve(params, gamma, cfg)
@@ -59,7 +57,7 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "reference_fields.csv", "w") as fh:
         fh.write("x,analytic,fd,quadrature\n")
-        for xi, a, f, q in zip(x, exact.values, fd.snapshots[0].values,
+        for xi, a, f, q in zip(gamma.coordinate(0), exact.values, fd.snapshots[0].values,
                                quad.values):
             fh.write(",".join(fmt(v) for v in (xi, a, f, q)) + "\n")
     print(f"fields written to {outdir / 'reference_fields.csv'}")

@@ -12,7 +12,7 @@ from .packets import GaussianMixture, GaussianPacket, evolve_packet, propagate_p
 from .symmetry import (InitialOperator, OperatorApplication, SymmetryShifts,
                        apply_initial_op, apply_operator, build_shifts,
                        evolve_operator, linsym_closed_form, linsym_operator,
-                       residual_field, spacetime_samples, symmetry_apply_conclusion,
+                       residual_field, symmetry_apply_conclusion,
                        symmetry_apply_evolution, symmetry_apply_shift)
 from .variations import Matriciant, fraction, matriciant, matriciant_rk4, propagate_pair
 

@@ -21,9 +21,8 @@ from .fdsolver import FDConfig, compare, fd_solve
 from .model import ModelParams, SampledDensity
 from .packets import GaussianMixture, GaussianPacket, evolve_packet
 from .symmetry import (apply_initial_op, build_shifts, linsym_closed_form,
-                       linsym_operator, residual_field, spacetime_samples,
-                       symmetry_apply_conclusion, symmetry_apply_evolution,
-                       symmetry_apply_shift)
+                       linsym_operator, residual_field, symmetry_apply_conclusion,
+                       symmetry_apply_evolution, symmetry_apply_shift)
 from .variations import matriciant, matriciant_rk4, propagate_pair
 
 # tolerances shared with the command line's per-run checks
@@ -319,29 +318,25 @@ def check_symmetry_routes(params=None, packet=None) -> list[CheckResult]:
 
 # ----------------------------------------------------- symmetry residual order
 
-def _symmetry_residual(params, packet, dx, dt):
-    s, x_lo, x_hi = 0.0, -2.5, 3.0
+def _symmetry_residual(params, packet, nodes, dt):
+    s = 0.0
     op = linsym_operator(params, matriciant(params, s, s), packet.mean)
     app = apply_initial_op(op, GaussianMixture([packet]), params)
-    nx = int(round((x_hi - x_lo) / dx)) + 1
-    times = 0.4 + dt * np.arange(7)
 
     def field_at(t, pts):
         plan = plan_for(params, s, float(t), app.field, moment_override=[IMAGE_MOMENT])
         return evolve_analytic(app.field, plan,
                                require_normalized=app.normalized).eval(params, pts)
 
-    fld = spacetime_samples(field_at, times, [x_lo], [x_hi], [nx])
-    return residual_field(params, fld, float(times[0]), dt, [x_lo],
-                          [(x_hi - x_lo) / (nx - 1)],
+    return residual_field(params, field_at, 0.4, dt, 7, [-2.5], [3.0], [nodes],
                           params.moment_trajectory([IMAGE_MOMENT], s))
 
 
 def check_symmetry_residual(params=None, packet=None) -> list[CheckResult]:
     params, packet = _one_dimensional("symmetry-residual", params, packet)
-    dx, dt = 1e-2, 1e-3
-    coarse = _symmetry_residual(params, packet, dx, dt)
-    fine = _symmetry_residual(params, packet, dx / 2.0, dt / 2.0)
+    # dx 1e-2 and dt 1e-3 on [-2.5, 3], then both halved
+    coarse = _symmetry_residual(params, packet, 551, 1e-3)
+    fine = _symmetry_residual(params, packet, 1101, 5e-4)
     ratio = coarse[1] / fine[1]
     return [CheckResult(name="symmetry-residual-order",
                         passed=bool(3.0 <= ratio <= 5.0), value=float(ratio),

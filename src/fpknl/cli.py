@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -203,13 +204,16 @@ def build_initial(cfg: dict, params: ModelParams):
         if not path:
             raise ConfigurationError("sampled initial needs a path")
         try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-        except OSError as exc:
+            with warnings.catch_warnings():  # an empty file is counted below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:  # ValueError: a header or a non-number
             raise ConfigurationError(f"cannot read samples {path}: {exc}") from exc
+        if len(data) < 2:
+            raise ConfigurationError(
+                f"sampled initial needs at least two grid nodes, got {len(data)}")
         if data.shape[1] != 2:
             raise ConfigurationError("sampled initial must be two CSV columns: x,u")
-        if len(data) < 2:
-            raise ConfigurationError("sampled initial needs at least two grid nodes, got 1")
         x, u = data[:, 0], data[:, 1]
         dx = np.diff(x)
         if np.max(np.abs(dx - dx[0])) > 1e-9 * abs(dx[0]):
@@ -263,8 +267,6 @@ def task_evolve(cfg: dict, params: ModelParams):
     s, _, snaps = _times(cfg)
     initial = build_initial(cfg, params)
     if isinstance(initial, SampledDensity):
-        if params.dim != 1:
-            raise ConfigurationError("sampled evolution is one-dimensional")
         evolve, tol, xs = evolve_quadrature, checks.QUADRATURE_TOL, initial.coordinate(0)
         def sample(out):
             return out.values

@@ -66,16 +66,14 @@ Householder factors, and _basis forms its Q in compact WY form (Joffrain
 et al., ACM TOMS 32, 2006) by one GEMM, in place of numpy's orgqr, which
 costs about as much as the factorization itself.  One inverse_evolve on
 the grids above, one core of a Xeon with one BLAS thread, the median of
-41 calls interleaved in one process (ms): "two QRs" also took the
-Householder QR of A^T Q and applied its Q to the solution's k
-coefficients; "R only" is this module, which takes A^T Q's triangular
-factor alone (the narrow kernel at diffusion 0.15 grows to k = 256):
+41 calls interleaved in one process, in ms (the narrow kernel at
+diffusion 0.15 grows to k = 256):
 
-    N                     two QRs    R only
-    401                     10.8       9.2
-    801                     16.4      15.6
-    1201                    27.5      26.1
-    1201, diffusion 0.15    88.0      85.3
+    N                       ms
+    401                    9.2
+    801                   15.6
+    1201                  26.1
+    1201, diffusion 0.15  85.3
 
 The left inverse on the analytic pathway moves the covariances along
 ``plan.reversed()``, S(s) = dd S(t) dd^T + w with its blocks.  That sum
@@ -121,7 +119,7 @@ from scipy.linalg import solve_triangular
 from .errors import (IllPosedInverseError, InvalidCovarianceError, KernelValidityError,
                      NormalizationError, TruncationError)
 from .kernels import (KernelContext, _require_same_dim, exp_product, exponent_matrix,
-                      kernel_context, kernel_features)
+                      input_width, kernel_context, kernel_features)
 from .model import ModelParams, SampledDensity, _vector, row_blocks
 from .packets import GaussianMixture, propagate_packet
 from .variations import require_spd
@@ -270,8 +268,7 @@ def _band(gamma: SampledDensity, plan: KernelContext) -> list[tuple[slice, slice
     with np.errstate(over="ignore"):  # dd^-2 overflows to an infinite sigma_0
         try:
             back = plan.reversed()  # dd^-1, with the anchors swapped
-            # kernels.input_width along the first axis, from the move at hand
-            sigma, why = float(np.sqrt(-plan.params.diffusion * back.m.w[0, 0])), ""
+            sigma, why = float(input_width(plan)[0]), ""
         except np.linalg.LinAlgError:  # singular dd: the kernel is flat in y
             sigma, why = np.inf, " (dd is singular)"
     span = (n0 - 1) * float(gamma.dx[0])

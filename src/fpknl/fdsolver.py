@@ -4,6 +4,10 @@ Method of lines: conservative second-order flux differencing in space,
 classic RK4 in time.  The first moment entering the drift is recomputed
 from the grid at every Runge-Kutta stage, so the solve is self-consistent
 and never uses the closed-form moment shortcut it is meant to validate.
+The solve marches the nodes of its input density, which must lie on the
+configured grid (x_min, x_max, nx, laid out by SampledDensity.on_grid,
+to 1e-12 in origin and spacing); its snapshots carry the input's origin
+and spacing.
 
 The midpoint velocity on edge j splits into the state drift
 0.25·lam·(x[j] + x[j+1]) and the spatially constant feedback 0.5·feedback·m,
@@ -47,14 +51,6 @@ class FDConfig:
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigurationError("dt and t_end must be positive")
 
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.nx - 1)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.nx)
-
 
 @dataclass
 class FDResult:
@@ -68,17 +64,19 @@ class FDResult:
 
 def fd_solve(params: ModelParams, gamma: SampledDensity,
              cfg: FDConfig) -> FDResult:
-    """March the sampled initial density to t_end; record the grid moment
-    and trapezoid mass at every step and the density at snapshot times."""
+    """March the sampled initial density on its own nodes to t_end; record
+    the grid moment and trapezoid mass at every step and the density at
+    snapshot times."""
     if params.dim != 1:
         raise ConfigurationError("the finite-difference oracle is one-dimensional")
-    if gamma.dim != 1 or gamma.values.shape[0] != cfg.nx:
+    grid = SampledDensity.on_grid(cfg.x_min, cfg.x_max, cfg.nx)
+    if gamma.values.shape != grid.values.shape:
         raise InputError("initial density does not live on the configured grid")
-    if abs(float(gamma.x_min[0]) - cfg.x_min) > 1e-12 or \
-       abs(float(gamma.dx[0]) - cfg.dx) > 1e-12:
+    if abs(float(gamma.x_min[0] - grid.x_min[0])) > 1e-12 or \
+       abs(float(gamma.dx[0] - grid.dx[0])) > 1e-12:
         raise InputError("initial density grid does not match the configuration")
     eps = params.diffusion
-    dx = cfg.dx
+    dx = float(gamma.dx[0])
     cfl = eps * cfg.dt / dx ** 2
     if cfl > CFL_LIMIT:
         raise ConfigurationError(
@@ -86,7 +84,7 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
         )
     lam = float(params.effective_drift[0, 0])
     feedback = float(params.mean_feedback[0, 0])
-    x = cfg.x
+    x = gamma.coordinate(0)
     u = gamma.values.copy()
 
     nsteps = int(round(cfg.t_end / cfg.dt))
@@ -100,7 +98,7 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
         snap_steps.setdefault(k, ts)
 
     # trapezoid rows [x·w; w]: moment_row @ u is (first moment, mass)
-    w = np.full(cfg.nx, dx)
+    w = np.full(x.size, dx)
     w[[0, -1]] *= 0.5
     moment_row = np.stack([x * w, w])
     mrow = moment_row[0]
@@ -120,7 +118,7 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
     pair_u = np.lib.stride_tricks.sliding_window_view(u, 2).T
     pair_v = np.lib.stride_tricks.sliding_window_view(v, 2).T
     coef, prod = np.empty_like(edge), np.empty_like(edge)
-    flux = np.zeros(cfg.nx + 1)  # the end entries stay 0: no flux through the walls
+    flux = np.zeros(x.size + 1)  # the end entries stay 0: no flux through the walls
     inner, right, left = flux[1:-1], flux[1:], flux[:-1]
 
     def stage(pair, rows, gain, m, out):
@@ -132,8 +130,7 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
     for step in range(nsteps + 1):
         np.matmul(moment_row, u, out=record[step])
         if step in snap_steps:
-            snapshots.append(SampledDensity(np.array([cfg.x_min]),
-                                            np.array([dx]), u.copy()))
+            snapshots.append(SampledDensity(gamma.x_min.copy(), gamma.dx.copy(), u.copy()))
             snap_times.append(snap_steps[step])
         if step == nsteps:
             break

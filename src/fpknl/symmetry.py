@@ -279,19 +279,26 @@ def linsym_closed_form(params: ModelParams, t: float, s: float,
     return evaluate
 
 
-def residual_field(params: ModelParams, field: np.ndarray, t0: float,
-                   dt: float, x_min, dx,
+def residual_field(params: ModelParams, eval_at, t0: float, dt: float, steps: int,
+                   x_min, x_max, nodes,
                    moment: MomentTrajectory) -> tuple[float, float]:
     """Centered-difference residual of the equation with a fixed moment
     trajectory: -u_t + eps lap(u) + div((L x + f X(t)) u).
 
-    field has shape (nt, *spatial).  Returns (max abs, rms) over interior
-    nodes; both decay at second order for exact solutions.
+    eval_at(t, points) -> values gives the field at the (N, dim) nodes of
+    the uniform grid from x_min to x_max with the given node counts per
+    axis (SampledDensity.on_grid), sampled at the steps times
+    t0 + dt * arange(steps); the stencils take their spacing from that
+    same grid.  Returns (max abs, rms) over interior nodes and times; both
+    decay at second order for exact solutions.
     """
-    field = np.asarray(field, dtype=float)
-    if min(field.shape) < 3:
+    grid = SampledDensity.on_grid(x_min, x_max, nodes)
+    if min(steps, *grid.values.shape) < 3:
         raise InputError("need at least 3 nodes per axis for centered stencils")
-    grid = SampledDensity(x_min, dx, field[0])
+    times = t0 + dt * np.arange(steps)
+    points = grid.points()
+    field = [np.asarray(eval_at(t, points), dtype=float).reshape(grid.values.shape)
+             for t in times]
     n, dx = grid.dim, grid.dx
     lam = params.effective_drift
     feedback = params.mean_feedback
@@ -302,7 +309,7 @@ def residual_field(params: ModelParams, field: np.ndarray, t0: float,
     worst = 0.0
     total_sq = 0.0
     count = 0
-    for k in range(1, len(field) - 1):
+    for k in range(1, steps - 1):
         u = field[k]
         u_t = (field[k + 1] - field[k - 1]) / (2.0 * dt)
         res = -u_t[interior]
@@ -319,10 +326,3 @@ def residual_field(params: ModelParams, field: np.ndarray, t0: float,
         total_sq += float(np.sum(res ** 2))
         count += res.size
     return worst, float(np.sqrt(total_sq / count))
-
-
-def spacetime_samples(eval_at, times, x_min, x_max, nodes) -> np.ndarray:
-    """Stack eval_at(t, points)->values over the times on a uniform grid."""
-    return np.stack([SampledDensity.from_callable(lambda p: eval_at(t, p),
-                                                  x_min, x_max, nodes).values
-                     for t in times])

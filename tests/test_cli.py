@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,11 +199,12 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, case):
     assert "finite" in err and "moment_override" not in err
 
 
-@pytest.mark.parametrize("task", ["evolve", "inverse", "symmetry", "sampled-inverse"])
+@pytest.mark.parametrize("task", ["evolve", "inverse", "symmetry", "sampled-evolve",
+                                  "sampled-inverse"])
 def test_initial_dimension_must_match_the_model(tmp_path, capsys, task):
     # the messages used to name internal arguments (x_start, x_u_t)
     cfg = base_config(tmp_path / "out", task=task.removeprefix("sampled-"))
-    if task == "sampled-inverse":
+    if task.startswith("sampled-"):
         cfg["model"].update(dimension=2, drift=EYE2, coupling_state=EYE2,
                             coupling_mean=EYE2)
         cfg["initial"] = {"kind": "sampled", "path": str(sampled_csv(tmp_path))}
@@ -259,6 +261,31 @@ def test_a_one_row_sampled_initial_names_the_missing_node(tmp_path, capsys):
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
     err = capsys.readouterr().err
     assert "needs at least two grid nodes, got 1" in err and "columns" not in err
+
+
+def test_a_sampled_initial_with_a_header_row_is_a_config_error(tmp_path, capsys):
+    # the header's "x" used to escape np.loadtxt as a raw ValueError, exit 1
+    path = tmp_path / "header.csv"
+    path.write_text("x,u\n0.0,1.0\n0.1,1.0\n")
+    cfg = base_config(tmp_path / "out")
+    cfg["initial"] = {"kind": "sampled", "path": str(path)}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot read samples {path}" in err
+
+
+def test_an_empty_sampled_initial_names_the_missing_nodes(tmp_path, capsys):
+    # an empty file used to leak numpy's "input contained no data" warning,
+    # then blame the columns
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    cfg = base_config(tmp_path / "out")
+    cfg["initial"] = {"kind": "sampled", "path": str(path)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "needs at least two grid nodes, got 0" in err and "columns" not in err
 
 
 def test_verify_task_quick_checks(tmp_path):

@@ -12,8 +12,8 @@ def heat_params(eps=0.5):
 
 
 def sample(packet, params, cfg):
-    x = cfg.x.reshape(-1, 1)
-    return SampledDensity([cfg.x_min], [cfg.dx], packet.eval(params, x))
+    return SampledDensity.from_callable(lambda pts: packet.eval(params, pts),
+                                        [cfg.x_min], [cfg.x_max], [cfg.nx])
 
 
 def test_heat_solution_matches_kernel_reference():
@@ -49,12 +49,8 @@ def test_mixture_matches_analytic_pathway():
     ])
     cfg = FDConfig(x_min=-6.0, x_max=6.0, nx=901, dt=5e-5, t_end=0.3,
                    snapshot_times=(0.3,))
-    x = cfg.x.reshape(-1, 1)
-    gamma = SampledDensity([cfg.x_min], [cfg.dx], mix.eval(p, x))
-    res = fd_solve(p, gamma, cfg)
-    plan = plan_for(p, 0.0, 0.3, mix)
-    exact = SampledDensity([cfg.x_min], [cfg.dx],
-                           evolve_analytic(mix, plan).eval(p, x))
+    res = fd_solve(p, sample(mix, p, cfg), cfg)
+    exact = sample(evolve_analytic(mix, plan_for(p, 0.0, 0.3, mix)), p, cfg)
     linf = compare(res.snapshots[0], exact)
     assert linf < 5e-3
     # the self-consistent grid moment follows the closed form
@@ -76,9 +72,10 @@ def reference_rhs(u, x, dx, eps, lam, feedback):
 
 
 def reference_solve(params, gamma, cfg):
-    """Classic RK4 over reference_rhs: the density after every step and its
-    trapezoid moment and mass."""
-    args = (cfg.x, cfg.dx, params.diffusion, float(params.effective_drift[0, 0]),
+    """Classic RK4 over reference_rhs on gamma's nodes: the density after
+    every step and its trapezoid moment and mass."""
+    x, dx = gamma.coordinate(0), float(gamma.dx[0])
+    args = (x, dx, params.diffusion, float(params.effective_drift[0, 0]),
             float(params.mean_feedback[0, 0]))
     u, h = gamma.values.copy(), cfg.dt
     states = [u.copy()]
@@ -90,8 +87,8 @@ def reference_solve(params, gamma, cfg):
         u += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(u.copy())
     states = np.array(states)
-    return (states, np.trapezoid(cfg.x * states, dx=cfg.dx, axis=1),
-            np.trapezoid(states, dx=cfg.dx, axis=1))
+    return (states, np.trapezoid(x * states, dx=dx, axis=1),
+            np.trapezoid(states, dx=dx, axis=1))
 
 
 @pytest.mark.parametrize("coupling_mean, coupling", [(-2.5, 1.0), (0.0, 0.0)],
@@ -102,8 +99,9 @@ def test_fused_step_matches_reference_rk4(coupling_mean, coupling):
     cfg = FDConfig(x_min=-4.0, x_max=4.0, nx=241, dt=2e-4, t_end=0.04,
                    snapshot_times=(0.0, 0.02, 0.04))
     pk = GaussianPacket(mean=[0.6], num=[[1.5]], den=[[1.0]])
-    res = fd_solve(p, sample(pk, p, cfg), cfg)
-    states, moments, masses = reference_solve(p, sample(pk, p, cfg), cfg)
+    gamma = sample(pk, p, cfg)
+    res = fd_solve(p, gamma, cfg)
+    states, moments, masses = reference_solve(p, gamma, cfg)
     np.testing.assert_allclose(res.moments, moments, rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.masses, masses, rtol=0, atol=1e-13)
     np.testing.assert_array_equal(res.snapshot_times, cfg.snapshot_times)
@@ -111,9 +109,10 @@ def test_fused_step_matches_reference_rk4(coupling_mean, coupling):
         np.testing.assert_allclose(snap.values, states[step], rtol=0, atol=1e-13)
         # the recorded moment and mass are the trapezoid integrals of the snapshot
         assert res.moments[step] == pytest.approx(
-            np.trapezoid(cfg.x * snap.values, dx=cfg.dx), rel=1e-14, abs=1e-15)
+            np.trapezoid(gamma.coordinate(0) * snap.values, dx=gamma.dx[0]),
+            rel=1e-14, abs=1e-15)
         assert res.masses[step] == pytest.approx(
-            np.trapezoid(snap.values, dx=cfg.dx), rel=1e-14, abs=1e-15)
+            np.trapezoid(snap.values, dx=gamma.dx[0]), rel=1e-14, abs=1e-15)
 
 
 def test_cfl_guard():

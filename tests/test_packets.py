@@ -7,8 +7,8 @@ from fpknl import (GaussianMixture, GaussianPacket, InputError, InvalidCovarianc
                    KernelContext, KernelValidityError, ModelParams, NormalizationError,
                    SampledDensity, build_shifts, checks, evolve_analytic, evolve_packet,
                    inverse_evolve, kernel_context, linsym_operator, matriciant, plan_for,
-                   propagate_packet, residual_field, spacetime_samples,
-                   symmetry_apply_conclusion, symmetry_apply_evolution, symmetry_apply_shift)
+                   propagate_packet, residual_field, symmetry_apply_conclusion,
+                   symmetry_apply_evolution, symmetry_apply_shift)
 from fpknl import model, packets, variations
 
 
@@ -95,17 +95,13 @@ def test_pde_residual_second_order():
     pk = GaussianPacket(mean=[0.5], num=[[1.0]], den=[[1.0]])
     traj = p.moment_trajectory(pk.mean, 0.0)
 
-    def resid(dx, dt):
-        nx = int(round(4.0 / dx)) + 1
-        times = 0.4 + dt * np.arange(7)
-        fld = spacetime_samples(
-            lambda t, pts: evolve_packet(pk, p, t, 0.0).eval(p, pts),
-            times, [-1.7], [2.3], [nx])
-        return residual_field(p, fld, float(times[0]), dt, [-1.7],
-                              [4.0 / (nx - 1)], traj)
+    def resid(nodes, dt):
+        return residual_field(p, lambda t, pts: evolve_packet(pk, p, t, 0.0).eval(p, pts),
+                              0.4, dt, 7, [-1.7], [2.3], [nodes], traj)
 
-    coarse = resid(1e-2, 1e-3)
-    fine = resid(5e-3, 5e-4)
+    # dx 1e-2 and dt 1e-3, then both halved
+    coarse = resid(401, 1e-3)
+    fine = resid(801, 5e-4)
     assert coarse[0] / fine[0] == pytest.approx(4.0, abs=1.0)
     assert coarse[1] / fine[1] == pytest.approx(4.0, abs=1.0)
 
@@ -309,18 +305,18 @@ def test_2d_residual_second_order():
     pk = GaussianPacket(mean=[0.3, -0.2], num=np.eye(2), den=np.eye(2))
     traj = p.moment_trajectory(pk.mean, 0.0)
 
-    def resid(dx, dt):
-        nx = int(round(4.0 / dx)) + 1
-        times = 0.3 + dt * np.arange(5)
-        fld = spacetime_samples(
-            lambda t, pts: evolve_packet(pk, p, t, 0.0).eval(p, pts),
-            times, [-2.0, -2.0], [2.0, 2.0], [nx, nx])
-        return residual_field(p, fld, float(times[0]), dt, [-2.0, -2.0],
-                              [dx, dx], traj)
+    def resid(x_min, x_max, nodes, dt):
+        return residual_field(p, lambda t, pts: evolve_packet(pk, p, t, 0.0).eval(p, pts),
+                              0.3, dt, 5, x_min, x_max, nodes, traj)
 
-    coarse = resid(0.1, 2e-3)
-    fine = resid(0.05, 1e-3)
-    assert coarse[1] / fine[1] == pytest.approx(4.0, abs=1.0)
+    # dx 0.1 and dt 2e-3, then both halved; on the second span the
+    # spacings, 4.3/30 and 4/36, are no round decimal, and the stencils
+    # must take them from the sampled grid itself
+    for x_min, x_max, nodes in (([-2.0, -2.0], [2.0, 2.0], [41, 41]),
+                                ([-2.0, -1.9], [2.3, 2.1], [31, 37])):
+        coarse = resid(x_min, x_max, nodes, 2e-3)
+        fine = resid(x_min, x_max, [2 * n - 1 for n in nodes], 1e-3)
+        assert coarse[1] / fine[1] == pytest.approx(4.0, abs=1.0)
 
 
 def precision_of(num, den):

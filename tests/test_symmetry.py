@@ -7,8 +7,8 @@ from fpknl import (DegenerateMomentError, GaussianMixture, GaussianPacket,
                    InputError, ModelParams, SampledDensity, apply_initial_op,
                    build_shifts, evolve_analytic, inverse_evolve, kernels, linsym_closed_form,
                    linsym_operator, matriciant, plan_for, residual_field,
-                   spacetime_samples, symmetry_apply_conclusion,
-                   symmetry_apply_evolution, symmetry_apply_shift)
+                   symmetry_apply_conclusion, symmetry_apply_evolution,
+                   symmetry_apply_shift)
 from fpknl.symmetry import InitialOperator
 
 E = np.e
@@ -315,34 +315,36 @@ def test_transformed_field_solves_equation_at_second_order():
     app = apply_initial_op(op, pk, p)
     seed = [0.2]
 
-    def resid(dx, dt):
-        nx = int(round(5.5 / dx)) + 1
-        times = 0.4 + dt * np.arange(7)
+    def field_at(t, pts):
+        plan = plan_for(p, 0.0, float(t), app.field, moment_override=seed)
+        return evolve_analytic(app.field, plan,
+                               require_normalized=app.normalized).eval(p, pts)
 
-        def field_at(t, pts):
-            plan = plan_for(p, 0.0, float(t), app.field, moment_override=seed)
-            return evolve_analytic(app.field, plan,
-                                   require_normalized=app.normalized).eval(p, pts)
+    def resid(nodes, dt):
+        return residual_field(p, field_at, 0.4, dt, 7, [-2.5], [3.0], [nodes],
+                              p.moment_trajectory(seed, 0.0))
 
-        fld = spacetime_samples(field_at, times, [-2.5], [3.0], [nx])
-        return residual_field(p, fld, float(times[0]), dt, [-2.5],
-                              [5.5 / (nx - 1)], p.moment_trajectory(seed, 0.0))
-
-    coarse = resid(1e-2, 1e-3)
-    fine = resid(5e-3, 5e-4)
+    # dx 1e-2 and dt 1e-3, then both halved
+    coarse = resid(551, 1e-3)
+    fine = resid(1101, 5e-4)
     assert coarse[1] / fine[1] == pytest.approx(4.0, abs=1.0)
+
+
+def zero_field(t, pts):
+    return np.zeros(len(pts))
 
 
 def test_residual_zero_field():
     p = params_1d()
-    fld = np.zeros((5, 33))
-    worst, rms = residual_field(p, fld, 0.0, 1e-3, [-1.0], [0.0625],
+    worst, rms = residual_field(p, zero_field, 0.0, 1e-3, 5, [-1.0], [1.0], [33],
                                 p.moment_trajectory([0.0], 0.0))
     assert worst == 0.0 and rms == 0.0
 
 
 def test_residual_needs_stencil_margin():
+    # three samples in time and three nodes per space axis at least
     p = params_1d()
-    with pytest.raises(InputError):
-        residual_field(p, np.zeros((2, 33)), 0.0, 1e-3, [-1.0], [0.0625],
-                       p.moment_trajectory([0.0], 0.0))
+    for steps, nodes in ((2, [33]), (5, [2])):
+        with pytest.raises(InputError, match="at least 3 nodes"):
+            residual_field(p, zero_field, 0.0, 1e-3, steps, [-1.0], [1.0], nodes,
+                           p.moment_trajectory([0.0], 0.0))
