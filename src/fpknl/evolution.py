@@ -61,19 +61,24 @@ naming |t - s|, sigma_0 and the span before any entry is filled.
 
 The sketch's dense algebra is paid once where it can be.  The Gaussian
 test matrix depends on (N, width) alone, so it is drawn once and kept,
-read-only, in a small memo.  The sketch's QR keeps LAPACK's raw
-Householder factors, and _basis forms its Q in compact WY form (Joffrain
-et al., ACM TOMS 32, 2006) by one GEMM, in place of numpy's orgqr, which
-costs about as much as the factorization itself.  One inverse_evolve on
-the grids above, one core of a Xeon with one BLAS thread, the median of
-41 calls interleaved in one process, in ms (the narrow kernel at
-diffusion 0.15 grows to k = 256):
+read-only, in a small memo, and a grown sketch keeps the columns of
+A Omega it has: only the SKETCH_STEP new ones go through the band.  Both
+N x k matrices, the sketch and B^T below, are factored by LAPACK's
+recursive blocked QR, dgeqrt (Elmroth & Gustavson, IBM J. Res. Dev. 44,
+2000), in blocks of QR_BLOCK reflectors, on column-major copies that it
+overwrites in place.  On one BLAS thread one 128-column QR takes 0.71,
+1.46 and 2.41 ms at N = 401, 801 and 1201, against 1.46, 2.96 and 4.83
+ms for numpy's geqrf path.  _basis forms the sketch's Q by applying its
+block reflectors to the first k columns of I (dgemqrt).  One
+inverse_evolve on the grids above, one core of a Xeon with one BLAS
+thread, the median of 41 calls interleaved in one process, in ms (the
+narrow kernel at diffusion 0.15 grows to k = 256):
 
     N                       ms
-    401                    9.2
-    801                   15.6
-    1201                  26.1
-    1201, diffusion 0.15  85.3
+    401                    8.6
+    801                   14.6
+    1201                  23.7
+    1201, diffusion 0.15  65.3
 
 The left inverse on the analytic pathway moves the covariances along
 ``plan.reversed()``, S(s) = dd S(t) dd^T + w with its blocks.  That sum
@@ -114,7 +119,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from .errors import (IllPosedInverseError, InvalidCovarianceError, KernelValidityError,
                      NormalizationError, TruncationError)
@@ -143,6 +148,9 @@ TABLE_EXPONENT = 64.0
 # serves a block of at most BAND_ROWS rows
 BAND_EXPONENT = 40.0
 BAND_ROWS = 64
+# columns per block reflector of the sketch's QR and of B^T's (dgeqrt's nb),
+# the fastest or near it at N 401, 801 and 1201 on one BLAS thread
+QR_BLOCK = 32
 
 
 def plan_for(params: ModelParams, s: float, t: float,
@@ -359,34 +367,24 @@ def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixtur
 
 
 def _householder(y: np.ndarray):
-    """Householder QR of the tall (N, k) y from LAPACK's raw factors:
-    (vt, tau, r), with r numpy's R bit for bit and vt the (k, N) V^T, its
-    row j reflector j's vector v_j, a unit entry at column j and zeros
-    before it.  Q is the product of the reflectors I - tau_j v_j v_j^T,
+    """Householder QR of the tall (N, k) y by LAPACK's recursive blocked
+    dgeqrt (Elmroth & Gustavson, IBM J. Res. Dev. 44, 2000): (v, t, r),
+    v the (N, k) factored array, its strictly lower part the reflectors'
+    vectors (each with an implicit unit entry on the diagonal), t the
+    upper triangular T factors of its blocks of QR_BLOCK reflectors side
+    by side, and r the (k, k) R.  A column-major y is factored in place,
+    with no copy, and becomes v; any other y is left as it is.  Q is
     formed by _basis only where it is needed."""
-    vt, tau = np.linalg.qr(y, mode="raw")
-    del y  # vt is a copy: a caller's temporary sketch is freed here
-    k = len(tau)
-    r = np.triu(vt[:, :k].T)
-    vt[:, :k] = np.triu(vt[:, :k], 1)
-    np.fill_diagonal(vt, 1.0)
-    return vt, tau, r
+    v, t, _ = lapack.dgeqrt(min(QR_BLOCK, y.shape[1]), y, overwrite_a=True)
+    return v, t, np.triu(v[:y.shape[1]])
 
 
-def _basis(vt: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The reduced (N, k) Q of _householder's reflectors in compact WY form
-    (Joffrain et al., ACM TOMS 32, 2006): the product of the reflectors is
-    I - V T V^T, with T^-1 = striu(V^T V) + diag(1 / tau); so
-    T = (I + diag(tau) striu(V^T V))^-1 diag(tau), a unit triangular solve
-    that a tau of 0 (a reflector that is the identity) leaves well posed,
-    and Q = I_k - V (T V_k^T), V_k the first k rows of V and I_k the first
-    k columns of I: one (N, k) GEMM past T."""
-    k = len(tau)
-    unit = np.triu(vt @ vt.T, 1) * tau[:, None]
-    t_vk = solve_triangular(unit, tau[:, None] * vt[:, :k], unit_diagonal=True, overwrite_b=True)
-    q = vt.T @ -t_vk
-    q[:k] += np.eye(k)
-    return q
+def _basis(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The reduced (N, k) Q of _householder's reflectors: dgemqrt applies
+    the block reflectors I - V_j T_j V_j^T in turn to the first k columns
+    of I, column-major and in place."""
+    n, k = v.shape
+    return lapack.dgemqrt(v, t, np.eye(n, k, order="F"), overwrite_c=True)[0]
 
 
 def _diagonal_stops(r: np.ndarray, level: float) -> bool:
@@ -431,20 +429,28 @@ def _sketch_solve(blocks, rhs: np.ndarray, rcond: float):
     n = rhs.size
     # the first sketch runs on any system at least twice its size; up to
     # N/3 columns the sketch beats a dense factorization (single-threaded
-    # BLAS: k = 256 at N = 801 took 100 ms against lstsq's 180 ms), past
-    # that it loses (k = 256 at N = 401: 58 ms against 24-32 ms)
+    # BLAS: k = 256 at N = 801 took 37-47 ms against lstsq's 159-166 ms),
+    # past that it loses (k = 256 at N = 401: 26-27 ms against 19-20 ms)
     widest = max(n // 3, SKETCH_START if n >= 2 * SKETCH_START else 0)
     level = SKETCH_STOP * rcond
+    sketched = []  # A Omega_k: SKETCH_START columns, then SKETCH_STEP at a time
     for k in range(SKETCH_START, widest + 1, SKETCH_STEP):
-        vt, tau, r = _householder(_band_product(blocks, _sketch(n, k)))
+        # only the columns new at this width go through the band; the
+        # leading ones are kept, with their bits, and the whole sketch is
+        # laid out column-major for LAPACK to factor in place
+        new = _sketch(n, k)[:, k - SKETCH_STEP if sketched else 0:]
+        sketched.append(_band_product(blocks, new))
+        v, t, r = _householder(np.concatenate(sketched, axis=1, out=np.empty((n, k), order="F")))
         sy = None if _diagonal_stops(r, level) else np.linalg.svd(r, compute_uv=False)
         if sy is None or sy[-1] <= level * sy[0]:
-            q = _basis(vt, tau)
-            del vt  # the sketch's reflectors are not kept through A^T q
+            q = _basis(v, t)
+            del sketched, v  # the sketch and its reflectors are not kept through A^T q
             # with B = q^T A, B^T = qb rb and rb = w s u^T, B's truncated pseudo-
             # inverse is qb w s^-1 u^T = B^T u s^-2 u^T: rb is all it takes
             bt = _band_product(blocks, q, transpose=True)
-            _, s, ut = np.linalg.svd(np.linalg.qr(bt, mode="r"))
+            # bt is kept for the solution: LAPACK factors a column-major copy
+            rb = lapack.dgeqrt(QR_BLOCK, np.asfortranarray(bt), overwrite_a=True)[0]
+            _, s, ut = np.linalg.svd(np.triu(rb[:k]))
             cutoff = rcond * s[0]
             keep = s > cutoff
             x = bt @ (ut[keep].T @ ((ut[keep] @ (q.T @ rhs)) / s[keep] ** 2))

@@ -519,11 +519,11 @@ def test_a_grown_sketch_refactors_to_an_orthonormal_basis_and_a_triangular_facto
 
 
 @pytest.mark.parametrize("rank", [120, 30, 0])
-def test_wy_basis_is_numpys_reduced_qr(rank):
-    # Q from the raw Householder factors in compact WY form: numpy's Q to
-    # 1e-14 and orthonormal, also past the numerical rank (rank of 120
-    # columns) and with an exactly zero column (a reflector with tau 0);
-    # R has numpy's bits
+def test_householder_qr_is_orthonormal_and_reconstructs(rank):
+    # the blocked QR's Q is orthonormal and Q R reproduces y to 1e-14, also
+    # past the numerical rank (rank of 120 columns) and with an exactly
+    # zero column (a reflector with tau 0, the diagonal of its T factor);
+    # R is upper triangular
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.standard_normal((700, 120)))
     spectrum = np.logspace(0, -18, 120)
@@ -531,13 +531,65 @@ def test_wy_basis_is_numpys_reduced_qr(rank):
     y = (u * spectrum) @ rng.standard_normal((120, 120))
     if not rank:
         y[:, 7] = 0.0
-        assert not np.linalg.qr(y, mode="raw")[1][7]
-    q_ref, r_ref = np.linalg.qr(y)
-    vt, tau, r = evolution._householder(y)
-    q = evolution._basis(vt, tau)
-    assert np.max(np.abs(q - q_ref)) < 1e-14
+    v, t, r = evolution._householder(y)
+    if not rank:
+        assert not t[7 % evolution.QR_BLOCK, 7]
+    q = evolution._basis(v, t)
     assert np.max(np.abs(q.T @ q - np.eye(120))) < 1e-14
-    np.testing.assert_array_equal(r, r_ref)
+    assert np.max(np.abs(q @ r - y)) < 1e-14 * np.max(np.abs(y))
+    assert not np.tril(r, -1).any()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       k=st.sampled_from([1, 7, evolution.QR_BLOCK - 1, evolution.QR_BLOCK + 5, 100, 256]),
+       kind=st.sampled_from(["full", "graded", "zero-columns", "rank-deficient"]))
+def test_householder_qr_holds_for_any_width_and_rank(seed, k, kind):
+    # one column, fewer than a block, widths that are no multiple of the
+    # block and the widest sketch of the suite's grids; with zero columns
+    # and rank-deficient draws: Q orthonormal, Q R = y, R upper triangular
+    rng = np.random.default_rng(seed)
+    n = k + int(rng.integers(0, 3 * k + 40))
+    y = rng.standard_normal((n, k))
+    if kind == "graded":
+        y *= np.logspace(0, -rng.uniform(0, 20), k)
+    elif kind == "zero-columns":
+        y[:, rng.integers(0, k, size=1 + k // 4)] = 0.0
+    elif kind == "rank-deficient":
+        rank = int(rng.integers(0, k))
+        y = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, k))
+    # factored in place from a column-major copy, as _sketch_solve lays it out
+    work = y.copy(order="F")
+    v, t, r = evolution._householder(work)
+    assert np.shares_memory(v, work)
+    q = evolution._basis(v, t)
+    assert q.shape == (n, k) and r.shape == (k, k)
+    assert np.max(np.abs(q.T @ q - np.eye(k))) < 1e-14
+    assert np.max(np.abs(q @ r - y)) <= 1e-14 * np.max(np.abs(y))
+    assert not np.tril(r, -1).any()
+
+
+@pytest.mark.parametrize("case", ["1d-801-mid", "1d-narrow"])
+def test_lapack_gets_the_sketch_and_bt_column_major(case, monkeypatch):
+    # both N x k matrices reach LAPACK column-major and are factored in
+    # place, with no copy of its own: once per sketch width, and B^T once
+    gamma, plan = SOLVE_CASES[case][0]()
+    u = evolve_quadrature(gamma, plan)
+    blocks = evolution.forward_quadrature_matrix(u, plan)
+    seen = []
+    real_dgeqrt = evolution.lapack.dgeqrt
+
+    def dgeqrt(nb, a, **kwargs):
+        seen.append((nb, a.shape, a.flags.f_contiguous, kwargs.get("overwrite_a")))
+        return real_dgeqrt(nb, a, **kwargs)
+
+    monkeypatch.setattr(evolution.lapack, "dgeqrt", dgeqrt)
+    *_, how = evolution._sketch_solve(blocks, u.values.ravel(), evolution.INVERSE_RCOND)
+    monkeypatch.undo()
+    k = int(how.rsplit("=", 1)[1])
+    widths = list(range(evolution.SKETCH_START, k + 1, evolution.SKETCH_STEP))
+    n = u.values.size
+    assert seen == [(evolution.QR_BLOCK, (n, w), True, True) for w in widths + [k]]
 
 
 @settings(max_examples=200, deadline=None)
