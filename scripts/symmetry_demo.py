@@ -10,10 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fpknl import (GaussianMixture, build_shifts, evolve_analytic, linsym_closed_form,
-                   linsym_operator, matriciant, plan_for,
-                   symmetry_apply_conclusion, symmetry_apply_evolution,
-                   symmetry_apply_shift)
+from fpknl import (GaussianMixture, linsym_closed_form, linsym_operator, matriciant,
+                   symmetry_routes)
 from fpknl.checks import reference_case
 from fpknl.cli import fmt
 
@@ -31,21 +29,14 @@ def main():
     print(f"seed operator: {op.const:+.3f} {op.lin[0]:+.3f} x "
           f"{op.grad[0]:+.3f} d/dx")
 
-    initial = GaussianMixture([packet])
-    plan = plan_for(params, s, t, initial)
-    u = evolve_analytic(initial, plan)
-    shifts = build_shifts(op, initial, params, s,
-                          moment_override=[args.image_moment])
+    routes, shifts = symmetry_routes(op, GaussianMixture([packet]), params, s, t,
+                                     moment_override=[args.image_moment])
     xs = np.linspace(-3.5, 4.0, 751)
-    fields = {
-        "shift": symmetry_apply_shift(op, u, shifts, t).eval(params, xs),
-        "conclusion": symmetry_apply_conclusion(op, u, shifts, t).eval(params, xs),
-        "conjugation": symmetry_apply_evolution(
-            op, u, plan, moment_override=[args.image_moment]).eval(params, xs),
-        "closed-form": linsym_closed_form(
-            params, t, s, float(packet.num[0, 0]), float(packet.den[0, 0]),
-            float(packet.mean[0]), args.image_moment)(xs),
-    }
+    fields = {name: route.eval(params, xs)
+              for name, route in zip(("shift", "conclusion", "conjugation"), routes)}
+    fields["closed-form"] = linsym_closed_form(
+        params, t, s, float(packet.num[0, 0]), float(packet.den[0, 0]),
+        float(packet.mean[0]), args.image_moment)(xs)
     names = list(fields)
     print(f"operator-image integral alpha = {shifts.alpha:.3e} "
           f"(zero-mass field, moment seeded at {args.image_moment})")

@@ -13,7 +13,8 @@ from .symmetry import (InitialOperator, OperatorApplication, SymmetryShifts,
                        apply_initial_op, apply_operator, build_shifts,
                        evolve_operator, linsym_closed_form, linsym_operator,
                        residual_field, symmetry_apply_conclusion,
-                       symmetry_apply_evolution, symmetry_apply_shift)
+                       symmetry_apply_evolution, symmetry_apply_shift,
+                       symmetry_routes)
 from .variations import Matriciant, fraction, matriciant, matriciant_rk4, propagate_pair
 
 __version__ = "0.1.0"

@@ -20,9 +20,8 @@ from .evolution import (INVERSE_RCOND, evolve_analytic, evolve_quadrature,
 from .fdsolver import FDConfig, compare, fd_solve
 from .model import ModelParams, SampledDensity
 from .packets import GaussianMixture, GaussianPacket, evolve_packet
-from .symmetry import (apply_initial_op, build_shifts, linsym_closed_form,
-                       linsym_operator, residual_field, symmetry_apply_conclusion,
-                       symmetry_apply_evolution, symmetry_apply_shift)
+from .symmetry import (apply_initial_op, linsym_closed_form, linsym_operator,
+                       residual_field, symmetry_routes)
 from .variations import matriciant, matriciant_rk4, propagate_pair
 
 # tolerances shared with the command line's per-run checks
@@ -110,7 +109,9 @@ class FdComparison:
     moment_dev: float
     mass_dev: float
     runtime: float
-    result: object = field(repr=False, default=None)
+    result: object = field(repr=False)
+    initial: SampledDensity = field(repr=False)
+    exact: SampledDensity = field(repr=False)
 
 
 def fd_vs_analytic(params, packet, x_min=-6.0, x_max=6.0, nx=1200,
@@ -130,7 +131,7 @@ def fd_vs_analytic(params, packet, x_min=-6.0, x_max=6.0, nx=1200,
     moment_dev = float(np.max(np.abs(res.moments[::stride] - closed)))
     mass_dev = float(np.max(np.abs(res.masses - 1.0)))
     return FdComparison(linf=linf, moment_dev=moment_dev, mass_dev=mass_dev,
-                        runtime=runtime, result=res)
+                        runtime=runtime, result=res, initial=gamma, exact=exact)
 
 
 def check_fd_reduction(params=None, packet=None, nx=1200, dt=2e-5, t_end=1.0,
@@ -291,24 +292,16 @@ def check_roundtrip(params=None, packet=None) -> list[CheckResult]:
 def check_symmetry_routes(params=None, packet=None) -> list[CheckResult]:
     params, packet = _one_dimensional("symmetry-routes", params, packet)
     s, t = 0.0, CHECK_T
-    g = GaussianMixture([packet])
-    plan = plan_for(params, s, t, g)
-    u = evolve_analytic(g, plan)
-    m_ss = matriciant(params, s, s)
-    op = linsym_operator(params, m_ss, packet.mean)
-    shifts = build_shifts(op, g, params, s, moment_override=[IMAGE_MOMENT])
+    op = linsym_operator(params, matriciant(params, s, s), packet.mean)
+    routes, _ = symmetry_routes(op, GaussianMixture([packet]), params, s, t,
+                                moment_override=[IMAGE_MOMENT])
     xs = np.linspace(-3.0, 4.0, 301)
-    fields = {
-        "shift": symmetry_apply_shift(op, u, shifts, t).eval(params, xs),
-        "conclusion": symmetry_apply_conclusion(op, u, shifts, t).eval(params, xs),
-        "conjugation": symmetry_apply_evolution(
-            op, u, plan, moment_override=[IMAGE_MOMENT]).eval(params, xs),
-    }
+    fields = [route.eval(params, xs) for route in routes]
     closed = linsym_closed_form(params, t, s, float(packet.num[0, 0]),
                                 float(packet.den[0, 0]), float(packet.mean[0]),
                                 IMAGE_MOMENT)(xs)
-    worst_routes = route_spread(fields.values())
-    closed_err = float(np.max(np.abs(fields["conjugation"] - closed)))
+    worst_routes = route_spread(fields)
+    closed_err = float(np.max(np.abs(fields[2] - closed)))
     return [
         result("symmetry-routes", worst_routes, ROUTE_TOL, "pairwise over 3 routes"),
         result("symmetry-closed-form", closed_err, 1e-8,

@@ -18,7 +18,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,8 @@ from .evolution import (evolve_analytic, evolve_quadrature, inverse_evolve,
                         plan_for)
 from .model import ModelParams, SampledDensity, _vector, require_finite
 from .packets import GaussianMixture, GaussianPacket
-from .symmetry import (InitialOperator, build_shifts, linsym_operator,
-                       symmetry_apply_conclusion, symmetry_apply_evolution,
-                       symmetry_apply_shift)
+from .symmetry import (InitialOperator, linsym_operator, symmetry_apply_evolution,
+                       symmetry_routes)
 from .variations import matriciant
 
 ENV_OUTDIR = "FPKNL_OUTDIR"
@@ -253,12 +252,6 @@ def write_snapshots_csv(path: Path, rows: list[tuple]) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _check_dicts(results: list[checks.CheckResult]) -> list[dict]:
-    return [{"name": r.name, "passed": bool(r.passed), "value": float(r.value),
-             "tolerance": float(r.tolerance), "detail": r.detail}
-            for r in results]
-
-
 def _sample_rows(t, xs, values) -> list[tuple]:
     return [(t, float(x), float(v)) for x, v in zip(xs, values)]
 
@@ -329,17 +322,11 @@ def task_symmetry(cfg: dict, params: ModelParams):
     override = sc.get("image_moment")
     if override is not None:
         override = _vector(override, params.dim, "symmetry.image_moment")
-    shifts = build_shifts(op, initial, params, s, moment_override=override)
-    plan_end = plan_for(params, s, t_end, initial)
-    u_end = evolve_analytic(initial, plan_end)
+    routes, shifts = symmetry_routes(op, initial, params, s, t_end,
+                                     moment_override=override)
     xs = _grid_axis(cfg)
     pts = xs.reshape(-1, 1)
-    worst = checks.route_spread([
-        symmetry_apply_shift(op, u_end, shifts, t_end).eval(params, pts),
-        symmetry_apply_conclusion(op, u_end, shifts, t_end).eval(params, pts),
-        symmetry_apply_evolution(op, u_end, plan_end,
-                                 moment_override=override).eval(params, pts),
-    ])
+    worst = checks.route_spread([route.eval(params, pts) for route in routes])
     results = [checks.result("symmetry-routes", worst, checks.ROUTE_TOL,
                              "pairwise over 3 routes")]
     rows = []
@@ -402,7 +389,7 @@ def run_config(cfg: dict, outdir: Path) -> int:
         write_snapshots_csv(outdir / f"{prefix}_snapshots.csv", rows)
     all_passed = all(r.passed for r in results)
     report = {"task": cfg["task"], "all_passed": all_passed,
-              "checks": _check_dicts(results), **extra}
+              "checks": [asdict(r) for r in results], **extra}
     (outdir / f"{prefix}_report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n")
     meta = {"config": cfg, "version": __version__,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .evolution import evolve_analytic, inverse_evolve
+from .evolution import evolve_analytic, inverse_evolve, plan_for
 from .kernels import KernelContext
 from .model import ModelParams, MomentTrajectory, SampledDensity, _vector, require_finite
 from .packets import GaussianMixture, GaussianPacket, evolve_packet
@@ -81,6 +81,8 @@ def linsym_operator(params: ModelParams, m: Matriciant, x_u_t,
     At t = s it reduces to  x_d - X_d(s) + d/dx_d.
     """
     x_u_t = _vector(x_u_t, params.dim, "x_u_t")
+    if not 0 <= direction < params.dim:
+        raise InputError(f"direction {direction} lies outside 0 ... {params.dim - 1}")
     lin = m.nn[direction, :].copy()
     grad = (params.diffusion * m.dn + m.dd)[direction, :].copy()
     return InitialOperator(-float(lin @ x_u_t), lin, grad)
@@ -97,7 +99,7 @@ class OperatorApplication:
 
 
 def _apply_to_mixture(op: InitialOperator, mix: GaussianMixture,
-                      params: ModelParams) -> tuple[GaussianMixture, float]:
+                      params: ModelParams) -> GaussianMixture:
     if mix.dipole is not None:
         raise InputError("operator application to a dipole-carrying packet "
                          "would leave the first-order class")
@@ -105,24 +107,25 @@ def _apply_to_mixture(op: InitialOperator, mix: GaussianMixture,
     amp0 = mix.amp0 * (op.const + mix.mean @ op.lin)
     lin = params.diffusion * (mix.cov @ op.lin)
     dipole = mix.amp0[:, None] * (lin - op.grad)
-    out = GaussianMixture._of(mix.mean, mix.cov, mix.weight, amp0, dipole)
-    return out, out.total_mass()
+    return GaussianMixture._of(mix.mean, mix.cov, mix.weight, amp0, dipole)
 
 
-def _apply_to_sampled(op: InitialOperator, d: SampledDensity) -> tuple[SampledDensity, float]:
+def _apply_to_sampled(op: InitialOperator, d: SampledDensity) -> SampledDensity:
     vals = op.const * d.values
     for i in range(d.dim):
         if op.lin[i] != 0.0:
             vals = vals + op.lin[i] * d.coordinate(i) * d.values
         if op.grad[i] != 0.0:
             vals = vals + op.grad[i] * np.gradient(d.values, d.dx[i], axis=i)
-    out = SampledDensity(d.x_min.copy(), d.dx.copy(), vals)
-    return out, out.total_mass()
+    return SampledDensity(d.x_min.copy(), d.dx.copy(), vals)
 
 
 def apply_operator(op: InitialOperator, field: GaussianMixture | SampledDensity,
                    params: ModelParams):
-    """Raw image of the operator and its integral (no normalization)."""
+    """Raw image of the operator (no normalization)."""
+    if op.dim != field.dim:
+        raise InputError(f"the operator has dimension {op.dim}, "
+                         f"but the field has dimension {field.dim}")
     if isinstance(field, SampledDensity):
         return _apply_to_sampled(op, field)
     return _apply_to_mixture(op, field, params)
@@ -134,7 +137,8 @@ def apply_initial_op(op: InitialOperator,
     """Operator image of the initial data, normalized by its integral when
     that integral is meaningfully nonzero; otherwise the raw zero-mass field
     is returned and flagged."""
-    field, alpha = apply_operator(op, gamma, params)
+    field = apply_operator(op, gamma, params)
+    alpha = field.total_mass()
     if abs(alpha) > ZERO_ALPHA_TOL:
         return OperatorApplication(field=field.scaled(1.0 / alpha), alpha=alpha,
                                    normalized=True)
@@ -209,7 +213,7 @@ def symmetry_apply_shift(op: InitialOperator, u: GaussianMixture,
     delta_op = -y_t + l_t
     moved = u.shifted(y_t - l_t - x_u)  # u evaluated at x + delta_op + X_u
     a_t = _centered_operator(op, shifts, m).shift_argument(delta_op)
-    field, _ = apply_operator(a_t, moved, shifts.params)
+    field = apply_operator(a_t, moved, shifts.params)
     if shifts.normalized:
         field = field.scaled(1.0 / shifts.alpha)
     return field
@@ -222,7 +226,7 @@ def symmetry_apply_conclusion(op: InitialOperator, u: GaussianMixture,
     m = matriciant(shifts.params, t, shifts.s)
     x_u = shifts.base_moment.at(t)
     w = u.shifted(-x_u)
-    applied, _ = apply_operator(_centered_operator(op, shifts, m), w, shifts.params)
+    applied = apply_operator(_centered_operator(op, shifts, m), w, shifts.params)
     field = applied.shifted(shifts.image_moment.at(t) - m.dd @ shifts.lam)
     if shifts.normalized:
         field = field.scaled(1.0 / shifts.alpha)
@@ -244,6 +248,24 @@ def symmetry_apply_evolution(op: InitialOperator, u: GaussianMixture,
         x_image = _vector(moment_override, plan.params.dim, "moment_override")
     return evolve_analytic(app.field, plan.reanchored(x_image),
                            require_normalized=app.normalized)
+
+
+def symmetry_routes(op: InitialOperator,
+                    initial: GaussianMixture | SampledDensity,
+                    params: ModelParams, s: float, t: float, moment_override=None):
+    """The three routes of the operator from initial data at s to time t.
+
+    Builds the shifts, the plan and the evolved solution once and returns
+    ((shift, conclusion, conjugation), shifts); the routes are mixtures,
+    for the caller to evaluate on its own points.
+    """
+    shifts = build_shifts(op, initial, params, s, moment_override=moment_override)
+    plan = plan_for(params, s, t, initial)
+    u = evolve_analytic(initial, plan)
+    routes = (symmetry_apply_shift(op, u, shifts, t),
+              symmetry_apply_conclusion(op, u, shifts, t),
+              symmetry_apply_evolution(op, u, plan, moment_override=moment_override))
+    return routes, shifts
 
 
 def linsym_closed_form(params: ModelParams, t: float, s: float,

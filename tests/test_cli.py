@@ -463,6 +463,15 @@ def test_symmetry_operator_rejects_non_finite_coefficients(tmp_path, capsys, ope
     assert "operator coefficients must be finite" in capsys.readouterr().err
 
 
+def test_symmetry_operator_of_another_dimension_is_a_config_error(tmp_path, capsys):
+    # used to die with numpy's matmul ValueError and a traceback
+    cfg = base_config(tmp_path / "out", task="symmetry",
+                      symmetry={"operator": {"const": 1.0, "lin": [0.5, 0.2],
+                                             "grad": [0.3, 0.1]}})
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert "operator has dimension 2, but the field has dimension 1" in capsys.readouterr().err
+
+
 def test_fd_reduction_from_start_zero_unchanged(tmp_path):
     cfg = json.loads((ROOT / "configs" / "verify_quick.json").read_text())
     cfg["verify"]["checks"] = ["fd-reduction"]

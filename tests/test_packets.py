@@ -5,10 +5,9 @@ import pytest
 
 from fpknl import (GaussianMixture, GaussianPacket, InputError, InvalidCovarianceError,
                    KernelContext, KernelValidityError, ModelParams, NormalizationError,
-                   SampledDensity, build_shifts, checks, evolve_analytic, evolve_packet,
+                   SampledDensity, checks, evolve_analytic, evolve_packet,
                    inverse_evolve, kernel_context, linsym_operator, matriciant, plan_for,
-                   propagate_packet, residual_field, symmetry_apply_conclusion,
-                   symmetry_apply_evolution, symmetry_apply_shift)
+                   propagate_packet, residual_field, symmetry_routes)
 from fpknl import model, packets, variations
 
 
@@ -283,11 +282,8 @@ def test_a_built_mixture_never_forms_the_fraction_again(monkeypatch):
     assert np.all(u.eval(p, xs) > 0.0)
     np.testing.assert_allclose(inverse_evolve(u, plan).cov, mix.cov, rtol=0, atol=1e-12)
     op = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean)
-    shifts = build_shifts(op, mix, p, 0.0, moment_override=[0.2])
-    routes = [symmetry_apply_shift(op, u, shifts, 1.0).eval(p, xs),
-              symmetry_apply_conclusion(op, u, shifts, 1.0).eval(p, xs),
-              symmetry_apply_evolution(op, u, plan, moment_override=[0.2]).eval(p, xs)]
-    assert checks.route_spread(routes) <= checks.ROUTE_TOL
+    routes, _ = symmetry_routes(op, mix, p, 0.0, 1.0, moment_override=[0.2])
+    assert checks.route_spread([r.eval(p, xs) for r in routes]) <= checks.ROUTE_TOL
 
 
 def test_invalid_covariance_detected():

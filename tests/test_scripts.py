@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
+    # as the pytest filter in pyproject.toml: a leaked numpy warning fails
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],

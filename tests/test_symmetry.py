@@ -8,7 +8,8 @@ from fpknl import (DegenerateMomentError, GaussianMixture, GaussianPacket,
                    build_shifts, evolve_analytic, inverse_evolve, kernels, linsym_closed_form,
                    linsym_operator, matriciant, plan_for, residual_field,
                    symmetry_apply_conclusion, symmetry_apply_evolution,
-                   symmetry_apply_shift)
+                   symmetry_apply_shift, symmetry_routes)
+from fpknl.checks import reference_case
 from fpknl.symmetry import InitialOperator
 
 E = np.e
@@ -88,6 +89,21 @@ def test_apply_operator_on_sampled_matches_analytic():
                                app_a.field.eval(p, pts), atol=5e-5)
 
 
+@pytest.mark.parametrize("sampled", [False, True], ids=["mixture", "sampled"])
+def test_operator_of_another_dimension_is_refused(sampled):
+    # a 2-coefficient operator on a 1D field: the mixture used to escape as
+    # numpy's matmul ValueError, the samples to drop lin[1] and grad[1]
+    p = params_1d()
+    field = unit_field()
+    if sampled:
+        mix = field
+        field = SampledDensity.from_callable(lambda q: mix.eval(p, q), [-6.0], [6.0], [601])
+    op = InitialOperator(const=1.0, lin=[0.5, 0.2], grad=[0.3, 0.1])
+    with pytest.raises(InputError, match="operator has dimension 2, but the field "
+                                         "has dimension 1"):
+        apply_initial_op(op, field, p)
+
+
 # ------------------------------------------------------------ explicit seeds
 
 def test_linsym_at_start_is_shifted_position_plus_gradient():
@@ -118,19 +134,20 @@ def test_linsym_zero_drift_coefficients():
     assert op.grad[0] == pytest.approx(2 * 0.3 * tau + 1.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("direction", [1, -1])
+def test_linsym_direction_outside_the_axes_is_refused(direction):
+    # 1 used to raise IndexError, -1 to return the last row silently
+    p = params_1d()
+    with pytest.raises(InputError, match=f"direction {direction} lies outside 0 ... 0"):
+        linsym_operator(p, matriciant(p, 0.0, 0.0), [0.5], direction=direction)
+
+
 # ------------------------------------------------------------------- routes
 
 def routes_on(params, packet, op, t, override=None):
-    plan = plan_for(params, 0.0, t, packet)
-    u = evolve_analytic(packet, plan)
-    shifts = build_shifts(op, packet, params, 0.0, moment_override=override)
+    routes, _ = symmetry_routes(op, packet, params, 0.0, t, moment_override=override)
     xs = np.linspace(-3.5, 4.0, 301)
-    return (
-        symmetry_apply_shift(op, u, shifts, t).eval(params, xs),
-        symmetry_apply_conclusion(op, u, shifts, t).eval(params, xs),
-        symmetry_apply_evolution(op, u, plan, moment_override=override).eval(params, xs),
-        xs,
-    )
+    return (*(route.eval(params, xs) for route in routes), xs)
 
 
 def test_routes_agree_for_generic_operator():
@@ -240,13 +257,18 @@ def test_drift_shift_consistency_relation():
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
-def test_routes_agree_in_two_dimensions():
+def non_normal_2d():
     lam = np.array([[0.7, 0.2], [-0.15, 0.5]])
     p = ModelParams(drift=lam, coupling_state=np.zeros((2, 2)),
                     coupling_mean=np.array([[-0.4, 0.1], [0.0, -0.3]]),
                     diffusion=0.35, coupling=0.8)
     pk = GaussianMixture([GaussianPacket(mean=[0.5, -0.3], num=np.eye(2),
                                          den=np.array([[1.0, 0.2], [0.2, 1.4]]))])
+    return p, pk
+
+
+def test_routes_agree_in_two_dimensions():
+    p, pk = non_normal_2d()
     t = 0.7
     plan = plan_for(p, 0.0, t, pk)
     u = evolve_analytic(pk, plan)
@@ -274,17 +296,37 @@ def test_routes_agree_in_two_dimensions():
         assert np.max(np.abs(aa - cc)) < 1e-12
 
 
+@pytest.mark.parametrize("case", ["reference-1d", "non-normal-2d"])
+def test_symmetry_routes_has_the_bits_of_the_direct_route_calls(case):
+    if case == "reference-1d":
+        p, packet = reference_case()
+        pk = GaussianMixture([packet])
+        op = linsym_operator(p, matriciant(p, 0.0, 0.0), packet.mean)
+        override, t, pts = [0.2], 1.0, np.linspace(-3.0, 4.0, 301)
+    else:
+        p, pk = non_normal_2d()
+        op = InitialOperator(const=0.6, lin=[0.4, -0.3], grad=[0.2, 0.5])
+        override, t = None, 0.7
+        pts = np.random.default_rng(1).uniform(-2.5, 2.5, size=(200, 2))
+    plan = plan_for(p, 0.0, t, pk)
+    u = evolve_analytic(pk, plan)
+    shifts = build_shifts(op, pk, p, 0.0, moment_override=override)
+    direct = (symmetry_apply_shift(op, u, shifts, t),
+              symmetry_apply_conclusion(op, u, shifts, t),
+              symmetry_apply_evolution(op, u, plan, moment_override=override))
+    routes, got = symmetry_routes(op, pk, p, 0.0, t, moment_override=override)
+    assert (got.alpha, got.normalized) == (shifts.alpha, shifts.normalized)
+    np.testing.assert_array_equal(got.lam, shifts.lam)
+    for route, expected in zip(routes, direct, strict=True):
+        assert np.array_equal(route.eval(p, pts), expected.eval(p, pts))
+
+
 @pytest.mark.parametrize("override", [None, [0.2, -0.1]])
 def test_conjugation_route_reuses_the_plans_matriciant(monkeypatch, override):
     # the image plan is the plan's matriciant re-anchored on the image's
     # trajectory: no matriciant is built, and the route has the bits of
     # a fresh plan_for for the image
-    lam = np.array([[0.7, 0.2], [-0.15, 0.5]])
-    p = ModelParams(drift=lam, coupling_state=np.zeros((2, 2)),
-                    coupling_mean=np.array([[-0.4, 0.1], [0.0, -0.3]]),
-                    diffusion=0.35, coupling=0.8)
-    pk = GaussianMixture([GaussianPacket(mean=[0.5, -0.3], num=np.eye(2),
-                                         den=np.array([[1.0, 0.2], [0.2, 1.4]]))])
+    p, pk = non_normal_2d()
     plan = plan_for(p, 0.0, 0.7, pk)
     u = evolve_analytic(pk, plan)
     op = InitialOperator(const=0.6, lin=[0.4, -0.3], grad=[0.2, 0.5])
