@@ -331,9 +331,12 @@ def task_symmetry(cfg: dict, params: ModelParams):
                              "pairwise over 3 routes")]
     rows = []
     for t in snaps:
-        plan_t = plan_for(params, s, t, initial)
-        u_t = evolve_analytic(initial, plan_t)
-        u_a = symmetry_apply_evolution(op, u_t, plan_t, moment_override=override)
+        if t == t_end:  # the conjugation route at time.end, built above
+            u_a = routes[2]
+        else:
+            plan_t = plan_for(params, s, t, initial)
+            u_t = evolve_analytic(initial, plan_t)
+            u_a = symmetry_apply_evolution(op, u_t, plan_t, moment_override=override)
         rows += _sample_rows(t, xs, u_a.eval(params, pts))
     return results, rows, {"alpha": shifts.alpha, "normalized": shifts.normalized}
 

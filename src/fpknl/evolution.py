@@ -7,29 +7,49 @@ it read-only.  Gaussian mixtures evolve in closed form; sampled densities
 go through trapezoid quadrature of the kernel.  A field and a plan of
 different dimensions raise InputError.
 
-The quadrature builds the kernel's features once and then takes one
-cache-sized block of kernel rows at a time, so it never holds an N x N
-array.  On the uniform grid the exponent is a quadratic in the input
-node's index along the last axis: with the input nodes split into runs
-y_b + m step (m = 0 .. B-1) along that axis, v = dx[-1] dd[:, -1] the
-transported step and C the exponent matrix, exactly
+The quadrature takes one cache-sized block of kernel rows at a time, so
+it never holds an N x N array.  On the uniform grid the exponent is a
+quadratic in the input node's index along every axis: with the input
+nodes split into tiles of B_0 x ... x B_{d-1} nodes y_b + sum_a m_a step_a
+around each tile's centre node y_b, m_a in [-B_a/2, B_a/2), with
+v_a = dx_a dd[:, a] the transported step along axis a and C the exponent
+matrix, exactly
 
-    e(x, y_b + m step) = e(x, y_b) - 2 m g(x) + 2 m h(b) + m^2 q,
-    g = xc . v,  h = yp_b^T C v,  q = v^T C v.
+    e(x, y_b + sum_a m_a step_a) = e(x, y_b) - 2 sum_a m_a g_a(x)
+                                   + 2 sum_a m_a h_a(b) + m^T q m,
+    g_a = xc . v_a,  h_a = yp_b^T C v_a,  q_ab = v_a^T C v_b.
 
 So a block of rows is rowsum(P o (Q @ (R o W)^T)): P = exp(e(x, y_b)) is
-exp_product over the run starts only, Q = exp(-2 m g) has one row per
-output node, R = exp(2 m h + m^2 q) one row per run start, and W holds the
-weighted samples, zero-padded to whole runs.  That is N^2 / B + N B
-exponentials and one GEMM in place of N^2 exponentials: the exact-algebra
-relative of the fast Gauss transform (Greengard & Strain, SIAM J. Sci.
-Stat. Comput. 12, 1991), with no truncated series.  B is the largest
-power of two up to RUN_MAX and the last axis' length for which
-|2 m g| + |2 m h + m^2 q| stays within TABLE_EXPONENT over all table
-entries, so neither table overflows or turns subnormal, and the entries
-that P's underflow flush drops are below tiny * e^TABLE_EXPONENT (about
-1.4e-280).  A kernel only a few grid steps wide leaves no B above 1, and
-B = 1 is the plain loop: P over every input node times W.
+exp_product over the tile centres only, Q = exp(sum_a m_a G_a(x)) has one
+row per output node, R = exp(2 sum_a m_a h_a + m^T q m) one row per tile,
+and W holds the weighted samples, zero-padded to whole tiles (so a
+partial last tile's centre may lie past the grid).  The exponent depends
+on xp - yp alone, so both are measured from the output grid's anchored
+centre, where g vanishes: G_a = -2 g_a.  With T = prod B_a nodes a tile,
+that is N^2 / T + N T exponentials and one GEMM in place of N^2, and the
+kernel features of N / T tile centres in place of N input nodes: the
+exact-algebra relative of the fast Gauss transform (Greengard & Strain,
+SIAM J. Sci. Stat. Comput. 12, 1991), with no truncated series.  The tile
+has powers of two B_a up to each axis' length, and the most nodes
+T <= RUN_MAX for which the largest |exponent| of Q plus that of R stays
+within TABLE_EXPONENT, so neither table overflows or turns subnormal, and
+the entries that P's underflow flush drops are below
+tiny * e^TABLE_EXPONENT (about 1.4e-280).  Both exponents are affine in
+the node (g in the output node, h in the tile's index), so their bounds
+come from the grids' corners, for every candidate tile at once and with
+no feature pass.  A kernel only a few grid steps wide leaves only the
+tile of one node, the plain loop: P over every input node times W.  One
+plan_for + evolve_quadrature on the quad_forward benchmark's seed-3
+inputs, one core of a Xeon with one BLAS thread, in ms: the mean over 12
+inputs a class, median of 5 runs, with the former runs along the last
+axis alone and with tiles:
+
+    grid     runs    tiles           tile
+    1201     1.34     1.20           64
+    1801     1.72     1.53           64
+    2401     2.59     1.79           64
+    31^2     1.75     1.31           (4, 4) to (8, 8)
+    45^2     3.39     1.96           (8, 4) and (8, 8)
 
 The sampled inverse holds A as the blocks of a band, each its own
 contiguous array, and every other entry is exactly 0.  At an output
@@ -117,14 +137,15 @@ residual and the factorization.
 from __future__ import annotations
 
 import functools
+from itertools import product
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import (IllPosedInverseError, InvalidCovarianceError, KernelValidityError,
                      NormalizationError, TruncationError)
-from .kernels import (KernelContext, _require_same_dim, exp_product, exponent_matrix,
-                      input_width, kernel_context, kernel_features)
+from .kernels import (KernelContext, _require_same_dim, exp_product, input_width,
+                      kernel_context, kernel_features)
 from .model import ModelParams, SampledDensity, _vector, row_blocks
 from .packets import GaussianMixture, propagate_packet
 from .variations import require_spd
@@ -189,39 +210,96 @@ def evolve_analytic(mix: GaussianMixture, plan: KernelContext,
     return propagate_packet(mix, plan)
 
 
-def _runs(plan: KernelContext, gamma: SampledDensity, pts: np.ndarray):
-    """(B, left, right, underflow, row exponents, column exponents): the
-    longest run B of input nodes along the grid's last axis, a power of two
-    up to RUN_MAX, whose offset tables keep every exponent within
-    TABLE_EXPONENT; the kernel features over all rows and the run starts
-    (the base columns, one per B nodes); -2 g(x) per row and the table
-    2 m h(b) + m^2 q over base columns b and offsets m.  B = 1 is the
-    kernel over all input nodes, without tables."""
-    left, right, underflow = kernel_features(plan, pts, pts)
-    dim, n_last = gamma.dim, gamma.values.shape[-1]
-    v = gamma.dx[-1] * plan.m.dd[:, -1]  # one step along the last axis, transported
-    cv = exponent_matrix(plan) @ v
-    g2 = -2.0 * (left[:, :dim] @ v)
-    g_most = np.abs(g2).max()
-    # right[:dim] holds -2 yp of the input nodes: 2 h = -cv . right
-    h2 = (-(cv @ right[:dim])).reshape(-1, n_last)
-    run = 1 << (min(RUN_MAX, n_last).bit_length() - 1)
-    while run > 1:
-        offsets = np.arange(run)
-        cols = np.multiply.outer(h2[:, ::run].ravel(), offsets) + offsets ** 2 * (v @ cv)
-        if (run - 1) * g_most + np.abs(cols).max() <= TABLE_EXPONENT:
-            base = right.reshape(dim + 2, -1, n_last)[:, :, ::run].reshape(dim + 2, -1)
-            return run, left, base, underflow, g2, cols
-        run //= 2
-    return 1, left, right, underflow, None, None
+@functools.lru_cache(maxsize=64)
+def _offsets(tile: tuple[int, ...]) -> np.ndarray:
+    """The (T, d) offsets m of a tile's nodes from its centre node, in C
+    order: m_a in [-B_a/2, B_a/2).  Read-only."""
+    box = np.meshgrid(*[np.arange(b) - b // 2 for b in tile], indexing="ij")
+    offsets = np.stack(box, axis=-1).reshape(-1, len(tile)).astype(float)
+    offsets.flags.writeable = False
+    return offsets
+
+
+@functools.lru_cache(maxsize=16)
+def _tilings(shape: tuple[int, ...]):
+    """The candidate tiles of a grid of this shape, for _tile: every
+    (B_0, ..., B_{d-1}) of powers of two B_a up to the axis' length with
+    T = prod B_a at most RUN_MAX.  (tiles, T, base nodes, offset corners,
+    base terms, starts): the tiles; their node counts T and base node
+    counts prod ceil(n_a / B_a); the 2^d corners m of each tile's offset
+    box, 2^d rows a tile; and as columns, the coefficients [m, m_i (2 k_j
+    + m_j)] of [2 h(0), q] in the base table's exponent at each corner k
+    (a node index) of the tile's base grid and each of its offsets m, each
+    tile's columns from its entry of starts on.  Integer data of the shape
+    alone, built once per shape and kept read-only."""
+    dim = len(shape)
+    tiles = np.array(list(product(*[1 << np.arange(min(RUN_MAX, n).bit_length())
+                                    for n in shape])))
+    tiles = tiles[tiles.prod(axis=1) <= RUN_MAX]
+    counts = -(-np.array(shape) // tiles)
+    signs = np.array(list(product((False, True), repeat=dim)))
+    offset_corners = np.where(signs, (tiles - 1 - tiles // 2)[:, None], -(tiles // 2)[:, None])
+    base_corners = np.where(signs, ((counts - 1) * tiles + tiles // 2)[:, None],
+                            (tiles // 2)[:, None])
+    terms = []
+    for tile, corners in zip(tiles, base_corners):
+        m = np.broadcast_to(_offsets(tuple(tile.tolist())), (len(corners), tile.prod(), dim))
+        square = m[..., :, None] * (2 * corners[:, None, :, None] + m[..., None, :])
+        terms.append(np.concatenate([m, square.reshape(m.shape[:2] + (-1,))], axis=-1)
+                     .reshape(-1, dim + dim * dim))
+    starts = np.cumsum([0] + [len(t) for t in terms[:-1]])
+    tables = (tiles, tiles.prod(axis=1), counts.prod(axis=1),
+              offset_corners.reshape(-1, dim), np.concatenate(terms).T.copy(), starts)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _tile(plan: KernelContext, gamma: SampledDensity, v: np.ndarray,
+          cv: np.ndarray) -> tuple[int, ...]:
+    """The tile of the factored quadrature (module docstring): among the
+    candidates of _tilings whose offset tables keep every exponent within
+    TABLE_EXPONENT, the one with the most nodes T, then the fewest base
+    nodes, then the smallest table exponent; all ones, the untiled loop,
+    where no other does.  v holds the transported grid steps v_a as
+    columns and cv is C v.
+
+    The output table's exponent m.g(x) is bilinear in the output node and
+    the offset, and the base table's m.h(b) + m^T q m is affine in the base
+    node's index (h steps by 2 q per node), so each is largest in magnitude
+    at corners: of the output grid and the offset box, and of the base grid
+    over every offset.  All candidates are checked at once, from the plan
+    and the grid alone: no kernel features."""
+    tiles, sizes, bases, offset_corners, base_terms, starts = _tilings(gamma.values.shape)
+    a2 = 2.0 * cv.T  # row a: 2 v_a^T C
+    half = 0.5 * gamma.dx * (np.array(gamma.values.shape) - 1)
+    centre = gamma.x_min + half - plan.x_end  # the output grid's anchored centre
+    # m.g(x) = m^T 2 V^T C (xp - centre) peaks at sum_a |(m^T 2 V^T C)_a| half_a
+    out_bound = np.abs(offset_corners @ (a2 * half)).sum(axis=1).reshape(len(tiles), -1)
+    h0 = ((gamma.x_min - plan.x_start) @ plan.m.dd.T - centre) @ a2.T  # 2 h at node 0
+    base = np.abs(np.concatenate([h0, (v.T @ cv).ravel()]) @ base_terms)
+    bound = out_bound.max(axis=1) + np.maximum.reduceat(base, starts)
+    best = np.lexsort((bound, bases, -sizes, bound > TABLE_EXPONENT))[0]
+    return tuple(tiles[best].tolist())
+
+
+def _tiled(values: np.ndarray, tile: tuple[int, ...]) -> np.ndarray:
+    """values zero-padded to whole tiles, as an (n_base, T) array: row b
+    holds the nodes of tile b, tiles and their nodes each in C order."""
+    counts = [-(-n // b) for n, b in zip(values.shape, tile)]
+    padded = np.zeros([x for k, b in zip(counts, tile) for x in (k, b)])
+    padded.reshape([k * b for k, b in zip(counts, tile)])[
+        tuple(slice(n) for n in values.shape)] = values
+    order = list(range(0, 2 * values.ndim, 2)) + list(range(1, 2 * values.ndim, 2))
+    return padded.transpose(order).reshape(int(np.prod(counts)), int(np.prod(tile)))
 
 
 def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDensity:
     """Trapezoid quadrature of the evolution kernel on the input grid, one
-    cache-sized row block at a time: no N x N array is held.  Along runs of
-    B nodes of the grid's last axis a block is rowsum(P o (Q @ (R o W)^T)),
-    with P the kernel over the run starts and Q, R the offset tables of the
-    module docstring; B = 1 is P @ W over every input node."""
+    cache-sized row block at a time: no N x N array is held.  Over tiles of
+    T nodes a block is rowsum(P o (Q @ (R o W)^T)), with P the kernel over
+    the tiles' centres and Q, R the offset tables of the module docstring;
+    a tile of one node is P @ W over every input node."""
     _require_same_dim(gamma, plan)
     edge = gamma.edge_max()
     if edge > EDGE_DECAY_TOL:
@@ -233,30 +311,46 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
         return gamma.copy()
     pts = gamma.points()
     weighted = gamma.weights() * gamma.values
-    run, left, right, underflow, g2, cols = _runs(plan, gamma, pts)
-    n_base = right.shape[1]
-    out = np.empty(len(pts))
-    # a block holds P, and with runs also Q and Q @ (R o W)^T
-    blocks = row_blocks(len(pts), n_base if run == 1 else 2 * n_base + run)
-    most = max(b.stop - b.start for b in blocks)
-    buf = np.empty((most, n_base))
-    if run == 1:
+    dim = gamma.dim
+    v = plan.m.dd * gamma.dx  # column a: one grid step along axis a, transported
+    cv = plan.exponent @ v
+    tile = _tile(plan, gamma, v, cv)
+    size = int(np.prod(tile))
+    # the base nodes, one at the centre of each tile: the whole grid for a
+    # tile of one node, and a partial last tile's centre may lie past it
+    counts = [-(-n // b) for n, b in zip(gamma.values.shape, tile)]
+    base = SampledDensity.grid_nodes(gamma.x_min + gamma.dx * (np.array(tile) // 2),
+                                     gamma.dx * tile, counts)
+    left, right, underflow = kernel_features(plan, pts, base)
+    if size == 1:
         weighted = weighted.ravel()
     else:
-        # R o W over the run starts and offsets, the runs zero-padded
-        n_last = gamma.values.shape[-1]
-        padded = np.pad(weighted.reshape(-1, n_last), ((0, 0), (0, -n_last % run)))
-        weighted = (np.exp(cols) * padded.reshape(cols.shape)).T
-        offsets = np.arange(run)
-        sums, tables = np.empty((most, n_base)), np.empty((most, run))
+        m = _offsets(tile).T
+        # -2 g at the output grid's centre: the features' xc is affine in
+        # the node, so there it is the mean of the first and last node's
+        mid = -(left[0, :dim] + left[-1, :dim]) @ v
+        # the output table's exponents are left @ exps: -2 xc.(V m) - mid.m
+        exps = np.vstack([-2.0 * (v @ m), np.zeros(size), -(mid @ m)])
+        # the base table's, 2 h.m + m^T q m: right[:dim] holds -2 yp of the
+        # base nodes, so 2 h = mid - (C V)^T right[:dim]
+        cols = (mid @ m + ((v.T @ cv @ m) * m).sum(axis=0)) - right[:dim].T @ (cv @ m)
+        weighted = (np.exp(cols) * _tiled(weighted, tile)).T
+    n_base = right.shape[1]
+    out = np.empty(len(pts))
+    # a block holds P, and with tiles also Q and Q @ (R o W)^T
+    blocks = row_blocks(len(pts), n_base if size == 1 else 2 * n_base + size)
+    most = max(b.stop - b.start for b in blocks)
+    buf = np.empty((most, n_base))
+    if size > 1:
+        sums, tables = np.empty((most, n_base)), np.empty((most, size))
     for rows in blocks:
-        size = rows.stop - rows.start
-        block = exp_product(left[rows], right, underflow, out=buf[:size])
-        if run == 1:
+        count = rows.stop - rows.start
+        block = exp_product(left[rows], right, underflow, out=buf[:count])
+        if size == 1:
             np.matmul(block, weighted, out=out[rows])
         else:
-            table = np.multiply.outer(g2[rows], offsets, out=tables[:size])
-            summed = np.matmul(np.exp(table, out=table), weighted, out=sums[:size])
+            table = np.matmul(left[rows], exps, out=tables[:count])
+            summed = np.matmul(np.exp(table, out=table), weighted, out=sums[:count])
             out[rows] = np.einsum("ij,ij->i", block, summed)
     return SampledDensity(gamma.x_min.copy(), gamma.dx.copy(),
                           out.reshape(gamma.values.shape))

@@ -7,7 +7,10 @@ and never uses the closed-form moment shortcut it is meant to validate.
 The solve marches the nodes of its input density, which must lie on the
 configured grid (x_min, x_max, nx, laid out by SampledDensity.on_grid,
 to 1e-12 in origin and spacing); its snapshots carry the input's origin
-and spacing.
+and spacing.  The drift couples to the grid's raw first moment, which is
+the moment per unit mass only at mass 1, so an input whose trapezoid
+mass is off 1 by more than MASS_TOL raises NormalizationError naming that
+mass rather than solve another equation.
 
 The midpoint velocity on edge j splits into the state drift
 0.25·lam·(x[j] + x[j+1]) and the spatially constant feedback 0.5·feedback·m,
@@ -25,11 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, NormalizationError
 from .model import ModelParams, SampledDensity, require_finite
 
 CFL_LIMIT = 0.25
 MASS_DRIFT_FLAG = 1e-4
+# the input's trapezoid mass must be 1 to within this
+MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,13 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
     w[[0, -1]] *= 0.5
     moment_row = np.stack([x * w, w])
     mrow = moment_row[0]
+    # the drift couples to the raw first moment, which is the moment per
+    # unit mass only at mass 1: any other mass would solve another equation
+    mass = float(w @ u)
+    if not abs(mass - 1.0) <= MASS_TOL:
+        raise NormalizationError(
+            f"initial mass {mass:.12g} is not 1 within {MASS_TOL:.0e}; the oracle "
+            "couples to the raw first moment, so it takes unit-mass densities only")
     # per-edge rows (b, a) and the feedback gain g, each scaled by the RK4
     # weight (h/6 or h/3) of the stage it serves, so a stage yields weight * du/dt
     h = cfg.dt

@@ -73,6 +73,7 @@ overflowing normalization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -108,6 +109,27 @@ class KernelContext:
     @property
     def s(self) -> float:
         return self.m.s
+
+    @functools.cached_property
+    def exponent(self) -> np.ndarray:
+        """C = -inv(spread) / (2 diffusion), the kernel's exponent xi^T C xi,
+        computed once per context and read-only.  The kernel exists forward
+        in time only: a backward move raises KernelValidityError, a move
+        shorter than DELTA_TOL DeltaLimitError, and a spread that is not
+        symmetric positive definite KernelValidityError."""
+        m = self.m
+        tau = m.t - m.s
+        if tau < 0:
+            raise KernelValidityError(f"kernel requested backward in time (t - s = {tau:.6g}); "
+                                      "kernels run forward only, inverse_evolve inverts")
+        if tau < DELTA_TOL:
+            raise DeltaLimitError(
+                f"|t - s| = {tau:.3e} below {DELTA_TOL:.0e}: kernel degenerates to a delta"
+            )
+        require_spd(m.w, "kernel spread", KernelValidityError)
+        c = -0.5 / self.params.diffusion * np.linalg.inv(0.5 * (m.w + m.w.T))
+        c.flags.writeable = False
+        return c
 
     def reversed(self) -> "KernelContext":
         """Left-inverse context from t back to s, with the anchors swapped:
@@ -161,15 +183,6 @@ def _points(x, n: int) -> np.ndarray:
     return pts if pts.ndim == 2 and pts.shape[1] == n else None
 
 
-def exponent_matrix(ctx: KernelContext) -> np.ndarray:
-    """C = -inv(spread) / (2 diffusion), the kernel's exponent xi^T C xi;
-    a spread that is not symmetric positive definite raises
-    KernelValidityError."""
-    w = ctx.m.w
-    require_spd(w, "kernel spread", KernelValidityError)
-    return -0.5 / ctx.params.diffusion * np.linalg.inv(0.5 * (w + w.T))
-
-
 def input_width(ctx: KernelContext) -> np.ndarray:
     """sigma_i, the kernel's standard deviation along axis i of the input
     variable y at a fixed output point x: y is centered on x_start +
@@ -181,15 +194,8 @@ def input_width(ctx: KernelContext) -> np.ndarray:
 
 def _frame(ctx: KernelContext, x, y):
     """(C, prefactor, anchored x rows, transported anchored y rows)."""
+    c = ctx.exponent
     m = ctx.m
-    tau = m.t - m.s
-    if tau < 0:
-        raise KernelValidityError(f"kernel requested backward in time (t - s = {tau:.6g}); "
-                                  "kernels run forward only, inverse_evolve inverts")
-    if tau < DELTA_TOL:
-        raise DeltaLimitError(
-            f"|t - s| = {tau:.3e} below {DELTA_TOL:.0e}: kernel degenerates to a delta"
-        )
     n, eps = ctx.params.dim, ctx.params.diffusion
     xs, ys = _points(x, n), _points(y, n)
     if xs is None or ys is None:
@@ -197,10 +203,9 @@ def _frame(ctx: KernelContext, x, y):
             f"kernel points must be (N, {n}) arrays or one ({n},) point in {n}D, got "
             f"x of shape {np.shape(x)} and y of shape {np.shape(y)}"
         )
-    c = exponent_matrix(ctx)
     det = np.linalg.det(m.w)  # a numpy scalar: a zero determinant gives pref inf
     pref = (2.0 * np.pi * eps) ** (-n / 2.0) * det ** -0.5
-    require_finite(KernelValidityError, f"kernel normalization at |t - s| = {tau:.6g}",
+    require_finite(KernelValidityError, f"kernel normalization at |t - s| = {m.t - m.s:.6g}",
                    det, pref)
     return c, pref, xs - ctx.x_end, (ys - ctx.x_start) @ m.dd.T
 

@@ -203,8 +203,14 @@ class SampledDensity:
 
     def points(self) -> np.ndarray:
         """All grid nodes as an (N, dim) array in C order."""
-        return np.stack([np.broadcast_to(self.coordinate(i), self.values.shape).ravel()
-                         for i in range(self.dim)], axis=-1)
+        return self.grid_nodes(self.x_min, self.dx, self.values.shape)
+
+    @staticmethod
+    def grid_nodes(x_min: np.ndarray, dx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """The nodes x_min + dx * index of the uniform grid of this shape, as
+        an (N, dim) array in C order."""
+        axes = [x0 + h * np.arange(n) for x0, h, n in zip(x_min, dx, shape)]
+        return np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
     def weights(self) -> np.ndarray:
         """Tensor trapezoid weights, shaped like the values: every integral

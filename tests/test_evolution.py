@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -771,49 +772,114 @@ def _grid_narrow():
     return gamma, plan_for(p, 0.0, 0.01, gamma)
 
 
-# grid, the run the factored loop takes along its last axis, and whether
-# some exponent of its base columns underflows
+def _grid_anisotropic():
+    # drift 3 along the first axis and 0 along the second: the kernel is
+    # about 7 grid steps wide along one and 2 along the other, so the tile
+    # is uneven and neither axis' length is a whole number of tiles
+    p = ModelParams(drift=[[3.0, 0.1], [-0.05, 0.0]], coupling_state=np.zeros((2, 2)),
+                    coupling_mean=np.array([[-0.3, 0.0], [0.0, -0.2]]),
+                    diffusion=0.4, coupling=1.0)
+    pk = GaussianPacket(mean=[0.3, -0.2], num=np.eye(2), den=np.eye(2))
+    gamma = SampledDensity.from_callable(lambda q: pk.eval(p, q), [-7.0, -7.0], [7.0, 7.0],
+                                         [45, 39])
+    return gamma, plan_for(p, 0.0, 0.6, gamma)
+
+
+def _chosen_tile(gamma, plan):
+    v = plan.m.dd * gamma.dx
+    return evolution._tile(plan, gamma, v, plan.exponent @ v)
+
+
+# grid, the tile the factored loop takes, and whether some exponent of its
+# base columns underflows
 FACTORED_CASES = {
-    "1d-1201": (lambda: _grid_forward(1201), 64, False),
-    "1d-2401": (lambda: _grid_forward(2401), 64, False),
-    "2d-31x31": (lambda: _grid_2d(31), 4, False),
-    "2d-45x45": (lambda: _grid_2d(45), 4, False),
-    "3d-25x27x29": (_grid_3d, 4, True),  # 29 nodes: the last run is padded
-    "1d-narrow": (_grid_narrow, 1, True),
-    "1d-801-wide-box": (lambda: _grid_1d(801), 16, True),
+    "1d-1201": (lambda: _grid_forward(1201), (64,), False),
+    "1d-2401": (lambda: _grid_forward(2401), (64,), False),
+    "2d-31x31": (lambda: _grid_2d(31), (4, 4), False),
+    "2d-45x45": (lambda: _grid_2d(45), (4, 8), False),
+    "2d-45x39-anisotropic": (_grid_anisotropic, (16, 4), False),
+    "3d-25x27x29": (_grid_3d, (2, 4, 2), True),
+    "1d-narrow": (_grid_narrow, (1,), True),
+    "1d-801-wide-box": (lambda: _grid_1d(801), (32,), True),
 }
 
 
 @pytest.mark.parametrize("case", list(FACTORED_CASES))
 def test_factored_quadrature_equals_the_dense_kernel(case, monkeypatch):
-    # along runs of the last axis the kernel is the base columns' kernel
-    # times two exponential tables; the sum over a run is one GEMM, and the
-    # result is the dense product up to its rounding.  Each call takes
-    # N x (n_other * ceil(n_last / B)) kernel entries from exp_product, not
-    # N^2; B = 1 is the plain blocked loop over every column
-    grid, run, underflow = FACTORED_CASES[case]
+    # over tiles of nodes the kernel is the tile centres' kernel times two
+    # exponential tables; the sum over a tile is one GEMM, and the result
+    # is the dense product up to its rounding.  Each call takes
+    # N x prod ceil(n_a / B_a) kernel entries from exp_product, not N^2; a
+    # tile of one node is the plain blocked loop over every column
+    grid, tile, underflow = FACTORED_CASES[case]
     gamma, plan = grid()
-    entries = []
+    entries, flags = [], set()
 
     def recording(*args, **kwargs):
         block = exp_product(*args, **kwargs)
         entries.append(block.size)
+        flags.add(args[2])
         return block
 
     monkeypatch.setattr(evolution, "exp_product", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = evolve_quadrature(gamma, plan).values.ravel()
-    *other, n_last = gamma.values.shape
-    assert sum(entries) == gamma.values.size * int(np.prod(other)) * -(-n_last // run)
-    chosen = evolution._runs(plan, gamma, gamma.points())
-    assert (chosen[0], chosen[3]) == (run, underflow)
+    tiles = [-(-n // b) for n, b in zip(gamma.values.shape, tile)]
+    assert sum(entries) == gamma.values.size * int(np.prod(tiles))
+    assert _chosen_tile(gamma, plan) == tile and flags == {underflow}
     # every row up to 2401 nodes; on the 3D grid every 37th row, the peak's
     # among them, so the reference kernel has 529 rows, not 19575
     rows = np.arange(0, out.size, 1 if out.size <= 2401 else 37)
     rows = np.union1d(rows, np.argmax(np.abs(out)))
     ref = _dense_quadrature(gamma, plan, rows)
     np.testing.assert_allclose(out[rows], ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+
+def _table_exponent(gamma, plan, tile):
+    """The largest |exponent| of the output table plus the largest of the
+    base table for this tile, over every output node, tile centre and
+    offset: -2 m.g(x) and 2 m.h(b) + m^T q m, with g and h taken from the
+    output grid's anchored centre."""
+    v = plan.m.dd * gamma.dx
+    cv = plan.exponent @ v
+    offsets = np.stack(np.meshgrid(*[np.arange(b) - b // 2 for b in tile], indexing="ij"),
+                       axis=-1).reshape(-1, gamma.dim)
+    xp = gamma.points() - plan.x_end
+    centre = 0.5 * (xp.min(axis=0) + xp.max(axis=0))
+    axes = [x0 + h * (b * np.arange(-(-n // b)) + b // 2)
+            for x0, h, b, n in zip(gamma.x_min, gamma.dx, tile, gamma.values.shape)]
+    ys = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    yp = (ys - plan.x_start) @ plan.m.dd.T
+    out_table = -2.0 * (xp - centre) @ cv @ offsets.T
+    base_table = (2.0 * (yp - centre) @ cv @ offsets.T
+                  + np.einsum("mi,ij,mj->m", offsets, v.T @ cv, offsets))
+    return np.abs(out_table).max() + np.abs(base_table).max()
+
+
+@pytest.mark.parametrize("case", [c for c in FACTORED_CASES if not c.startswith("3d")])
+def test_the_tile_is_the_largest_whose_tables_stay_bounded(case):
+    # every exponent of the chosen tile's tables lies within TABLE_EXPONENT,
+    # and every candidate with more nodes, or as many nodes over fewer base
+    # nodes, has one past it: the corner bounds of _tile agree with the
+    # tables over every node and offset
+    gamma, plan = FACTORED_CASES[case][0]()
+    shape = gamma.values.shape
+    chosen = _chosen_tile(gamma, plan)
+
+    def rank(tile):
+        return -int(np.prod(tile)), int(np.prod([-(-n // b) for n, b in zip(shape, tile)]))
+
+    candidates = itertools.product(*[[1 << k for k in range(min(64, n).bit_length())]
+                                     for n in shape])
+    for tile in candidates:
+        if np.prod(tile) > evolution.RUN_MAX:
+            continue
+        bounded = _table_exponent(gamma, plan, tile) <= evolution.TABLE_EXPONENT
+        if tile == chosen:
+            assert bounded
+        elif rank(tile) < rank(chosen):
+            assert not bounded, tile
 
 
 def test_unresolved_kernel_takes_no_tables_and_warns_nothing():
@@ -824,7 +890,7 @@ def test_unresolved_kernel_takes_no_tables_and_warns_nothing():
     p = params_1d()
     gamma = sampled_from(unit_packet(), p, -6.0, 6.0, 401)
     plan = plan_for(p, 0.0, 1e-3, gamma)
-    assert evolution._runs(plan, gamma, gamma.points())[0] == 1
+    assert _chosen_tile(gamma, plan) == (1,)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = evolve_quadrature(gamma, plan)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fpknl import (ConfigurationError, FDConfig, GaussianMixture,
-                   GaussianPacket, InputError, ModelParams, SampledDensity,
-                   compare, evolve_analytic, evolve_packet, fd_solve, plan_for)
+                   GaussianPacket, InputError, ModelParams, NormalizationError,
+                   SampledDensity, compare, evolve_analytic, evolve_packet, fd_solve,
+                   plan_for)
+from fpknl.checks import reference_case
 
 
 def heat_params(eps=0.5):
@@ -113,6 +115,24 @@ def test_fused_step_matches_reference_rk4(coupling_mean, coupling):
             rel=1e-14, abs=1e-15)
         assert res.masses[step] == pytest.approx(
             np.trapezoid(snap.values, dx=gamma.dx[0]), rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5, 1.0 + 2e-6])
+def test_a_density_off_unit_mass_is_refused(scale):
+    # the drift couples to the raw first moment: on the reference case at
+    # mass 2 the oracle's moment per unit mass reached 0.500 at t = 1, where
+    # the closed form's is 0.303, and nothing was raised
+    p, pk = reference_case()
+    cfg = FDConfig(x_min=-6.0, x_max=6.0, nx=601, dt=1e-3, t_end=1.0, snapshot_times=(1.0,))
+    gamma = sample(pk, p, cfg)
+    scaled = SampledDensity(gamma.x_min, gamma.dx, scale * gamma.values)
+    mass = float(np.trapezoid(scaled.values, dx=scaled.dx[0]))
+    with pytest.raises(NormalizationError, match=rf"initial mass {mass:.12g} is not 1 "):
+        fd_solve(p, scaled, cfg)
+    # at unit mass the same solve runs, and follows the closed-form moment
+    res = fd_solve(p, gamma, cfg)
+    closed = p.moment_trajectory(pk.mean, 0.0).at(1.0)[0]
+    assert abs(res.moments[-1] - closed) < 1e-3
 
 
 def test_cfl_guard():

@@ -9,6 +9,7 @@ from fpknl import (DegenerateMomentError, GaussianMixture, GaussianPacket,
                    linsym_operator, matriciant, plan_for, residual_field,
                    symmetry_apply_conclusion, symmetry_apply_evolution,
                    symmetry_apply_shift, symmetry_routes)
+from fpknl import checks
 from fpknl.checks import reference_case
 from fpknl.symmetry import InitialOperator
 
@@ -351,24 +352,13 @@ def test_conjugation_route_reuses_the_plans_matriciant(monkeypatch, override):
 # ----------------------------------------------------------------- residuals
 
 def test_transformed_field_solves_equation_at_second_order():
+    # the verify check's pipeline: the linsym image of the packet, its
+    # trajectory seeded at the image moment 0.2, sampled on [-2.5, 3] from
+    # t = 0.4 over 7 steps; dx 1e-2 and dt 1e-3, then both halved
     p = params_1d()
-    pk = unit_field()
-    op = linsym_operator(p, matriciant(p, 0.0, 0.0), pk.mean[0])
-    app = apply_initial_op(op, pk, p)
-    seed = [0.2]
-
-    def field_at(t, pts):
-        plan = plan_for(p, 0.0, float(t), app.field, moment_override=seed)
-        return evolve_analytic(app.field, plan,
-                               require_normalized=app.normalized).eval(p, pts)
-
-    def resid(nodes, dt):
-        return residual_field(p, field_at, 0.4, dt, 7, [-2.5], [3.0], [nodes],
-                              p.moment_trajectory(seed, 0.0))
-
-    # dx 1e-2 and dt 1e-3, then both halved
-    coarse = resid(551, 1e-3)
-    fine = resid(1101, 5e-4)
+    pk = unit_field().components[0]
+    coarse = checks._symmetry_residual(p, pk, 551, 1e-3)
+    fine = checks._symmetry_residual(p, pk, 1101, 5e-4)
     assert coarse[1] / fine[1] == pytest.approx(4.0, abs=1.0)
 
 
