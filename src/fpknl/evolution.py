@@ -42,14 +42,18 @@ tile of one node, the plain loop: P over every input node times W.  One
 plan_for + evolve_quadrature on the quad_forward benchmark's seed-3
 inputs, one core of a Xeon with one BLAS thread, in ms: the mean over 12
 inputs a class, median of 5 runs, with the former runs along the last
-axis alone and with tiles:
+axis alone and with tiles.  The last two columns are the fastest of 15
+passes over the same inputs, with tiles and with the grid's layout
+memoized (model.SampledDensity: nodes, weights and tile centres built
+once per layout, one weighted product per call, kernel features filled
+in place), the two alternating in one process on a busier box:
 
-    grid     runs    tiles           tile
-    1201     1.34     1.20           64
-    1801     1.72     1.53           64
-    2401     2.59     1.79           64
-    31^2     1.75     1.31           (4, 4) to (8, 8)
-    45^2     3.39     1.96           (8, 4) and (8, 8)
+    grid     runs    tiles    tiles    memo    tile
+    1201     1.34     1.20     1.02    0.82    64
+    1801     1.72     1.53     1.28    1.09    64
+    2401     2.59     1.79     1.58    1.42    64
+    31^2     1.75     1.31     1.10    0.82    (4, 4) to (8, 8)
+    45^2     3.39     1.96     1.70    1.35    (8, 4) and (8, 8)
 
 The sampled inverse holds A as the blocks of a band, each its own
 contiguous array, and every other entry is exactly 0.  At an output
@@ -137,6 +141,7 @@ residual and the factorization.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import product
 
 import numpy as np
@@ -291,7 +296,7 @@ def _tiled(values: np.ndarray, tile: tuple[int, ...]) -> np.ndarray:
     padded.reshape([k * b for k, b in zip(counts, tile)])[
         tuple(slice(n) for n in values.shape)] = values
     order = list(range(0, 2 * values.ndim, 2)) + list(range(1, 2 * values.ndim, 2))
-    return padded.transpose(order).reshape(int(np.prod(counts)), int(np.prod(tile)))
+    return padded.transpose(order).reshape(math.prod(counts), math.prod(tile))
 
 
 def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDensity:
@@ -306,16 +311,16 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
         raise TruncationError(
             f"input does not decay at the grid edges (max edge value {edge:.3e})"
         )
-    _check_mass(gamma.total_mass(), MASS_TOL_QUADRATURE)
+    weighted = gamma.weights() * gamma.values  # the samples' one weighted product
+    _check_mass(float(weighted.sum()), MASS_TOL_QUADRATURE)
     if plan.t == plan.s:
         return gamma.copy()
     pts = gamma.points()
-    weighted = gamma.weights() * gamma.values
     dim = gamma.dim
     v = plan.m.dd * gamma.dx  # column a: one grid step along axis a, transported
     cv = plan.exponent @ v
     tile = _tile(plan, gamma, v, cv)
-    size = int(np.prod(tile))
+    size = math.prod(tile)
     # the base nodes, one at the centre of each tile: the whole grid for a
     # tile of one node, and a partial last tile's centre may lie past it
     counts = [-(-n // b) for n, b in zip(gamma.values.shape, tile)]
@@ -334,7 +339,7 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
         # the base table's, 2 h.m + m^T q m: right[:dim] holds -2 yp of the
         # base nodes, so 2 h = mid - (C V)^T right[:dim]
         cols = (mid @ m + ((v.T @ cv @ m) * m).sum(axis=0)) - right[:dim].T @ (cv @ m)
-        weighted = (np.exp(cols) * _tiled(weighted, tile)).T
+        weighted = np.multiply(np.exp(cols, out=cols), _tiled(weighted, tile), out=cols).T
     n_base = right.shape[1]
     out = np.empty(len(pts))
     # a block holds P, and with tiles also Q and Q @ (R o W)^T
@@ -351,7 +356,7 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
         else:
             table = np.matmul(left[rows], exps, out=tables[:count])
             summed = np.matmul(np.exp(table, out=table), weighted, out=sums[:count])
-            out[rows] = np.einsum("ij,ij->i", block, summed)
+            np.einsum("ij,ij->i", block, summed, out=out[rows])
     return SampledDensity(gamma.x_min.copy(), gamma.dx.copy(),
                           out.reshape(gamma.values.shape))
 
@@ -369,8 +374,8 @@ def _band(gamma: SampledDensity, plan: KernelContext) -> list[tuple[slice, slice
     n, n0 = gamma.values.size, gamma.values.shape[0]
     with np.errstate(over="ignore"):  # dd^-2 overflows to an infinite sigma_0
         try:
-            back = plan.reversed()  # dd^-1, with the anchors swapped
-            sigma, why = float(input_width(plan)[0]), ""
+            back = plan.reversed()  # dd^-1, with the anchors swapped, kept on the plan
+            sigma, why = float(input_width(plan)[0]), ""  # reads that same context
         except np.linalg.LinAlgError:  # singular dd: the kernel is flat in y
             sigma, why = np.inf, " (dd is singular)"
     span = (n0 - 1) * float(gamma.dx[0])

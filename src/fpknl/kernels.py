@@ -30,12 +30,13 @@ rows of the kernel, and any column slice of its right factor those
 columns, so a consumer takes one cache-sized block of rows at a time
 (``model.row_blocks``) through the product, the in-place exp and its own
 use of the block while the block stays in cache.  The quadrature operator
-takes only the columns that start runs along the grid's last axis and
-moves them to the other nodes by two exponential tables (evolution
-module), so it never holds the N x N matrix; the sampled inverse holds
-the band of it where the kernel is above e^-40 of its peak as separate
-blocks (``input_width``, the kernel's standard deviation in y per axis,
-sets that band), and ``kernel_matrix`` is the single block of all rows.
+takes only the columns of the nodes at the centres of tiles that split
+the grid along every axis, and moves them to each tile's other nodes by
+two exponential tables (evolution module), so it never holds the N x N
+matrix; the sampled inverse holds the band of it where the kernel is
+above e^-40 of its peak as separate blocks (``input_width``, the
+kernel's standard deviation in y per axis, sets that band), and
+``kernel_matrix`` is the single block of all rows.
 That product and its exponential are ``exp_product``, the one Gaussian
 evaluator: mixture evaluation (packets module) calls it too, with the
 quadratic features of its points on one side and each component's
@@ -76,11 +77,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import product
+from operator import sub
 
 import numpy as np
 
 from .errors import DeltaLimitError, InputError, KernelValidityError
-from .model import ModelParams, _vector, require_finite
+from .model import ModelParams, MomentTrajectory, _vector, require_finite
 from .variations import Matriciant, matriciant, require_spd
 
 DELTA_TOL = 1e-9
@@ -135,7 +137,13 @@ class KernelContext:
         """Left-inverse context from t back to s, with the anchors swapped:
         the inverse of dd and the spread -inv(dd) w inv(dd)^T that takes
         off exactly what the forward w added (recomputed from inverted
-        blocks, a covariance roundtrip lost 2.2e-11, not 2.8e-14, at drift 2)."""
+        blocks, a covariance roundtrip lost 2.2e-11, not 2.8e-14, at drift 2).
+        Built once per context and kept, as exponent is; a singular dd
+        raises LinAlgError on every call."""
+        return self._reversed
+
+    @functools.cached_property
+    def _reversed(self) -> "KernelContext":
         m = self.m
         dd = np.linalg.inv(m.dd)
         back = Matriciant(t=m.s, s=m.t, dd=dd, w=-dd @ m.w @ dd.T)
@@ -146,7 +154,7 @@ class KernelContext:
         through x_start at s; an end anchor that overflows double precision
         raises KernelValidityError."""
         x_start = _vector(x_start, self.params.dim, "x_start")
-        x_end = self.params.moment_trajectory(x_start, self.s).at(self.t)
+        x_end = MomentTrajectory(self.s, x_start, self.params.moment_rate).at(self.t)
         if not np.isfinite(x_end).all():
             raise KernelValidityError(
                 f"moment-frame anchor is not finite at |t - s| = {abs(self.t - self.s):.6g}: "
@@ -233,15 +241,20 @@ def kernel_features(ctx: KernelContext, xs, ys) -> tuple[np.ndarray, np.ndarray,
     n = xp.shape[1]
     if not (len(xp) and len(yp)):
         return np.zeros((len(xp), n + 2)), np.zeros((n + 2, len(yp))), False
-    center = 0.5 * (xp.mean(axis=0) + yp.mean(axis=0))
+    # the row means, as np.mean takes them, with none of its wrapper's cost
+    center = 0.5 * (np.add.reduce(xp) / len(xp) + np.add.reduce(yp) / len(yp))
     xp -= center
     yp -= center
-    xc = xp @ c
     log_pref = np.log(pref)
-    left = np.column_stack([xc, np.einsum("ij,ij->i", xc, xp) + log_pref,
-                            np.ones(len(xp))])
-    right = np.column_stack([-2.0 * yp, np.ones(len(yp)),
-                             np.einsum("ij,ij->i", yp @ c, yp)])
+    # both factors are filled in place; right is built row-major and handed
+    # back transposed, so a column slice of it is one contiguous block
+    left, right = np.empty((len(xp), n + 2)), np.empty((len(yp), n + 2))
+    xc = np.matmul(xp, c, out=left[:, :n])
+    np.einsum("ij,ij->i", xc, xp, out=left[:, n])
+    left[:, n] += log_pref
+    left[:, n + 1] = right[:, n] = 1.0
+    np.multiply(yp, -2.0, out=right[:, :n])
+    np.einsum("ij,ij->i", yp @ c, yp, out=right[:, n + 1])
     return left, right.T, _lowest_exponent(c, log_pref, xp, yp) < LOG_TINY
 
 
@@ -261,11 +274,11 @@ def _lowest_exponent(c: np.ndarray, log_pref: float, xp: np.ndarray,
     # numpy reduces a few long contiguous rows about ten times faster than
     # many short ones along axis 0
     xt, yt = np.ascontiguousarray(xp.T), np.ascontiguousarray(yp.T)
-    lo = xt.min(axis=1) - yt.max(axis=1)
-    hi = xt.max(axis=1) - yt.min(axis=1)
-    corners = np.array(list(product(*zip(lo, hi))))
+    x_lo, x_hi, y_lo, y_hi = (f(p, 1).tolist() for p in (xt, yt) for f in (np.amin, np.amax))
+    corners = np.array(list(product(*zip(map(sub, x_lo, y_hi), map(sub, x_hi, y_lo)))))
     lowest = np.einsum("ij,jk,ik->i", corners, c, corners).min() + log_pref
-    reach = np.abs(xt).max() + np.abs(yt).max()
+    # each set's largest |coordinate| is one of its per-axis extremes
+    reach = max(map(abs, x_lo + x_hi)) + max(map(abs, y_lo + y_hi))
     size = np.abs(c).sum() * reach ** 2 + abs(log_pref)
     return float(lowest - ROUNDING_ALLOWANCE * size)
 

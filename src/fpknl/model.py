@@ -9,6 +9,7 @@ closed form before the density is.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,6 +159,32 @@ class MomentTrajectory:
             return expm(tau[..., None, None] * self.rate) @ self.x0
 
 
+def _layout(x_min, dx, shape) -> tuple[np.ndarray, ...]:
+    """What a uniform grid's layout alone fixes, built once per (x_min, dx,
+    shape) and kept read-only: the (N, dim) nodes in C order, the tensor
+    trapezoid weights shaped like the grid, and the flat indices of the
+    nodes on its boundary faces.  Nothing here depends on sample values."""
+    return _built_layout(tuple(np.asarray(x_min, dtype=float).tolist()),
+                         tuple(np.asarray(dx, dtype=float).tolist()), tuple(map(int, shape)))
+
+
+@functools.lru_cache(maxsize=32)  # a few KB to a few MB each
+def _built_layout(x_min: tuple, dx: tuple, shape: tuple) -> tuple[np.ndarray, ...]:
+    axes = [x0 + h * np.arange(n) for x0, h, n in zip(x_min, dx, shape)]
+    nodes = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    weights = np.ones(())
+    for h, n in zip(dx, shape):
+        w = np.full(n, h)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        weights = np.multiply.outer(weights, w)
+    faces = np.flatnonzero(np.any([(i == 0) | (i == n - 1)
+                                   for i, n in zip(np.indices(shape), shape)], axis=0))
+    for table in (nodes, weights, faces):
+        table.flags.writeable = False
+    return nodes, weights, faces
+
+
 @dataclass
 class SampledDensity:
     """Field sampled on a uniform tensor grid.
@@ -166,8 +193,10 @@ class SampledDensity:
     ``x_min[i] + dx[i] * arange(values.shape[i])``.  This class is the one
     place that lays out grid nodes (``coordinate``, ``points``) and the
     trapezoid rule (``weights``); mass, moment and kernel quadrature all
-    use them.  Mass is always the trapezoid integral of the stored values,
-    never assumed to be 1.
+    use them.  ``points`` and ``weights`` depend on the layout alone, so
+    they come read-only from a small memo, built once per layout.  Mass
+    is always the trapezoid integral of the stored values, never assumed
+    to be 1.
     """
 
     x_min: np.ndarray
@@ -202,44 +231,34 @@ class SampledDensity:
         return (self.x_min[i] + self.dx[i] * np.arange(shape[i])).reshape(shape)
 
     def points(self) -> np.ndarray:
-        """All grid nodes as an (N, dim) array in C order."""
+        """All grid nodes as an (N, dim) array in C order, read-only."""
         return self.grid_nodes(self.x_min, self.dx, self.values.shape)
 
     @staticmethod
     def grid_nodes(x_min: np.ndarray, dx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         """The nodes x_min + dx * index of the uniform grid of this shape, as
-        an (N, dim) array in C order."""
-        axes = [x0 + h * np.arange(n) for x0, h, n in zip(x_min, dx, shape)]
-        return np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        a read-only (N, dim) array in C order."""
+        return _layout(x_min, dx, shape)[0]
 
     def weights(self) -> np.ndarray:
-        """Tensor trapezoid weights, shaped like the values: every integral
-        over the grid is the sum of weights times integrand."""
-        out = np.ones(())
-        for i in range(self.dim):
-            w = np.full(self.values.shape[i], self.dx[i])
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            out = np.multiply.outer(out, w)
-        return out
+        """Tensor trapezoid weights, shaped like the values and read-only:
+        every integral over the grid is the sum of weights times integrand."""
+        return _layout(self.x_min, self.dx, self.values.shape)[1]
 
     def total_mass(self) -> float:
-        return float(np.sum(self.weights() * self.values))
+        return float((self.weights() * self.values).sum())
 
     def first_moment(self, normalized: bool = False) -> np.ndarray:
-        """Trapezoid integral of x times the samples, raw or per unit mass."""
+        """Trapezoid integral of x times the samples, raw or per unit mass;
+        the mass comes from the same weighted samples."""
         wv = self.weights() * self.values
-        moment = np.array([np.sum(wv * self.coordinate(i)) for i in range(self.dim)])
-        return normalize_moment(moment, self.total_mass()) if normalized else moment
+        moment = np.array([(wv * self.coordinate(i)).sum() for i in range(self.dim)])
+        return normalize_moment(moment, float(wv.sum())) if normalized else moment
 
     def edge_max(self) -> float:
         """Largest absolute value on any boundary face of the grid."""
-        worst = 0.0
-        for ax in range(self.dim):
-            worst = max(worst,
-                        float(np.max(np.abs(np.take(self.values, 0, axis=ax)))),
-                        float(np.max(np.abs(np.take(self.values, -1, axis=ax)))))
-        return worst
+        faces = _layout(self.x_min, self.dx, self.values.shape)[2]
+        return float(np.abs(self.values.take(faces)).max(initial=0.0))
 
     def scaled(self, factor: float) -> "SampledDensity":
         return SampledDensity(self.x_min.copy(), self.dx.copy(), self.values * float(factor))

@@ -17,6 +17,7 @@ from fpknl import (GaussianMixture, GaussianPacket,
                    plan_for)
 from fpknl.checks import reference_case
 from fpknl.kernels import exp_product
+from fpknl.variations import Matriciant
 
 
 def params_1d(lam=1.0, eps=0.1, feedback=-0.5, kappa=1.0):
@@ -246,6 +247,42 @@ def test_truncation_guard():
     gamma = sampled_from(unit_packet(), p, -1.0, 1.5, 301)  # fat edges
     with pytest.raises(TruncationError):
         evolve_quadrature(gamma, plan_for(p, 0.0, 0.5, gamma))
+
+
+def test_quadrature_checks_keep_their_order_and_messages(monkeypatch):
+    # one weighted product serves the mass test, and the edge test still
+    # comes first; neither reads total_mass
+    p = params_1d()
+    fat = sampled_from(unit_packet(), p, -1.0, 1.5, 301)
+    plan = plan_for(p, 0.0, 0.5, fat)
+    monkeypatch.setattr(SampledDensity, "total_mass", None)
+    with pytest.raises(TruncationError, match=r"max edge value 2\.550e-02"):
+        evolve_quadrature(fat.scaled(3.0), plan)  # off in mass and at the edges
+    heavy = sampled_from(unit_packet(), p).scaled(1.5)
+    mass = float(np.sum(heavy.weights() * heavy.values))
+    with pytest.raises(NormalizationError, match=rf"input mass {mass:.12g} is not 1 within "
+                                                 r"1e-06"):
+        evolve_quadrature(heavy, plan)
+    gamma = sampled_from(unit_packet(), p)
+    same = evolve_quadrature(gamma, plan_for(p, 0.5, 0.5, gamma))
+    assert same is not gamma and same.values is not gamma.values
+    np.testing.assert_array_equal(same.values, gamma.values)
+
+
+def test_a_sampled_inverse_inverts_dd_once(monkeypatch):
+    # the band reads the reversed context twice, for its centres and for
+    # input_width; the plan keeps it, as it keeps its exponent matrix
+    gamma, plan = _grid_1d(401)
+    u = evolve_quadrature(gamma, plan)
+    expected = inverse_evolve(u, plan)
+    built = []
+    monkeypatch.setattr(kernels, "Matriciant",
+                        lambda **blocks: built.append(blocks) or Matriciant(**blocks))
+    _, fresh = _grid_1d(401)  # the same move, in a context of its own
+    back = inverse_evolve(u, fresh)
+    assert len(built) == 1
+    assert fresh.reversed() is fresh.reversed() and len(built) == 1
+    np.testing.assert_array_equal(back.values, expected.values)
 
 
 # ------------------------------------------------------------------- inverse

@@ -217,3 +217,68 @@ def test_grid_nodes_and_weights_agree_with_nested_trapezoid():
     np.testing.assert_allclose(d.first_moment(),
                                [nested(d.values * x), nested(d.values * y)],
                                rtol=1e-12, atol=1e-15)
+
+
+def _fresh_layout(x_min, dx, shape):
+    """Nodes and trapezoid weights built from scratch, as the layout memo
+    must reproduce them bit for bit."""
+    axes = [x0 + h * np.arange(n) for x0, h, n in zip(x_min, dx, shape)]
+    nodes = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    weights = np.ones(())
+    for h, n in zip(dx, shape):
+        w = np.full(n, h)
+        w[[0, -1]] *= 0.5
+        weights = np.multiply.outer(weights, w)
+    return nodes, weights
+
+
+@pytest.mark.parametrize("x_min, dx, shape", [
+    ([-6.0], [0.01], (1201,)),
+    ([-4.75, -3.0], [9.5 / 30, 0.2], (31, 17)),
+    ([-7.0, -7.0, -7.0], [14 / 24, 14 / 26, 0.5], (25, 27, 29)),
+])
+def test_layout_memo_is_read_only_and_bit_equal_to_a_fresh_build(x_min, dx, shape):
+    d = SampledDensity(x_min, dx, np.zeros(shape))
+    nodes, weights = _fresh_layout(d.x_min, d.dx, shape)
+    assert d.points().tobytes() == nodes.tobytes() and d.points().shape == nodes.shape
+    assert d.weights().tobytes() == weights.tobytes() and d.weights().shape == shape
+    assert SampledDensity.grid_nodes(d.x_min, d.dx, shape) is d.points()
+    assert d.copy().weights() is d.weights()  # one memo entry per layout
+    for table in (d.points(), d.weights()):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1.0
+
+
+@pytest.mark.parametrize("field", ["x_min", "dx"])
+def test_layouts_one_ulp_apart_get_their_own_arrays(field):
+    d = SampledDensity([-3.0, 1.0], [0.1, 0.3], np.zeros((41, 9)))
+    e = d.copy()
+    moved = getattr(e, field)
+    moved[1] = np.nextafter(moved[1], np.inf)
+    assert e.points() is not d.points()
+    for g in (d, e):
+        nodes, weights = _fresh_layout(g.x_min, g.dx, g.values.shape)
+        assert g.points().tobytes() == nodes.tobytes()
+        assert g.weights().tobytes() == weights.tobytes()
+    assert not np.array_equal(e.points()[:, 1], d.points()[:, 1])
+    if field == "dx":
+        assert not np.array_equal(e.weights(), d.weights())
+
+
+def test_values_overwritten_in_place_give_the_new_mass_moment_and_edge():
+    # the memo holds the layout alone: nothing read from the samples is kept
+    d = SampledDensity.from_callable(lambda p: np.exp(-0.5 * (p[:, 0] - 0.5) ** 2)
+                                     / np.sqrt(2 * np.pi), [-8.0], [9.0], [341])
+    assert d.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert d.first_moment(normalized=True) == pytest.approx([0.5], abs=1e-12)
+    assert d.edge_max() < 1e-12
+    d.values *= 3.0
+    d.values[-1] = 0.25
+    x = d.coordinate(0)
+    w = np.full(341, d.dx[0])
+    w[[0, -1]] *= 0.5
+    assert d.total_mass() == np.sum(w * d.values)
+    np.testing.assert_array_equal(d.first_moment(), [np.sum(w * d.values * x)])
+    assert d.first_moment(normalized=True) == pytest.approx([np.sum(w * d.values * x)
+                                                             / np.sum(w * d.values)], rel=1e-15)
+    assert d.edge_max() == 0.25
