@@ -6,7 +6,7 @@ from .errors import (ConfigurationError, DegenerateMomentError, DeltaLimitError,
                      NormalizationError, TruncationError)
 from .evolution import evolve_analytic, evolve_quadrature, inverse_evolve, plan_for
 from .fdsolver import FDConfig, FDResult, compare, fd_solve
-from .kernels import KernelContext, kernel, kernel_context, kernel_matrix
+from .kernels import KernelContext, kernel_context, kernel_matrix
 from .model import ModelParams, MomentTrajectory, SampledDensity
 from .packets import GaussianMixture, GaussianPacket, evolve_packet, propagate_packet
 from .symmetry import (InitialOperator, OperatorApplication, SymmetryShifts,

@@ -326,7 +326,7 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
     counts = [-(-n // b) for n, b in zip(gamma.values.shape, tile)]
     base = SampledDensity.grid_nodes(gamma.x_min + gamma.dx * (np.array(tile) // 2),
                                      gamma.dx * tile, counts)
-    left, right, underflow = kernel_features(plan, pts, base)
+    left, right = kernel_features(plan, pts, base)
     if size == 1:
         weighted = weighted.ravel()
     else:
@@ -350,7 +350,7 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
         sums, tables = np.empty((most, n_base)), np.empty((most, size))
     for rows in blocks:
         count = rows.stop - rows.start
-        block = exp_product(left[rows], right, underflow, out=buf[:count])
+        block = exp_product(left[rows], right, out=buf[:count])
         if size == 1:
             np.matmul(block, weighted, out=out[rows])
         else:
@@ -407,11 +407,11 @@ def forward_quadrature_matrix(gamma: SampledDensity, plan: KernelContext):
     assembles the N x N matrix."""
     pts = gamma.points()
     w = gamma.weights().ravel()
-    left, right, underflow = kernel_features(plan, pts, pts)
+    left, right = kernel_features(plan, pts, pts)
     tiny = np.finfo(float).tiny
     blocks = []
     for rows, cols in _band(gamma, plan):
-        block = exp_product(left[rows], right[:, cols], underflow)
+        block = exp_product(left[rows], right[:, cols])
         block *= w[cols]
         # exp_product returns no subnormal, but a weight can push a normal
         # entry below the smallest normal double; subnormals halve the
@@ -548,8 +548,8 @@ def _sketch_solve(blocks, rhs: np.ndarray, rcond: float):
             # inverse is qb w s^-1 u^T = B^T u s^-2 u^T: rb is all it takes
             bt = _band_product(blocks, q, transpose=True)
             # bt is kept for the solution: LAPACK factors a column-major copy
-            rb = lapack.dgeqrt(QR_BLOCK, np.asfortranarray(bt), overwrite_a=True)[0]
-            _, s, ut = np.linalg.svd(np.triu(rb[:k]))
+            _, _, rb = _householder(np.asfortranarray(bt))
+            _, s, ut = np.linalg.svd(rb)
             cutoff = rcond * s[0]
             keep = s > cutoff
             x = bt @ (ut[keep].T @ ((ut[keep] @ (q.T @ rhs)) / s[keep] ** 2))

@@ -16,20 +16,19 @@ exponent and an integral against it diverges for every forward image,
 so the sampled inverse solves the forward quadrature instead.
 
 With xi = xp - yp (the anchored x and the transported anchored y) and
-C = -inv(spread) / (2 diffusion), the exponent is xi^T C xi.  Paired
-points evaluate that directly.  Over a product of points the exponent is
-expanded into row norms and one matrix product,
+C = -inv(spread) / (2 diffusion), the exponent is xi^T C xi.  Over a
+product of points it is expanded into row norms and one matrix product,
 
     xp^T C xp + yp^T C yp - 2 (xp C) yp^T,
 
 with the row norms and the log prefactor carried as two extra columns of
 that same product.  ``kernel_features`` builds those features once per
-call: it checks the context, centers both point sets and decides whether
-any exponent may underflow.  Any row slice of its left factor gives those
-rows of the kernel, and any column slice of its right factor those
-columns, so a consumer takes one cache-sized block of rows at a time
-(``model.row_blocks``) through the product, the in-place exp and its own
-use of the block while the block stays in cache.  The quadrature operator
+call: it checks the context and both point sets and centers them.  Any
+row slice of its left factor gives those rows of the kernel, and any
+column slice of its right factor those columns, so a consumer takes one
+cache-sized block of rows at a time (``model.row_blocks``) through the
+product, the in-place exp and its own use of the block while the block
+stays in cache.  The quadrature operator
 takes only the columns of the nodes at the centres of tiles that split
 the grid along every axis, and moves them to each tile's other nodes by
 two exponential tables (evolution module), so it never holds the N x N
@@ -52,18 +51,15 @@ Points are (N, dim) arrays, or one (dim,) point; any other shape raises
 InputError rather than being re-read as points of another dimension.  An
 empty point set gives an empty kernel.
 
-Kernel matrix entries below the smallest normal double are zero, never
-subnormal.  numpy's exp (2.4.6, one core of a Xeon) takes about 1.2 ns
-per entry whose result is a normal double, 18 ns per entry that
-underflows to zero and 125-135 ns per subnormal result, and the wide
-grids of the sampled inverse put about 8% of their entries there.  So
-kernel_features bounds the lowest exponent over all pairs from the
-corners of the box that the point differences fill (the exponent is
-concave in the difference), and only when that bound lies below LOG_TINY
-does exp_product look for exponents under LOG_TINY, block by block: a
-block that holds some has them zeroed before the exp and again after it.
-Every other block, mixture evaluation included, takes the single
-in-place exp.
+Entries below the smallest normal double are zero, never subnormal, in
+kernels and mixtures alike.  numpy's exp (2.4.6, one core of a Xeon)
+takes about 1.2 ns per entry whose result is a normal double, 18 ns per
+entry that underflows to zero and 125-135 ns per subnormal result, and
+the wide grids of the sampled inverse put about 8% of their entries
+there.  So exp_product reads each block's own minimum exponent: a block
+whose minimum lies below LOG_TINY has the exponents under LOG_TINY zeroed
+before the exp, which keeps them off numpy's slow path, and again after
+it; every other block takes the single in-place exp.
 
 A matriciant (dd, w) stays bounded at every horizon for a stable drift; a
 mode growing along the move (unstable forward, stable backward) overflows
@@ -76,8 +72,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product
-from operator import sub
 
 import numpy as np
 
@@ -88,8 +82,6 @@ from .variations import Matriciant, matriciant, require_spd
 DELTA_TOL = 1e-9
 # exponents below log(smallest normal double) give subnormals or zero
 LOG_TINY = float(np.log(np.finfo(float).tiny))
-# relative rounding of the feature product, against its largest terms
-ROUNDING_ALLOWANCE = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -200,62 +192,42 @@ def input_width(ctx: KernelContext) -> np.ndarray:
     return np.sqrt(-ctx.params.diffusion * np.diagonal(ctx.reversed().m.w))
 
 
-def _frame(ctx: KernelContext, x, y):
-    """(C, prefactor, anchored x rows, transported anchored y rows)."""
+def kernel_features(ctx: KernelContext, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) with ``exp_product(left, right)`` the kernel over the
+    product of output points xs and input points ys: the centered features
+    [xc, xp^T C xp + log pref, 1] of the xs rows and [-2 yp, 1, yp^T C yp]
+    of the ys columns, with xp the anchored xs and yp the transported
+    anchored ys.  Any row slice of left gives those rows of the kernel."""
     c = ctx.exponent
     m = ctx.m
     n, eps = ctx.params.dim, ctx.params.diffusion
-    xs, ys = _points(x, n), _points(y, n)
-    if xs is None or ys is None:
+    x, y = _points(xs, n), _points(ys, n)
+    if x is None or y is None:
         raise InputError(
             f"kernel points must be (N, {n}) arrays or one ({n},) point in {n}D, got "
-            f"x of shape {np.shape(x)} and y of shape {np.shape(y)}"
+            f"x of shape {np.shape(xs)} and y of shape {np.shape(ys)}"
         )
     det = np.linalg.det(m.w)  # a numpy scalar: a zero determinant gives pref inf
     pref = (2.0 * np.pi * eps) ** (-n / 2.0) * det ** -0.5
     require_finite(KernelValidityError, f"kernel normalization at |t - s| = {m.t - m.s:.6g}",
                    det, pref)
-    return c, pref, xs - ctx.x_end, (ys - ctx.x_start) @ m.dd.T
-
-
-def kernel(ctx: KernelContext, x, y) -> np.ndarray | float:
-    """Kernel at paired points: row i of x with row i of y, a single row
-    broadcasting; a single value comes back as a float."""
-    c, pref, xp, yp = _frame(ctx, x, y)
-    if len(xp) != len(yp) and 1 not in (len(xp), len(yp)):
-        raise InputError(f"paired kernel points differ in number: {len(xp)} x "
-                         f"against {len(yp)} y rows")
-    xi = xp - yp
-    vals = pref * np.exp(np.einsum("...j,jk,...k->...", xi, c, xi))
-    return float(vals[0]) if vals.size == 1 else vals
-
-
-def kernel_features(ctx: KernelContext, xs, ys) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(left, right, underflow) with ``exp_product(left, right, underflow)``
-    the kernel over the product of output points xs and input points ys:
-    the centered features [xc, xp^T C xp + log pref, 1] of the xs rows and
-    [-2 yp, 1, yp^T C yp] of the ys columns, and whether some exponent may
-    lie below LOG_TINY.  Any row slice of left gives those rows of the
-    kernel."""
-    c, pref, xp, yp = _frame(ctx, xs, ys)
-    n = xp.shape[1]
+    xp, yp = x - ctx.x_end, (y - ctx.x_start) @ m.dd.T
     if not (len(xp) and len(yp)):
-        return np.zeros((len(xp), n + 2)), np.zeros((n + 2, len(yp))), False
+        return np.zeros((len(xp), n + 2)), np.zeros((n + 2, len(yp)))
     # the row means, as np.mean takes them, with none of its wrapper's cost
     center = 0.5 * (np.add.reduce(xp) / len(xp) + np.add.reduce(yp) / len(yp))
     xp -= center
     yp -= center
-    log_pref = np.log(pref)
     # both factors are filled in place; right is built row-major and handed
     # back transposed, so a column slice of it is one contiguous block
     left, right = np.empty((len(xp), n + 2)), np.empty((len(yp), n + 2))
     xc = np.matmul(xp, c, out=left[:, :n])
     np.einsum("ij,ij->i", xc, xp, out=left[:, n])
-    left[:, n] += log_pref
+    left[:, n] += np.log(pref)
     left[:, n + 1] = right[:, n] = 1.0
     np.multiply(yp, -2.0, out=right[:, :n])
     np.einsum("ij,ij->i", yp @ c, yp, out=right[:, n + 1])
-    return left, right.T, _lowest_exponent(c, log_pref, xp, yp) < LOG_TINY
+    return left, right.T
 
 
 def kernel_matrix(ctx: KernelContext, xs, ys) -> np.ndarray:
@@ -264,26 +236,7 @@ def kernel_matrix(ctx: KernelContext, xs, ys) -> np.ndarray:
     return exp_product(*kernel_features(ctx, xs, ys))
 
 
-def _lowest_exponent(c: np.ndarray, log_pref: float, xp: np.ndarray,
-                     yp: np.ndarray) -> float:
-    """A lower bound on the exponent (xp - yp)^T C (xp - yp) + log pref over
-    every row pair, as the product of features rounds it.  The differences
-    fill a box, and the exponent is concave in the difference, so it is
-    lowest at one of the box's 2^n corners; the rounding of the product is
-    bounded by the magnitudes of its terms."""
-    # numpy reduces a few long contiguous rows about ten times faster than
-    # many short ones along axis 0
-    xt, yt = np.ascontiguousarray(xp.T), np.ascontiguousarray(yp.T)
-    x_lo, x_hi, y_lo, y_hi = (f(p, 1).tolist() for p in (xt, yt) for f in (np.amin, np.amax))
-    corners = np.array(list(product(*zip(map(sub, x_lo, y_hi), map(sub, x_hi, y_lo)))))
-    lowest = np.einsum("ij,jk,ik->i", corners, c, corners).min() + log_pref
-    # each set's largest |coordinate| is one of its per-axis extremes
-    reach = max(map(abs, x_lo + x_hi)) + max(map(abs, y_lo + y_hi))
-    size = np.abs(c).sum() * reach ** 2 + abs(log_pref)
-    return float(lowest - ROUNDING_ALLOWANCE * size)
-
-
-def exp_product(left: np.ndarray, right: np.ndarray, underflow: bool = False,
+def exp_product(left: np.ndarray, right: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
     """exp(left @ right): the one Gaussian evaluator.  One factor holds the
     quadratic features of the points, the other the coefficients of the
@@ -291,12 +244,11 @@ def exp_product(left: np.ndarray, right: np.ndarray, underflow: bool = False,
     exponentiated in place, in ``out`` when given, leaving it the only
     large array.
 
-    With ``underflow`` (some exponent may lie below LOG_TINY) the entries
-    below LOG_TINY come back as zero: where the block holds any, they are
-    zeroed before the exp, which keeps them off numpy's slow path, and
-    again after it."""
+    Entries whose exponent lies below LOG_TINY come back as zero: where
+    the block's minimum lies below it, they are zeroed before the exp,
+    which keeps them off numpy's slow path, and again after it."""
     block = np.matmul(left, right, out=out)
-    if not (underflow and block.min() < LOG_TINY):
+    if not block.min(initial=0.0) < LOG_TINY:
         return np.exp(block, out=block)
     keep = block >= LOG_TINY
     block *= keep

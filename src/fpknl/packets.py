@@ -32,7 +32,8 @@ changes no bit.  Points are those of kernels, or in 1D a flat (N,) grid;
 a non-finite point raises InputError.  A point whose offset from a
 center is so large that its square would overflow is clipped to a
 distance where every component is still 0 in double precision, so far
-points evaluate to 0 with no overflow.
+points evaluate to 0 with no overflow; an exponent below log of the
+smallest normal double gives 0 as well, never a subnormal.
 """
 
 from __future__ import annotations

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from fpknl.checks import fd_vs_analytic, reference_case
+
+# every run draws the same examples, and no failure stored by an earlier
+# run is replayed: a property test passes or fails on its fixed draws
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 
 @pytest.fixture(scope="session")

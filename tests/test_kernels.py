@@ -5,7 +5,7 @@ import pytest
 
 from fpknl import (DeltaLimitError, GaussianMixture, GaussianPacket, InputError,
                    KernelContext, KernelValidityError,
-                   Matriciant, ModelParams, evolve_packet, kernel, kernel_context,
+                   Matriciant, ModelParams, evolve_packet, kernel_context,
                    kernel_matrix, plan_for)
 from fpknl import kernels
 
@@ -17,9 +17,22 @@ def params_1d(lam=0.0, eps=1.0, feedback=0.0, kappa=0.0):
                        coupling_mean=[[feedback]], diffusion=eps, coupling=kappa)
 
 
+def kernel(ctx, x, y):
+    """The kernel at paired points, row i of x with row i of y (a single row
+    broadcasting), as pref exp(xi^T C xi) with xi = (x - x_end) -
+    dd (y - x_start): the reference formula, with no expansion into
+    features, that kernel_matrix is judged against.  A single value comes
+    back as a float."""
+    n, m = ctx.params.dim, ctx.m
+    xi = (np.reshape(x, (-1, n)) - ctx.x_end) - (np.reshape(y, (-1, n)) - ctx.x_start) @ m.dd.T
+    pref = (2.0 * np.pi * ctx.params.diffusion) ** (-n / 2.0) * np.linalg.det(m.w) ** -0.5
+    vals = pref * np.exp(np.einsum("...j,jk,...k->...", xi, ctx.exponent, xi))
+    return float(vals[0]) if vals.size == 1 else vals
+
+
 def formal_kernel(ctx, x, y):
     """The kernel's closed form as written, along a context in either
-    direction (kernel itself runs forward only): backward the spread is not
+    direction (kernels themselves run forward only): backward the spread is not
     positive definite, so the prefactor takes |det| and the exponent grows."""
     m, eps = ctx.m, ctx.params.diffusion
     w = m.dn @ np.linalg.inv(m.nn)
@@ -145,10 +158,10 @@ def test_delta_limit_guard():
     p = params_1d(0.5, 0.5)
     ctx = kernel_context(p, 1e-12, 0.0)
     with pytest.raises(DeltaLimitError):
-        kernel(ctx, [0.0], [0.0])
+        kernel_matrix(ctx, [0.0], [0.0])
     # backward, however short, is refused before the delta limit is reached
     with pytest.raises(KernelValidityError, match="backward"):
-        kernel(ctx.reversed(), [0.0], [0.0])
+        kernel_matrix(ctx.reversed(), [0.0], [0.0])
 
 
 def test_forward_kernel_rejects_non_spd_spread():
@@ -158,15 +171,11 @@ def test_forward_kernel_rejects_non_spd_spread():
     bad = Matriciant(t=1.0, s=0.0, dd=np.eye(1), w=-np.eye(1))
     ctx = KernelContext(params=p, m=bad, x_start=np.zeros(1), x_end=np.zeros(1))
     with pytest.raises(KernelValidityError, match="kernel spread"):
-        kernel(ctx, [0.0], [0.0])
-    with pytest.raises(KernelValidityError, match="kernel spread"):
         kernel_matrix(ctx, [[0.0]], [[0.0]])
     # backward in time the same blocks are refused before the spread is
     # read: kernels run forward only (the exponent would be sign indefinite)
     back = KernelContext(params=p, m=Matriciant(t=0.0, s=1.0, dd=bad.dd, w=bad.w),
                          x_start=np.zeros(1), x_end=np.zeros(1))
-    with pytest.raises(KernelValidityError, match="backward"):
-        kernel(back, [0.0], [0.0])
     with pytest.raises(KernelValidityError, match="backward"):
         kernel_matrix(back, [[0.0]], [[0.0]])
 
@@ -232,10 +241,9 @@ def test_kernel_matrix_matches_pointwise_off_center(dim, kind):
            "nl_inv": anchored.reversed()}[kind]
     m, xo, yo = ctx.m, ctx.x_end, ctx.x_start
     if ctx.t < ctx.s:
-        # kernels run forward only: both forms refuse the backward context
-        for evaluate in (kernel, kernel_matrix):
-            with pytest.raises(KernelValidityError, match="backward"):
-                evaluate(ctx, xo + 1000.0, yo + 1000.0)
+        # kernels run forward only: the backward context is refused
+        with pytest.raises(KernelValidityError, match="backward"):
+            kernel_matrix(ctx, xo + 1000.0, yo + 1000.0)
         return
     axis = np.linspace(-2.0, 2.0, 41 if dim == 1 else 9)
     ys = 1000.0 + np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
@@ -263,40 +271,25 @@ def test_kernel_matrix_row_blocks_through_the_shared_evaluator(dim, monkeypatch)
     real = kernels.exp_product
     seen = []
 
-    def recording(left, right, underflow=False):
-        seen.append((left, right, underflow))
-        return real(left, right, underflow)
+    def recording(left, right):
+        seen.append((left, right))
+        return real(left, right)
 
     monkeypatch.setattr(kernels, "exp_product", recording)
     whole = kernel_matrix(ctx, pts, pts)
-    (left, right, underflow), = seen
+    (left, right), = seen
     # near-equal blocks of at least four rows: a one-row block would take
     # numpy's matrix-vector product instead
     for n_blocks in (2, 5, 9):
-        parts = [real(rows, right, underflow) for rows in np.array_split(left, n_blocks)]
+        parts = [real(rows, right) for rows in np.array_split(left, n_blocks)]
         assert np.array_equal(np.vstack(parts), whole)
 
 
-def _recorded_kernel_matrix(monkeypatch, ctx, xs, ys):
-    """kernel_matrix(ctx, xs, ys), the exponents of its feature product, the
-    underflow flag it passed to exp_product and the exponent bound behind it."""
-    seen, bounds = [], []
-    real_product, real_bound = kernels.exp_product, kernels._lowest_exponent
-
-    def recording_product(left, right, underflow=False):
-        seen.append((left, right, underflow))
-        return real_product(left, right, underflow)
-
-    def recording_bound(*args):
-        bounds.append(real_bound(*args))
-        return bounds[-1]
-
-    monkeypatch.setattr(kernels, "exp_product", recording_product)
-    monkeypatch.setattr(kernels, "_lowest_exponent", recording_bound)
-    mat = kernel_matrix(ctx, xs, ys)
-    monkeypatch.undo()
-    (left, right, underflow), = seen
-    return mat, left @ right, underflow, bounds[0]
+def _exponents(ctx, xs, ys):
+    """The exponents that kernel_matrix(ctx, xs, ys) exponentiates: the
+    product of its features."""
+    left, right = kernels.kernel_features(ctx, xs, ys)
+    return left @ right
 
 
 def _grid(dim, lo, hi, nodes):
@@ -317,49 +310,29 @@ def _underflowing_context(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_kernel_matrix_zeroes_the_entries_below_the_smallest_normal(dim, monkeypatch):
+def test_kernel_matrix_zeroes_the_entries_below_the_smallest_normal(dim):
     # entries whose exponential falls below the smallest normal double come
     # back as zero, never as a subnormal; the others keep their bits
     ctx, pts = _underflowing_context(dim)
-    mat, expo, underflow, _ = _recorded_kernel_matrix(monkeypatch, ctx, pts, pts)
+    expo = _exponents(ctx, pts, pts)
     tiny = np.finfo(float).tiny
+    assert expo.min() < kernels.LOG_TINY
     ref = np.exp(expo)
     assert ((ref > 0.0) & (ref < tiny)).any()  # one exp would give subnormals
-    assert underflow
     ref[ref < tiny] = 0.0
+    mat = kernel_matrix(ctx, pts, pts)
     assert np.array_equal(mat, ref)
     assert not ((mat != 0.0) & (np.abs(mat) < tiny)).any()
 
 
-def test_kernel_matrix_without_underflow_is_one_exp(monkeypatch):
+def test_kernel_matrix_without_underflow_is_one_exp():
     p = ModelParams(drift=np.eye(2), coupling_state=np.zeros((2, 2)),
                     coupling_mean=-0.5 * np.eye(2), diffusion=0.3, coupling=1.0)
     ctx = kernel_context(p, 0.6, 0.0, x_start=[0.2, 0.2])
     pts = _grid(2, -3.0, 3.0, 13)
-    mat, expo, underflow, bound = _recorded_kernel_matrix(monkeypatch, ctx, pts, pts)
-    assert not underflow and bound >= kernels.LOG_TINY
-    assert np.array_equal(mat, np.exp(expo))
-
-
-def test_corner_bound_never_exceeds_the_smallest_exponent(monkeypatch):
-    rng = np.random.default_rng(7)
-    for trial in range(60):
-        dim = 1 + trial % 3
-        drift = rng.normal(0.0, 1.0, (dim, dim))
-        feedback = rng.normal(0.0, 0.5, (dim, dim))
-        p = ModelParams(drift=drift, coupling_state=np.zeros((dim, dim)),
-                        coupling_mean=feedback, diffusion=rng.uniform(0.05, 1.0),
-                        coupling=1.0)
-        ctx = kernel_context(p, rng.uniform(0.01, 1.0), 0.0,
-                             x_start=rng.normal(0.0, 1.0, dim))
-        xs = rng.normal(0.0, rng.uniform(0.5, 6.0), (rng.integers(1, 40), dim))
-        ys = rng.normal(rng.normal(0.0, 2.0, dim), rng.uniform(0.5, 6.0),
-                        (rng.integers(1, 40), dim))
-        _, expo, _, bound = _recorded_kernel_matrix(monkeypatch, ctx, xs, ys)
-        assert bound <= expo.min()
-        if dim == 1:
-            # in 1D the corners are differences of points: the bound is tight
-            assert expo.min() - bound <= 1e-9 * (1.0 + abs(expo.min()))
+    expo = _exponents(ctx, pts, pts)
+    assert expo.min() >= kernels.LOG_TINY
+    assert np.array_equal(kernel_matrix(ctx, pts, pts), np.exp(expo))
 
 
 def test_backward_matriciant_is_lazy(monkeypatch):
@@ -374,7 +347,6 @@ def test_backward_matriciant_is_lazy(monkeypatch):
 
     monkeypatch.setattr(kernels, "matriciant", counting)
     ctx = kernel_context(params_1d(1.3, 0.2), 0.9, 0.1, x_start=[0.2])
-    kernel(ctx, [0.0], [0.0])
     kernel_matrix(ctx, [[0.0]], [[0.0]])
     assert calls == [(0.9, 0.1)]
     back = ctx.reversed()
@@ -464,17 +436,10 @@ def _context_2d():
     (0.0, np.zeros(2)),
 ])
 def test_points_of_the_wrong_width_are_input_errors(xs, ys):
-    ctx = _context_2d()
-    for evaluate in (kernel, kernel_matrix):
-        with pytest.raises(InputError, match=r"\(N, 2\) arrays or one \(2,\) point") as err:
-            evaluate(ctx, xs, ys)
-        assert f"x of shape {np.shape(xs)}" in str(err.value)
-        assert f"y of shape {np.shape(ys)}" in str(err.value)
-
-
-def test_paired_points_of_different_counts_are_input_errors():
-    with pytest.raises(InputError, match="3 x against 2 y rows"):
-        kernel(_context_2d(), np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(InputError, match=r"\(N, 2\) arrays or one \(2,\) point") as err:
+        kernel_matrix(_context_2d(), xs, ys)
+    assert f"x of shape {np.shape(xs)}" in str(err.value)
+    assert f"y of shape {np.shape(ys)}" in str(err.value)
 
 
 def test_empty_point_sets_give_empty_kernels():
@@ -485,25 +450,30 @@ def test_empty_point_sets_give_empty_kernels():
     assert kernel_matrix(ctx, none, some).shape == (0, 3)
     assert kernel_matrix(ctx, some, none).shape == (3, 0)
     assert kernel_matrix(ctx, none, none).shape == (0, 0)
-    for xs, ys in ((none, none), (none, some[:1]), (some[:1], none)):
-        vals = kernel(ctx, xs, ys)
-        assert isinstance(vals, np.ndarray) and vals.shape == (0,)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_kernel_matrix_is_one_product_of_the_features(dim, monkeypatch):
+def test_kernel_matrix_is_one_product_of_the_features(dim):
     # kernel_matrix evaluates exactly what kernel_features hands a blocked
-    # consumer: the same factors, the same flag, the same bits
+    # consumer: the same factors, the same bits, with each row block
+    # zeroing its underflow by its own minimum
     ctx, pts = _underflowing_context(dim)
-    left, right, underflow = kernels.kernel_features(ctx, pts, pts)
-    mat, expo, recorded, _ = _recorded_kernel_matrix(monkeypatch, ctx, pts, pts)
-    assert underflow and recorded == underflow
-    assert np.array_equal(expo, left @ right)
-    assert np.array_equal(mat, kernels.exp_product(left, right, underflow))
+    left, right = kernels.kernel_features(ctx, pts, pts)
+    mat = kernel_matrix(ctx, pts, pts)
+    assert np.array_equal(mat, kernels.exp_product(left, right))
     # a preallocated output row block is filled in place
     out = np.empty((7, len(pts)))
-    block = kernels.exp_product(left[3:10], right, underflow, out=out)
+    block = kernels.exp_product(left[3:10], right, out=out)
     assert block is out and np.array_equal(out, mat[3:10])
+    # against the grid's first nodes only the far rows reach below LOG_TINY:
+    # each block of four rows takes the path its own minimum picks, and
+    # the blocks together give the bits of the whole product
+    left, right = kernels.kernel_features(ctx, pts, pts[:4])
+    low = (left @ right).min(axis=1) < kernels.LOG_TINY
+    blocks = np.array_split(np.arange(len(pts)), len(pts) // 4)
+    assert {bool(low[rows].any()) for rows in blocks} == {False, True}
+    parts = [kernels.exp_product(left[rows], right) for rows in blocks]
+    assert np.array_equal(np.vstack(parts), kernels.exp_product(left, right))
 
 
 def test_input_width_is_the_kernels_spread_in_its_input():

@@ -255,6 +255,19 @@ def test_far_points_evaluate_to_zero_with_no_overflow(dim):
         assert out[1] == pytest.approx(1.0 / np.sqrt(2 * np.pi * 0.1), rel=1e-14)
 
 
+def test_mixture_values_below_the_smallest_normal_are_zero():
+    # the reference packet's exponent is -720 at 12.0 past its mean and
+    # -744.2 at 12.2, below log(tiny) = -708.4: one exp gave the subnormals
+    # 2.56e-313 and 4.94e-324 there.  At 11.8 (-696.2) the value is normal
+    # and stays as it was
+    params, packet = checks.reference_case()
+    tiny = np.finfo(float).tiny
+    vals = GaussianMixture([packet]).eval(params, 0.5 + np.array([11.8, 12.0, 12.2]))
+    assert vals[0] >= tiny and vals[0] == pytest.approx(
+        np.exp(-11.8 ** 2 / 0.2) / np.sqrt(2 * np.pi * 0.1), rel=1e-12)
+    assert vals[1] == 0.0 and vals[2] == 0.0
+
+
 def test_propagating_along_a_context_of_another_dimension_is_an_input_error():
     # used to die in numpy matmul ("mismatch in its core dimension")
     mix = GaussianMixture([GaussianPacket([0.1, -0.2], np.eye(2), np.eye(2))])
