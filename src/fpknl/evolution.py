@@ -17,15 +17,18 @@ matrix, exactly
 
     e(x, y_b + sum_a m_a step_a) = e(x, y_b) - 2 sum_a m_a g_a(x)
                                    + 2 sum_a m_a h_a(b) + m^T q m,
-    g_a = xc . v_a,  h_a = yp_b^T C v_a,  q_ab = v_a^T C v_b.
+    g_a = xc^T C v_a,  h_a = yc_b^T C v_a,  q_ab = v_a^T C v_b,
+
+with xc and yc the centred points of kernels.kernel_features.
 
 So a block of rows is rowsum(P o (Q @ (R o W)^T)): P = exp(e(x, y_b)) is
 exp_product over the tile centres only, Q = exp(sum_a m_a G_a(x)) has one
 row per output node, R = exp(2 sum_a m_a h_a + m^T q m) one row per tile,
 and W holds the weighted samples, zero-padded to whole tiles (so a
-partial last tile's centre may lie past the grid).  The exponent depends
-on xp - yp alone, so both are measured from the output grid's anchored
-centre, where g vanishes: G_a = -2 g_a.  With T = prod B_a nodes a tile,
+partial last tile's centre may lie past the grid).  The features are
+centred on the output grid's centre, where g vanishes: G_a = -2 g_a, and
+each table's exponent is one product with the features or the offsets.
+With T = prod B_a nodes a tile,
 that is N^2 / T + N T exponentials and one GEMM in place of N^2, and the
 kernel features of N / T tile centres in place of N input nodes: the
 exact-algebra relative of the fast Gauss transform (Greengard & Strain,
@@ -36,24 +39,30 @@ within TABLE_EXPONENT, so neither table overflows or turns subnormal, and
 the entries that P's underflow flush drops are below
 tiny * e^TABLE_EXPONENT (about 1.4e-280).  Both exponents are affine in
 the node (g in the output node, h in the tile's index), so their bounds
-come from the grids' corners, for every candidate tile at once and with
-no feature pass.  A kernel only a few grid steps wide leaves only the
+come from the grids' corners, for every candidate tile at once, by one
+product with a table of the grid's shape and with no feature pass.  A
+kernel only a few grid steps wide leaves only the
 tile of one node, the plain loop: P over every input node times W.  One
 plan_for + evolve_quadrature on the quad_forward benchmark's seed-3
 inputs, one core of a Xeon with one BLAS thread, in ms: the mean over 12
 inputs a class, median of 5 runs, with the former runs along the last
-axis alone and with tiles.  The last two columns are the fastest of 15
+axis alone and with tiles.  The next two columns are the fastest of 15
 passes over the same inputs, with tiles and with the grid's layout
 memoized (model.SampledDensity: nodes, weights and tile centres built
 once per layout, one weighted product per call, kernel features filled
-in place), the two alternating in one process on a busier box:
+in place), the two alternating in one process on a busier box.  The
+column lean is the same measure, alternating op by op with the memo
+code, of the set-up trimmed to a few dozen small numpy calls: kernel
+features built as rows and centred on the output grid, one product for
+every candidate tile's bound, the tiling's offsets and gather index
+built once per (grid shape, tile), a single spread checked as floats:
 
-    grid     runs    tiles    tiles    memo    tile
-    1201     1.34     1.20     1.02    0.82    64
-    1801     1.72     1.53     1.28    1.09    64
-    2401     2.59     1.79     1.58    1.42    64
-    31^2     1.75     1.31     1.10    0.82    (4, 4) to (8, 8)
-    45^2     3.39     1.96     1.70    1.35    (8, 4) and (8, 8)
+    grid     runs    tiles    tiles    memo    lean    tile
+    1201     1.34     1.20     1.02    0.82    0.65    64
+    1801     1.72     1.53     1.28    1.09    0.96    64
+    2401     2.59     1.79     1.58    1.42    1.23    64
+    31^2     1.75     1.31     1.10    0.82    0.62    (4, 4) to (8, 8)
+    45^2     3.39     1.96     1.70    1.35    1.16    (8, 4) and (8, 8)
 
 The sampled inverse holds A as the blocks of a band, each its own
 contiguous array, and every other entry is exactly 0.  At an output
@@ -164,8 +173,9 @@ SKETCH_START = 128
 SKETCH_STEP = SKETCH_START // 2
 SKETCH_STOP = 1e-3
 SKETCH_SEED = 20110601
-# longest run of input nodes one base column serves, and the bound on the
-# exponents of its offset tables (module docstring)
+# most nodes a tile holds, all served by the one base column of its
+# centre node, and the bound on the exponents of its offset tables
+# (module docstring)
 RUN_MAX = 64
 TABLE_EXPONENT = 64.0
 # the sampled inverse's band (module docstring): entries whose exponent lies
@@ -217,44 +227,79 @@ def evolve_analytic(mix: GaussianMixture, plan: KernelContext,
 
 @functools.lru_cache(maxsize=64)
 def _offsets(tile: tuple[int, ...]) -> np.ndarray:
-    """The (T, d) offsets m of a tile's nodes from its centre node, in C
-    order: m_a in [-B_a/2, B_a/2).  Read-only."""
+    """The offsets m of a tile's nodes from its centre node, in C order, as
+    a read-only (d, T) array: m_a in [-B_a/2, B_a/2)."""
     box = np.meshgrid(*[np.arange(b) - b // 2 for b in tile], indexing="ij")
-    offsets = np.stack(box, axis=-1).reshape(-1, len(tile)).astype(float)
+    offsets = np.stack([m.ravel() for m in box]).astype(float)
     offsets.flags.writeable = False
     return offsets
+
+
+@functools.lru_cache(maxsize=64)
+def _tiling(shape: tuple[int, ...], tile: tuple[int, ...]) -> tuple:
+    """What splitting a grid of this shape into tiles of this shape fixes,
+    read-only: (counts, tile, centre, offsets, squares, index).  The base
+    grid's node counts ceil(n_a / B_a); the tile and its centre node's
+    index B_a // 2 as arrays; the offsets m (_offsets) and their products
+    m_a m_b as a (d^2, T) array, so that vec(q) @ squares is m^T q m at
+    every offset; and the flat index into the grid's values of every node
+    of every tile, an (n_base, T) array whose row b holds tile b, tiles
+    and their nodes each in C order, with N (one past the last node) where
+    a partial last tile runs past the grid."""
+    counts = tuple(-(-n // b) for n, b in zip(shape, tile))
+    offsets = _offsets(tile)
+    squares = (offsets[:, None] * offsets).reshape(len(tile) ** 2, -1)
+    padded = np.full([k * b for k, b in zip(counts, tile)], math.prod(shape))
+    padded[tuple(slice(n) for n in shape)] = np.arange(math.prod(shape)).reshape(shape)
+    order = list(range(0, 2 * len(shape), 2)) + list(range(1, 2 * len(shape), 2))
+    index = (padded.reshape([x for k, b in zip(counts, tile) for x in (k, b)])
+             .transpose(order).reshape(math.prod(counts), math.prod(tile)))
+    tables = (np.array(tile), np.array(tile) // 2, offsets, squares, index)
+    for table in tables:
+        table.flags.writeable = False
+    return (counts,) + tables
 
 
 @functools.lru_cache(maxsize=16)
 def _tilings(shape: tuple[int, ...]):
     """The candidate tiles of a grid of this shape, for _tile: every
     (B_0, ..., B_{d-1}) of powers of two B_a up to the axis' length with
-    T = prod B_a at most RUN_MAX.  (tiles, T, base nodes, offset corners,
-    base terms, starts): the tiles; their node counts T and base node
-    counts prod ceil(n_a / B_a); the 2^d corners m of each tile's offset
-    box, 2^d rows a tile; and as columns, the coefficients [m, m_i (2 k_j
-    + m_j)] of [2 h(0), q] in the base table's exponent at each corner k
-    (a node index) of the tile's base grid and each of its offsets m, each
-    tile's columns from its entry of starts on.  Integer data of the shape
-    alone, built once per shape and kept read-only."""
+    T = prod B_a at most RUN_MAX.  (tiles, rank, extent, terms, starts):
+    the tiles; their rank, lower for more nodes T and then for fewer base
+    nodes prod ceil(n_a / B_a); the grid's extent n_a - 1 in steps; and as
+    columns, two segments a tile from its entries of starts on, the
+    coefficients that give every corner exponent of its tables as one
+    product with vec([diag(span) C V; w^T C V; q]) (_tile).  The output
+    table's segment holds m_b s_a at each corner m of the offset box and
+    each corner s of the output grid (s_0 = 1: the other half only flips
+    the sign); the base table's holds [2 m, m_i (2 k_j + m_j)] at each
+    corner k (a node index) of the tile's base grid and each of its offsets
+    m.  Integer data of the shape alone, built once per shape and kept
+    read-only."""
     dim = len(shape)
     tiles = np.array(list(product(*[1 << np.arange(min(RUN_MAX, n).bit_length())
                                     for n in shape])))
     tiles = tiles[tiles.prod(axis=1) <= RUN_MAX]
     counts = -(-np.array(shape) // tiles)
+    bases = counts.prod(axis=1)
+    rank = bases - tiles.prod(axis=1) * (bases.max() + 1)  # most nodes, then fewest bases
     signs = np.array(list(product((False, True), repeat=dim)))
-    offset_corners = np.where(signs, (tiles - 1 - tiles // 2)[:, None], -(tiles // 2)[:, None])
-    base_corners = np.where(signs, ((counts - 1) * tiles + tiles // 2)[:, None],
-                            (tiles // 2)[:, None])
-    terms = []
-    for tile, corners in zip(tiles, base_corners):
-        m = np.broadcast_to(_offsets(tuple(tile.tolist())), (len(corners), tile.prod(), dim))
-        square = m[..., :, None] * (2 * corners[:, None, :, None] + m[..., None, :])
-        terms.append(np.concatenate([m, square.reshape(m.shape[:2] + (-1,))], axis=-1)
-                     .reshape(-1, dim + dim * dim))
-    starts = np.cumsum([0] + [len(t) for t in terms[:-1]])
-    tables = (tiles, tiles.prod(axis=1), counts.prod(axis=1),
-              offset_corners.reshape(-1, dim), np.concatenate(terms).T.copy(), starts)
+    out_signs = np.array(list(product((1.0,), *[(1.0, -1.0)] * (dim - 1))))
+    segments = []
+    for tile, count in zip(tiles, counts):
+        corners = np.where(signs, tile - 1 - tile // 2, -(tile // 2))
+        out = (out_signs[None, :, :, None] * corners[:, None, None, :]).reshape(-1, dim * dim)
+        segments.append(np.concatenate([out, np.zeros((len(out), dim + dim * dim))], axis=1))
+        base_corners = np.where(signs, (count - 1) * tile + tile // 2, tile // 2)
+        m = np.broadcast_to(_offsets(tuple(tile.tolist())).T,
+                            (len(base_corners), tile.prod(), dim))
+        square = m[..., :, None] * (2 * base_corners[:, None, :, None] + m[..., None, :])
+        base = np.concatenate([2 * m, square.reshape(m.shape[:2] + (-1,))], axis=-1)
+        segments.append(np.concatenate([np.zeros((base.shape[0] * base.shape[1], dim * dim)),
+                                        base.reshape(-1, dim + dim * dim)], axis=1))
+    starts = np.cumsum([0] + [len(t) for t in segments[:-1]])
+    tables = (tiles, rank, np.array(shape) - 1.0,
+              np.concatenate(segments).T.copy(), starts)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -269,34 +314,29 @@ def _tile(plan: KernelContext, gamma: SampledDensity, v: np.ndarray,
     where no other does.  v holds the transported grid steps v_a as
     columns and cv is C v.
 
-    The output table's exponent m.g(x) is bilinear in the output node and
-    the offset, and the base table's m.h(b) + m^T q m is affine in the base
-    node's index (h steps by 2 q per node), so each is largest in magnitude
-    at corners: of the output grid and the offset box, and of the base grid
-    over every offset.  All candidates are checked at once, from the plan
-    and the grid alone: no kernel features."""
-    tiles, sizes, bases, offset_corners, base_terms, starts = _tilings(gamma.values.shape)
-    a2 = 2.0 * cv.T  # row a: 2 v_a^T C
-    half = 0.5 * gamma.dx * (np.array(gamma.values.shape) - 1)
-    centre = gamma.x_min + half - plan.x_end  # the output grid's anchored centre
-    # m.g(x) = m^T 2 V^T C (xp - centre) peaks at sum_a |(m^T 2 V^T C)_a| half_a
-    out_bound = np.abs(offset_corners @ (a2 * half)).sum(axis=1).reshape(len(tiles), -1)
-    h0 = ((gamma.x_min - plan.x_start) @ plan.m.dd.T - centre) @ a2.T  # 2 h at node 0
-    base = np.abs(np.concatenate([h0, (v.T @ cv).ravel()]) @ base_terms)
-    bound = out_bound.max(axis=1) + np.maximum.reduceat(base, starts)
-    best = np.lexsort((bound, bases, -sizes, bound > TABLE_EXPONENT))[0]
-    return tuple(tiles[best].tolist())
-
-
-def _tiled(values: np.ndarray, tile: tuple[int, ...]) -> np.ndarray:
-    """values zero-padded to whole tiles, as an (n_base, T) array: row b
-    holds the nodes of tile b, tiles and their nodes each in C order."""
-    counts = [-(-n // b) for n, b in zip(values.shape, tile)]
-    padded = np.zeros([x for k, b in zip(counts, tile) for x in (k, b)])
-    padded.reshape([k * b for k, b in zip(counts, tile)])[
-        tuple(slice(n) for n in values.shape)] = values
-    order = list(range(0, 2 * values.ndim, 2)) + list(range(1, 2 * values.ndim, 2))
-    return padded.transpose(order).reshape(math.prod(counts), math.prod(tile))
+    The output table's exponent m.g(x) = 2 m^T V^T C (xp - centre) is
+    bilinear in the output node and the offset, and the base table's
+    2 m.h(b) + m^T q m, with h(b) = V^T C (yp_b - centre), is affine in the
+    base node's index (2 h steps by 2 q per node), so each is largest in
+    magnitude at corners: of the output grid and the offset box, and of the
+    base grid over every offset.  Both are linear in the rows of
+    [diag(span) C V; w^T C V; q], with span the grid's extent per axis and
+    w = yp_0 - centre at its first node, so all candidates are checked at
+    once by one product, from the plan and the grid alone: no kernel
+    features."""
+    tiles, rank, extent, terms, starts = _tilings(gamma.values.shape)
+    n = gamma.dim
+    span = gamma.dx * extent
+    coef = np.empty((2 * n + 1, n))
+    np.multiply(span[:, None], cv, out=coef[:n])
+    # w: the first node, transported and anchored, less the output grid's
+    # anchored centre
+    w = np.dot(plan.m.dd, gamma.x_min - plan.x_start) - (gamma.x_min + 0.5 * span - plan.x_end)
+    np.dot(w, cv, out=coef[n])
+    np.dot(v.T, cv, out=coef[n + 1:])
+    most = np.maximum.reduceat(np.abs(np.dot(coef.ravel(), terms)), starts)
+    bound = most[::2] + most[1::2]
+    return tuple(tiles[np.lexsort((bound, rank, bound > TABLE_EXPONENT))[0]].tolist())
 
 
 def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDensity:
@@ -318,28 +358,27 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
     pts = gamma.points()
     dim = gamma.dim
     v = plan.m.dd * gamma.dx  # column a: one grid step along axis a, transported
-    cv = plan.exponent @ v
-    tile = _tile(plan, gamma, v, cv)
-    size = math.prod(tile)
+    cv = np.dot(plan.exponent, v)
+    counts, tile, centre, m, squares, index = _tiling(gamma.values.shape,
+                                                      _tile(plan, gamma, v, cv))
+    size = len(index[0])
     # the base nodes, one at the centre of each tile: the whole grid for a
     # tile of one node, and a partial last tile's centre may lie past it
-    counts = [-(-n // b) for n, b in zip(gamma.values.shape, tile)]
-    base = SampledDensity.grid_nodes(gamma.x_min + gamma.dx * (np.array(tile) // 2),
-                                     gamma.dx * tile, counts)
+    base = SampledDensity.grid_nodes(gamma.x_min + gamma.dx * centre, gamma.dx * tile, counts)
     left, right = kernel_features(plan, pts, base)
     if size == 1:
         weighted = weighted.ravel()
     else:
-        m = _offsets(tile).T
-        # -2 g at the output grid's centre: the features' xc is affine in
-        # the node, so there it is the mean of the first and last node's
-        mid = -(left[0, :dim] + left[-1, :dim]) @ v
-        # the output table's exponents are left @ exps: -2 xc.(V m) - mid.m
-        exps = np.vstack([-2.0 * (v @ m), np.zeros(size), -(mid @ m)])
-        # the base table's, 2 h.m + m^T q m: right[:dim] holds -2 yp of the
-        # base nodes, so 2 h = mid - (C V)^T right[:dim]
-        cols = (mid @ m + ((v.T @ cv @ m) * m).sum(axis=0)) - right[:dim].T @ (cv @ m)
-        weighted = np.multiply(np.exp(cols, out=cols), _tiled(weighted, tile), out=cols).T
+        # the features are centred on the output grid's centre, where g
+        # vanishes: the output table's exponents are left @ exps, -2 xc.(V m)
+        exps = np.zeros((dim + 2, size))
+        np.dot(v, -2.0 * m, out=exps[:dim])
+        # the base table's, 2 h.m + m^T q m: right[:dim] holds -2 yc of the
+        # base nodes, so 2 h = -(C V)^T right[:dim]
+        cols = np.dot(np.dot(v.T, cv).ravel(), squares) - np.dot(right[:dim].T, np.dot(cv, m))
+        # the weighted samples of each tile's nodes, 0 past the grid
+        tiled = np.concatenate((weighted.ravel(), [0.0]))[index]
+        weighted = np.multiply(np.exp(cols, out=cols), tiled, out=cols).T
     n_base = right.shape[1]
     out = np.empty(len(pts))
     # a block holds P, and with tiles also Q and Q @ (R o W)^T

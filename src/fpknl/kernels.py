@@ -21,9 +21,10 @@ product of points it is expanded into row norms and one matrix product,
 
     xp^T C xp + yp^T C yp - 2 (xp C) yp^T,
 
-with the row norms and the log prefactor carried as two extra columns of
-that same product.  ``kernel_features`` builds those features once per
-call: it checks the context and both point sets and centers them.  Any
+with the row norms and the log prefactor (with the input points' norms)
+carried as two extra columns of that same product.  ``kernel_features``
+builds those features once per call: it checks the context and both
+point sets and centers them.  Any
 row slice of its left factor gives those rows of the kernel, and any
 column slice of its right factor those columns, so a consumer takes one
 cache-sized block of rows at a time (``model.row_blocks``) through the
@@ -41,8 +42,11 @@ evaluator: mixture evaluation (packets module) calls it too, with the
 quadratic features of its points on one side and each component's
 exponent coefficients on the other.  The expansion subtracts terms of
 the size of the squared coordinates, so both point sets are first
-shifted by one common center (the midpoint of their row means).  xi is
-unchanged by the shift; without it, on a grid a distance R from the
+shifted by one common center: the midpoint of the first and last output
+point (the centre of a grid in C order, and within the extent of any
+set), so xc = x - center and yc = yp - (center - X(t)).  Wherever the
+kernel is not negligible yp lies near xp, so yc is as small as xc
+there.  xi is unchanged by the shift; without it, on a grid a distance R from the
 anchors the absolute error of every exponent grows like
 R^2 / (2 diffusion spread) machine epsilons (about 1e-9 relative at
 R = 1000).
@@ -71,6 +75,7 @@ overflowing normalization.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +125,8 @@ class KernelContext:
             raise DeltaLimitError(
                 f"|t - s| = {tau:.3e} below {DELTA_TOL:.0e}: kernel degenerates to a delta"
             )
-        require_spd(m.w, "kernel spread", KernelValidityError)
-        c = -0.5 / self.params.diffusion * np.linalg.inv(0.5 * (m.w + m.w.T))
+        spread = require_spd(m.w, "kernel spread", KernelValidityError)
+        c = -0.5 / self.params.diffusion * np.linalg.inv(spread)
         c.flags.writeable = False
         return c
 
@@ -195,9 +200,10 @@ def input_width(ctx: KernelContext) -> np.ndarray:
 def kernel_features(ctx: KernelContext, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """(left, right) with ``exp_product(left, right)`` the kernel over the
     product of output points xs and input points ys: the centered features
-    [xc, xp^T C xp + log pref, 1] of the xs rows and [-2 yp, 1, yp^T C yp]
-    of the ys columns, with xp the anchored xs and yp the transported
-    anchored ys.  Any row slice of left gives those rows of the kernel."""
+    [xc C, xc^T C xc, 1] of the xs rows and [-2 yc, 1, yc^T C yc + log pref]
+    of the ys columns, with xc the xs and yc the transported anchored ys
+    less the anchored center of the xs.  Any row slice of left gives those
+    rows of the kernel."""
     c = ctx.exponent
     m = ctx.m
     n, eps = ctx.params.dim, ctx.params.diffusion
@@ -209,25 +215,28 @@ def kernel_features(ctx: KernelContext, xs, ys) -> tuple[np.ndarray, np.ndarray]
         )
     det = np.linalg.det(m.w)  # a numpy scalar: a zero determinant gives pref inf
     pref = (2.0 * np.pi * eps) ** (-n / 2.0) * det ** -0.5
-    require_finite(KernelValidityError, f"kernel normalization at |t - s| = {m.t - m.s:.6g}",
-                   det, pref)
-    xp, yp = x - ctx.x_end, (y - ctx.x_start) @ m.dd.T
-    if not (len(xp) and len(yp)):
-        return np.zeros((len(xp), n + 2)), np.zeros((n + 2, len(yp)))
-    # the row means, as np.mean takes them, with none of its wrapper's cost
-    center = 0.5 * (np.add.reduce(xp) / len(xp) + np.add.reduce(yp) / len(yp))
-    xp -= center
-    yp -= center
-    # both factors are filled in place; right is built row-major and handed
-    # back transposed, so a column slice of it is one contiguous block
-    left, right = np.empty((len(xp), n + 2)), np.empty((len(yp), n + 2))
-    xc = np.matmul(xp, c, out=left[:, :n])
-    np.einsum("ij,ij->i", xc, xp, out=left[:, n])
-    left[:, n] += np.log(pref)
-    left[:, n + 1] = right[:, n] = 1.0
-    np.multiply(yp, -2.0, out=right[:, :n])
-    np.einsum("ij,ij->i", yp @ c, yp, out=right[:, n + 1])
-    return left, right.T
+    if not (math.isfinite(det) and math.isfinite(pref)):
+        require_finite(KernelValidityError, f"kernel normalization at |t - s| = {m.t - m.s:.6g}",
+                       det, pref)
+    if not (len(x) and len(y)):
+        return np.zeros((len(x), n + 2)), np.zeros((n + 2, len(y)))
+    # coordinates are rows, (dim, N) arrays: each pass runs along the points,
+    # not along a row of dim entries per point
+    center = 0.5 * (x[0] + x[-1])
+    xt = np.subtract(x.T, center[:, None], order="C")
+    yt = np.dot(m.dd, y.T - ctx.x_start[:, None])
+    yt -= (center - ctx.x_end)[:, None]
+    # both factors are filled in place and handed back transposed: left's
+    # features are contiguous rows, and a column slice of right is one
+    # contiguous block
+    left, right = np.empty((n + 2, len(x))), np.empty((len(y), n + 2))
+    xc = np.dot(c.T, xt, out=left[:n])
+    np.add.reduce(np.multiply(xc, xt, out=xt), axis=0, out=left[n])
+    left[n + 1] = right[:, n] = 1.0
+    np.multiply(yt.T, -2.0, out=right[:, :n])
+    quad = np.add.reduce(np.multiply(np.dot(c.T, yt), yt, out=yt), axis=0, out=right[:, n + 1])
+    quad += math.log(pref)
+    return left.T, right.T
 
 
 def kernel_matrix(ctx: KernelContext, xs, ys) -> np.ndarray:

@@ -159,18 +159,23 @@ class MomentTrajectory:
             return expm(tau[..., None, None] * self.rate) @ self.x0
 
 
-def _layout(x_min, dx, shape) -> tuple[np.ndarray, ...]:
+def _layout(x_min, dx, shape) -> tuple:
     """What a uniform grid's layout alone fixes, built once per (x_min, dx,
     shape) and kept read-only: the (N, dim) nodes in C order, the tensor
-    trapezoid weights shaped like the grid, and the flat indices of the
-    nodes on its boundary faces.  Nothing here depends on sample values."""
-    return _built_layout(tuple(np.asarray(x_min, dtype=float).tolist()),
-                         tuple(np.asarray(dx, dtype=float).tolist()), tuple(map(int, shape)))
+    trapezoid weights shaped like the grid, the flat indices of the nodes
+    on its boundary faces, and each axis' coordinates shaped to broadcast
+    against the grid.  Nothing here depends on sample values."""
+    return _built_layout(np.asarray(x_min, dtype=float).tobytes(),
+                         np.asarray(dx, dtype=float).tobytes(), tuple(shape))
 
 
 @functools.lru_cache(maxsize=32)  # a few KB to a few MB each
-def _built_layout(x_min: tuple, dx: tuple, shape: tuple) -> tuple[np.ndarray, ...]:
+def _built_layout(x_min: bytes, dx: bytes, shape: tuple) -> tuple:
+    # keyed by the floats' bytes, the cheapest exact key of an array
+    x_min, dx = np.frombuffer(x_min).tolist(), np.frombuffer(dx).tolist()
     axes = [x0 + h * np.arange(n) for x0, h, n in zip(x_min, dx, shape)]
+    coords = tuple(a.reshape([-1 if j == i else 1 for j in range(len(shape))])
+                   for i, a in enumerate(axes))
     nodes = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
     weights = np.ones(())
     for h, n in zip(dx, shape):
@@ -180,9 +185,9 @@ def _built_layout(x_min: tuple, dx: tuple, shape: tuple) -> tuple[np.ndarray, ..
         weights = np.multiply.outer(weights, w)
     faces = np.flatnonzero(np.any([(i == 0) | (i == n - 1)
                                    for i, n in zip(np.indices(shape), shape)], axis=0))
-    for table in (nodes, weights, faces):
+    for table in (nodes, weights, faces, *coords):
         table.flags.writeable = False
-    return nodes, weights, faces
+    return nodes, weights, faces, coords
 
 
 @dataclass
@@ -225,10 +230,8 @@ class SampledDensity:
         return self.values.ndim
 
     def coordinate(self, i: int) -> np.ndarray:
-        """Axis i of the grid, shaped to broadcast against the values."""
-        shape = [1] * self.dim
-        shape[i] = self.values.shape[i]
-        return (self.x_min[i] + self.dx[i] * np.arange(shape[i])).reshape(shape)
+        """Axis i of the grid, shaped to broadcast against the values, read-only."""
+        return _layout(self.x_min, self.dx, self.values.shape)[3][i]
 
     def points(self) -> np.ndarray:
         """All grid nodes as an (N, dim) array in C order, read-only."""
@@ -251,8 +254,9 @@ class SampledDensity:
     def first_moment(self, normalized: bool = False) -> np.ndarray:
         """Trapezoid integral of x times the samples, raw or per unit mass;
         the mass comes from the same weighted samples."""
-        wv = self.weights() * self.values
-        moment = np.array([(wv * self.coordinate(i)).sum() for i in range(self.dim)])
+        _, weights, _, coords = _layout(self.x_min, self.dx, self.values.shape)
+        wv = weights * self.values
+        moment = np.array([(wv * x).sum() for x in coords])
         return normalize_moment(moment, float(wv.sum())) if normalized else moment
 
     def edge_max(self) -> float:

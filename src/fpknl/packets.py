@@ -33,7 +33,8 @@ a non-finite point raises InputError.  A point whose offset from a
 center is so large that its square would overflow is clipped to a
 distance where every component is still 0 in double precision, so far
 points evaluate to 0 with no overflow; an exponent below log of the
-smallest normal double gives 0 as well, never a subnormal.
+smallest normal double gives 0 as well, and so does a value that the
+weights, normalizations and amplitudes push below it: never a subnormal.
 """
 
 from __future__ import annotations
@@ -234,6 +235,10 @@ class GaussianMixture:
                 block *= amp
                 block.sum(axis=0, out=part[rows])
             vals = part if vals is None else vals + part
+        # the weights, normalizations and amplitudes scale each exponential
+        # after exp_product, and groups add: a value they leave below the
+        # smallest normal double is 0 too, never subnormal
+        np.putmask(vals, np.abs(vals) < np.finfo(float).tiny, 0.0)
         return vals[0] if x.ndim == 0 or (x.ndim == 1 and n > 1) else vals
 
     def shifted(self, delta) -> "GaussianMixture":

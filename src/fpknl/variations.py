@@ -14,6 +14,7 @@ for a stable drift, doubled to any horizon); ``fraction`` forms Q once.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,8 +66,8 @@ def pair_generator(params: ModelParams) -> np.ndarray:
     lam = params.effective_drift
     a = np.zeros((2 * n, 2 * n))
     a[:n, :n] = lam.T
-    a[n:, :n] = 2.0 * np.eye(n)
     a[n:, n:] = -lam
+    np.fill_diagonal(a[n:, :n], 2.0)
     return a
 
 
@@ -89,14 +90,17 @@ def matriciant(params: ModelParams, t: float, s: float) -> Matriciant:
     # |tau| = mant 2^k_tau exactly, so mant's product with the 1-norm has
     # the bits of tau's, scaled by 2^-k_tau, and cannot overflow
     mant, k_tau = math.frexp(abs(tau))
-    frac, k = math.frexp(mant * np.abs(a).sum(axis=0).max() / THETA_13)  # 1-norm
+    norm = max(map(sum, zip(*np.abs(a).tolist())))  # 1-norm, columns summed in order
+    frac, k = math.frexp(mant * norm / THETA_13)
     k = max(0, k_tau + k - (frac == 0.5))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # one chunk of 1-norm at most THETA_13 is bounded by e^THETA_13: only
+    # doublings, or a horizon that overflowed, can overflow
+    risky = k or not math.isfinite(tau)
+    with np.errstate(over="ignore", invalid="ignore") if risky else contextlib.nullcontext():
         m = Matriciant.of_fundamental(t, s, expm(math.ldexp(tau, -k) * a))
         for _ in range(k):
             m = Matriciant(m.t, m.s, m.dd @ m.dd, m.w + m.dd @ m.w @ m.dd.T)
-    # one chunk of 1-norm at most THETA_13 is bounded by e^THETA_13
-    if (k or not math.isfinite(tau)) and not np.isfinite([m.dd, m.w]).all():
+    if risky and not np.isfinite([m.dd, m.w]).all():
         raise KernelValidityError(f"matriciant is not finite at |t - s| = {abs(tau):.6g}: "
                                   "it overflows double precision over this horizon")
     return m
@@ -129,21 +133,35 @@ def _where(bad: np.ndarray) -> str:
     return "" if bad.ndim == 0 else f" (component {int(np.flatnonzero(bad)[0])})"
 
 
-def require_spd(a: np.ndarray, what: str, error: type[Exception]) -> None:
-    """Raise error unless each matrix of the (..., n, n) stack a is finite,
-    symmetric to 1e-9 relative and its symmetric part has a Cholesky factor."""
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    bad = ~np.isfinite(scale)  # max and maximum propagate nan
-    if bad.any():
-        raise error(f"{what}{_where(bad)} is not finite")
-    asym = np.abs(a - a.mT).max(axis=(-2, -1)) > 1e-9 * scale
-    if asym.any():
-        raise error(f"{what}{_where(asym)} is not symmetric")
+def require_spd(a: np.ndarray, what: str, error: type[Exception]) -> np.ndarray:
+    """The symmetric part of the (..., n, n) stack a; raise error unless
+    each matrix is finite, symmetric to 1e-9 relative and its symmetric
+    part has a Cholesky factor."""
+    if a.ndim == 2:
+        # one matrix, as a plan's spread is: its n^2 entries are checked as
+        # floats, at a fraction of the cost of numpy calls over a stack
+        rows = a.tolist()
+        if not all(math.isfinite(x) for row in rows for x in row):
+            raise error(f"{what} is not finite")
+        size = max(1.0, max(abs(x) for row in rows for x in row))
+        if any(abs(x - rows[j][i]) > 1e-9 * size for i, row in enumerate(rows)
+               for j, x in enumerate(row)):
+            raise error(f"{what} is not symmetric")
+    else:
+        size = np.abs(a).max(axis=(-2, -1))  # max propagates nan
+        finite = np.isfinite(size)
+        if not finite.all():
+            raise error(f"{what}{_where(~finite)} is not finite")
+        asym = np.abs(a - a.mT).max(axis=(-2, -1)) > 1e-9 * np.maximum(1.0, size)
+        if asym.any():
+            raise error(f"{what}{_where(asym)} is not symmetric")
+    sym = 0.5 * (a + a.mT)
     try:
-        np.linalg.cholesky(0.5 * (a + a.mT))
+        np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(0.5 * (a + a.mT)).min(axis=-1)
+        low = np.linalg.eigvalsh(sym).min(axis=-1)
         raise error(f"{what}{_where(low == low.min())} is not positive definite") from None
+    return sym
 
 
 def fraction(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -165,5 +183,4 @@ def fraction(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         raise FocalPointError(f"denominator factor{_where(focal)} singular "
                               f"(reciprocal condition {rcond[focal][0]:.3e})")
     q = np.linalg.solve(den.mT, num.mT).mT
-    require_spd(q, "precision factor", InvalidCovarianceError)
-    return 0.5 * (q + q.mT)
+    return require_spd(q, "precision factor", InvalidCovarianceError)

@@ -1,6 +1,10 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+from fpknl import fdsolver
 from fpknl import (ConfigurationError, FDConfig, GaussianMixture,
                    GaussianPacket, InputError, ModelParams, NormalizationError,
                    SampledDensity, compare, evolve_analytic, evolve_packet, fd_solve,
@@ -16,6 +20,24 @@ def heat_params(eps=0.5):
 def sample(packet, params, cfg):
     return SampledDensity.from_callable(lambda pts: packet.eval(params, pts),
                                         [cfg.x_min], [cfg.x_max], [cfg.nx])
+
+
+def test_the_oracle_imports_nothing_of_the_closed_form():
+    # the FD oracle checks the closed form, so it must share none of it: no
+    # import, absolute or relative, of the modules that build matriciants,
+    # kernels, packets, symmetry images or evolution plans.  Read from the
+    # module's syntax tree, so a function-level import counts too
+    tree = ast.parse(pathlib.Path(fdsolver.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            if node.module in (None, "fpknl"):  # from . import x, from fpknl import x
+                names.update(alias.name for alias in node.names)
+    assert {"model", "errors", "numpy"} <= names  # the imports it has are seen
+    assert not names & {"evolution", "kernels", "packets", "symmetry", "variations"}
 
 
 def test_heat_solution_matches_kernel_reference():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from fpknl import (ConfigurationError, DegenerateMomentError, InputError,
                    ModelParams, SampledDensity)
@@ -98,6 +99,25 @@ def test_moment_over_array_of_times_equals_scalar_calls(dim):
     stacked = traj.at(ts)
     assert stacked.shape == (len(ts), dim)
     np.testing.assert_array_equal(stacked, [traj.at(t) for t in ts])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_moment_trajectory_has_the_bits_of_its_exponential(dim):
+    # the plan's end anchor, and through it the analytic goldens, rests on
+    # these bits: X(t) = expm((t - t0) rate) @ x0, with rate = -(L + F),
+    # L = drift + coupling coupling_state and F = coupling coupling_mean,
+    # for one time and for a stack of times alike
+    rng = np.random.default_rng(30 + dim)
+    p = make_params(rng.uniform(-1.5, 1.5, (dim, dim)),
+                    0.3 * rng.uniform(-1.0, 1.0, (dim, dim)),
+                    rng.uniform(-1.0, 0.5, (dim, dim)), kappa=0.8)
+    x0, t0 = rng.uniform(-1.0, 1.0, dim), 0.4
+    rate = -((p.drift + p.coupling * p.coupling_state) + p.coupling * p.coupling_mean)
+    traj = p.moment_trajectory(x0, t0=t0)
+    for t in (0.4, 1.3, -2.2):
+        assert np.array_equal(traj.at(t), expm((t - t0) * rate) @ x0)
+    ts = rng.uniform(-2.0, 3.0, 7)
+    assert np.array_equal(traj.at(ts), expm((ts - t0)[:, None, None] * rate) @ x0)
 
 
 @settings(max_examples=30)

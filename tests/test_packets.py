@@ -266,6 +266,15 @@ def test_mixture_values_below_the_smallest_normal_are_zero():
     assert vals[0] >= tiny and vals[0] == pytest.approx(
         np.exp(-11.8 ** 2 / 0.2) / np.sqrt(2 * np.pi * 0.1), rel=1e-12)
     assert vals[1] == 0.0 and vals[2] == 0.0
+    # a weight applied after the exp can push a normal exponential below
+    # the smallest normal double: at weight 1e-3 the values at 11.85, 11.88
+    # and 11.89 past the mean were the subnormals 1.504e-308, 4.28e-310 and
+    # 1.30e-310.  At 11.8 the value is normal and stays as it was
+    light = GaussianPacket(packet.mean, packet.num, packet.den, weight=1e-3)
+    vals = GaussianMixture([light]).eval(params, 0.5 + np.array([11.8, 11.85, 11.88, 11.89]))
+    assert vals[0] >= tiny and vals[0] == pytest.approx(
+        1e-3 * np.exp(-11.8 ** 2 / 0.2) / np.sqrt(2 * np.pi * 0.1), rel=1e-12)
+    assert not vals[1:].any()
 
 
 def test_propagating_along_a_context_of_another_dimension_is_an_input_error():

@@ -102,6 +102,41 @@ def single_exponential(p, tau):
     return m[n:, n:], np.linalg.solve(m[:n, :n].T, m[n:, :n].T).T
 
 
+def _blocks_written_out(p, t, s):
+    """dd, w and the doubling count k as matriciant's docstring states them:
+    one expm of the pair generator [[L^T, 0], [2I, -L]] over (t - s) / 2^k,
+    k the least that brings its 1-norm to at most THETA_13, the blocks
+    dd and w = dn inv(nn) of that chunk, then k doublings
+    dd <- dd^2, w <- w + dd w dd^T."""
+    n = p.dim
+    lam = p.drift + p.coupling * p.coupling_state
+    a = np.block([[lam.T, np.zeros((n, n))], [2.0 * np.eye(n), -lam]])
+    tau, k = t - s, 0
+    while abs(tau) / 2 ** k * np.abs(a).sum(axis=0).max() > THETA_13:
+        k += 1
+    m = expm(tau / 2 ** k * a)
+    dd, w = m[n:, n:], np.linalg.solve(m[:n, :n].T, m[n:, :n].T).T
+    for _ in range(k):
+        dd, w = dd @ dd, w + dd @ w @ dd.T
+    return dd, w, k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tau, doubled", [(0.7, False), (-0.45, False), (23.0, True), (-9.0, True)])
+def test_matriciant_has_the_bits_of_its_exponential(n, tau, doubled):
+    # every plan, and through it the analytic goldens, rests on these bits:
+    # a change around the expm (its chunking, the blocks it reads, the
+    # doubling law) shows here before it shows in a golden file
+    rng = np.random.default_rng(50 + n)
+    lam = np.diag(rng.uniform(0.4, 1.2, n)) + 0.2 * np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    p = ModelParams(drift=lam, coupling_state=0.3 * rng.uniform(-1.0, 1.0, (n, n)),
+                    coupling_mean=-0.4 * np.eye(n), diffusion=0.3, coupling=0.5)
+    dd, w, k = _blocks_written_out(p, 1.5 + tau, 1.5)
+    assert (k > 0) == doubled
+    m = matriciant(p, 1.5 + tau, 1.5)
+    assert np.array_equal(m.dd, dd) and np.array_equal(m.w, w)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_doubled_blocks_match_one_exponential(n):
     # where |t - s| times the generator's 1-norm exceeds THETA_13 (here at
@@ -289,6 +324,9 @@ def test_stacked_fraction_names_the_failing_component():
     (np.array([[np.inf]]), ""),
     (np.stack([np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)]),
      " (component 1)"),
+    # an infinity on one side of the diagonal only
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), ""),
+    (np.stack([np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]])]), " (component 1)"),
 ])
 def test_require_spd_rejects_non_finite_matrices(bad, where):
     # numpy's Cholesky returns nan for nan input without an error, so these
@@ -296,3 +334,29 @@ def test_require_spd_rejects_non_finite_matrices(bad, where):
     message = rf"^recovered covariance{re.escape(where)} is not finite"
     with pytest.raises(InvalidCovarianceError, match=message):
         require_spd(bad, "recovered covariance", InvalidCovarianceError)
+
+
+@pytest.mark.parametrize("a, verdict", [
+    (np.array([[2.0, 0.3], [0.3, 1.0]]), None),
+    (np.array([[2.0, 0.3 + 1e-9], [0.3, 1.0]]), None),  # 5e-10 of the largest entry
+    (np.array([[2.0, 0.3 + 5e-9], [0.3, 1.0]]), "not symmetric"),
+    (np.array([[2.0, 3.0], [3.0, 1.0]]), "not positive definite"),
+    (np.array([[1e-3]]), None),
+    (np.array([[-1e-3]]), "not positive definite"),
+    (np.array([[0.5, 0.1, 0.0], [0.1, 0.4, -0.2], [0.0, -0.2, np.nan]]), "not finite"),
+])
+def test_one_matrix_gets_the_verdict_and_symmetric_part_of_a_stack_of_one(a, verdict):
+    # a single matrix is checked on its entries as floats, a stack by numpy
+    # reductions: both give one verdict, and one symmetric part
+    outcomes = []
+    for m in (a, a[None]):
+        try:
+            outcomes.append(require_spd(m, "spread", InvalidCovarianceError).reshape(a.shape))
+        except InvalidCovarianceError as exc:
+            outcomes.append(str(exc).replace(" (component 0)", ""))
+    if verdict is None:
+        assert np.array_equal(outcomes[0], outcomes[1])
+        assert np.array_equal(outcomes[0], 0.5 * (a + a.T))
+    else:
+        assert outcomes[0] == outcomes[1] == f"spread is {verdict}"
+
