@@ -116,8 +116,9 @@ class FdComparison:
 
 def fd_vs_analytic(params, packet, x_min=-6.0, x_max=6.0, nx=1200,
                    dt=2e-5, t_end=1.0) -> FdComparison:
-    cfg = FDConfig(x_min=x_min, x_max=x_max, nx=nx, dt=dt, t_end=t_end,
-                   snapshot_times=(t_end,))
+    """The FD oracle against the closed-form packet at t_end, both sampled
+    on nx nodes from x_min to x_max: the one driver of fd_solve."""
+    cfg = FDConfig(nx=nx, dt=dt, t_end=t_end, snapshot_times=(t_end,))
     # evolved first, so a packet the closed form refuses costs no FD solve
     exact = _sample_packet(evolve_packet(packet, params, t_end, 0.0), params,
                            x_min, x_max, nx)
@@ -361,10 +362,7 @@ def check_kappa_continuity() -> list[CheckResult]:
     quadrature = float(np.max(np.abs(quad(p_small) - quad(p_zero))))
 
     def fd(p):
-        cfg = FDConfig(x_min=-6.0, x_max=6.0, nx=601, dt=1e-4, t_end=0.3,
-                       snapshot_times=(0.3,))
-        gamma = _sample_packet(packet, p, -6.0, 6.0, 601)
-        return fd_solve(p, gamma, cfg).snapshots[0].values
+        return fd_vs_analytic(p, packet, -6.0, 6.0, 601, 1e-4, 0.3).result.snapshots[0].values
 
     fd_diff = float(np.max(np.abs(fd(p_small) - fd(p_zero))))
     return [

@@ -34,9 +34,9 @@ class DeltaLimitError(FpknlError):
 
 
 class KernelValidityError(FpknlError):
-    """The matriciant (dd, w), an anchor or a kernel normalization overflows
-    over the horizon, a kernel is asked for backward in time, or its spread
-    is not positive definite."""
+    """The matriciant (dd, w) or an anchor overflows over the horizon, a
+    kernel is asked for backward in time, or its spread is not positive
+    definite."""
 
 
 class NormalizationError(FpknlError):

@@ -44,25 +44,16 @@ product with a table of the grid's shape and with no feature pass.  A
 kernel only a few grid steps wide leaves only the
 tile of one node, the plain loop: P over every input node times W.  One
 plan_for + evolve_quadrature on the quad_forward benchmark's seed-3
-inputs, one core of a Xeon with one BLAS thread, in ms: the mean over 12
-inputs a class, median of 5 runs, with the former runs along the last
-axis alone and with tiles.  The next two columns are the fastest of 15
-passes over the same inputs, with tiles and with the grid's layout
-memoized (model.SampledDensity: nodes, weights and tile centres built
-once per layout, one weighted product per call, kernel features filled
-in place), the two alternating in one process on a busier box.  The
-column lean is the same measure, alternating op by op with the memo
-code, of the set-up trimmed to a few dozen small numpy calls: kernel
-features built as rows and centred on the output grid, one product for
-every candidate tile's bound, the tiling's offsets and gather index
-built once per (grid shape, tile), a single spread checked as floats:
+inputs, one core of a Xeon with one BLAS thread, in ms, the fastest of
+15 passes over 12 inputs a class (CHANGES.md has the earlier layouts'
+columns), and the tile each class takes:
 
-    grid     runs    tiles    tiles    memo    lean    tile
-    1201     1.34     1.20     1.02    0.82    0.65    64
-    1801     1.72     1.53     1.28    1.09    0.96    64
-    2401     2.59     1.79     1.58    1.42    1.23    64
-    31^2     1.75     1.31     1.10    0.82    0.62    (4, 4) to (8, 8)
-    45^2     3.39     1.96     1.70    1.35    1.16    (8, 4) and (8, 8)
+    grid      ms     tile
+    1201     0.65    64
+    1801     0.96    64
+    2401     1.23    64
+    31^2     0.62    (4, 4) to (8, 8)
+    45^2     1.16    (8, 4) and (8, 8)
 
 The sampled inverse holds A as the blocks of a band, each its own
 contiguous array, and every other entry is exactly 0.  At an output

@@ -4,13 +4,14 @@ Method of lines: conservative second-order flux differencing in space,
 classic RK4 in time.  The first moment entering the drift is recomputed
 from the grid at every Runge-Kutta stage, so the solve is self-consistent
 and never uses the closed-form moment shortcut it is meant to validate.
-The solve marches the nodes of its input density, which must lie on the
-configured grid (x_min, x_max, nx, laid out by SampledDensity.on_grid,
-to 1e-12 in origin and spacing); its snapshots carry the input's origin
-and spacing.  The drift couples to the grid's raw first moment, which is
-the moment per unit mass only at mass 1, so an input whose trapezoid
-mass is off 1 by more than MASS_TOL raises NormalizationError naming that
-mass rather than solve another equation.
+The solve marches the nodes of its input density, whose origin and
+spacing its snapshots carry; the configuration fixes only the time
+settings and the node count nx, and an input with another number of
+nodes raises InputError, so steps times nx is the work done.  The drift
+couples to the grid's raw first moment, which is the moment per unit
+mass only at mass 1, so an input whose trapezoid mass is off 1 by more
+than MASS_TOL raises NormalizationError naming that mass rather than
+solve another equation.
 
 The midpoint velocity on edge j splits into the state drift
 0.25·lam·(x[j] + x[j+1]) and the spatially constant feedback 0.5·feedback·m,
@@ -39,20 +40,16 @@ MASS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class FDConfig:
-    x_min: float
-    x_max: float
     nx: int
     dt: float
     t_end: float
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        for name in ("x_min", "x_max", "dt", "t_end"):
+        for name in ("dt", "t_end"):
             require_finite(ConfigurationError, name, getattr(self, name))
         if self.nx < 8:
             raise ConfigurationError("need at least 8 grid nodes")
-        if self.x_max <= self.x_min:
-            raise ConfigurationError("x_max must exceed x_min")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigurationError("dt and t_end must be positive")
 
@@ -74,12 +71,9 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
     snapshot times."""
     if params.dim != 1:
         raise ConfigurationError("the finite-difference oracle is one-dimensional")
-    grid = SampledDensity.on_grid(cfg.x_min, cfg.x_max, cfg.nx)
-    if gamma.values.shape != grid.values.shape:
-        raise InputError("initial density does not live on the configured grid")
-    if abs(float(gamma.x_min[0] - grid.x_min[0])) > 1e-12 or \
-       abs(float(gamma.dx[0] - grid.dx[0])) > 1e-12:
-        raise InputError("initial density grid does not match the configuration")
+    if gamma.values.shape != (cfg.nx,):
+        raise InputError(f"initial density has shape {gamma.values.shape}; "
+                         f"the configuration marches {cfg.nx} nodes")
     eps = params.diffusion
     dx = float(gamma.dx[0])
     cfl = eps * cfg.dt / dx ** 2

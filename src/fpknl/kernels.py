@@ -67,9 +67,10 @@ it; every other block takes the single in-place exp.
 
 A matriciant (dd, w) stays bounded at every horizon for a stable drift; a
 mode growing along the move (unstable forward, stable backward) overflows
-it, and ``matriciant`` raises KernelValidityError naming |t - s|, as do
-kernel_context for an overflowing anchor and evaluation for an
-overflowing normalization.
+it, and ``matriciant`` raises KernelValidityError naming |t - s|, as does
+kernel_context for an overflowing anchor.  The normalization is taken in
+logs (slogdet), so a spread whose determinant overflows still gives the
+kernel's values wherever they are normal doubles.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeltaLimitError, InputError, KernelValidityError
-from .model import ModelParams, MomentTrajectory, _vector, require_finite
+from .model import ModelParams, MomentTrajectory, _vector
 from .variations import Matriciant, matriciant, require_spd
 
 DELTA_TOL = 1e-9
@@ -213,13 +214,11 @@ def kernel_features(ctx: KernelContext, xs, ys) -> tuple[np.ndarray, np.ndarray]
             f"kernel points must be (N, {n}) arrays or one ({n},) point in {n}D, got "
             f"x of shape {np.shape(xs)} and y of shape {np.shape(ys)}"
         )
-    det = np.linalg.det(m.w)  # a numpy scalar: a zero determinant gives pref inf
-    pref = (2.0 * np.pi * eps) ** (-n / 2.0) * det ** -0.5
-    if not (math.isfinite(det) and math.isfinite(pref)):
-        require_finite(KernelValidityError, f"kernel normalization at |t - s| = {m.t - m.s:.6g}",
-                       det, pref)
     if not (len(x) and len(y)):
         return np.zeros((len(x), n + 2)), np.zeros((n + 2, len(y)))
+    # the normalization (2 pi eps)^(-n/2) det(w)^(-1/2) in logs: det(w)
+    # overflows long before the kernel's values leave the normal doubles
+    log_pref = -0.5 * (n * math.log(2.0 * math.pi * eps) + np.linalg.slogdet(m.w)[1])
     # coordinates are rows, (dim, N) arrays: each pass runs along the points,
     # not along a row of dim entries per point
     center = 0.5 * (x[0] + x[-1])
@@ -235,7 +234,7 @@ def kernel_features(ctx: KernelContext, xs, ys) -> tuple[np.ndarray, np.ndarray]
     left[n + 1] = right[:, n] = 1.0
     np.multiply(yt.T, -2.0, out=right[:, :n])
     quad = np.add.reduce(np.multiply(np.dot(c.T, yt), yt, out=yt), axis=0, out=right[:, n + 1])
-    quad += math.log(pref)
+    quad += log_pref
     return left.T, right.T
 
 

@@ -27,14 +27,15 @@ ZERO_MASS_TOL = 1e-12
 # each pass through memory.  Measured with evolve_quadrature (Xeon, one
 # core, one BLAS thread, ms per call, median of 15, the quietest of three
 # runs; the other two ran up to 1.6x slower with the same shape), one
-# input of each grid class of the quad_forward benchmark, B its run:
+# input of each grid class of the quad_forward benchmark, before the
+# quadrature took tiles (CHANGES.md has the layout it ran):
 #
-#   grid    B  rows at 2^16   2^14   2^15   2^16   2^17   2^18   2^20   4e6
-#   N 1201  64      600       0.72   0.66   0.64   0.69   0.66   0.70   0.67
-#   N 1801  64      450       1.02   0.95   0.90   0.87   1.60   1.58   1.57
-#   N 2401  64      400       1.30   1.17   1.20   1.20   1.22   2.23   2.27
-#   31^2     8      240       0.85   0.78   0.74   0.76   0.86   0.86   0.84
-#   45^2     8      119       2.36   2.07   2.08   3.02   3.17   5.98   6.29
+#   grid      2^14   2^15   2^16   2^17   2^18   2^20   4e6
+#   N 1201    0.72   0.66   0.64   0.69   0.66   0.70   0.67
+#   N 1801    1.02   0.95   0.90   0.87   1.60   1.58   1.57
+#   N 2401    1.30   1.17   1.20   1.20   1.22   2.23   2.27
+#   31^2      0.85   0.78   0.74   0.76   0.86   0.86   0.84
+#   45^2      2.36   2.07   2.08   3.02   3.17   5.98   6.29
 #
 # Mixture evaluation shares the constant: 2048 points of up to 16
 # components stay one block.

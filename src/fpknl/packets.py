@@ -172,8 +172,13 @@ class GaussianMixture:
         # inv(chol)^T inv(chol) (reference case: 2.9e-15 against 4.4e-15 relative)
         chol = np.linalg.cholesky(self.cov)
         q = np.linalg.inv(self.cov)
-        scale = self.weight / (np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1)
-                               * (2.0 * np.pi * eps) ** (n / 2.0))
+        diag = np.diagonal(chol, axis1=1, axis2=2)
+        with np.errstate(over="ignore"):  # a product that overflows is redone in logs
+            norm = np.prod(diag, axis=1) * (2.0 * np.pi * eps) ** (n / 2.0)
+        scale, big = self.weight / norm, np.isinf(norm)
+        if big.any():
+            scale[big] = self.weight[big] * np.exp(
+                -np.log(diag[big]).sum(axis=1) - 0.5 * n * np.log(2.0 * np.pi * eps))
         x = np.asarray(x, dtype=float)
         pts = _points(x.reshape(-1, 1) if n == 1 and x.ndim < 2 else x, n)
         if pts is None:

@@ -226,6 +226,52 @@ def sampled_csv(tmp_path, eps=0.5, mean=0.3, nodes=401):
     return path
 
 
+def _config_refusal(tmp_path, case):
+    """The base config edited into one that each task refuses, and the
+    message it names."""
+    cfg = base_config(tmp_path / "out")
+    two_d = {"dimension": 2, "drift": EYE2, "coupling_state": EYE2, "coupling_mean": EYE2}
+    if case == "dimension":
+        cfg["model"]["dimension"] = 2
+        return cfg, "dimension 2 does not match matrix shape 1"
+    if case in ("no-initial", "no-time", "no-grid"):
+        block = case.removeprefix("no-")
+        del cfg[block]
+        return cfg, f"this task needs a{'n' if block == 'initial' else ''} {block} block"
+    if case == "gaussian-no-components":
+        cfg["initial"] = {"kind": "gaussian"}
+        return cfg, "gaussian initial needs components"
+    if case == "sampled-no-path":
+        cfg["initial"] = {"kind": "sampled"}
+        return cfg, "sampled initial needs a path"
+    if case == "three-columns":
+        path = tmp_path / "three.csv"
+        path.write_text("0.0,1.0,2.0\n0.1,1.0,2.0\n")
+        cfg["initial"] = {"kind": "sampled", "path": str(path)}
+        return cfg, "sampled initial must be two CSV columns: x,u"
+    if case == "analytic-2d-evolve":
+        cfg["model"].update(two_d)
+        cfg["initial"]["components"][0].update(mean=[0.5, 0.0], num=EYE2, den=EYE2)
+        return cfg, "analytic CSV output is one-dimensional"
+    if case == "symmetry-2d":
+        cfg = base_config(tmp_path / "out", task="symmetry")
+        cfg["model"].update(two_d)
+        return cfg, "the symmetry task is one-dimensional"
+    cfg = base_config(tmp_path / "out", task="symmetry")
+    cfg["initial"] = {"kind": "sampled", "path": str(sampled_csv(tmp_path))}
+    return cfg, "the symmetry task needs a gaussian initial block"
+
+
+@pytest.mark.parametrize("case", [
+    "dimension", "no-initial", "no-time", "no-grid", "gaussian-no-components",
+    "sampled-no-path", "three-columns", "analytic-2d-evolve", "symmetry-2d",
+    "symmetry-sampled"])
+def test_config_refusals_name_their_cause(tmp_path, capsys, case):
+    cfg, message = _config_refusal(tmp_path, case)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_sampled_initial_evolve_and_inverse(tmp_path):
     data = sampled_csv(tmp_path)
     for task, key, tol in (("evolve", None, None),

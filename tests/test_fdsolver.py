@@ -9,7 +9,8 @@ from fpknl import (ConfigurationError, FDConfig, GaussianMixture,
                    GaussianPacket, InputError, ModelParams, NormalizationError,
                    SampledDensity, compare, evolve_analytic, evolve_packet, fd_solve,
                    plan_for)
-from fpknl.checks import reference_case
+from fpknl import checks
+from fpknl.checks import fd_vs_analytic, reference_case
 
 
 def heat_params(eps=0.5):
@@ -17,9 +18,10 @@ def heat_params(eps=0.5):
                        coupling_mean=[[0.0]], diffusion=eps)
 
 
-def sample(packet, params, cfg):
+def sample(packet, params, half, cfg):
+    """The packet on cfg.nx nodes from -half to half."""
     return SampledDensity.from_callable(lambda pts: packet.eval(params, pts),
-                                        [cfg.x_min], [cfg.x_max], [cfg.nx])
+                                        [-half], [half], [cfg.nx])
 
 
 def test_the_oracle_imports_nothing_of_the_closed_form():
@@ -42,11 +44,10 @@ def test_the_oracle_imports_nothing_of_the_closed_form():
 
 def test_heat_solution_matches_kernel_reference():
     p = heat_params(0.5)
-    cfg = FDConfig(x_min=-8.0, x_max=8.0, nx=1601, dt=2e-5, t_end=0.5,
-                   snapshot_times=(0.5,))
+    cfg = FDConfig(nx=1601, dt=2e-5, t_end=0.5, snapshot_times=(0.5,))
     pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
-    res = fd_solve(p, sample(pk, p, cfg), cfg)
-    exact = sample(evolve_packet(pk, p, 0.5, 0.0), p, cfg)
+    res = fd_solve(p, sample(pk, p, 8.0, cfg), cfg)
+    exact = sample(evolve_packet(pk, p, 0.5, 0.0), p, 8.0, cfg)
     linf = compare(res.snapshots[0], exact)
     assert linf < 1e-4
     assert not res.mass_drifted
@@ -63,6 +64,25 @@ def test_reference_case_second_order(fd_base, fd_refined):
     assert 3.0 <= fd_base.linf / fd_refined.linf <= 5.0
 
 
+def test_reduction_check_runs_both_solves_itself(ref_case, monkeypatch):
+    # the command line's path: refine on and no comparisons passed in, so
+    # the check solves at (nx, dt) and at (2 nx - 1, dt / 2) on its own
+    p, pk = ref_case
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2:])
+        return fd_vs_analytic(*args)
+
+    monkeypatch.setattr(checks, "fd_vs_analytic", spy)
+    results = checks.check_fd_reduction(p, pk, nx=301, dt=1e-4, t_end=0.5)
+    assert calls == [(-6.0, 6.0, 301, 1e-4, 0.5), (-6.0, 6.0, 601, 5e-5, 0.5)]
+    assert [r.name for r in results] == ["reduction-linf", "reduction-runtime",
+                                         "moment-decoupling", "fd-mass", "reduction-order"]
+    assert all(r.passed for r in results), [r.line() for r in results]
+    assert results[-1].value == pytest.approx(4.0, abs=0.05)
+
+
 def test_mixture_matches_analytic_pathway():
     # asymmetric mixture exercises the shared-moment coupling
     p = ModelParams(drift=[[1.0]], coupling_state=[[0.0]],
@@ -71,10 +91,9 @@ def test_mixture_matches_analytic_pathway():
         GaussianPacket(mean=[-0.8], num=[[1.0]], den=[[1.0]], weight=0.6),
         GaussianPacket(mean=[0.8], num=[[1.0]], den=[[1.0]], weight=0.4),
     ])
-    cfg = FDConfig(x_min=-6.0, x_max=6.0, nx=901, dt=5e-5, t_end=0.3,
-                   snapshot_times=(0.3,))
-    res = fd_solve(p, sample(mix, p, cfg), cfg)
-    exact = sample(evolve_analytic(mix, plan_for(p, 0.0, 0.3, mix)), p, cfg)
+    cfg = FDConfig(nx=901, dt=5e-5, t_end=0.3, snapshot_times=(0.3,))
+    res = fd_solve(p, sample(mix, p, 6.0, cfg), cfg)
+    exact = sample(evolve_analytic(mix, plan_for(p, 0.0, 0.3, mix)), p, 6.0, cfg)
     linf = compare(res.snapshots[0], exact)
     assert linf < 5e-3
     # the self-consistent grid moment follows the closed form
@@ -120,10 +139,9 @@ def reference_solve(params, gamma, cfg):
 def test_fused_step_matches_reference_rk4(coupling_mean, coupling):
     p = ModelParams(drift=[[3.0]], coupling_state=[[0.5]],
                     coupling_mean=[[coupling_mean]], diffusion=0.1, coupling=coupling)
-    cfg = FDConfig(x_min=-4.0, x_max=4.0, nx=241, dt=2e-4, t_end=0.04,
-                   snapshot_times=(0.0, 0.02, 0.04))
+    cfg = FDConfig(nx=241, dt=2e-4, t_end=0.04, snapshot_times=(0.0, 0.02, 0.04))
     pk = GaussianPacket(mean=[0.6], num=[[1.5]], den=[[1.0]])
-    gamma = sample(pk, p, cfg)
+    gamma = sample(pk, p, 4.0, cfg)
     res = fd_solve(p, gamma, cfg)
     states, moments, masses = reference_solve(p, gamma, cfg)
     np.testing.assert_allclose(res.moments, moments, rtol=0, atol=1e-13)
@@ -145,8 +163,8 @@ def test_a_density_off_unit_mass_is_refused(scale):
     # mass 2 the oracle's moment per unit mass reached 0.500 at t = 1, where
     # the closed form's is 0.303, and nothing was raised
     p, pk = reference_case()
-    cfg = FDConfig(x_min=-6.0, x_max=6.0, nx=601, dt=1e-3, t_end=1.0, snapshot_times=(1.0,))
-    gamma = sample(pk, p, cfg)
+    cfg = FDConfig(nx=601, dt=1e-3, t_end=1.0, snapshot_times=(1.0,))
+    gamma = sample(pk, p, 6.0, cfg)
     scaled = SampledDensity(gamma.x_min, gamma.dx, scale * gamma.values)
     mass = float(np.trapezoid(scaled.values, dx=scaled.dx[0]))
     with pytest.raises(NormalizationError, match=rf"initial mass {mass:.12g} is not 1 "):
@@ -159,38 +177,63 @@ def test_a_density_off_unit_mass_is_refused(scale):
 
 def test_cfl_guard():
     p = heat_params(0.5)
-    cfg = FDConfig(x_min=-4.0, x_max=4.0, nx=801, dt=1e-3, t_end=0.1)
+    cfg = FDConfig(nx=801, dt=1e-3, t_end=0.1)
     pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
     with pytest.raises(ConfigurationError):
-        fd_solve(p, sample(pk, p, cfg), cfg)
+        fd_solve(p, sample(pk, p, 4.0, cfg), cfg)
 
 
-@pytest.mark.parametrize("field", ["x_min", "x_max", "dt", "t_end"])
+@pytest.mark.parametrize("field", ["dt", "t_end"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_settings_rejected(field, value):
     # a NaN dt used to pass every comparison and die converting the step
     # count, a raw ValueError
-    settings = dict(x_min=-4.0, x_max=4.0, nx=401, dt=1e-4, t_end=0.1)
+    settings = dict(nx=401, dt=1e-4, t_end=0.1)
     settings[field] = value
     with pytest.raises(ConfigurationError, match="must be finite"):
         FDConfig(**settings)
 
 
+@pytest.mark.parametrize("settings, message", [
+    (dict(nx=7, dt=1e-4, t_end=0.1), "at least 8 grid nodes"),
+    (dict(nx=401, dt=0.0, t_end=0.1), "must be positive"),
+    (dict(nx=401, dt=-1e-4, t_end=0.1), "must be positive"),
+], ids=["nx-7", "dt-0", "dt-negative"])
+def test_settings_out_of_range_rejected(settings, message):
+    with pytest.raises(ConfigurationError, match=message):
+        FDConfig(**settings)
+
+
+def test_a_model_of_two_dimensions_is_refused():
+    p = ModelParams(drift=np.eye(2), coupling_state=np.zeros((2, 2)),
+                    coupling_mean=np.zeros((2, 2)), diffusion=0.5)
+    gamma = SampledDensity([-4.0], [0.02], np.full(401, 1.0 / 8.0))
+    with pytest.raises(ConfigurationError, match="one-dimensional"):
+        fd_solve(p, gamma, FDConfig(nx=401, dt=1e-4, t_end=0.1))
+
+
+def test_end_time_off_the_step_grid_is_refused():
+    p = heat_params(0.5)
+    cfg = FDConfig(nx=401, dt=1e-4, t_end=0.10005)
+    pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
+    with pytest.raises(ConfigurationError, match="integer number of steps"):
+        fd_solve(p, sample(pk, p, 4.0, cfg), cfg)
+
+
 def test_snapshot_must_sit_on_step_grid():
     p = heat_params(0.5)
     with pytest.raises(ConfigurationError):
-        cfg = FDConfig(x_min=-4.0, x_max=4.0, nx=401, dt=1e-4, t_end=0.1,
-                       snapshot_times=(0.05001234,))
+        cfg = FDConfig(nx=401, dt=1e-4, t_end=0.1, snapshot_times=(0.05001234,))
         pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
-        fd_solve(p, sample(pk, p, cfg), cfg)
+        fd_solve(p, sample(pk, p, 4.0, cfg), cfg)
 
 
 def test_grid_mismatch_rejected():
     p = heat_params(0.5)
-    cfg = FDConfig(x_min=-4.0, x_max=4.0, nx=401, dt=1e-4, t_end=0.1)
+    cfg = FDConfig(nx=401, dt=1e-4, t_end=0.1)
     pk = GaussianPacket(mean=[0.0], num=[[1.0]], den=[[1.0]])
     wrong = SampledDensity([-4.0], [0.01], pk.eval(p, np.linspace(-4, 4, 801).reshape(-1, 1)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"shape \(801,\); the configuration marches 401"):
         fd_solve(p, wrong, cfg)
 
 
@@ -211,4 +254,11 @@ def test_compare_grid_mismatch():
     d = SampledDensity([0.0], [0.1], np.zeros(11))
     e = SampledDensity([0.5], [0.1], np.zeros(11))
     with pytest.raises(InputError):
+        compare(d, e)
+
+
+def test_compare_shape_mismatch():
+    d = SampledDensity([0.0], [0.1], np.zeros(11))
+    e = SampledDensity([0.0], [0.1], np.zeros(12))
+    with pytest.raises(InputError, match="differ in shape"):
         compare(d, e)

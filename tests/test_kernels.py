@@ -421,6 +421,22 @@ def test_overflow_raises_the_typed_error_not_a_warning():
                 build()
 
 
+@pytest.mark.parametrize("dim, tau", [(2, 250.0), (3, 150.0)])
+def test_a_determinant_past_the_largest_double_still_gives_the_kernel(dim, tau):
+    # drift -I spreads the kernel to w = (e^(2 tau) - 1) I, whose determinant
+    # overflows: numpy's det warned and the kernel raised KernelValidityError,
+    # where its value at the origin, (2 pi (e^(2 tau) - 1))^(-dim/2), is a
+    # normal double (1.134e-218 in 2D at tau 250)
+    p = ModelParams(drift=-np.eye(dim), coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=np.zeros((dim, dim)), diffusion=1.0)
+    ctx = kernel_context(p, tau, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = kernel_matrix(ctx, np.zeros((1, dim)), np.zeros((1, dim)))[0, 0]
+    assert value == pytest.approx(np.exp(-0.5 * dim * (np.log(2.0 * np.pi) + 2.0 * tau)),
+                                  rel=1e-12)
+
+
 def _context_2d():
     p = ModelParams(drift=np.eye(2), coupling_state=np.zeros((2, 2)),
                     coupling_mean=-0.5 * np.eye(2), diffusion=0.3, coupling=1.0)

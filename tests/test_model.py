@@ -48,6 +48,11 @@ def test_dimension_mismatch_rejected():
         make_params([[1.0]], np.eye(2), [[0.0]])
 
 
+def test_non_square_drift_rejected():
+    with pytest.raises(ConfigurationError, match=r"drift must be a square matrix, got shape \(1, 2\)"):
+        make_params([[1.0, 2.0]], [[0.0, 0.0]], [[0.0, 0.0]])
+
+
 def test_nonpositive_diffusion_rejected():
     with pytest.raises(ConfigurationError):
         make_params([[1.0]], [[0.0]], [[0.0]], eps=0.0)
@@ -205,6 +210,24 @@ def test_non_finite_moment_rejected():
     p = make_params([[1.0]], [[0.0]], [[0.0]])
     with pytest.raises(ConfigurationError, match="x0 must be finite"):
         p.moment_trajectory([np.nan])
+
+
+def test_moment_start_of_the_wrong_shape_rejected():
+    p = make_params([[1.0]], [[0.0]], [[0.0]])
+    with pytest.raises(ConfigurationError, match=r"x0 must have shape \(1,\), got \(2,\)"):
+        p.moment_trajectory([0.0, 1.0])
+
+
+@pytest.mark.parametrize("x_min, dx", [([0.0, 1.0], [0.1]), ([0.0], [0.1, 0.1])],
+                         ids=["x_min", "dx"])
+def test_origin_or_spacing_of_the_wrong_length_rejected(x_min, dx):
+    with pytest.raises(InputError, match=r"one entry per value axis \(1\)"):
+        SampledDensity(x_min, dx, np.ones(5))
+
+
+def test_a_grid_of_one_node_rejected():
+    with pytest.raises(InputError, match="at least 2 nodes per axis"):
+        SampledDensity.on_grid(0.0, 1.0, 1)
 
 
 def test_2d_mass_and_moment():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,14 @@ def test_evolve_packet_refuses_a_packet_that_is_not_unit_mass(weight):
         checks.fd_vs_analytic(p, pk, nx=601, dt=1e-4, t_end=0.5)
 
 
+@pytest.mark.parametrize("extra", [{"dipole": [0.3]}, {"amp0": 2.0}], ids=["dipole", "amp0"])
+def test_evolve_packet_refuses_a_packet_that_is_not_a_plain_density(extra):
+    p, _ = checks.reference_case()
+    pk = GaussianPacket([0.5], [[1.0]], [[1.0]], **extra)
+    with pytest.raises(InvalidCovarianceError, match="needs a plain density packet"):
+        evolve_packet(pk, p, 0.5, 0.0)
+
+
 @pytest.mark.parametrize("fields", [
     {"mean": [0.5], "num": [[1.0, 0.0]], "den": [[1.0]]},
     {"mean": [0.5], "num": np.eye(2), "den": np.eye(2)},
@@ -275,6 +284,23 @@ def test_mixture_values_below_the_smallest_normal_are_zero():
     assert vals[0] >= tiny and vals[0] == pytest.approx(
         1e-3 * np.exp(-11.8 ** 2 / 0.2) / np.sqrt(2 * np.pi * 0.1), rel=1e-12)
     assert not vals[1:].any()
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-200])
+def test_a_normalization_past_the_largest_double_is_taken_in_logs(eps):
+    # drift -I over t - s = 250 spreads a 3D packet to cov 2.8e217 I, and the
+    # product of its Cholesky diagonal overflowed: numpy warned and eval gave
+    # 0 even at diffusion 1e-200, where the peak is 4.27e-28
+    p = ModelParams(drift=-np.eye(3), coupling_state=np.zeros((3, 3)),
+                    coupling_mean=np.zeros((3, 3)), diffusion=eps)
+    mix = GaussianMixture([GaussianPacket(np.zeros(3), np.eye(3), np.eye(3))])
+    u = evolve_analytic(mix, plan_for(p, 0.0, 250.0, mix))
+    peak = np.exp(-1.5 * np.log(2.0 * np.pi * eps * u.cov[0, 0, 0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = u.eval(p, np.array([[0.0, 0.0, 0.0], [1e100, 0.0, 0.0]]))
+    assert values[0] == pytest.approx(peak, rel=1e-12) and values[1] == 0.0
+    assert (peak == 0.0) == (eps == 1.0)
 
 
 def test_propagating_along_a_context_of_another_dimension_is_an_input_error():

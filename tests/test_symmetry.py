@@ -105,6 +105,19 @@ def test_operator_of_another_dimension_is_refused(sampled):
         apply_initial_op(op, field, p)
 
 
+def test_operator_coefficients_of_different_lengths_are_refused():
+    with pytest.raises(InputError, match="lin and grad coefficient vectors must match"):
+        InitialOperator(1.0, [0.0, 1.0], [0.0])
+
+
+def test_operator_on_a_dipole_mixture_is_refused():
+    # the image of a dipole would need second derivatives of the Gaussian
+    dipole = GaussianMixture([GaussianPacket(mean=[0.5], num=[[1.0]], den=[[1.0]],
+                                             dipole=[0.3])])
+    with pytest.raises(InputError, match="dipole-carrying packet"):
+        apply_initial_op(IDENTITY, dipole, params_1d())
+
+
 # ------------------------------------------------------------ explicit seeds
 
 def test_linsym_at_start_is_shifted_position_plus_gradient():
@@ -141,6 +154,13 @@ def test_linsym_direction_outside_the_axes_is_refused(direction):
     p = params_1d()
     with pytest.raises(InputError, match=f"direction {direction} lies outside 0 ... 0"):
         linsym_operator(p, matriciant(p, 0.0, 0.0), [0.5], direction=direction)
+
+
+def test_linsym_closed_form_is_one_dimensional():
+    p = ModelParams(drift=np.eye(2), coupling_state=np.zeros((2, 2)),
+                    coupling_mean=np.zeros((2, 2)), diffusion=0.5)
+    with pytest.raises(InputError, match="one-dimensional display"):
+        linsym_closed_form(p, 1.0, 0.0, 1.0, 1.0, 0.5, 0.2)
 
 
 # ------------------------------------------------------------------- routes
