@@ -22,7 +22,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__, checks
 from .errors import ConfigurationError, FpknlError, InputError
@@ -160,6 +159,10 @@ def fmt(x) -> str:
 
 
 def load_config(path: str) -> dict:
+    # imported here, at its one use, so that importing the module does
+    # not load jsonschema
+    from jsonschema import Draft202012Validator
+
     try:
         with open(path) as fh:
             cfg = json.load(fh)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigurationError, DegenerateMomentError, InputError
+from .errors import (ConfigurationError, DegenerateMomentError, InputError,
+                     KernelValidityError)
 
 ZERO_MASS_TOL = 1e-12
 # most float64 entries a dense intermediate block (kernel or mixture
@@ -153,11 +154,19 @@ class MomentTrajectory:
     def at(self, t) -> np.ndarray:
         """X(t) for a scalar time; for an array of times, X at each of them
         along a last axis (a 1-D array gives (len(t), n)) from one stacked
-        matrix exponential."""
+        matrix exponential.  Where X overflows double precision,
+        KernelValidityError names the shortest such |t - t0|; a time that
+        is not finite raises InputError."""
         tau = np.asarray(t, dtype=float) - self.t0
-        # an overflow gives inf without a warning; kernel_context types it
-        with np.errstate(over="ignore", invalid="ignore"):
-            return expm(tau[..., None, None] * self.rate) @ self.x0
+        with np.errstate(over="ignore", invalid="ignore"):  # typed next
+            x = expm(tau[..., None, None] * self.rate) @ self.x0
+        if not np.isfinite(x).all():
+            lost = np.abs(tau)[~np.isfinite(x).all(axis=-1)].min()
+            require_finite(InputError, "time t", lost)
+            raise KernelValidityError(
+                f"X(t) is not finite at |t - s| = {lost:.6g} from the start s = {self.t0:.6g}: "
+                "the moment trajectory overflows double precision over this horizon")
+        return x
 
 
 def _layout(x_min, dx, shape) -> tuple:

@@ -17,28 +17,42 @@ computation, and all components move along the same directed
 one component, entering the solver as ``GaussianMixture([packet])``.
 
 Evaluation expands each component's exponent -(x-m)^T Q (x-m) / 2 eps
-over the quadratic features [y, y y^T, 1] of y = x - c, so one product of
-the (K, features) coefficients with the (features, points) block,
-``kernels.exp_product``, gives every exponent at every point; weights,
-normalizations and amplitudes then scale the K rows, which are summed in
-component order, group after group.  The expansion cancels terms of about
-s = |m - c|^2 tr(Q) / 2 eps, and its rounding costs about 3 s machine
-epsilons of relative accuracy (3e-13 at s = 1000, measured), so a center
-is shared only by components with s within CENTER_REACH: the mean of the
-means when all of them qualify, otherwise each group is seeded by the
-first remaining mean and evaluated as a product of its own.  The center
-depends on the components alone, so splitting the points into blocks
-changes no bit.  Points are those of kernels, or in 1D a flat (N,) grid;
-a non-finite point raises InputError.  A point whose offset from a
-center is so large that its square would overflow is clipped to a
-distance where every component is still 0 in double precision, so far
-points evaluate to 0 with no overflow; an exponent below log of the
-smallest normal double gives 0 as well, and so does a value that the
-weights, normalizations and amplitudes push below it: never a subnormal.
+over the quadratic features [1, y, y y^T] of y = x - c, and adds the
+component's whole scale to its constant coefficient as a log,
+log|weight amp0| less its log normalization, as kernels carry their
+prefactor.  So one product of the (K, features) coefficients with the
+(features, points) block, ``kernels.exp_product``, gives every
+component's value at every point, and its K rows are summed in component
+order, group after group.  Only a negative weight (a sign applied after
+the exp) or a dipole (the amplitude amp0 + a1.(x - m), a product over
+[1, y]) touches the rows again.  A zero weight takes a floor far below
+log of the smallest normal double, never log 0.  A log scale past log of
+the largest double is checked against the exponents at the points, and
+a value past the largest double raises InputError naming the component
+and its peak density; the other values stay exact.
+
+The expansion cancels terms of about s = |m - c|^2 tr(Q) / 2 eps, and
+its rounding costs about 3 s machine epsilons of relative accuracy
+(3e-13 at s = 1000, measured), so a center is shared only by components
+with s within CENTER_REACH: the mean of the means when all of them
+qualify, otherwise each group is seeded by the first remaining mean and
+evaluated as a product of its own.  The center depends on the components
+alone, so splitting the points into blocks changes no bit.  Points are
+those of kernels, or in 1D a flat (N,) grid; a non-finite point raises
+InputError.  A point whose offset from a center is so large that its
+square would overflow is clipped to a distance where every component is
+still 0 in double precision, so far points evaluate to 0 with no
+overflow; an exponent below log of the smallest normal double gives 0 as
+well, never a subnormal, and with the scale inside the exponent that
+mask covers every value of plain components of positive weight.  Only
+where signed or dipole terms can cancel below the smallest normal double
+is a sum below it set to 0.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +65,8 @@ from .variations import fraction
 # largest |mean - center|^2 tr(Q) / (2 diffusion) of a component that
 # shares a center in eval: the size of the exponent terms that cancel
 CENTER_REACH = 1e3
+# the largest and the smallest normal double: an exponent past log(_MAX) overflows
+_MAX, _TINY = float(np.finfo(float).max), float(np.finfo(float).tiny)
 
 
 def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -166,34 +182,40 @@ class GaussianMixture:
         return normalize_moment(raw, self.total_mass()) if normalized else raw
 
     def eval(self, params: ModelParams, x) -> np.ndarray:
-        eps = params.diffusion
-        n = self.dim
-        # sqrt(det Q) = 1 / prod(diag chol); inv(S) rounds less than
-        # inv(chol)^T inv(chol) (reference case: 2.9e-15 against 4.4e-15 relative)
-        chol = np.linalg.cholesky(self.cov)
-        q = np.linalg.inv(self.cov)
-        diag = np.diagonal(chol, axis1=1, axis2=2)
-        with np.errstate(over="ignore"):  # a product that overflows is redone in logs
-            norm = np.prod(diag, axis=1) * (2.0 * np.pi * eps) ** (n / 2.0)
-        scale, big = self.weight / norm, np.isinf(norm)
-        if big.any():
-            scale[big] = self.weight[big] * np.exp(
-                -np.log(diag[big]).sum(axis=1) - 0.5 * n * np.log(2.0 * np.pi * eps))
+        eps, n = params.diffusion, self.dim
         x = np.asarray(x, dtype=float)
         pts = _points(x.reshape(-1, 1) if n == 1 and x.ndim < 2 else x, n)
         if pts is None:
             raise InputError(f"mixture points must be (N, {n}) arrays or one ({n},) point "
                              f"in {n}D, got shape {x.shape}")
-        most = np.abs(pts).max(initial=0.0)  # nan or inf where a point is not finite
-        if not np.isfinite(most):
+        most = float(np.abs(pts).max(initial=0.0))  # nan or inf where a point is not finite
+        if not math.isfinite(most):
             bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
             raise InputError(f"mixture points must be finite, got {pts[bad]} at point {bad}")
-        n_pts = len(pts)
-        vals = None
+        # each component's log scale, log|weight amp0| less its log
+        # normalization with sqrt(det Q) = 1 / prod(diag chol), joins its
+        # exponent; amp0 stays in a dipole component's amplitude, and the
+        # sign applies after the exp.  A zero weight takes a floor whose
+        # exponents exp_product zeroes
+        lead = self.weight if self.dipole is not None else self.weight * self.amp0
+        # signed or dipole terms can cancel below the smallest normal double
+        sign, zero, cancel = np.sign(lead), lead == 0, self.dipole is not None or lead.min() < 0
+        # 1 x 1 blocks take their factor and inverse elementwise, with the
+        # same bits and without LAPACK's per-call cost
+        chol = np.sqrt(self.cov[:, 0]) if n == 1 else np.diagonal(
+            np.linalg.cholesky(self.cov), axis1=1, axis2=2)
+        log_scale = np.log(np.abs(lead) + zero) - np.log(chol).sum(axis=1) \
+            - 0.5 * n * (math.log(2.0 * math.pi) + math.log(eps))
+        log_scale[zero] = 2.0 * math.log(_TINY)
+        # only a log scale past log(_MAX) lets an exponent pass it (Q is positive)
+        hot = log_scale.max() > math.log(_MAX)
+        vals = np.zeros(len(pts))
         # exponent -(x-m)^T Q (x-m) / 2 eps = (y-d)^T H (y-d) with H = -Q / 2 eps,
         # y = x - center and d = m - center: the coefficients of the
-        # features [y, y y^T, 1] are -2 H d, H and d^T H d
-        h = (-0.5 / eps) * q
+        # features [1, y, y y^T] are d^T H d plus the log scale, -2 H d and
+        # H.  inv(S) rounds less than inv(chol)^T inv(chol) (reference
+        # case: 2.9e-15 against 4.4e-15 relative)
+        h = (-0.5 / eps) * (1.0 / self.cov if n == 1 else np.linalg.inv(self.cov))
         # |d|^2 tr(-H) bounds the exponent terms that cancel (CENTER_REACH)
         spread = -np.einsum("kii->k", h)
         # an offset y is clipped to +-reach per axis: as |h_ij| <= tr(-h), a
@@ -202,48 +224,53 @@ class GaussianMixture:
         # it) has an exponent below -(max/64) lambda_min(-h) / max(1, tr(-h)),
         # which exp takes to 0.  Centers lie within the means' box, so only
         # a point past reach less the box's extent can need the clip
-        reach = (np.finfo(float).max / 64.0 / max(1.0, spread.max())) ** 0.5
+        reach = (_MAX / 64.0 / max(1.0, spread.max())) ** 0.5
         far = most > reach - np.abs(self.mean).max()
         for g, center, d in _groups(self.mean, spread):
+            # the one group of most mixtures takes views, not copies
+            g = slice(None) if len(g) == len(lead) else g
             hg = h[g]
             hd = _mv(hg, d)
-            coef = np.concatenate([-2.0 * hd, hg.reshape(len(g), n * n),
-                                   (hd * d).sum(axis=1, keepdims=True)], axis=1)
-            if self.dipole is None:
-                amp = (scale[g] * self.amp0[g])[:, None]
-            else:
+            coef = np.concatenate([((hd * d).sum(axis=1) + log_scale[g])[:, None],
+                                   -2.0 * hd, hg.reshape(-1, n * n)], axis=1)
+            # the signed amplitude of each row as coefficients of features
+            # [1, y]: the sign alone where no component has a dipole
+            amp = sign[g, None]
+            if self.dipole is not None:
                 # amp0 N - dipole . grad N = (amp0 + a1.(x - m)) N with
                 # a1 = Q dipole / eps = -2 H dipole, and
                 # amp0 + a1.(x - m) = (amp0 - a1.d) + a1.y
-                a1 = -2.0 * _mv(hg, self.dipole[g])
-                a0 = (self.amp0[g] - (a1 * d).sum(axis=1))[:, None]
+                a1 = (-2.0 * amp) * _mv(hg, self.dipole[g])
+                amp = np.concatenate([amp * self.amp0[g, None]
+                                      - (a1 * d).sum(axis=1, keepdims=True), a1], axis=1)
             # near-equal blocks of points, each holding at most about
             # BLOCK_ENTRIES entries of the (K, points) product or of the
             # features; at four or more points a block, none is left with
             # the single point that numpy's matmul would round differently
-            part = np.empty(n_pts)
-            for rows in row_blocks(n_pts, max(coef.shape)):
+            for rows in row_blocks(len(pts), max(coef.shape)):
                 feats = np.empty((coef.shape[1], rows.stop - rows.start))
-                y = feats[:n]
-                with np.errstate(over="ignore" if far else None):  # clipped next
-                    np.subtract(pts[rows].T, center[:, None], out=y)
+                y = feats[1:n + 1]
+                with np.errstate(over="ignore") if far else contextlib.nullcontext():
+                    np.subtract(pts[rows].T, center[:, None], out=y)  # clipped next
                 if far:
                     np.clip(y, -reach, reach, out=y)
-                np.multiply(y[:, None], y, out=feats[n:-1].reshape(n, n, -1))
-                feats[-1] = 1.0
+                np.multiply(y[:, None], y, out=feats[n + 1:].reshape(n, n, -1))
+                feats[0] = 1.0
+                if hot and (top := (coef @ feats).max(axis=1)).max() > math.log(_MAX):
+                    k = np.arange(len(lead))[g][top.argmax()]
+                    raise InputError(f"mixture component {k} peaks at a density of 1e"
+                                     f"{log_scale[k] / math.log(10):.1f}, past the largest double")
                 block = exp_product(coef, feats)
-                if self.dipole is not None:
-                    block *= scale[g][:, None]
-                    amp = a1 @ y
-                    amp += a0
-                # weighted sum in component order, the same for every block
-                block *= amp
-                block.sum(axis=0, out=part[rows])
-            vals = part if vals is None else vals + part
-        # the weights, normalizations and amplitudes scale each exponential
-        # after exp_product, and groups add: a value they leave below the
-        # smallest normal double is 0 too, never subnormal
-        np.putmask(vals, np.abs(vals) < np.finfo(float).tiny, 0.0)
+                if cancel:
+                    block *= amp @ feats[:amp.shape[1]]
+                # summed in component order, the same for every block;
+                # groups add in turn
+                vals[rows] += block.sum(axis=0)
+        # exp_product gives 0 or a normal double, and so does a sum of
+        # positive terms; signed and dipole terms can cancel below the
+        # smallest normal double, and such a value is 0 too, never subnormal
+        if cancel:
+            np.putmask(vals, np.abs(vals) < _TINY, 0.0)
         return vals[0] if x.ndim == 0 or (x.ndim == 1 and n > 1) else vals
 
     def shifted(self, delta) -> "GaussianMixture":
@@ -286,8 +313,7 @@ def evolve_packet(p0: GaussianPacket, params: ModelParams,
     if p0.dipole is not None or p0.amp0 != 1.0:
         raise InvalidCovarianceError(
             "evolve_packet needs a plain density packet; "
-            "evolve dipole or amplitude-carrying packets through an evolution plan"
-        )
+            "evolve dipole or amplitude-carrying packets through an evolution plan")
     if p0.weight != 1.0:  # the feedback reads the raw moment, weight times mean
         raise NormalizationError(f"evolve_packet needs weight 1, got {p0.weight:.12g}; "
                                  "evolve other masses as raw fields through evolve_analytic")

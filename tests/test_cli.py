@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -54,6 +57,20 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     rc = main(["run", str(write_config(tmp_path, cfg))])
     assert rc == 2
     assert "schema" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_jsonschema_unloaded():
+    # only load_config validates a config; a caller that imports the module
+    # and never loads one (the benchmark's workers) paid for importing
+    # jsonschema all the same.  A fresh interpreter: this one has loaded it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", "import sys, fpknl.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))"],
+                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_missing_config_file(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fpknl import (ConfigurationError, DegenerateMomentError, InputError,
-                   ModelParams, SampledDensity)
+                   KernelValidityError, ModelParams, SampledDensity)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -91,6 +91,23 @@ def test_moment_constant_for_zero_rate():
     traj = p.moment_trajectory([0.4])
     for t in (-2.0, 0.0, 3.5):
         assert traj.at(t)[0] == pytest.approx(0.4, abs=1e-15)
+
+
+def test_an_overflowing_moment_trajectory_names_its_horizon():
+    # drift -3 grows X like e^(3 t): at t = 400 it is past the largest
+    # double, and at() gave [inf] alone and [10.04, inf] stacked, silently
+    p = make_params([[-3.0]], [[0.0]], [[0.0]])
+    traj = p.moment_trajectory([0.5])
+    # the shortest horizon that overflows is named
+    overflow = r"\|t - s\| = {} from the start s = 0: the moment trajectory overflows"
+    for t, horizon in ((400.0, 400), ([1.0, 400.0], 400), ([1.0, 400.0, 300.0], 300)):
+        with pytest.raises(KernelValidityError, match=overflow.format(horizon)):
+            traj.at(np.array(t))
+    assert traj.at(np.array([1.0, 2.0]))[:, 0] == pytest.approx(0.5 * np.exp([3.0, 6.0]))
+    # a time that is not finite is the caller's input, not an overflow
+    for t in (np.nan, np.inf, [1.0, np.nan]):
+        with pytest.raises(InputError, match="time t must be finite"):
+            traj.at(np.array(t))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,6 +304,38 @@ def test_a_normalization_past_the_largest_double_is_taken_in_logs(eps):
     assert (peak == 0.0) == (eps == 1.0)
 
 
+def test_a_scale_past_the_doubles_is_refused_only_where_a_value_is():
+    # a 3D component of covariance 1e-210 I at diffusion 1 peaks at 10^313.8:
+    # its weight over the overflowing normalization gave inf, inf and nan at
+    # (0, 0, 0), (1e-104, 0, 0) and (1, 0, 0), with numpy's overflow and
+    # invalid-value warnings.  Its log scale joins the exponent instead, so
+    # only the peak, whose value is past the largest double, is refused
+    p = ModelParams(drift=-np.eye(3), coupling_state=np.zeros((3, 3)),
+                    coupling_mean=np.zeros((3, 3)), diffusion=1.0)
+    mix = GaussianMixture([GaussianPacket(np.zeros(3), np.eye(3), 1e-210 * np.eye(3))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mix.eval(p, np.array([1.0, 0.0, 0.0])) == 0.0
+        value = mix.eval(p, np.array([1e-104, 0.0, 0.0]))
+        with pytest.raises(InputError, match=r"component 0 peaks at a density of 1e313\.8"):
+            mix.eval(p, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    closed = np.exp(-1e-208 / 2e-210 - 1.5 * np.log(2.0 * np.pi * 1e-210))
+    assert value == pytest.approx(closed, rel=1e-12)
+    assert value == pytest.approx(1.2246e292, rel=1e-4)
+
+
+def test_a_diffusion_whose_normalization_leaves_the_doubles_evaluates_to_zero():
+    # (2 pi eps)^(3/2) at eps = 1e300 was a Python float power, which raised
+    # a raw OverflowError; the peak density, 10^-451, is 0 in double precision
+    p = ModelParams(drift=-np.eye(3), coupling_state=np.zeros((3, 3)),
+                    coupling_mean=np.zeros((3, 3)), diffusion=1e300)
+    mix = GaussianMixture([GaussianPacket(np.zeros(3), np.eye(3), np.eye(3))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = mix.eval(p, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    assert values.tolist() == [0.0, 0.0]
+
+
 def test_propagating_along_a_context_of_another_dimension_is_an_input_error():
     # used to die in numpy matmul ("mismatch in its core dimension")
     mix = GaussianMixture([GaussianPacket([0.1, -0.2], np.eye(2), np.eye(2))])
@@ -473,6 +506,10 @@ def test_mixture_eval_matches_direct_formula(dim, n_comp, with_dipole):
             dipole=rng.standard_normal(dim) if with_dipole else None))
     pts = np.concatenate([rng.standard_normal((400, dim))]
                          + [c.mean + 0.2 * rng.standard_normal((20, dim)) for c in comps])
+    # a zero weight, whose log scale takes a floor in place of log 0, and a
+    # negative one, whose sign applies after the exp
+    comps += [replace(comps[0], weight=0.0),
+              replace(comps[-1], mean=comps[-1].mean + 0.3, weight=-0.4)]
     assert_eval_matches_terms(comps, 0.15, pts)
 
 
