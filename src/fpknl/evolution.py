@@ -152,7 +152,7 @@ from .errors import (IllPosedInverseError, InvalidCovarianceError, KernelValidit
 from .kernels import (KernelContext, _require_same_dim, exp_product, input_width,
                       kernel_context, kernel_features)
 from .model import ModelParams, SampledDensity, _vector, row_blocks
-from .packets import GaussianMixture, propagate_packet
+from .packets import GaussianMixture, _require_density, propagate_packet
 from .variations import require_spd
 
 MASS_TOL_ANALYTIC = 1e-10
@@ -207,13 +207,15 @@ def _check_mass(mass: float, tol: float) -> None:
 def evolve_analytic(mix: GaussianMixture, plan: KernelContext,
                     require_normalized: bool = True) -> GaussianMixture:
     """Propagate all components at once in closed form around the shared
-    trajectory; a raw field (require_normalized=False) may carry any mass."""
+    trajectory; a raw field (require_normalized=False) may carry any mass.
+    A backward plan (t < s) whose image is not a density raises
+    InvalidCovarianceError."""
     _require_same_dim(mix, plan)
     if require_normalized:
         _check_mass(mix.total_mass(), MASS_TOL_ANALYTIC)
     if plan.t == plan.s:
         return mix.copy()
-    return propagate_packet(mix, plan)
+    return _require_density(propagate_packet(mix, plan), plan)
 
 
 @functools.lru_cache(maxsize=64)

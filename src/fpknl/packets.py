@@ -36,8 +36,13 @@ its rounding costs about 3 s machine epsilons of relative accuracy
 (3e-13 at s = 1000, measured), so a center is shared only by components
 with s within CENTER_REACH: the mean of the means when all of them
 qualify, otherwise each group is seeded by the first remaining mean and
-evaluated as a product of its own.  The center depends on the components
-alone, so splitting the points into blocks changes no bit.  Points are
+evaluated as a product of its own.  The single group of most mixtures
+takes a short path: one component is its own center, and where the
+means' box and the largest tr(Q) / 2 eps bound every s by half of
+CENTER_REACH the mean of the means is the center with no test, no
+errstate and no grouping loop, and with the loop's bits.  The center
+depends on the components alone, so splitting the points into blocks
+changes no bit.  Points are
 those of kernels, or in 1D a flat (N,) grid; a non-finite point raises
 InputError.  A point whose offset from a center is so large that its
 square would overflow is clipped to a distance where every component is
@@ -60,7 +65,7 @@ import numpy as np
 from .errors import InputError, InvalidCovarianceError, NormalizationError
 from .kernels import KernelContext, _points, _require_same_dim, exp_product, kernel_context
 from .model import ModelParams, normalize_moment, require_finite, row_blocks
-from .variations import fraction
+from .variations import fraction, require_spd
 
 # largest |mean - center|^2 tr(Q) / (2 diffusion) of a component that
 # shares a center in eval: the size of the exponent terms that cancel
@@ -79,12 +84,26 @@ def _in_order(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1]
 
 
-def _groups(mean: np.ndarray, reach: np.ndarray):
-    """Split components into groups that share one center, yielding
-    (member indices, center, member means minus center): the mean of the
-    members' means where every member's |mean - center|^2 * reach stays
-    within CENTER_REACH, else the first remaining mean and the members
-    within that of it."""
+def _groups(mean: np.ndarray, reach: np.ndarray, bound: float):
+    """Split components into groups that share one center, as
+    (member indices, center, member means minus center).  One component
+    is its own center; where bound, an upper bound on every
+    |mean - center|^2 * reach about the mean of the means, is within
+    CENTER_REACH / 2 (half, so that no rounding of the center can pass
+    CENTER_REACH), they form one group about it with no test and no
+    errstate; otherwise _split groups them."""
+    if len(mean) == 1:
+        return [(np.arange(1), mean[0], mean - mean[0])]
+    if bound <= CENTER_REACH / 2:
+        center = mean.sum(axis=0) / len(mean)
+        return [(np.arange(len(mean)), center, mean - center)]
+    return _split(mean, reach)
+
+
+def _split(mean: np.ndarray, reach: np.ndarray):
+    """Yield the groups of _groups: the mean of the members' means where
+    every member's |mean - center|^2 * reach stays within CENTER_REACH,
+    else the first remaining mean and the members within that of it."""
     left = np.arange(len(mean))
     while len(mean):
         for center in (mean.sum(axis=0) / len(mean), mean[0]):
@@ -199,43 +218,53 @@ class GaussianMixture:
         # exponents exp_product zeroes
         lead = self.weight if self.dipole is not None else self.weight * self.amp0
         # signed or dipole terms can cancel below the smallest normal double
-        sign, zero, cancel = np.sign(lead), lead == 0, self.dipole is not None or lead.min() < 0
-        # 1 x 1 blocks take their factor and inverse elementwise, with the
-        # same bits and without LAPACK's per-call cost
-        chol = np.sqrt(self.cov[:, 0]) if n == 1 else np.diagonal(
-            np.linalg.cholesky(self.cov), axis1=1, axis2=2)
-        log_scale = np.log(np.abs(lead) + zero) - np.log(chol).sum(axis=1) \
+        zero, cancel = lead == 0, self.dipole is not None or lead.min() < 0
+        # exponent -(x-m)^T Q (x-m) / 2 eps = (y-d)^T H (y-d) with H = -Q / 2 eps,
+        # y = x - center and d = m - center.  inv(S) rounds less than
+        # inv(chol)^T inv(chol) (reference case: 2.9e-15 against 4.4e-15
+        # relative).  1 x 1 blocks take their factor, inverse and trace
+        # elementwise, with the same bits and without LAPACK's or einsum's
+        # per-call cost.  |d|^2 tr(-H) bounds the exponent terms that
+        # cancel (CENTER_REACH)
+        if n == 1:
+            h = (-0.5 / eps) * (1.0 / self.cov)
+            log_root_det, spread = np.log(np.sqrt(self.cov[:, 0, 0])), -h[:, 0, 0]
+        else:
+            h = (-0.5 / eps) * np.linalg.inv(self.cov)
+            log_root_det = np.log(np.diagonal(np.linalg.cholesky(self.cov),
+                                              axis1=1, axis2=2)).sum(axis=1)
+            spread = -np.einsum("kii->k", h)
+        log_scale = np.log(np.abs(lead) + zero) - log_root_det \
             - 0.5 * n * (math.log(2.0 * math.pi) + math.log(eps))
         log_scale[zero] = 2.0 * math.log(_TINY)
         # only a log scale past log(_MAX) lets an exponent pass it (Q is positive)
         hot = log_scale.max() > math.log(_MAX)
         vals = np.zeros(len(pts))
-        # exponent -(x-m)^T Q (x-m) / 2 eps = (y-d)^T H (y-d) with H = -Q / 2 eps,
-        # y = x - center and d = m - center: the coefficients of the
-        # features [1, y, y y^T] are d^T H d plus the log scale, -2 H d and
-        # H.  inv(S) rounds less than inv(chol)^T inv(chol) (reference
-        # case: 2.9e-15 against 4.4e-15 relative)
-        h = (-0.5 / eps) * (1.0 / self.cov if n == 1 else np.linalg.inv(self.cov))
-        # |d|^2 tr(-H) bounds the exponent terms that cancel (CENTER_REACH)
-        spread = -np.einsum("kii->k", h)
         # an offset y is clipped to +-reach per axis: as |h_ij| <= tr(-h), a
         # term of the product is then at most max/64, so none overflows and
         # no inf - inf arises, while a point that far out (or clipped to
         # it) has an exponent below -(max/64) lambda_min(-h) / max(1, tr(-h)),
         # which exp takes to 0.  Centers lie within the means' box, so only
         # a point past reach less the box's extent can need the clip
-        reach = (_MAX / 64.0 / max(1.0, spread.max())) ** 0.5
-        far = most > reach - np.abs(self.mean).max()
-        for g, center, d in _groups(self.mean, spread):
+        steep = float(spread.max())
+        reach = (_MAX / 64.0 / max(1.0, steep)) ** 0.5
+        box = float(np.abs(self.mean).max())
+        far = most > reach - box
+        # the mean of the means lies in the means' box, so |d| <= 2 box per
+        # axis and |d|^2 tr(-H) <= 4 n box^2 max(tr(-H)) (nan or inf where
+        # a mean or a scale is not finite, which takes the general grouping)
+        for g, center, d in _groups(self.mean, spread, 4.0 * n * box * box * steep):
             # the one group of most mixtures takes views, not copies
             g = slice(None) if len(g) == len(lead) else g
             hg = h[g]
             hd = _mv(hg, d)
+            # the coefficients of the features [1, y, y y^T]: d^T H d plus
+            # the log scale, -2 H d and H
             coef = np.concatenate([((hd * d).sum(axis=1) + log_scale[g])[:, None],
                                    -2.0 * hd, hg.reshape(-1, n * n)], axis=1)
             # the signed amplitude of each row as coefficients of features
             # [1, y]: the sign alone where no component has a dipole
-            amp = sign[g, None]
+            amp = np.sign(lead[g, None]) if cancel else None
             if self.dipole is not None:
                 # amp0 N - dipole . grad N = (amp0 + a1.(x - m)) N with
                 # a1 = Q dipole / eps = -2 H dipole, and
@@ -302,6 +331,18 @@ def propagate_packet(mix: GaussianMixture, ctx: KernelContext) -> GaussianMixtur
     return GaussianMixture._of(mean, 0.5 * (cov + cov.mT), mix.weight, mix.amp0, dipole)
 
 
+def _require_density(mix: GaussianMixture, ctx: KernelContext) -> GaussianMixture:
+    """mix, the image of a move along ctx; a move backward in time (t < s)
+    need not leave a density, and where its covariance is not positive
+    definite InvalidCovarianceError names |t - s| and inverse_evolve,
+    which recovers earlier data.  A forward move is not checked."""
+    if ctx.t < ctx.s:
+        require_spd(mix.cov, f"backward evolution over |t - s| = {ctx.s - ctx.t:.6g} "
+                    "(inverse_evolve recovers earlier data): covariance",
+                    InvalidCovarianceError)
+    return mix
+
+
 def evolve_packet(p0: GaussianPacket, params: ModelParams,
                   t: float, s: float) -> GaussianMixture:
     """Exact solution of the mean-coupled equation from a single plain
@@ -319,4 +360,4 @@ def evolve_packet(p0: GaussianPacket, params: ModelParams,
                                  "evolve other masses as raw fields through evolve_analytic")
     mix = GaussianMixture([p0])
     ctx = kernel_context(params, t, s, p0.mean)  # checks t and s, even where equal
-    return mix if t == s else propagate_packet(mix, ctx)
+    return mix if t == s else _require_density(propagate_packet(mix, ctx), ctx)

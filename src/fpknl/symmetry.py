@@ -11,6 +11,13 @@ solution.  Three equivalent constructions are provided:
 * conjugation route: forward evolution of (operator applied to the
   recovered initial data), i.e. evolve o operator o inverse.
 
+The shift and conclusion routes share their per-time quantities: a
+SymmetryShifts holds, for the latest time t asked for, the matriciant
+from s to t and both moment trajectories at t, built once and
+read-only.  symmetry_routes seeds them from its plan's matriciant and
+end anchor, the same calls on the same inputs, so it builds one
+matriciant for (t, s).
+
 All three produce the solution seeded by the operator image of the
 initial data.  When that image has zero mass the moment trajectory is not
 determined by the data and must be supplied; the transform then returns a
@@ -21,7 +28,7 @@ by constructing the determining operator identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,6 +171,28 @@ class SymmetryShifts:
     lam: np.ndarray
     alpha: float
     normalized: bool
+    # the frame of the latest time asked for, {t: _frame(t)}
+    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _frame(self, t: float, m: Matriciant | None = None,
+               x_base: np.ndarray | None = None):
+        """(m, X_base(t), X_image(t)): the matriciant from s to t and both
+        trajectories at t, built once per time and read-only, so the shift
+        and conclusion routes share them; another t replaces them.  A plan
+        from s to t may pass its m and x_end, the same calls on the same
+        inputs as the matriciant and base_moment.at(t)."""
+        frame = self._frames.get(float(t))
+        if frame is None:
+            if m is None:
+                m, x_base = matriciant(self.params, t, self.s), self.base_moment.at(t)
+            # views that refuse writes: a plan's own arrays stay writable
+            frame = (Matriciant(m.t, m.s, m.dd.view(), m.w.view()), x_base.view(),
+                     self.image_moment.at(t).view())
+            for a in (frame[0].dd, frame[0].w, *frame[1:]):
+                a.flags.writeable = False
+            self._frames.clear()
+            self._frames[float(t)] = frame
+        return frame
 
 
 def build_shifts(op: InitialOperator,
@@ -206,10 +235,8 @@ def symmetry_apply_shift(op: InitialOperator, u: GaussianMixture,
                          shifts: SymmetryShifts, t: float) -> GaussianMixture:
     """Shift route: evolved centered operator and solution, both evaluated
     at the composed shift, then re-anchored on the image trajectory."""
-    m = matriciant(shifts.params, t, shifts.s)
-    y_t = shifts.image_moment.at(t)
+    m, x_u, y_t = shifts._frame(t)
     l_t = m.dd @ shifts.lam
-    x_u = shifts.base_moment.at(t)
     delta_op = -y_t + l_t
     moved = u.shifted(y_t - l_t - x_u)  # u evaluated at x + delta_op + X_u
     a_t = _centered_operator(op, shifts, m).shift_argument(delta_op)
@@ -223,11 +250,10 @@ def symmetry_apply_conclusion(op: InitialOperator, u: GaussianMixture,
                               shifts: SymmetryShifts, t: float) -> GaussianMixture:
     """Conclusion route: apply the evolved operator in the centered frame,
     compose with the drift shift, and move onto the image trajectory."""
-    m = matriciant(shifts.params, t, shifts.s)
-    x_u = shifts.base_moment.at(t)
+    m, x_u, y_t = shifts._frame(t)
     w = u.shifted(-x_u)
     applied = apply_operator(_centered_operator(op, shifts, m), w, shifts.params)
-    field = applied.shifted(shifts.image_moment.at(t) - m.dd @ shifts.lam)
+    field = applied.shifted(y_t - m.dd @ shifts.lam)
     if shifts.normalized:
         field = field.scaled(1.0 / shifts.alpha)
     return field
@@ -261,6 +287,7 @@ def symmetry_routes(op: InitialOperator,
     """
     shifts = build_shifts(op, initial, params, s, moment_override=moment_override)
     plan = plan_for(params, s, t, initial)
+    shifts._frame(t, plan.m, plan.x_end)  # the plan's trajectory is the base one
     u = evolve_analytic(initial, plan)
     routes = (symmetry_apply_shift(op, u, shifts, t),
               symmetry_apply_conclusion(op, u, shifts, t),

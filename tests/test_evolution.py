@@ -183,6 +183,46 @@ def test_analytic_forward_names_an_overflowing_matriciant():
         evolve_packet(pk, p, 250.0, 0.0)
 
 
+def backward_case(dim):
+    """Drift 1, feedback -0.5, diffusion 0.2 and a packet of precision 2:
+    run back from s = 1 to t = 0.5, its covariance would be -0.359 I."""
+    p = ModelParams(drift=np.eye(dim), coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=-0.5 * np.eye(dim), diffusion=0.2, coupling=1.0)
+    return p, GaussianPacket(mean=np.full(dim, 0.5), num=2.0 * np.eye(dim), den=np.eye(dim))
+
+
+BACKWARD_NO_DENSITY = re.escape("backward evolution over |t - s| = 0.5 "
+                                "(inverse_evolve recovers earlier data): covariance")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_backward_move_that_leaves_no_density_is_refused(dim):
+    # evolve_analytic and evolve_packet used to return the covariance
+    # -0.359 with no error; eval then gave NaN in 1D, with only a
+    # RuntimeWarning, and numpy's LinAlgError in 2D
+    p, pk = backward_case(dim)
+    mix = GaussianMixture([pk])
+    with pytest.raises(InvalidCovarianceError, match=BACKWARD_NO_DENSITY):
+        evolve_analytic(mix, plan_for(p, 1.0, 0.5, mix))
+    with pytest.raises(InvalidCovarianceError, match=BACKWARD_NO_DENSITY):
+        evolve_packet(pk, p, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_backward_move_that_keeps_a_density_returns_it(dim):
+    # the check refuses only what is not a density: the same packet moved
+    # forward from 0.5 to 1 and back again is the packet, to rounding
+    p, pk = backward_case(dim)
+    mix = GaussianMixture([pk])
+    u = evolve_analytic(mix, plan_for(p, 0.5, 1.0, mix))
+    back = evolve_analytic(u, plan_for(p, 1.0, 0.5, u))
+    np.testing.assert_allclose(back.cov, mix.cov, rtol=1e-12)
+    np.testing.assert_allclose(back.mean, mix.mean, rtol=1e-12)
+    again = evolve_packet(u.components[0], p, 0.5, 1.0)
+    np.testing.assert_allclose(again.cov, mix.cov, rtol=1e-12)
+    np.testing.assert_allclose(again.mean, mix.mean, rtol=1e-12)
+
+
 @pytest.mark.parametrize("tau", [250.0, 400.0])
 def test_stable_drift_reaches_its_stationary_law_at_long_horizons(tau):
     # drift 3 leaves the Ornstein-Uhlenbeck law of precision 3 (scaled

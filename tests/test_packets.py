@@ -182,9 +182,51 @@ def test_groups_take_every_component_even_a_non_finite_mean():
     # a NaN mean is near no center, so the grouping used to yield empty
     # groups forever and eval never returned; islice bounds the loop
     mean = np.array([[0.0], [np.nan], [5.0], [np.nan]])
-    groups = list(itertools.islice(packets._groups(mean, np.full(4, 100.0)), 5))
+    groups = list(itertools.islice(packets._groups(mean, np.full(4, 100.0), np.inf), 5))
     members = np.concatenate([g for g, _, _ in groups])
     assert sorted(members) == [0, 1, 2, 3]
+
+
+def grouping_case(case, dim, rng):
+    """A mixture of the named kind: one component; several sharing one
+    center, plain, signed or with dipoles; the same 100 away from the
+    origin, past the bound that skips the grouping; or means 1e3 apart."""
+    k = 1 if case == "one" else 6
+    mean = rng.uniform(-1.0, 1.0, (k, dim))
+    if case == "split":
+        mean[::2] += 1e3
+    if case == "offset":
+        mean += 100.0
+    cov = np.array([np.eye(dim) * rng.uniform(0.3, 2.0) for _ in range(k)])
+    weight = rng.uniform(0.1, 1.0, k)
+    if case == "signed":
+        weight[1::2] *= -1.0
+    dipole = rng.standard_normal((k, dim)) if case in ("dipole", "split") else None
+    return GaussianMixture._of(mean, cov, weight, rng.uniform(0.5, 1.5, k), dipole)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("case", ["one", "plain", "signed", "dipole", "offset", "split"])
+def test_eval_shortcuts_keep_the_bits_of_the_general_grouping(monkeypatch, case, dim):
+    # one component, and one group within the bound, skip the general
+    # loop (_split) and keep every bit of its values; a group past the
+    # bound takes the loop, and means 1e3 apart still split
+    rng = np.random.default_rng(40 + dim)
+    mix = grouping_case(case, dim, rng)
+    p = ModelParams(drift=np.eye(dim), coupling_state=np.zeros((dim, dim)),
+                    coupling_mean=np.zeros((dim, dim)), diffusion=0.2)
+    pts = np.concatenate([rng.standard_normal((300, dim)), mix.mean + rng.standard_normal((6, dim))])
+    groups, real = [], packets._split
+
+    def split(mean, reach):
+        groups.extend(real(mean, reach))
+        return groups
+
+    monkeypatch.setattr(packets, "_split", split)
+    fast = mix.eval(p, pts)
+    assert len(groups) == {"offset": 1, "split": 2}.get(case, 0)
+    monkeypatch.setattr(packets, "_groups", lambda mean, reach, bound: real(mean, reach))
+    assert fast.tobytes() == mix.eval(p, pts).tobytes()
 
 
 def test_mixture_rejects_components_of_different_dimensions():

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpknl import (DegenerateMomentError, GaussianMixture, GaussianPacket,
-                   InputError, ModelParams, SampledDensity, apply_initial_op,
+                   InputError, InvalidCovarianceError, ModelParams, MomentTrajectory,
+                   SampledDensity, apply_initial_op,
                    build_shifts, evolve_analytic, inverse_evolve, kernels, linsym_closed_form,
                    linsym_operator, matriciant, plan_for, residual_field,
                    symmetry_apply_conclusion, symmetry_apply_evolution,
                    symmetry_apply_shift, symmetry_routes)
-from fpknl import checks
+from fpknl import checks, symmetry
 from fpknl.checks import reference_case
 from fpknl.symmetry import InitialOperator
 
@@ -367,6 +368,110 @@ def test_conjugation_route_reuses_the_plans_matriciant(monkeypatch, override):
     expected = evolve_analytic(app.field, fresh, require_normalized=app.normalized)
     for name in ("weight", "mean", "cov", "amp0", "dipole"):
         np.testing.assert_array_equal(getattr(route, name), getattr(expected, name))
+
+
+def same_bits(a: GaussianMixture, b: GaussianMixture) -> bool:
+    return all(x is y is None or (x is not None and y is not None
+                                  and x.shape == y.shape and x.tobytes() == y.tobytes())
+               for x, y in ((getattr(a, f), getattr(b, f))
+                            for f in ("weight", "mean", "cov", "amp0", "dipole")))
+
+
+def route_case(case: str, t: float):
+    """(params, initial mixture, operator, moment override, u at t)."""
+    if case == "reference-1d":
+        p, packet = reference_case()
+        pk = GaussianMixture([packet])
+        op, override = linsym_operator(p, matriciant(p, 0.0, 0.0), packet.mean), [0.2]
+    else:
+        p, pk = non_normal_2d()
+        op, override = InitialOperator(const=0.6, lin=[0.4, -0.3], grad=[0.2, 0.5]), None
+    return p, pk, op, override, evolve_analytic(pk, plan_for(p, 0.0, t, pk))
+
+
+def counting(monkeypatch, owner, name: str) -> list:
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_the_shift_and_conclusion_routes_share_one_frame_per_time(monkeypatch):
+    # the matriciant from s to t and both trajectories at t are built once
+    # per shifts object and time, by whichever route asks first; another
+    # time replaces them, so coming back to a time builds them again
+    p, pk, op, override, _ = route_case("non-normal-2d", 0.7)
+    shifts = build_shifts(op, pk, p, 0.0, moment_override=override)
+    built = counting(monkeypatch, symmetry, "matriciant")
+    moments = counting(monkeypatch, MomentTrajectory, "at")
+    for t in (0.7, 0.4, 0.7):
+        u = evolve_analytic(pk, plan_for(p, 0.0, t, pk))
+        moments.clear()
+        symmetry_apply_shift(op, u, shifts, t)
+        symmetry_apply_conclusion(op, u, shifts, t)
+        symmetry_apply_shift(op, u, shifts, t)
+        assert len(moments) == 2  # X_base(t) and X_image(t), once each
+    assert [args[1:] for args in built] == [(0.7, 0.0), (0.4, 0.0), (0.7, 0.0)]
+
+
+@pytest.mark.parametrize("case", ["reference-1d", "non-normal-2d"])
+@pytest.mark.parametrize("first", [symmetry_apply_shift, symmetry_apply_conclusion],
+                         ids=["shift-first", "conclusion-first"])
+def test_routes_sharing_a_frame_keep_the_bits_of_routes_on_fresh_shifts(case, first):
+    t = 1.0 if case == "reference-1d" else 0.7
+    p, pk, op, override, u = route_case(case, t)
+    shared = build_shifts(op, pk, p, 0.0, moment_override=override)
+    second = symmetry_apply_conclusion if first is symmetry_apply_shift else symmetry_apply_shift
+    for route in (first, second, first):
+        fresh = build_shifts(op, pk, p, 0.0, moment_override=override)
+        assert same_bits(route(op, u, shared, t), route(op, u, fresh, t))
+
+
+def test_a_frame_is_read_only_and_a_plan_that_seeds_it_stays_writable():
+    p, pk, op, override, _ = route_case("non-normal-2d", 0.7)
+    plan = plan_for(p, 0.0, 0.7, pk)
+    built = build_shifts(op, pk, p, 0.0)._frame(0.7)
+    seeded = build_shifts(op, pk, p, 0.0)._frame(0.7, plan.m, plan.x_end)
+    for m, x_base, x_image in (built, seeded):
+        for a in (m.dd, m.w, x_base, x_image):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+    # the plan's blocks and end anchor are the same calls on the same
+    # inputs as the frame's own: symmetry_routes keeps every bit
+    for a, b in zip((built[0].dd, built[0].w, *built[1:]), (seeded[0].dd, seeded[0].w, *seeded[1:])):
+        assert a.tobytes() == b.tobytes()
+    assert plan.m.dd.flags.writeable and plan.m.w.flags.writeable and plan.x_end.flags.writeable
+
+
+@pytest.mark.parametrize("case", ["reference-1d", "non-normal-2d"])
+def test_symmetry_routes_builds_one_matriciant(monkeypatch, case):
+    # the plan's, which seeds the shifts' frame: the shift and conclusion
+    # routes used to build one each; three trajectory points, the plan's
+    # end, the image's and the conjugation route's re-anchor
+    t = 1.0 if case == "reference-1d" else 0.7
+    p, pk, op, override, _ = route_case(case, t)
+    built = counting(monkeypatch, kernels, "matriciant")
+    built += counting(monkeypatch, symmetry, "matriciant")
+    moments = counting(monkeypatch, MomentTrajectory, "at")
+    symmetry_routes(op, pk, p, 0.0, t, moment_override=override)
+    assert len(built) == 1 and len(moments) == 3
+
+
+def test_symmetry_routes_back_in_time_refuse_what_is_not_a_density():
+    # drift 1, feedback -0.5, diffusion 0.2: run back from 1 to 0.5 the
+    # packet of precision 2 would have covariance -0.359; the routes used
+    # to return mixtures whose eval gave NaN
+    p = ModelParams(drift=[[1.0]], coupling_state=[[0.0]], coupling_mean=[[-0.5]],
+                    diffusion=0.2, coupling=1.0)
+    pk = GaussianMixture([GaussianPacket(mean=[0.5], num=[[2.0]], den=[[1.0]])])
+    with pytest.raises(InvalidCovarianceError, match=r"backward evolution over \|t - s\| = 0\.5"):
+        symmetry_routes(IDENTITY, pk, p, 1.0, 0.5)
 
 
 # ----------------------------------------------------------------- residuals
