@@ -91,7 +91,7 @@ SCHEMA = {
             "properties": {
                 "start": {"type": "number"},
                 "end": {"type": "number"},
-                "snapshots": {"type": "array", "items": {"type": "number"}},
+                "snapshots": {"type": "array", "minItems": 1, "items": {"type": "number"}},
             },
         },
         "grid": {
@@ -129,7 +129,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "checks": {"type": "array",
+                "checks": {"type": "array", "minItems": 1,
                            "items": {"enum": sorted(checks.ALL_CHECKS)}},
                 "fd": {
                     "type": "object",

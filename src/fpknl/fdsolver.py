@@ -48,6 +48,9 @@ class FDConfig:
     def __post_init__(self):
         for name in ("dt", "t_end"):
             require_finite(ConfigurationError, name, getattr(self, name))
+        require_finite(ConfigurationError, "snapshot times", *self.snapshot_times)
+        if not float(self.nx).is_integer():
+            raise ConfigurationError(f"nx must be a whole number of nodes, got {self.nx}")
         if self.nx < 8:
             raise ConfigurationError("need at least 8 grid nodes")
         if self.dt <= 0 or self.t_end <= 0:

@@ -286,7 +286,11 @@ class SampledDensity:
         node counts per axis."""
         x_min = np.atleast_1d(np.asarray(x_min, dtype=float))
         x_max = np.atleast_1d(np.asarray(x_max, dtype=float))
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
+        counts = np.atleast_1d(np.asarray(nodes, dtype=float))
+        for n in counts:
+            if not n.is_integer():
+                raise InputError(f"node count {n:g} is not a whole number")
+        nodes = counts.astype(int)
         if np.any(nodes < 2):
             raise InputError("need at least 2 nodes per axis")
         return cls(x_min, (x_max - x_min) / (nodes - 1), np.zeros(tuple(nodes)))

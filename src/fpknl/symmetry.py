@@ -11,12 +11,17 @@ solution.  Three equivalent constructions are provided:
 * conjugation route: forward evolution of (operator applied to the
   recovered initial data), i.e. evolve o operator o inverse.
 
-The shift and conclusion routes share their per-time quantities: a
-SymmetryShifts holds, for the latest time t asked for, the matriciant
-from s to t and both moment trajectories at t, built once and
-read-only.  symmetry_routes seeds them from its plan's matriciant and
-end anchor, the same calls on the same inputs, so it builds one
-matriciant for (t, s).
+The shift and conclusion routes are two orderings of one frame: a
+SymmetryShifts holds, for the latest time t asked for, the operator it
+was built for evolved from s to t in the frame centered on the base
+solution (A_t), the base trajectory at t (X_base(t)), and the anchor
+X_image(t) - dd(t, s) @ lam, built once and read-only.  The shift route
+applies A_t at the anchor to the solution moved there; the conclusion
+route applies A_t in the centered frame and moves the image to the
+anchor.  A route given an operator other than the shifts' (not the same
+object, nor equal coefficients) raises InputError.  symmetry_routes
+seeds the frame from its plan's matriciant and end anchor, the same
+calls on the same inputs, so it builds one matriciant for (t, s).
 
 All three produce the solution seeded by the operator image of the
 initial data.  When that image has zero mass the moment trajectory is not
@@ -57,6 +62,12 @@ class InitialOperator:
             raise InputError("lin and grad coefficient vectors must match in length")
         object.__setattr__(self, "const", float(self.const))
         require_finite(InputError, "operator coefficients", self.const, *self.lin, *self.grad)
+
+    def __eq__(self, other) -> bool:
+        """The same operator: the same object, or equal coefficients."""
+        return other is self or (isinstance(other, InitialOperator) and self.const == other.const
+                                 and np.array_equal(self.lin, other.lin)
+                                 and np.array_equal(self.grad, other.grad))
 
     @property
     def dim(self) -> int:
@@ -156,6 +167,8 @@ def apply_initial_op(op: InitialOperator,
 class SymmetryShifts:
     """Moment bookkeeping shared by the shift and conclusion routes.
 
+    op            : the operator whose image the routes build; a route
+                    given any other operator is refused
     base_moment   : trajectory of the solution being transformed
     image_moment  : trajectory seeded at the operator image's moment
     lam           : image moment relative to the base moment at time s; the
@@ -164,6 +177,7 @@ class SymmetryShifts:
     normalized    : whether outputs are divided by alpha
     """
 
+    op: InitialOperator
     params: ModelParams
     s: float
     base_moment: MomentTrajectory
@@ -171,28 +185,36 @@ class SymmetryShifts:
     lam: np.ndarray
     alpha: float
     normalized: bool
-    # the frame of the latest time asked for, {t: _frame(t)}
+    # the frame of the latest time asked for, {t: _frame(op, t)}
     _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _frame(self, t: float, m: Matriciant | None = None,
+    def _frame(self, op: InitialOperator, t: float, m: Matriciant | None = None,
                x_base: np.ndarray | None = None):
-        """(m, X_base(t), X_image(t)): the matriciant from s to t and both
-        trajectories at t, built once per time and read-only, so the shift
-        and conclusion routes share them; another t replaces them.  A plan
-        from s to t may pass its m and x_end, the same calls on the same
-        inputs as the matriciant and base_moment.at(t)."""
+        """(A_t, X_base(t), anchor): op evolved from s to t in the frame
+        centered on the base solution, the base trajectory at t, and the
+        image trajectory at t less the drift shift dd(t, s) @ lam.  Built
+        once per time and read-only, so the shift and conclusion routes
+        share them; another t replaces them.  A plan from s to t may pass
+        its m and x_end, the same calls on the same inputs as the
+        matriciant and base_moment.at(t)."""
+        if op != self.op:
+            raise InputError("the operator differs from the one these shifts were built for")
         frame = self._frames.get(float(t))
         if frame is None:
             if m is None:
                 m, x_base = matriciant(self.params, t, self.s), self.base_moment.at(t)
-            # views that refuse writes: a plan's own arrays stay writable
-            frame = (Matriciant(m.t, m.s, m.dd.view(), m.w.view()), x_base.view(),
-                     self.image_moment.at(t).view())
-            for a in (frame[0].dd, frame[0].w, *frame[1:]):
+            a_t = evolve_operator(self.op.shift_argument(self.base_moment.x0), self.params, m)
+            # a view, so a plan's own end anchor stays writable
+            frame = (a_t, x_base.view(), self.image_moment.at(t) - m.dd @ self.lam)
+            for a in (a_t.lin, a_t.grad, *frame[1:]):
                 a.flags.writeable = False
             self._frames.clear()
             self._frames[float(t)] = frame
         return frame
+
+    def _normalized(self, field: GaussianMixture) -> GaussianMixture:
+        """A route's image, divided by alpha where the image is normalized."""
+        return field.scaled(1.0 / self.alpha) if self.normalized else field
 
 
 def build_shifts(op: InitialOperator,
@@ -218,45 +240,28 @@ def build_shifts(op: InitialOperator,
         )
     lam = x_image - x_gamma
     return SymmetryShifts(
-        params=params, s=float(s),
+        op=op, params=params, s=float(s),
         base_moment=params.moment_trajectory(x_gamma, s),
         image_moment=params.moment_trajectory(x_image, s),
         lam=lam, alpha=app.alpha, normalized=app.normalized,
     )
 
 
-def _centered_operator(op: InitialOperator, shifts: SymmetryShifts,
-                       m: Matriciant) -> InitialOperator:
-    """Operator evolved over m in the frame centered on the base solution."""
-    return evolve_operator(op.shift_argument(shifts.base_moment.x0), shifts.params, m)
-
-
 def symmetry_apply_shift(op: InitialOperator, u: GaussianMixture,
                          shifts: SymmetryShifts, t: float) -> GaussianMixture:
     """Shift route: evolved centered operator and solution, both evaluated
-    at the composed shift, then re-anchored on the image trajectory."""
-    m, x_u, y_t = shifts._frame(t)
-    l_t = m.dd @ shifts.lam
-    delta_op = -y_t + l_t
-    moved = u.shifted(y_t - l_t - x_u)  # u evaluated at x + delta_op + X_u
-    a_t = _centered_operator(op, shifts, m).shift_argument(delta_op)
-    field = apply_operator(a_t, moved, shifts.params)
-    if shifts.normalized:
-        field = field.scaled(1.0 / shifts.alpha)
-    return field
+    at the anchor, which re-centers them on the image trajectory."""
+    a_t, x_u, anchor = shifts._frame(op, t)
+    return shifts._normalized(apply_operator(a_t.shift_argument(-anchor),
+                                             u.shifted(anchor - x_u), shifts.params))
 
 
 def symmetry_apply_conclusion(op: InitialOperator, u: GaussianMixture,
                               shifts: SymmetryShifts, t: float) -> GaussianMixture:
     """Conclusion route: apply the evolved operator in the centered frame,
-    compose with the drift shift, and move onto the image trajectory."""
-    m, x_u, y_t = shifts._frame(t)
-    w = u.shifted(-x_u)
-    applied = apply_operator(_centered_operator(op, shifts, m), w, shifts.params)
-    field = applied.shifted(y_t - m.dd @ shifts.lam)
-    if shifts.normalized:
-        field = field.scaled(1.0 / shifts.alpha)
-    return field
+    then move the image onto the anchor."""
+    a_t, x_u, anchor = shifts._frame(op, t)
+    return shifts._normalized(apply_operator(a_t, u.shifted(-x_u), shifts.params).shifted(anchor))
 
 
 def symmetry_apply_evolution(op: InitialOperator, u: GaussianMixture,
@@ -287,7 +292,7 @@ def symmetry_routes(op: InitialOperator,
     """
     shifts = build_shifts(op, initial, params, s, moment_override=moment_override)
     plan = plan_for(params, s, t, initial)
-    shifts._frame(t, plan.m, plan.x_end)  # the plan's trajectory is the base one
+    shifts._frame(op, t, plan.m, plan.x_end)  # the plan's trajectory is the base one
     u = evolve_analytic(initial, plan)
     routes = (symmetry_apply_shift(op, u, shifts, t),
               symmetry_apply_conclusion(op, u, shifts, t),

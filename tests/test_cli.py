@@ -489,6 +489,20 @@ def test_times_outside_start_end_rejected(tmp_path, capsys, case):
     assert "start <= snapshots <= end" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", ["evolve", "verify"])
+def test_a_run_with_nothing_to_check_is_refused(tmp_path, capsys, task):
+    # no snapshots, or no checks, used to exit 0 with all_passed true and
+    # an empty checks list
+    cfg = base_config(tmp_path / "out", task=task)
+    if task == "verify":
+        cfg["verify"] = {"checks": []}
+    else:
+        cfg["time"]["snapshots"] = []
+    assert main([task if task == "verify" else "run", str(write_config(tmp_path, cfg))]) == 2
+    assert "schema" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "t_report.json").exists()
+
+
 def test_fd_reduction_rejects_nonzero_start(tmp_path, capsys):
     # used to run from t = 0 anyway and report the value for start 0
     cfg = base_config(tmp_path / "out", task="verify",

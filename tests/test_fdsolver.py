@@ -194,11 +194,22 @@ def test_non_finite_settings_rejected(field, value):
         FDConfig(**settings)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_snapshot_times_rejected(value):
+    # the snapshot step int(round(ts / dt)) used to raise a raw ValueError
+    # (NaN) or OverflowError (inf) from inside fd_solve
+    with pytest.raises(ConfigurationError, match="snapshot times must be finite"):
+        FDConfig(nx=401, dt=1e-4, t_end=0.1, snapshot_times=(0.05, value))
+
+
 @pytest.mark.parametrize("settings, message", [
     (dict(nx=7, dt=1e-4, t_end=0.1), "at least 8 grid nodes"),
+    # the next two used to be accepted: NaN passes every comparison
+    (dict(nx=8.5, dt=1e-4, t_end=0.1), "whole number of nodes, got 8.5"),
+    (dict(nx=float("nan"), dt=1e-4, t_end=0.1), "whole number of nodes, got nan"),
     (dict(nx=401, dt=0.0, t_end=0.1), "must be positive"),
     (dict(nx=401, dt=-1e-4, t_end=0.1), "must be positive"),
-], ids=["nx-7", "dt-0", "dt-negative"])
+], ids=["nx-7", "nx-8.5", "nx-nan", "dt-0", "dt-negative"])
 def test_settings_out_of_range_rejected(settings, message):
     with pytest.raises(ConfigurationError, match=message):
         FDConfig(**settings)

@@ -247,6 +247,14 @@ def test_a_grid_of_one_node_rejected():
         SampledDensity.on_grid(0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("build", ["on_grid", "from_callable"])
+def test_a_node_count_that_is_not_whole_is_rejected(build):
+    # [10.7] used to give 10 nodes, truncated without a word
+    args = (lambda q: q[:, 0],) if build == "from_callable" else ()
+    with pytest.raises(InputError, match="node count 10.7 is not a whole number"):
+        getattr(SampledDensity, build)(*args, [0.0, 0.0], [1.0, 1.0], [21, 10.7])
+
+
 def test_2d_mass_and_moment():
     d = SampledDensity.from_callable(
         lambda p: np.exp(-0.5 * ((p[:, 0] - 0.3) ** 2 + (p[:, 1] + 0.2) ** 2))

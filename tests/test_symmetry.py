@@ -402,20 +402,24 @@ def counting(monkeypatch, owner, name: str) -> list:
 
 
 def test_the_shift_and_conclusion_routes_share_one_frame_per_time(monkeypatch):
-    # the matriciant from s to t and both trajectories at t are built once
-    # per shifts object and time, by whichever route asks first; another
-    # time replaces them, so coming back to a time builds them again
+    # the matriciant from s to t, both trajectories at t and the evolved
+    # operator are built once per shifts object and time, by whichever
+    # route asks first; another time replaces them, so coming back to a
+    # time builds them again
     p, pk, op, override, _ = route_case("non-normal-2d", 0.7)
     shifts = build_shifts(op, pk, p, 0.0, moment_override=override)
     built = counting(monkeypatch, symmetry, "matriciant")
     moments = counting(monkeypatch, MomentTrajectory, "at")
+    evolved = counting(monkeypatch, symmetry, "evolve_operator")
     for t in (0.7, 0.4, 0.7):
         u = evolve_analytic(pk, plan_for(p, 0.0, t, pk))
         moments.clear()
+        evolved.clear()
         symmetry_apply_shift(op, u, shifts, t)
         symmetry_apply_conclusion(op, u, shifts, t)
         symmetry_apply_shift(op, u, shifts, t)
         assert len(moments) == 2  # X_base(t) and X_image(t), once each
+        assert len(evolved) == 1  # A_t
     assert [args[1:] for args in built] == [(0.7, 0.0), (0.4, 0.0), (0.7, 0.0)]
 
 
@@ -435,18 +439,42 @@ def test_routes_sharing_a_frame_keep_the_bits_of_routes_on_fresh_shifts(case, fi
 def test_a_frame_is_read_only_and_a_plan_that_seeds_it_stays_writable():
     p, pk, op, override, _ = route_case("non-normal-2d", 0.7)
     plan = plan_for(p, 0.0, 0.7, pk)
-    built = build_shifts(op, pk, p, 0.0)._frame(0.7)
-    seeded = build_shifts(op, pk, p, 0.0)._frame(0.7, plan.m, plan.x_end)
-    for m, x_base, x_image in (built, seeded):
-        for a in (m.dd, m.w, x_base, x_image):
+    built = build_shifts(op, pk, p, 0.0)._frame(op, 0.7)
+    seeded = build_shifts(op, pk, p, 0.0)._frame(op, 0.7, plan.m, plan.x_end)
+
+    def arrays(frame):
+        a_t, x_base, anchor = frame
+        return a_t.lin, a_t.grad, x_base, anchor
+
+    for frame in (built, seeded):
+        for a in arrays(frame):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
     # the plan's blocks and end anchor are the same calls on the same
     # inputs as the frame's own: symmetry_routes keeps every bit
-    for a, b in zip((built[0].dd, built[0].w, *built[1:]), (seeded[0].dd, seeded[0].w, *seeded[1:])):
+    assert built[0].const == seeded[0].const
+    for a, b in zip(arrays(built), arrays(seeded)):
         assert a.tobytes() == b.tobytes()
     assert plan.m.dd.flags.writeable and plan.m.w.flags.writeable and plan.x_end.flags.writeable
+
+
+@pytest.mark.parametrize("case", ["reference-1d", "non-normal-2d"])
+def test_the_shift_and_conclusion_routes_refuse_another_operator(case):
+    # both routes used to take any operator of the field's dimension and
+    # mix the shifts' image mass and moment with its coefficients; in 2D
+    # comparing two operators raised numpy's ValueError
+    t = 1.0 if case == "reference-1d" else 0.7
+    p, pk, op, override, u = route_case(case, t)
+    shifts = build_shifts(op, pk, p, 0.0, moment_override=override)
+    other = InitialOperator(1.0, np.full(p.dim, 0.3), np.full(p.dim, 0.2))
+    twin = InitialOperator(op.const, op.lin.copy(), op.grad.copy())
+    assert twin == op and other != op
+    for route in (symmetry_apply_shift, symmetry_apply_conclusion):
+        with pytest.raises(InputError, match="operator differs"):
+            route(other, u, shifts, t)
+        # an equal operator built separately is the same operator
+        assert same_bits(route(twin, u, shifts, t), route(op, u, shifts, t))
 
 
 @pytest.mark.parametrize("case", ["reference-1d", "non-normal-2d"])
