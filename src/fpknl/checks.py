@@ -382,3 +382,10 @@ ALL_CHECKS = {
     "kappa-continuity": check_kappa_continuity,
     "fd-reduction": check_fd_reduction,
 }
+
+# checks that take a model and a packet, in the command line the configured
+# model and its first gaussian component at unit weight (all but roundtrip
+# reject a model that is not 1D); fd-reduction takes them too, with its FD
+# settings, and matriciant-laws, riccati-residual and kappa-continuity fix
+# their own models
+MODEL_CHECKS = ("mass-conservation", "roundtrip", "symmetry-routes", "symmetry-residual")

@@ -6,6 +6,18 @@ JSON (floats are written in shortest round-trip form; wall time and
 versions go to a separate meta file).  The exception is the verify
 report's reduction-runtime check, which is a measured wall time.
 
+Each decision is made once.  ``_pathway`` reads the initial data's kind
+and returns the record that evolve and inverse both follow: the evolve
+function (closed form for a gaussian mixture, quadrature for samples), its
+per-run tolerance, the CSV axis, a sampler of a field on that axis (None
+for an n-D mixture, so evolve refuses it and inverse writes no CSV), and
+the roundtrip check's name, tolerance and error.  Tasks return their CSV
+as (t, axis, values) blocks, which write_snapshots_csv formats.  The
+symmetry task takes every snapshot from ``symmetry_routes``: the
+conjugation route's image at that time, the time.end call serving both
+the route comparison and its snapshot.  verify hands check_fd_reduction
+only the settings the config gives; the check holds the defaults.
+
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 config error,
 3 numerical-domain error (focal point, ill-posed inverse, ...).
 """
@@ -18,6 +30,7 @@ import os
 import sys
 import time
 import warnings
+from collections import namedtuple
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -29,8 +42,7 @@ from .evolution import (evolve_analytic, evolve_quadrature, inverse_evolve,
                         plan_for)
 from .model import ModelParams, SampledDensity, _vector, require_finite
 from .packets import GaussianMixture, GaussianPacket
-from .symmetry import (InitialOperator, linsym_operator, symmetry_apply_evolution,
-                       symmetry_routes)
+from .symmetry import InitialOperator, linsym_operator, symmetry_routes
 from .variations import matriciant
 
 ENV_OUTDIR = "FPKNL_OUTDIR"
@@ -247,64 +259,65 @@ def _grid_axis(cfg: dict) -> np.ndarray:
     return SampledDensity.on_grid(gc["x_min"], gc["x_max"], gc["nodes"]).coordinate(0)
 
 
-def write_snapshots_csv(path: Path, rows: list[tuple]) -> None:
-    """Write (t, x, u) rows, as built by _sample_rows, under a t,x,u header."""
+def write_snapshots_csv(path: Path, blocks: list[tuple]) -> None:
+    """Write (t, axis, values) blocks as t,x,u rows, one per axis node."""
     with open(path, "w") as fh:
         fh.write("t,x,u\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        for t, xs, values in blocks:
+            for x, v in zip(xs, values):
+                fh.write(f"{fmt(t)},{fmt(x)},{fmt(v)}\n")
 
 
-def _sample_rows(t, xs, values) -> list[tuple]:
-    return [(t, float(x), float(v)) for x, v in zip(xs, values)]
+_Pathway = namedtuple("_Pathway", "evolve tol axis sample roundtrip roundtrip_tol error")
+
+
+def _pathway(cfg: dict, params: ModelParams, initial) -> _Pathway:
+    """How the initial data moves and is written, decided once for its kind:
+    the evolve function and its per-run tolerance, the CSV axis and a
+    sampler of a field on it (None for an n-D mixture, which has no CSV),
+    and the roundtrip check's name, tolerance and error against the
+    initial data."""
+    if isinstance(initial, SampledDensity):
+        return _Pathway(evolve_quadrature, checks.QUADRATURE_TOL, initial.coordinate(0),
+                        lambda out: out.values, "roundtrip-quadrature",
+                        checks.ROUNDTRIP_QUADRATURE_TOL,
+                        lambda back: float(np.max(np.abs(back.values - initial.values))))
+    xs = _grid_axis(cfg) if params.dim == 1 else None
+    return _Pathway(evolve_analytic, checks.ANALYTIC_EVOLVE_TOL, xs,
+                    None if xs is None else lambda out: out.eval(params, xs.reshape(-1, 1)),
+                    "roundtrip-analytic", checks.ROUNDTRIP_PARAMETER_TOL,
+                    lambda back: checks.parameter_error(initial, back))
 
 
 def task_evolve(cfg: dict, params: ModelParams):
     s, _, snaps = _times(cfg)
     initial = build_initial(cfg, params)
-    if isinstance(initial, SampledDensity):
-        evolve, tol, xs = evolve_quadrature, checks.QUADRATURE_TOL, initial.coordinate(0)
-        def sample(out):
-            return out.values
-    else:
-        xs = _grid_axis(cfg)
-        if params.dim != 1:
-            raise ConfigurationError("analytic CSV output is one-dimensional")
-        evolve, tol = evolve_analytic, checks.ANALYTIC_EVOLVE_TOL
-        def sample(out):
-            return out.eval(params, xs.reshape(-1, 1))
-    results, rows, snap_info = [], [], []
+    way = _pathway(cfg, params, initial)
+    if way.sample is None:
+        raise ConfigurationError("analytic CSV output is one-dimensional")
+    results, blocks, snap_info = [], [], []
     for t in snaps:
         plan = plan_for(params, s, t, initial)
-        out = evolve(initial, plan)
-        rows += _sample_rows(t, xs, sample(out))
+        out = way.evolve(initial, plan)
+        blocks.append((t, way.axis, way.sample(out)))
         mass = out.total_mass()
         mom = out.first_moment()
         dev = float(np.max(np.abs(mom - plan.x_end)))
-        results += [checks.result(f"mass@t={t:g}", abs(mass - 1), tol),
-                    checks.result(f"moment@t={t:g}", dev, tol)]
+        results += [checks.result(f"mass@t={t:g}", abs(mass - 1), way.tol),
+                    checks.result(f"moment@t={t:g}", dev, way.tol)]
         snap_info.append({"t": t, "mass": mass, "moment": mom.tolist()})
-    return results, rows, {"snapshots": snap_info}
+    return results, blocks, {"snapshots": snap_info}
 
 
 def task_inverse(cfg: dict, params: ModelParams):
     s, t_end, _ = _times(cfg)
     initial = build_initial(cfg, params)
+    way = _pathway(cfg, params, initial)
     plan = plan_for(params, s, t_end, initial)
-    rows = []
-    if isinstance(initial, SampledDensity):
-        back = inverse_evolve(evolve_quadrature(initial, plan), plan)
-        name, tol = "roundtrip-quadrature", checks.ROUNDTRIP_QUADRATURE_TOL
-        err = float(np.max(np.abs(back.values - initial.values)))
-        rows += _sample_rows(s, initial.coordinate(0), back.values)
-    else:
-        back = inverse_evolve(evolve_analytic(initial, plan), plan)
-        name, tol = "roundtrip-analytic", checks.ROUNDTRIP_PARAMETER_TOL
-        err = checks.parameter_error(initial, back)
-        if params.dim == 1:
-            xs = _grid_axis(cfg)
-            rows += _sample_rows(s, xs, back.eval(params, xs.reshape(-1, 1)))
-    return [checks.result(name, err, tol)], rows, {"roundtrip_error": err}
+    back = inverse_evolve(way.evolve(initial, plan), plan)
+    err = way.error(back)
+    blocks = [] if way.sample is None else [(s, way.axis, way.sample(back))]
+    return [checks.result(way.roundtrip, err, way.roundtrip_tol)], blocks, {"roundtrip_error": err}
 
 
 def task_symmetry(cfg: dict, params: ModelParams):
@@ -325,30 +338,21 @@ def task_symmetry(cfg: dict, params: ModelParams):
     override = sc.get("image_moment")
     if override is not None:
         override = _vector(override, params.dim, "symmetry.image_moment")
-    routes, shifts = symmetry_routes(op, initial, params, s, t_end,
-                                     moment_override=override)
+
+    def routes_at(t):
+        return symmetry_routes(op, initial, params, s, t, moment_override=override)
+
+    routes, shifts = routes_at(t_end)
     xs = _grid_axis(cfg)
     pts = xs.reshape(-1, 1)
     worst = checks.route_spread([route.eval(params, pts) for route in routes])
     results = [checks.result("symmetry-routes", worst, checks.ROUTE_TOL,
                              "pairwise over 3 routes")]
-    rows = []
-    for t in snaps:
-        if t == t_end:  # the conjugation route at time.end, built above
-            u_a = routes[2]
-        else:
-            plan_t = plan_for(params, s, t, initial)
-            u_t = evolve_analytic(initial, plan_t)
-            u_a = symmetry_apply_evolution(op, u_t, plan_t, moment_override=override)
-        rows += _sample_rows(t, xs, u_a.eval(params, pts))
-    return results, rows, {"alpha": shifts.alpha, "normalized": shifts.normalized}
-
-
-# checks that take the configured model and its first gaussian component at
-# unit weight (all but roundtrip reject a model that is not 1D); fd-reduction
-# takes them too, with grid settings, and matriciant-laws, riccati-residual
-# and kappa-continuity fix their own models
-MODEL_CHECKS = ("mass-conservation", "roundtrip", "symmetry-routes", "symmetry-residual")
+    # each snapshot is the conjugation route's image at its time, that of
+    # time.end the one built above
+    blocks = [(t, xs, (routes if t == t_end else routes_at(t)[0])[2].eval(params, pts))
+              for t in snaps]
+    return results, blocks, {"alpha": shifts.alpha, "normalized": shifts.normalized}
 
 
 def task_verify(cfg: dict, params: ModelParams):
@@ -359,21 +363,20 @@ def task_verify(cfg: dict, params: ModelParams):
     if cfg.get("initial", {}).get("kind") == "gaussian":
         # the checks need a unit-mass density, whatever the component's share
         packet = replace(build_initial(cfg, params).components[0], weight=1.0)
-    start, t_end = _times(cfg)[:2] if "time" in cfg else (0.0, 1.0)
+    # the fd-reduction settings the config gives; the check holds the rest
+    settings = {**vc.get("fd", {}), **{"nx" if key == "nodes" else key: value
+                                        for key, value in cfg.get("grid", {}).items()}}
+    start = 0.0
+    if "time" in cfg:
+        start, settings["t_end"] = _times(cfg)[:2]
     results = []
     for name in names:
         if name == "fd-reduction":
             if start != 0.0:
                 raise ConfigurationError("the fd-reduction check runs the FD oracle from "
                                          "the initial packet at t = 0; time.start must be 0")
-            fd = vc.get("fd", {})
-            gc = cfg.get("grid", {})
-            results += checks.check_fd_reduction(
-                params=params, packet=packet, nx=gc.get("nodes", 1200),
-                dt=fd.get("dt", 2e-5), t_end=t_end,
-                x_min=gc.get("x_min", -6.0), x_max=gc.get("x_max", 6.0),
-                refine=fd.get("refine", True))
-        elif name in MODEL_CHECKS:
+            results += checks.check_fd_reduction(params=params, packet=packet, **settings)
+        elif name in checks.MODEL_CHECKS:
             results += checks.ALL_CHECKS[name](params, packet)
         else:
             results += checks.ALL_CHECKS[name]()
@@ -387,12 +390,12 @@ TASKS = {"evolve": task_evolve, "inverse": task_inverse,
 def run_config(cfg: dict, outdir: Path) -> int:
     params = build_params(cfg)
     start = time.perf_counter()
-    results, rows, extra = TASKS[cfg["task"]](cfg, params)
+    results, blocks, extra = TASKS[cfg["task"]](cfg, params)
     wall = time.perf_counter() - start
     outdir.mkdir(parents=True, exist_ok=True)
     prefix = cfg.get("output", {}).get("prefix", "run")
-    if rows:
-        write_snapshots_csv(outdir / f"{prefix}_snapshots.csv", rows)
+    if blocks:
+        write_snapshots_csv(outdir / f"{prefix}_snapshots.csv", blocks)
     all_passed = all(r.passed for r in results)
     report = {"task": cfg["task"], "all_passed": all_passed,
               "checks": [asdict(r) for r in results], **extra}

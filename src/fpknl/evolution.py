@@ -149,7 +149,7 @@ from scipy.linalg import lapack
 
 from .errors import (IllPosedInverseError, InvalidCovarianceError, KernelValidityError,
                      NormalizationError, TruncationError)
-from .kernels import (KernelContext, _require_same_dim, exp_product, input_width,
+from .kernels import (KernelContext, _require_field, exp_product, input_width,
                       kernel_context, kernel_features)
 from .model import ModelParams, SampledDensity, _vector, row_blocks
 from .packets import GaussianMixture, _require_density, propagate_packet
@@ -189,6 +189,7 @@ def plan_for(params: ModelParams, s: float, t: float,
     fields the moment is not defined by the data (DegenerateMomentError)
     and the override is mandatory.
     """
+    _require_field(initial, (GaussianMixture, SampledDensity), "plan_for")
     if moment_override is not None:
         x0 = _vector(moment_override, params.dim, "moment_override")
     else:
@@ -210,7 +211,7 @@ def evolve_analytic(mix: GaussianMixture, plan: KernelContext,
     trajectory; a raw field (require_normalized=False) may carry any mass.
     A backward plan (t < s) whose image is not a density raises
     InvalidCovarianceError."""
-    _require_same_dim(mix, plan)
+    _require_field(mix, (GaussianMixture,), "evolve_analytic", plan)
     if require_normalized:
         _check_mass(mix.total_mass(), MASS_TOL_ANALYTIC)
     if plan.t == plan.s:
@@ -338,7 +339,7 @@ def evolve_quadrature(gamma: SampledDensity, plan: KernelContext) -> SampledDens
     T nodes a block is rowsum(P o (Q @ (R o W)^T)), with P the kernel over
     the tiles' centres and Q, R the offset tables of the module docstring;
     a tile of one node is P @ W over every input node."""
-    _require_same_dim(gamma, plan)
+    _require_field(gamma, (SampledDensity,), "evolve_quadrature", plan)
     edge = gamma.edge_max()
     if edge > EDGE_DECAY_TOL:
         raise TruncationError(
@@ -625,7 +626,7 @@ def inverse_evolve(u: GaussianMixture | SampledDensity, plan: KernelContext):
     (the literal backward-kernel integral diverges for forward images);
     singular values at or below INVERSE_RCOND * sigma_max are dropped.
     """
-    _require_same_dim(u, plan)
+    _require_field(u, (GaussianMixture, SampledDensity), "inverse_evolve", plan)
     if plan.t == plan.s:
         return u.copy()
     solve = _inverse_sampled if isinstance(u, SampledDensity) else _inverse_analytic

@@ -57,7 +57,7 @@ class FDConfig:
             raise ConfigurationError("dt and t_end must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class FDResult:
     snapshots: list
     snapshot_times: np.ndarray

@@ -94,7 +94,7 @@ DELTA_TOL = 1e-9
 LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelContext:
     """A move from time m.s to time m.t, in either direction: the matriciant
     m and the moment-frame anchors at those times, x_start at m.s
@@ -160,8 +160,20 @@ class KernelContext:
         return KernelContext(self.params, self.m, x_start, x_end)
 
 
-def _require_same_dim(field, ctx: KernelContext) -> None:
-    if field.dim != ctx.params.dim:
+# the call that takes a field of each kind, named where another refuses it
+_TAKES = {"GaussianPacket": "GaussianMixture([packet]) makes one",
+          "GaussianMixture": "evolve_analytic takes one",
+          "SampledDensity": "evolve_quadrature takes one"}
+
+
+def _require_field(field, kinds: tuple, caller: str, ctx: KernelContext | None = None) -> None:
+    """Refuse a field of a kind the caller does not take, naming the call
+    that takes it, and, given the caller's plan, one of another dimension."""
+    if not isinstance(field, kinds):
+        kind = type(field).__name__
+        raise InputError(f"{caller} takes a {' or a '.join(k.__name__ for k in kinds)}, "
+                         f"not a {kind}" + (f"; {_TAKES[kind]}" if kind in _TAKES else ""))
+    if ctx is not None and field.dim != ctx.params.dim:
         raise InputError(f"a {field.dim}D {type(field).__name__} cannot move "
                          f"along a {ctx.params.dim}D plan")
 

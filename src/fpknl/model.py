@@ -86,7 +86,7 @@ def normalize_moment(raw: np.ndarray, mass: float) -> np.ndarray:
     return raw / mass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Coefficients of the mean-coupled drift-diffusion model.
 
@@ -143,7 +143,7 @@ class ModelParams:
                                 rate=self.moment_rate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTrajectory:
     """Closed-form solution of the constant-coefficient moment ODE dX/dt = rate @ X."""
 
@@ -200,7 +200,7 @@ def _built_layout(x_min: bytes, dx: bytes, shape: tuple) -> tuple:
     return nodes, weights, faces, coords
 
 
-@dataclass
+@dataclass(eq=False)
 class SampledDensity:
     """Field sampled on a uniform tensor grid.
 

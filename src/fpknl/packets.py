@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvalidCovarianceError, NormalizationError
-from .kernels import KernelContext, _points, _require_same_dim, exp_product, kernel_context
+from .kernels import KernelContext, _points, _require_field, exp_product, kernel_context
 from .model import ModelParams, normalize_moment, require_finite, row_blocks
 from .variations import fraction, require_spd
 
@@ -118,7 +118,7 @@ def _split(mean: np.ndarray, reach: np.ndarray):
         left, mean, reach = left[~near], mean[~near], reach[~near]
 
 
-@dataclass
+@dataclass(eq=False)
 class GaussianPacket:
     """Parameters of one component: mean (n,), num, den (n, n), weight, amp0, dipole (n,)."""
 
@@ -323,7 +323,7 @@ def propagate_packet(mix: GaussianMixture, ctx: KernelContext) -> GaussianMixtur
     The zero-anchored ``kernel_context(params, t, s)`` is the plain linear
     drift-diffusion flow, and ``ctx.reversed()`` the flow back from t to s.
     """
-    _require_same_dim(mix, ctx)
+    _require_field(mix, (GaussianMixture,), "propagate_packet", ctx)
     m = ctx.m
     cov = m.dd @ mix.cov @ m.dd.T + m.w
     mean = ctx.x_end + _mv(m.dd, mix.mean - ctx.x_start)

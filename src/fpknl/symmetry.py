@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InputError
 from .evolution import evolve_analytic, inverse_evolve, plan_for
-from .kernels import KernelContext
+from .kernels import KernelContext, _require_field
 from .model import ModelParams, MomentTrajectory, SampledDensity, _vector, require_finite
 from .packets import GaussianMixture, GaussianPacket, evolve_packet
 from .variations import Matriciant, matriciant
@@ -163,7 +163,7 @@ def apply_initial_op(op: InitialOperator,
     return OperatorApplication(field=field, alpha=alpha, normalized=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetryShifts:
     """Moment bookkeeping shared by the shift and conclusion routes.
 
@@ -186,7 +186,7 @@ class SymmetryShifts:
     alpha: float
     normalized: bool
     # the frame of the latest time asked for, {t: _frame(op, t)}
-    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _frames: dict = field(default_factory=dict, init=False, repr=False)
 
     def _frame(self, op: InitialOperator, t: float, m: Matriciant | None = None,
                x_base: np.ndarray | None = None):
@@ -251,6 +251,7 @@ def symmetry_apply_shift(op: InitialOperator, u: GaussianMixture,
                          shifts: SymmetryShifts, t: float) -> GaussianMixture:
     """Shift route: evolved centered operator and solution, both evaluated
     at the anchor, which re-centers them on the image trajectory."""
+    _require_field(u, (GaussianMixture,), "symmetry_apply_shift")
     a_t, x_u, anchor = shifts._frame(op, t)
     return shifts._normalized(apply_operator(a_t.shift_argument(-anchor),
                                              u.shifted(anchor - x_u), shifts.params))
@@ -260,6 +261,7 @@ def symmetry_apply_conclusion(op: InitialOperator, u: GaussianMixture,
                               shifts: SymmetryShifts, t: float) -> GaussianMixture:
     """Conclusion route: apply the evolved operator in the centered frame,
     then move the image onto the anchor."""
+    _require_field(u, (GaussianMixture,), "symmetry_apply_conclusion")
     a_t, x_u, anchor = shifts._frame(op, t)
     return shifts._normalized(apply_operator(a_t, u.shifted(-x_u), shifts.params).shifted(anchor))
 
@@ -271,6 +273,7 @@ def symmetry_apply_evolution(op: InitialOperator, u: GaussianMixture,
     apply the operator, evolve forward along the image's own trajectory:
     the plan's matriciant, re-anchored on the image's initial moment (or
     the override)."""
+    _require_field(u, (GaussianMixture,), "symmetry_apply_evolution", plan)
     gamma = inverse_evolve(u, plan)
     app = apply_initial_op(op, gamma, plan.params)
     if moment_override is None:
@@ -281,8 +284,7 @@ def symmetry_apply_evolution(op: InitialOperator, u: GaussianMixture,
                            require_normalized=app.normalized)
 
 
-def symmetry_routes(op: InitialOperator,
-                    initial: GaussianMixture | SampledDensity,
+def symmetry_routes(op: InitialOperator, initial: GaussianMixture,
                     params: ModelParams, s: float, t: float, moment_override=None):
     """The three routes of the operator from initial data at s to time t.
 
@@ -290,6 +292,7 @@ def symmetry_routes(op: InitialOperator,
     ((shift, conclusion, conjugation), shifts); the routes are mixtures,
     for the caller to evaluate on its own points.
     """
+    _require_field(initial, (GaussianMixture,), "symmetry_routes")
     shifts = build_shifts(op, initial, params, s, moment_override=moment_override)
     plan = plan_for(params, s, t, initial)
     shifts._frame(op, t, plan.m, plan.x_end)  # the plan's trajectory is the base one

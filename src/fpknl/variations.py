@@ -32,7 +32,7 @@ FOCAL_RCOND = 1e-12
 THETA_13 = 5.37
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matriciant:
     """The pair's fundamental matrix [[nn, 0], [dn, dd]] from s to t, held as
     the mean propagator dd (m(t) = dd @ m(s)) and the spread w = dn @ inv(nn)

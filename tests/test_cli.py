@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpknl import GaussianPacket, ModelParams, SampledDensity, checks
+from fpknl import (GaussianMixture, GaussianPacket, ModelParams, SampledDensity, checks,
+                   evolve_analytic, plan_for)
 from fpknl.cli import SCHEMA, _grid_axis, main
+from fpknl.symmetry import linsym_operator, symmetry_apply_evolution
+from fpknl.variations import matriciant
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -566,3 +569,65 @@ def test_csv_axis_is_the_solver_grid(config):
     grid = SampledDensity.from_callable(lambda p: p[:, 0], gc["x_min"], gc["x_max"],
                                         gc["nodes"])
     assert np.array_equal(_grid_axis(cfg), grid.values)
+
+
+def test_an_n_d_gaussian_inverse_writes_a_report_but_no_snapshots(tmp_path):
+    # the analytic CSV is one-dimensional: a 2D mixture's inverse run still
+    # checks its roundtrip and writes the report and meta, without a CSV
+    out = tmp_path / "out"
+    cfg = base_config(out, task="inverse")
+    cfg["model"].update(dimension=2, drift=EYE2, coupling_state=EYE2, coupling_mean=EYE2)
+    cfg["initial"]["components"][0].update(mean=[0.5, 0.0], num=EYE2, den=EYE2)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    report = json.loads((out / "t_report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["roundtrip-analytic"]
+    assert (out / "t_meta.json").exists()
+    assert not (out / "t_snapshots.csv").exists()
+
+
+def test_symmetry_snapshots_off_time_end_are_the_conjugation_route(tmp_path):
+    # snapshots at time.start and between it and time.end, none at time.end:
+    # each is the conjugation route's image along plan_for at its time
+    out = tmp_path / "out"
+    cfg = base_config(out, task="symmetry",
+                      symmetry={"operator": "linsym", "image_moment": [0.2]})
+    cfg["time"]["snapshots"] = [0.0, 0.5]
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    rows = np.loadtxt(out / "t_snapshots.csv", delimiter=",", skiprows=1)
+    params, packet = checks.reference_case()
+    initial = GaussianMixture([packet])
+    op = linsym_operator(params, matriciant(params, 0.0, 0.0),
+                         initial.first_moment(normalized=True))
+    xs = _grid_axis(cfg)
+    assert sorted(set(rows[:, 0])) == [0.0, 0.5]
+    for t in (0.0, 0.5):
+        plan = plan_for(params, 0.0, t, initial)
+        image = symmetry_apply_evolution(op, evolve_analytic(initial, plan), plan,
+                                         moment_override=np.array([0.2]))
+        block = rows[rows[:, 0] == t]
+        assert np.array_equal(block[:, 1], xs)
+        assert np.array_equal(block[:, 2], image.eval(params, xs.reshape(-1, 1)))
+
+
+@pytest.mark.parametrize("missing", ["time", "fd"])
+def test_verify_hands_fd_reduction_only_the_configured_settings(tmp_path, monkeypatch,
+                                                                missing):
+    # the check holds its own defaults: the command line passes on what the
+    # config gives and nothing else (the call is recorded, no FD solve runs)
+    calls = []
+    monkeypatch.setattr(checks, "check_fd_reduction", lambda **kw: calls.append(kw) or [])
+    cfg = base_config(tmp_path / "out", task="verify",
+                      verify={"checks": ["fd-reduction"], "fd": {"dt": 1e-3, "refine": False}})
+    expected = {"nx": 241, "x_min": -6.0, "x_max": 6.0}
+    if missing == "time":
+        del cfg["time"]
+        expected.update(dt=1e-3, refine=False)
+    else:
+        del cfg["verify"]["fd"]
+        expected.update(t_end=1.0)
+    assert main(["verify", str(write_config(tmp_path, cfg))]) == 0
+    [kw] = calls
+    assert kw.pop("params").drift.tolist() == [[1.0]]
+    packet = kw.pop("packet")
+    assert packet.mean.tolist() == [0.5] and packet.weight == 1.0
+    assert kw == expected

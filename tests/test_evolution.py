@@ -17,7 +17,10 @@ from fpknl import (GaussianMixture, GaussianPacket,
                    plan_for)
 from fpknl.checks import reference_case
 from fpknl.kernels import LOG_TINY, exp_product
-from fpknl.variations import Matriciant
+from fpknl.packets import propagate_packet
+from fpknl.symmetry import (build_shifts, linsym_operator, symmetry_apply_conclusion,
+                            symmetry_apply_evolution, symmetry_apply_shift, symmetry_routes)
+from fpknl.variations import Matriciant, matriciant
 
 
 def params_1d(lam=1.0, eps=0.1, feedback=-0.5, kappa=1.0):
@@ -1141,3 +1144,49 @@ def test_a_plan_of_another_dimension_is_an_input_error():
             with pytest.raises(InputError, match=rf"a {field.dim}D \w+ cannot move "
                                                  rf"along a {plan.params.dim}D plan"):
                 call(field, plan)
+
+
+def _wrong_kind_calls():
+    """Each entry call given a field of a kind it does not take, the call
+    named in the refusal and the hint it gives, all on the reference case."""
+    params, packet = reference_case()
+    mix = GaussianMixture([packet])
+    plan = plan_for(params, 0.0, 1.0, mix)
+    sampled = sampled_from(packet, params, nodes=201)
+    sampled_plan = plan_for(params, 0.0, 1.0, sampled)
+    u_sampled = evolve_quadrature(sampled, sampled_plan)
+    op = linsym_operator(params, matriciant(params, 0.0, 0.0), packet.mean)
+    shifts = build_shifts(op, mix, params, 0.0, moment_override=[0.2])
+    packet_hint, mixture_hint = "GaussianMixture([packet]) makes one", "evolve_analytic takes one"
+    sampled_hint = "evolve_quadrature takes one"
+    return {
+        "plan_for-packet": (lambda: plan_for(params, 0.0, 1.0, packet), packet_hint),
+        "evolve_analytic-sampled": (lambda: evolve_analytic(sampled, plan), sampled_hint),
+        "evolve_analytic-packet": (lambda: evolve_analytic(packet, plan), packet_hint),
+        "evolve_quadrature-mixture": (lambda: evolve_quadrature(mix, plan), mixture_hint),
+        "inverse_evolve-packet": (lambda: inverse_evolve(packet, plan), packet_hint),
+        "propagate_packet-sampled": (lambda: propagate_packet(sampled, plan), sampled_hint),
+        "symmetry_routes-sampled": (
+            lambda: symmetry_routes(op, sampled, params, 0.0, 1.0, moment_override=[0.2]),
+            sampled_hint),
+        "symmetry_apply_shift-sampled": (
+            lambda: symmetry_apply_shift(op, u_sampled, shifts, 1.0), sampled_hint),
+        "symmetry_apply_conclusion-sampled": (
+            lambda: symmetry_apply_conclusion(op, u_sampled, shifts, 1.0), sampled_hint),
+        "symmetry_apply_evolution-sampled": (
+            lambda: symmetry_apply_evolution(op, u_sampled, sampled_plan), sampled_hint),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_wrong_kind_calls()))
+def test_a_field_of_the_wrong_kind_is_an_input_error(case):
+    # each died with a raw AttributeError naming a missing attribute
+    # ('first_moment', 'cov', 'dim', 'edge_max', 'shifted')
+    call, hint = _wrong_kind_calls()[case]
+    caller, kind = case.split("-")
+    kind = {"packet": "GaussianPacket", "sampled": "SampledDensity",
+            "mixture": "GaussianMixture"}[kind]
+    with pytest.raises(InputError, match=rf"^{caller} takes a .*, not a {kind}; "
+                                         rf"{re.escape(hint)}$"):
+        call()

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fpknl import (ConfigurationError, DegenerateMomentError, InputError,
-                   KernelValidityError, ModelParams, SampledDensity)
+from fpknl import (ConfigurationError, DegenerateMomentError, GaussianMixture,
+                   GaussianPacket, InputError, KernelValidityError, ModelParams,
+                   SampledDensity, plan_for)
+from fpknl.symmetry import InitialOperator, build_shifts
+from fpknl.variations import matriciant
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -350,3 +353,25 @@ def test_values_overwritten_in_place_give_the_new_mass_moment_and_edge():
     assert d.first_moment(normalized=True) == pytest.approx([np.sum(w * d.values * x)
                                                              / np.sum(w * d.values)], rel=1e-15)
     assert d.edge_max() == 0.25
+
+
+def test_records_that_hold_arrays_compare_by_identity_in_2d():
+    # the generated == compared the records' arrays and, in 2D, raised
+    # numpy's ValueError (truth value of an array is ambiguous)
+    def records():
+        params = make_params(np.eye(2), np.zeros((2, 2)), -0.5 * np.eye(2),
+                             eps=0.1, kappa=1.0)
+        packet = GaussianPacket(mean=[0.5, 0.0], num=np.eye(2), den=np.eye(2))
+        mix = GaussianMixture([packet])
+        op = InitialOperator(1.0, [0.3, 0.0], [0.2, 0.1])
+        return {"ModelParams": params,
+                "MomentTrajectory": params.moment_trajectory(packet.mean, 0.0),
+                "Matriciant": matriciant(params, 1.0, 0.0),
+                "KernelContext": plan_for(params, 0.0, 1.0, mix),
+                "GaussianPacket": packet,
+                "SampledDensity": SampledDensity.on_grid([-1.0, -1.0], [1.0, 1.0], [5, 5]),
+                "SymmetryShifts": build_shifts(op, mix, params, 0.0)}
+
+    a, b = records(), records()
+    for name in a:
+        assert a[name] == a[name] and a[name] != b[name], name
