@@ -17,10 +17,20 @@ The midpoint velocity on edge j splits into the state drift
 0.25·lam·(x[j] + x[j+1]) and the spatially constant feedback 0.5·feedback·m,
 so the flux over dx is b_j·u[j] + a_j·u[j+1] + g·m·(u[j] + u[j+1]), with
 diffusion, state drift and 1/dx folded into the per-edge coefficients a, b
-once and g = feedback / (2 dx).  The flux is written into a zero-padded
-buffer of nx + 1 edges, whose first difference is du/dt with zero flux
-through both walls.  Each step works in preallocated buffers; the moment
-and mass are one product with the oracle's own trapezoid rows [x·w; w].
+once and g = feedback / (2 dx).  Each RK4 stage scales (b, a) and g by
+the share of the step it moves, h/2, h/2, h and h/6, and writes share·flux
+into its row of a (4, nx + 1) flux table whose wall columns stay 0, so no
+flux crosses the walls; the next stage's input is u plus the row's first
+difference.  One product of the table with the RK4 weights
+(1/3, 2/3, 1/3, 1) and one first difference finish the step.  The table,
+its views and every buffer are built once per solve; the moment and mass
+are one product with the oracle's own trapezoid rows [x·w; w].
+
+Two guards keep a step inside RK4's stability region: the diffusion
+number eps·dt/dx² may not exceed CFL_LIMIT, nor the advective number
+max|v|·dt/dx ADVECTIVE_LIMIT (derived in fd_solve), so a drift too strong
+for dt raises ConfigurationError before the first step instead of
+overflowing.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ from .errors import ConfigurationError, InputError, NormalizationError
 from .model import ModelParams, SampledDensity, require_finite
 
 CFL_LIMIT = 0.25
+# inside RK4's reach of 2√2 along the imaginary axis: see fd_solve
+ADVECTIVE_LIMIT = 2.0
 MASS_DRIFT_FLAG = 1e-4
 # the input's trapezoid mass must be 1 to within this
 MASS_TOL = 1e-6
@@ -71,7 +83,22 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
              cfg: FDConfig) -> FDResult:
     """March the sampled initial density on its own nodes to t_end; record
     the grid moment and trapezoid mass at every step and the density at
-    snapshot times."""
+    snapshot times.
+
+    The advective limit.  Frozen at a velocity v, the Fourier mode
+    exp(i·j·θ) of the flux difference has dt times its eigenvalue equal to
+    z = -4·d·sin²(θ/2) + i·c·sin θ, with d = eps·dt/dx² the diffusion
+    number and c = |v|·dt/dx the advective number.  RK4 is stable where
+    |1 + z + z²/2 + z³/6 + z⁴/24| <= 1, a region that reaches 2√2 along
+    the imaginary axis (Hundsdorfer & Verwer, Numerical Solution of
+    Time-Dependent Advection-Diffusion-Reaction Equations, 2003), so at
+    d = 0 every mode is stable for c <= 2√2; for 0 < d <= CFL_LIMIT the
+    damping widens that reach (to about 2.9).  ADVECTIVE_LIMIT = 2 stays
+    inside it with a margin for what freezing v leaves out: v varies over
+    the grid, and the state drift adds lam·dt to z.  The velocity
+    lam·x + feedback·m is bounded by (|lam| + |feedback|)·max|x|, as a
+    nonnegative density of unit mass has its moment m inside the grid.
+    """
     if params.dim != 1:
         raise ConfigurationError("the finite-difference oracle is one-dimensional")
     if gamma.values.shape != (cfg.nx,):
@@ -87,6 +114,12 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
     lam = float(params.effective_drift[0, 0])
     feedback = float(params.mean_feedback[0, 0])
     x = gamma.coordinate(0)
+    # the bound on |v| in the docstring
+    advective = (abs(lam) + abs(feedback)) * max(abs(x[0]), abs(x[-1])) * cfg.dt / dx
+    if advective > ADVECTIVE_LIMIT:
+        raise ConfigurationError(
+            f"advective number max|v|·dt/dx = {advective:.3f} exceeds {ADVECTIVE_LIMIT}"
+        )
     u = gamma.values.copy()
 
     nsteps = int(round(cfg.t_end / cfg.dt))
@@ -111,55 +144,66 @@ def fd_solve(params: ModelParams, gamma: SampledDensity,
         raise NormalizationError(
             f"initial mass {mass:.12g} is not 1 within {MASS_TOL:.0e}; the oracle "
             "couples to the raw first moment, so it takes unit-mass densities only")
-    # per-edge rows (b, a) and the feedback gain g, each scaled by the RK4
-    # weight (h/6 or h/3) of the stage it serves, so a stage yields weight * du/dt
+    # per-edge rows (b, a) and the feedback gain g, scaled for each stage by
+    # the share of the step it moves (h/2, h/2, h, h/6): row i of the flux
+    # table holds share_i * flux, and the next stage's input is u plus its
+    # first difference
     h = cfg.dt
     drift = 0.25 * lam * (x[1:] + x[:-1]) / dx
     edge = np.stack([drift - eps / dx ** 2, drift + eps / dx ** 2])
     g = 0.5 * feedback / dx
-    sixth, g6 = (h / 6.0) * edge, (h / 6.0) * g
-    third, g3 = (h / 3.0) * edge, (h / 3.0) * g
+    shares = (0.5 * h, 0.5 * h, h, h / 6.0)
+    rows = [share * edge for share in shares]
+    gains = [share * g for share in shares]
+    # the step is h/6 (k1 + 2 k2 + 2 k3 + k4): k1's row holds h/2 k1, so
+    # it weighs 1/3; k2's 2/3; k3's (h k3) 1/3; k4's (h/6 k4) 1
+    weights = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0])
 
     record = np.empty((nsteps + 1, 2))
     snapshots, snap_times = [], []
-    v, acc, dv = np.empty_like(u), np.empty_like(u), np.empty_like(u)
-    # (u[:-1], u[1:]) and (v[:-1], v[1:]) as read-only (2, nx - 1) views
-    pair_u = np.lib.stride_tricks.sliding_window_view(u, 2).T
-    pair_v = np.lib.stride_tricks.sliding_window_view(v, 2).T
-    coef, prod = np.empty_like(edge), np.empty_like(edge)
-    flux = np.zeros(x.size + 1)  # the end entries stay 0: no flux through the walls
-    inner, right, left = flux[1:-1], flux[1:], flux[:-1]
-
-    def stage(pair, rows, gain, m, out):
-        np.add(rows, gain * m, out=coef)
-        np.multiply(coef, pair, out=prod)
-        np.add(prod[0], prod[1], out=inner)
-        np.subtract(right, left, out=out)
+    v = np.empty_like(u)
+    # each stage's state at the left and right node of every edge
+    lefts, rights = (u[:-1],) + (v[:-1],) * 3, (u[1:],) + (v[1:],) * 3
+    coef = np.empty_like(edge)
+    coef_l, coef_r = coef
+    part = np.empty(x.size - 1)
+    # one row per stage; the wall columns stay 0: no flux through the walls
+    flux = np.zeros((4, x.size + 1))
+    inner = [row[1:-1] for row in flux]
+    upper, lower = [row[1:] for row in flux], [row[:-1] for row in flux]
+    total = np.empty(x.size + 1)
+    total_upper, total_lower = total[1:], total[:-1]
+    # a step is 29 calls on short rows, so their overhead is much of its
+    # cost: the ufuncs are bound once and take their output positionally,
+    # the products are ndarray.dot, which skips matmul's dispatch, and each
+    # stage multiplies its two node rows apart, as one call over a strided
+    # (2, nx - 1) view of both takes longer than the two
+    add, mul, sub = np.add, np.multiply, np.subtract
 
     for step in range(nsteps + 1):
-        np.matmul(moment_row, u, out=record[step])
+        moment_row.dot(u, out=record[step])
         if step in snap_steps:
             snapshots.append(SampledDensity(gamma.x_min.copy(), gamma.dx.copy(), u.copy()))
             snap_times.append(snap_steps[step])
         if step == nsteps:
             break
-        stage(pair_u, sixth, g6, float(record[step, 0]), acc)       # acc = h/6 k1
-        np.multiply(acc, 3.0, out=v)
-        np.add(v, u, out=v)                                         # v = u + h/2 k1
-        stage(pair_v, third, g3, float(mrow @ v), dv)               # dv = h/3 k2
-        np.add(acc, dv, out=acc)
-        np.multiply(dv, 1.5, out=v)
-        np.add(v, u, out=v)                                         # v = u + h/2 k2
-        stage(pair_v, third, g3, float(mrow @ v), dv)               # dv = h/3 k3
-        np.add(acc, dv, out=acc)
-        np.multiply(dv, 3.0, out=v)
-        np.add(v, u, out=v)                                         # v = u + h k3
-        stage(pair_v, sixth, g6, float(mrow @ v), dv)               # dv = h/6 k4
-        np.add(acc, dv, out=acc)
-        np.add(u, acc, out=u)
+        m = float(record[step, 0])
+        for i in range(4):
+            add(rows[i], gains[i] * m, coef)
+            mul(coef_l, lefts[i], inner[i])
+            mul(coef_r, rights[i], part)
+            add(inner[i], part, inner[i])                  # share_i * flux
+            if i < 3:
+                sub(upper[i], lower[i], v)
+                add(v, u, v)                               # v = u + share_i * du/dt
+                m = float(mrow.dot(v))
+        weights.dot(flux, out=total)
+        sub(total_upper, total_lower, v)
+        add(u, v, u)
 
     moments, masses = record.T.copy()
-    drifted = bool(np.max(np.abs(masses - masses[0])) > MASS_DRIFT_FLAG)
+    # a NaN mass has drifted too
+    drifted = not np.max(np.abs(masses - masses[0])) <= MASS_DRIFT_FLAG
     return FDResult(snapshots=snapshots, snapshot_times=np.array(snap_times),
                     times=h * np.arange(nsteps + 1), moments=moments,
                     masses=masses, mass_drifted=drifted)

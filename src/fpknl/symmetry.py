@@ -74,10 +74,17 @@ class InitialOperator:
         return self.lin.shape[0]
 
     def shift_argument(self, delta) -> "InitialOperator":
-        """Operator with its argument shifted: self evaluated at x + delta."""
+        """Operator with its argument shifted: self evaluated at x + delta.
+        It shares self's checked lin and grad, so only the new const is
+        checked; one that overflows raises InputError and no warning."""
         delta = _vector(delta, self.dim, "delta")
-        return InitialOperator(self.const + float(self.lin @ delta),
-                               self.lin, self.grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            const = self.const + float(self.lin @ delta)
+        require_finite(InputError, "operator coefficients", const)
+        shifted = object.__new__(InitialOperator)
+        for name, value in (("const", const), ("lin", self.lin), ("grad", self.grad)):
+            object.__setattr__(shifted, name, value)
+        return shifted
 
 
 def evolve_operator(op: InitialOperator, params: ModelParams,

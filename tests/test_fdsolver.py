@@ -157,6 +157,51 @@ def test_fused_step_matches_reference_rk4(coupling_mean, coupling):
             np.trapezoid(snap.values, dx=gamma.dx[0]), rel=1e-14, abs=1e-15)
 
 
+def test_the_flux_table_conserves_the_node_sum_over_many_steps():
+    # every stage and the step itself add first differences of edge fluxes
+    # whose wall entries are 0, so the plain node sum telescopes: it may move
+    # by rounding only, on the strong-feedback model over 1200 steps
+    p = ModelParams(drift=[[3.0]], coupling_state=[[0.5]],
+                    coupling_mean=[[-2.5]], diffusion=0.1, coupling=1.0)
+    times = tuple(0.04 * k for k in range(7))
+    cfg = FDConfig(nx=241, dt=2e-4, t_end=0.24, snapshot_times=times)
+    pk = GaussianPacket(mean=[0.6], num=[[1.5]], den=[[1.0]])
+    gamma = sample(pk, p, 4.0, cfg)
+    res = fd_solve(p, gamma, cfg)
+    assert len(res.times) == 1201 and len(res.snapshots) == len(times)
+    x, dx = gamma.coordinate(0), gamma.dx[0]
+    start = gamma.values.sum()
+    for snap, step in zip(res.snapshots, range(0, 1201, 200)):
+        assert abs(snap.values.sum() - start) <= 1e-13 * start
+        # the recorded moment and mass are the trapezoid integrals of the snapshot
+        assert res.moments[step] == pytest.approx(np.trapezoid(x * snap.values, dx=dx),
+                                                  rel=1e-14, abs=1e-15)
+        assert res.masses[step] == pytest.approx(np.trapezoid(snap.values, dx=dx),
+                                                 rel=1e-14, abs=1e-15)
+    # the density moved: its moment follows the closed form's 0.6 exp(-t)
+    assert res.moments[-1] == pytest.approx(0.6 * np.exp(-0.24), abs=1e-3)
+    assert not res.mass_drifted
+
+
+def test_a_drift_too_strong_for_the_step_is_refused():
+    # drift 200 with dt 1e-4 on 601 nodes over [-6, 6]: the diffusion number
+    # (0.025) passed, and the solve overflowed ("overflow encountered in
+    # multiply") and then raised the misleading "sampled values must be
+    # finite" from its snapshot.  (|lam| + |feedback|) max|x| dt/dx is
+    # 200.5 * 6 * 1e-4 / 0.02 = 6.015
+    p = ModelParams(drift=[[200.0]], coupling_state=[[0.0]],
+                    coupling_mean=[[-0.5]], diffusion=0.1, coupling=1.0)
+    cfg = FDConfig(nx=601, dt=1e-4, t_end=0.02, snapshot_times=(0.02,))
+    pk = GaussianPacket(mean=[0.5], num=[[1.0]], den=[[1.0]])
+    with pytest.raises(ConfigurationError,
+                       match=r"advective number max\|v\|·dt/dx = 6\.015 exceeds 2\.0"):
+        fd_solve(p, sample(pk, p, 6.0, cfg), cfg)
+    # a step 4 times shorter brings the number to 1.504, and the solve runs
+    cfg = FDConfig(nx=601, dt=2.5e-5, t_end=0.02, snapshot_times=(0.02,))
+    res = fd_solve(p, sample(pk, p, 6.0, cfg), cfg)
+    assert np.isfinite(res.snapshots[0].values).all() and not res.mass_drifted
+
+
 @pytest.mark.parametrize("scale", [2.0, 0.5, 1.0 + 2e-6])
 def test_a_density_off_unit_mass_is_refused(scale):
     # the drift couples to the raw first moment: on the reference case at

@@ -111,6 +111,29 @@ def test_operator_coefficients_of_different_lengths_are_refused():
         InitialOperator(1.0, [0.0, 1.0], [0.0])
 
 
+@pytest.mark.parametrize("lin, grad, delta", [
+    ([1.2], [0.7], [0.25]),
+    ([0.3, -1.1], [0.5, 2.0], [0.4, -0.9]),
+    ([0.3, -1.1, 2.5], [0.5, 2.0, -0.2], [0.4, -0.9, 1e-3]),
+], ids=["1d", "2d", "3d"])
+def test_a_shifted_operator_has_the_bits_of_one_built_from_its_coefficients(lin, grad, delta):
+    op = InitialOperator(0.3, lin, grad)
+    shifted = op.shift_argument(delta)
+    built = InitialOperator(op.const + op.lin @ np.asarray(delta), op.lin, op.grad)
+    assert shifted == built
+    assert type(shifted.const) is float and shifted.const == built.const
+    assert shifted.lin is op.lin and shifted.grad is op.grad
+
+
+def test_a_shift_whose_constant_overflows_is_an_input_error_and_no_warning():
+    # lin . delta overflows to inf: the shift used to leak numpy's "overflow
+    # encountered in matmul" before its InputError (RuntimeWarning is an
+    # error in this suite)
+    op = InitialOperator(0.0, [1e300], [1.0])
+    with pytest.raises(InputError, match="operator coefficients must be finite, got inf"):
+        op.shift_argument([1e300])
+
+
 def test_operator_on_a_dipole_mixture_is_refused():
     # the image of a dipole would need second derivatives of the Gaussian
     dipole = GaussianMixture([GaussianPacket(mean=[0.5], num=[[1.0]], den=[[1.0]],
