@@ -13,9 +13,11 @@ per-run tolerance, the CSV axis, a sampler of a field on that axis (None
 for an n-D mixture, so evolve refuses it and inverse writes no CSV), and
 the roundtrip check's name, tolerance and error.  Tasks return their CSV
 as (t, axis, values) blocks, which write_snapshots_csv formats.  The
-symmetry task takes every snapshot from ``symmetry_routes``: the
-conjugation route's image at that time, the time.end call serving both
-the route comparison and its snapshot.  verify hands check_fd_reduction
+symmetry task compares the three routes of ``symmetry_routes`` at
+time.end, whose conjugation route is also that time's snapshot; every
+other snapshot builds the conjugation route alone (plan_for,
+evolve_analytic, symmetry_apply_evolution: the calls symmetry_routes makes
+for it, on the same inputs).  verify hands check_fd_reduction
 only the settings the config gives; the check holds the defaults.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 config error,
@@ -42,7 +44,8 @@ from .evolution import (evolve_analytic, evolve_quadrature, inverse_evolve,
                         plan_for)
 from .model import ModelParams, SampledDensity, _vector, require_finite
 from .packets import GaussianMixture, GaussianPacket
-from .symmetry import InitialOperator, linsym_operator, symmetry_routes
+from .symmetry import (InitialOperator, linsym_operator, symmetry_apply_evolution,
+                       symmetry_routes)
 from .variations import matriciant
 
 ENV_OUTDIR = "FPKNL_OUTDIR"
@@ -339,10 +342,11 @@ def task_symmetry(cfg: dict, params: ModelParams):
     if override is not None:
         override = _vector(override, params.dim, "symmetry.image_moment")
 
-    def routes_at(t):
-        return symmetry_routes(op, initial, params, s, t, moment_override=override)
+    def conjugation_at(t):
+        plan = plan_for(params, s, t, initial)
+        return symmetry_apply_evolution(op, evolve_analytic(initial, plan), plan, override)
 
-    routes, shifts = routes_at(t_end)
+    routes, shifts = symmetry_routes(op, initial, params, s, t_end, moment_override=override)
     xs = _grid_axis(cfg)
     pts = xs.reshape(-1, 1)
     worst = checks.route_spread([route.eval(params, pts) for route in routes])
@@ -350,7 +354,7 @@ def task_symmetry(cfg: dict, params: ModelParams):
                              "pairwise over 3 routes")]
     # each snapshot is the conjugation route's image at its time, that of
     # time.end the one built above
-    blocks = [(t, xs, (routes if t == t_end else routes_at(t)[0])[2].eval(params, pts))
+    blocks = [(t, xs, (routes[2] if t == t_end else conjugation_at(t)).eval(params, pts))
               for t in snaps]
     return results, blocks, {"alpha": shifts.alpha, "normalized": shifts.normalized}
 

@@ -5,7 +5,11 @@ moment-frame anchors x_start and x_end at both ends, computed up front
 from the input's initial moment; kernels and packet propagation consume
 it read-only.  Gaussian mixtures evolve in closed form; sampled densities
 go through trapezoid quadrature of the kernel.  A field and a plan of
-different dimensions raise InputError.
+different dimensions raise InputError.  Each public call checks its
+outside input once and hands what it checked or built on as it is:
+plan_for gives its moment to one kernel_context call, and
+evolve_analytic and the analytic inverse move their checked mixture by
+``packets._propagate``, propagate_packet's body.
 
 The quadrature takes one cache-sized block of kernel rows at a time, so
 it never holds an N x N array.  On the uniform grid the exponent is a
@@ -152,7 +156,7 @@ from .errors import (IllPosedInverseError, InvalidCovarianceError, KernelValidit
 from .kernels import (KernelContext, _require_field, exp_product, input_width,
                       kernel_context, kernel_features)
 from .model import ModelParams, SampledDensity, _vector, row_blocks
-from .packets import GaussianMixture, _require_density, propagate_packet
+from .packets import GaussianMixture, _propagate, _require_density
 from .variations import require_spd
 
 MASS_TOL_ANALYTIC = 1e-10
@@ -216,7 +220,7 @@ def evolve_analytic(mix: GaussianMixture, plan: KernelContext,
         _check_mass(mix.total_mass(), MASS_TOL_ANALYTIC)
     if plan.t == plan.s:
         return mix.copy()
-    return _require_density(propagate_packet(mix, plan), plan)
+    return _require_density(_propagate(mix, plan), plan)
 
 
 @functools.lru_cache(maxsize=64)
@@ -478,23 +482,29 @@ def _inverse_analytic(u: GaussianMixture, plan: KernelContext) -> GaussianMixtur
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             back = plan.reversed()
-            out = propagate_packet(u, back)
+            out = _propagate(u, back)  # u was checked against the plan by inverse_evolve
         except np.linalg.LinAlgError:  # dd underflowed to a singular matrix
             out = None
-        if out is None or not np.isfinite(out.cov).all():
+        # each component's largest |S(s)| entry: nan or inf where S(s) is not finite
+        size = None if out is None else np.abs(out.cov).max(axis=(-2, -1))
+        if size is None or not np.isfinite(size).all():
             raise IllPosedInverseError(
                 f"{horizon}: dd is singular or the backward covariance overflows in "
                 "double precision; the forward flow has forgotten the initial data")
         # S(s) rounds by at most eps times the magnitudes of its terms:
         # relative to S(s), the precision it keeps (none where they cancel to 0)
         terms = np.abs(back.m.dd) @ np.abs(u.cov) @ np.abs(back.m.dd.T) + np.abs(back.m.w)
-        lost = float(np.max(np.finfo(float).eps * terms.max(axis=(-2, -1))
-                            / np.abs(out.cov).max(axis=(-2, -1))))
+        lost = float((np.finfo(float).eps * terms.max(axis=(-2, -1)) / size).max())
     if lost > INVERSE_PRECISION:
         raise IllPosedInverseError(
             f"{horizon}: the backward covariance is precise only to {lost:.1e} "
             f"relative (limit {INVERSE_PRECISION:.0e}); rounding swamps the initial data")
-    require_spd(out.cov, "recovered covariance", InvalidCovarianceError)
+    # S(s) is finite and exactly symmetric (_propagate), so of require_spd's
+    # tests only the Cholesky factor can fail; require_spd words that failure
+    try:
+        np.linalg.cholesky(out.cov)
+    except np.linalg.LinAlgError:
+        require_spd(out.cov, "recovered covariance", InvalidCovarianceError)
     return out
 
 

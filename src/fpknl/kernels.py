@@ -15,6 +15,11 @@ into the moment frame.  Backward, the same formula has a sign-indefinite
 exponent and an integral against it diverges for every forward image,
 so the sampled inverse solves the forward quadrature instead.
 
+Public calls check their outside input once: ``kernel_context`` and
+``reanchored`` check the anchor x_start, and both build the one context
+through ``_anchored``, which takes a checked anchor as it is (the
+conjugation route re-anchors the plan on the image moment it checked).
+
 With xi = xp - yp (the anchored x and the transported anchored y) and
 C = -inv(spread) / (2 diffusion), the exponent is xi^T C xi.  Over a
 product of points it is expanded into row norms and one matrix product,
@@ -155,9 +160,15 @@ class KernelContext:
         """The same move and matriciant, anchored on the moment trajectory
         through x_start at s; an end anchor that overflows double precision
         raises KernelValidityError (MomentTrajectory.at)."""
-        x_start = _vector(x_start, self.params.dim, "x_start")
-        x_end = MomentTrajectory(self.s, x_start, self.params.moment_rate).at(self.t)
-        return KernelContext(self.params, self.m, x_start, x_end)
+        return _anchored(self.params, self.m, _vector(x_start, self.params.dim, "x_start"))
+
+
+def _anchored(params: ModelParams, m: Matriciant, x_start: np.ndarray) -> KernelContext:
+    """The context of m anchored on the moment trajectory through the
+    checked x_start at m.s: the body of reanchored and kernel_context, for
+    callers that hold a checked anchor."""
+    x_end = MomentTrajectory(m.s, x_start, params.moment_rate).at(m.t)
+    return KernelContext(params, m, x_start, x_end)
 
 
 # the call that takes a field of each kind, named where another refuses it
@@ -186,9 +197,10 @@ def kernel_context(params: ModelParams, t: float, s: float,
     or infinite t or s raises InputError (the matriciant checks them before
     the trajectory runs); an anchor that overflows double precision raises
     KernelValidityError."""
-    zero = np.zeros(params.dim)
-    ctx = KernelContext(params, matriciant(params, t, s), zero, zero)
-    return ctx if x_start is None else ctx.reanchored(x_start)
+    m = matriciant(params, t, s)
+    if x_start is None:
+        return KernelContext(params, m, *[np.zeros(params.dim)] * 2)  # one zero, both ends
+    return _anchored(params, m, _vector(x_start, params.dim, "x_start"))
 
 
 def _points(x, n: int) -> np.ndarray:

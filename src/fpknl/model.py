@@ -5,6 +5,14 @@ term ``mean_feedback @ X(t)`` where ``X(t)`` is the density's own first
 moment.  ``X(t)`` closes on itself: it solves the linear ODE
 ``dX/dt = -(effective_drift + mean_feedback) X``, so it is known in
 closed form before the density is.
+
+Public calls check their outside input once, and the calls they make
+take what they checked or built as it is.  ``_vector`` and
+``require_finite`` are those checks; a value that is not a number (a
+string, say) raises the same typed error as a non-finite one.
+``ModelParams`` computes its derived matrices once, on read-only copies
+of its own, and a caller that computed a moment itself builds its
+``MomentTrajectory`` directly instead of through ``moment_trajectory``.
 """
 
 from __future__ import annotations
@@ -53,16 +61,20 @@ def row_blocks(rows: int, row_entries: int) -> list[slice]:
 
 def require_finite(error: type[Exception], what: str, *values) -> None:
     """Raise error naming what unless every value (a number, an array, or
-    None for an absent field) is finite.  Numbers take math.isfinite, a third
-    of np.isfinite's cost: the symmetry routes check operators on every call."""
+    None for an absent field) is finite; a value that is not a number (a
+    string, say) raises the same error.  Numbers take math.isfinite, a
+    third of np.isfinite's cost."""
     for v in values:
-        if v is not None and not (math.isfinite(v) if isinstance(v, float)
-                                  else np.isfinite(v).all()):
-            raise error(f"{what} must be finite" + (f", got {v}" if np.size(v) <= 9 else ""))
+        try:
+            if v is not None and not (math.isfinite(v) if isinstance(v, float)
+                                      else np.isfinite(v).all()):
+                raise error(f"{what} must be finite" + (f", got {v}" if np.size(v) <= 9 else ""))
+        except TypeError:
+            raise error(f"{what} must be finite, got {v!r}, not a number") from None
 
 
 def _square_matrix(a, name: str) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(a, dtype=float))
+    m = np.array(a, dtype=float, ndmin=2)  # a copy, kept read-only by ModelParams
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigurationError(f"{name} must be a square matrix, got shape {m.shape}")
     require_finite(ConfigurationError, name, m)
@@ -70,7 +82,10 @@ def _square_matrix(a, name: str) -> np.ndarray:
 
 
 def _vector(x, n: int, name: str = "vector") -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    try:
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError):  # a string or another object that is not a number
+        raise ConfigurationError(f"{name} must be finite, got {x!r}, not a number") from None
     if v.shape != (n,):
         raise ConfigurationError(f"{name} must have shape ({n},), got {v.shape}")
     require_finite(ConfigurationError, name, v)
@@ -95,6 +110,13 @@ class ModelParams:
     coupling_mean  : interaction coupling to the density's first moment
     diffusion      : scalar diffusion strength, > 0
     coupling       : interaction strength multiplying both couplings
+
+    The record is frozen and holds read-only copies of its matrices, so the
+    derived ones are computed once, here, and read-only too:
+
+    effective_drift : drift + coupling * coupling_state
+    mean_feedback   : coupling * coupling_mean
+    moment_rate     : -(effective_drift + mean_feedback), the rate of X(t)
     """
 
     drift: np.ndarray
@@ -115,30 +137,23 @@ class ModelParams:
         if not (np.isfinite(self.diffusion) and self.diffusion > 0):
             raise ConfigurationError(f"diffusion must be positive, got {self.diffusion}")
         require_finite(ConfigurationError, "coupling", self.coupling)
-        object.__setattr__(self, "drift", d)
-        object.__setattr__(self, "coupling_state", cs)
-        object.__setattr__(self, "coupling_mean", cm)
+        coupling = float(self.coupling)
+        lam, feedback = d + coupling * cs, coupling * cm
+        for name, value in (("drift", d), ("coupling_state", cs), ("coupling_mean", cm),
+                            ("effective_drift", lam), ("mean_feedback", feedback),
+                            ("moment_rate", -(lam + feedback))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "diffusion", float(self.diffusion))
-        object.__setattr__(self, "coupling", float(self.coupling))
+        object.__setattr__(self, "coupling", coupling)
 
     @property
     def dim(self) -> int:
         return self.drift.shape[0]
 
-    @property
-    def effective_drift(self) -> np.ndarray:
-        # recomputed on access so it can never go stale
-        return self.drift + self.coupling * self.coupling_state
-
-    @property
-    def mean_feedback(self) -> np.ndarray:
-        return self.coupling * self.coupling_mean
-
-    @property
-    def moment_rate(self) -> np.ndarray:
-        return -(self.effective_drift + self.mean_feedback)
-
     def moment_trajectory(self, x0, t0: float = 0.0) -> "MomentTrajectory":
+        """The trajectory through x0 at t0, with x0 checked; a caller that
+        computed x0 itself builds MomentTrajectory directly."""
         return MomentTrajectory(t0=float(t0), x0=_vector(x0, self.dim, "x0"),
                                 rate=self.moment_rate)
 
@@ -156,7 +171,8 @@ class MomentTrajectory:
         along a last axis (a 1-D array gives (len(t), n)) from one stacked
         matrix exponential.  Where X overflows double precision,
         KernelValidityError names the shortest such |t - t0|; a time that
-        is not finite raises InputError."""
+        is not finite, or not a number, raises InputError naming it."""
+        require_finite(InputError, "time t", t)
         tau = np.asarray(t, dtype=float) - self.t0
         with np.errstate(over="ignore", invalid="ignore"):  # typed next
             x = expm(tau[..., None, None] * self.rate) @ self.x0

@@ -10,6 +10,11 @@ moment beyond amp0 times the mean, and the linear flow moves it as it
 moves a mean offset, ``dipole -> dd @ dipole``.  Plain densities have
 amp0 = 1 and no dipole.
 
+Public calls check their outside input once: ``propagate_packet`` checks
+its mixture against the context, and ``_propagate``, its body, moves the
+mixtures that evolve_analytic, evolve_packet and the analytic inverse
+have checked themselves.
+
 The solver takes and returns one Gaussian field, the GaussianMixture: its
 K components are stacked arrays, each of its operations is one stacked
 computation, and all components move along the same directed
@@ -81,7 +86,7 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _in_order(a: np.ndarray) -> np.ndarray:
     """Sum over the leading (component) axis in list order, unlike np.sum."""
-    return np.cumsum(a, axis=0)[-1]
+    return np.add.accumulate(a, axis=0)[-1]  # np.cumsum's ufunc, without its wrapper
 
 
 def _groups(mean: np.ndarray, reach: np.ndarray, bound: float):
@@ -324,6 +329,12 @@ def propagate_packet(mix: GaussianMixture, ctx: KernelContext) -> GaussianMixtur
     drift-diffusion flow, and ``ctx.reversed()`` the flow back from t to s.
     """
     _require_field(mix, (GaussianMixture,), "propagate_packet", ctx)
+    return _propagate(mix, ctx)
+
+
+def _propagate(mix: GaussianMixture, ctx: KernelContext) -> GaussianMixture:
+    """The body of propagate_packet, for callers that have checked mix
+    against ctx themselves."""
     m = ctx.m
     cov = m.dd @ mix.cov @ m.dd.T + m.w
     mean = ctx.x_end + _mv(m.dd, mix.mean - ctx.x_start)
@@ -360,4 +371,4 @@ def evolve_packet(p0: GaussianPacket, params: ModelParams,
                                  "evolve other masses as raw fields through evolve_analytic")
     mix = GaussianMixture([p0])
     ctx = kernel_context(params, t, s, p0.mean)  # checks t and s, even where equal
-    return mix if t == s else _require_density(propagate_packet(mix, ctx), ctx)
+    return mix if t == s else _require_density(_propagate(mix, ctx), ctx)

@@ -23,6 +23,17 @@ object, nor equal coefficients) raises InputError.  symmetry_routes
 seeds the frame from its plan's matriciant and end anchor, the same
 calls on the same inputs, so it builds one matriciant for (t, s).
 
+Public calls check their outside input once, and the calls they make
+take the values they checked or built as they are: build_shifts checks
+the two moments it computed once and builds both trajectories from
+them, the frame shifts the operator by the checked base moment
+(``InitialOperator._shifted``, the body of shift_argument),
+evolve_operator checks only the coefficients it computes, and the
+conjugation route checks the image's moment once and re-anchors the
+plan on it (``kernels._anchored``).  The shift route's delta, the anchor,
+comes from an unchecked product that can overflow, so shift_argument
+checks it.
+
 All three produce the solution seeded by the operator image of the
 initial data.  When that image has zero mass the moment trajectory is not
 determined by the data and must be supplied; the transform then returns a
@@ -37,9 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigurationError, InputError
 from .evolution import evolve_analytic, inverse_evolve, plan_for
-from .kernels import KernelContext, _require_field
+from .kernels import KernelContext, _anchored, _require_field
 from .model import ModelParams, MomentTrajectory, SampledDensity, _vector, require_finite
 from .packets import GaussianMixture, GaussianPacket, evolve_packet
 from .variations import Matriciant, matriciant
@@ -73,18 +84,28 @@ class InitialOperator:
     def dim(self) -> int:
         return self.lin.shape[0]
 
+    @classmethod
+    def _of(cls, const: float, lin: np.ndarray, grad: np.ndarray) -> "InitialOperator":
+        """The operator of coefficients that are already a float and two
+        float (n,) arrays, with no conversion: each caller checks the
+        coefficients it computed, as __post_init__ checks its inputs."""
+        op = object.__new__(cls)
+        op.__dict__.update(const=const, lin=lin, grad=grad)  # frozen: past __setattr__
+        return op
+
     def shift_argument(self, delta) -> "InitialOperator":
         """Operator with its argument shifted: self evaluated at x + delta.
         It shares self's checked lin and grad, so only the new const is
         checked; one that overflows raises InputError and no warning."""
-        delta = _vector(delta, self.dim, "delta")
+        return self._shifted(_vector(delta, self.dim, "delta"))
+
+    def _shifted(self, delta: np.ndarray) -> "InitialOperator":
+        """The body of shift_argument, for a delta that is a finite (n,)
+        float array: the symmetry frame's, computed from checked moments."""
         with np.errstate(over="ignore", invalid="ignore"):
             const = self.const + float(self.lin @ delta)
         require_finite(InputError, "operator coefficients", const)
-        shifted = object.__new__(InitialOperator)
-        for name, value in (("const", const), ("lin", self.lin), ("grad", self.grad)):
-            object.__setattr__(shifted, name, value)
-        return shifted
+        return self._of(const, self.lin, self.grad)
 
 
 def evolve_operator(op: InitialOperator, params: ModelParams,
@@ -94,9 +115,12 @@ def evolve_operator(op: InitialOperator, params: ModelParams,
 
     They obey d(lin)/dt = L^T lin, d(grad)/dt = 2 eps lin - L grad with the
     constant part frozen, i.e. the same block law as the precision pair.
+    Only the new lin and grad are checked; one that overflows raises
+    InputError.
     """
-    return InitialOperator(op.const, m.nn @ op.lin,
-                           params.diffusion * (m.dn @ op.lin) + m.dd @ op.grad)
+    lin, grad = m.nn @ op.lin, params.diffusion * (m.dn @ op.lin) + m.dd @ op.grad
+    require_finite(InputError, "operator coefficients", *lin, *grad)
+    return InitialOperator._of(op.const, lin, grad)
 
 
 def linsym_operator(params: ModelParams, m: Matriciant, x_u_t,
@@ -106,6 +130,8 @@ def linsym_operator(params: ModelParams, m: Matriciant, x_u_t,
     At t = s it reduces to  x_d - X_d(s) + d/dx_d.
     """
     x_u_t = _vector(x_u_t, params.dim, "x_u_t")
+    if not isinstance(direction, (int, np.integer)):
+        raise InputError(f"direction {direction!r} is not an integer in 0 ... {params.dim - 1}")
     if not 0 <= direction < params.dim:
         raise InputError(f"direction {direction} lies outside 0 ... {params.dim - 1}")
     lin = m.nn[direction, :].copy()
@@ -206,11 +232,12 @@ class SymmetryShifts:
         matriciant and base_moment.at(t)."""
         if op != self.op:
             raise InputError("the operator differs from the one these shifts were built for")
+        require_finite(InputError, "time t", t)  # the routes' one check of their time
         frame = self._frames.get(float(t))
         if frame is None:
             if m is None:
                 m, x_base = matriciant(self.params, t, self.s), self.base_moment.at(t)
-            a_t = evolve_operator(self.op.shift_argument(self.base_moment.x0), self.params, m)
+            a_t = evolve_operator(self.op._shifted(self.base_moment.x0), self.params, m)
             # a view, so a plan's own end anchor stays writable
             frame = (a_t, x_base.view(), self.image_moment.at(t) - m.dd @ self.lam)
             for a in (a_t.lin, a_t.grad, *frame[1:]):
@@ -245,12 +272,13 @@ def build_shifts(op: InitialOperator,
             "operator image has zero mass; supply moment_override to seed "
             "its moment trajectory"
         )
-    lam = x_image - x_gamma
+    # one check of the moments computed here, for trajectories that take them as they are
+    require_finite(ConfigurationError, "x0", x_gamma, x_image)
     return SymmetryShifts(
         op=op, params=params, s=float(s),
-        base_moment=params.moment_trajectory(x_gamma, s),
-        image_moment=params.moment_trajectory(x_image, s),
-        lam=lam, alpha=app.alpha, normalized=app.normalized,
+        base_moment=MomentTrajectory(float(s), x_gamma, params.moment_rate),
+        image_moment=MomentTrajectory(float(s), x_image, params.moment_rate),
+        lam=x_image - x_gamma, alpha=app.alpha, normalized=app.normalized,
     )
 
 
@@ -284,10 +312,11 @@ def symmetry_apply_evolution(op: InitialOperator, u: GaussianMixture,
     gamma = inverse_evolve(u, plan)
     app = apply_initial_op(op, gamma, plan.params)
     if moment_override is None:
-        x_image = app.field.first_moment(normalized=True)
+        x_image = _vector(app.field.first_moment(normalized=True), plan.params.dim, "x_start")
     else:
         x_image = _vector(moment_override, plan.params.dim, "moment_override")
-    return evolve_analytic(app.field, plan.reanchored(x_image),
+    # the image's moment is checked once, here: the plan re-anchors on it as it is
+    return evolve_analytic(app.field, _anchored(plan.params, plan.m, x_image),
                            require_normalized=app.normalized)
 
 

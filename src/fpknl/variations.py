@@ -46,7 +46,16 @@ class Matriciant:
 
     @cached_property
     def nn(self) -> np.ndarray:
-        return np.linalg.inv(self.dd).T
+        """inv(dd)^T.  Past double precision (a mode that decays over a long
+        horizon takes dd to a subnormal or to 0) it does not exist, and
+        KernelValidityError names |t - s|, with no numpy warning."""
+        with contextlib.suppress(np.linalg.LinAlgError):  # dd is 0
+            nn = np.linalg.inv(self.dd).T  # numpy's own errstate: inf, no warning
+            if np.isfinite(nn).all():
+                return nn
+        raise KernelValidityError(f"inverse of dd is not finite at |t - s| = "
+                                  f"{abs(self.t - self.s):.6g}: dd decays past double "
+                                  "precision over this horizon")
 
     @cached_property
     def dn(self) -> np.ndarray:

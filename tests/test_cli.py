@@ -609,6 +609,18 @@ def test_symmetry_snapshots_off_time_end_are_the_conjugation_route(tmp_path):
         assert np.array_equal(block[:, 2], image.eval(params, xs.reshape(-1, 1)))
 
 
+def test_the_symmetry_task_builds_the_three_routes_at_time_end_only(tmp_path, monkeypatch):
+    # the shipped config snapshots 0.5 and time.end 1.0: only time.end compares
+    # the routes, and 0.5 takes the conjugation route alone
+    import fpknl.cli as cli
+    times, routes = [], cli.symmetry_routes
+    monkeypatch.setattr(cli, "symmetry_routes",
+                        lambda *args, **kwargs: times.append(args[4]) or routes(*args, **kwargs))
+    monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
+    assert main(["run", str(ROOT / "configs" / "symmetry_linsym.json")]) == 0
+    assert times == [1.0]
+
+
 @pytest.mark.parametrize("missing", ["time", "fd"])
 def test_verify_hands_fd_reduction_only_the_configured_settings(tmp_path, monkeypatch,
                                                                 missing):

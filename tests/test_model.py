@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.linalg import expm
 from fpknl import (ConfigurationError, DegenerateMomentError, GaussianMixture,
                    GaussianPacket, InputError, KernelValidityError, ModelParams,
                    SampledDensity, plan_for)
+from fpknl.kernels import kernel_context
 from fpknl.symmetry import InitialOperator, build_shifts
 from fpknl.variations import matriciant
 
@@ -111,6 +114,30 @@ def test_an_overflowing_moment_trajectory_names_its_horizon():
     for t in (np.nan, np.inf, [1.0, np.nan]):
         with pytest.raises(InputError, match="time t must be finite"):
             traj.at(np.array(t))
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, np.array([0.5, np.inf])])
+def test_a_time_that_is_not_finite_is_refused_and_named(t):
+    # on a stable model X(inf) decays, and at() used to return [0.] for an
+    # infinite time; -inf was refused as "got inf"
+    traj = make_params([[1.0]], [[0.0]], [[-0.5]], kappa=1.0).moment_trajectory([0.5])
+    with pytest.raises(InputError, match=re.escape(f"time t must be finite, got {t}")):
+        traj.at(t)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda p: p.moment_trajectory("a"), ConfigurationError),
+    (lambda p: p.moment_trajectory([0.5]).at("1"), InputError),
+    (lambda p: matriciant(p, "1", 0.0), InputError),
+    (lambda p: kernel_context(p, 1.0, 0.0, x_start=object()), ConfigurationError),
+    (lambda p: InitialOperator(1.0, [0.3], [0.2]).shift_argument("a"), ConfigurationError),
+], ids=["moment_trajectory", "at", "matriciant", "kernel_context", "shift_argument"])
+def test_an_argument_that_is_not_a_number_is_a_typed_error(call, error):
+    # np.asarray("a", dtype=float) raised ValueError and np.isfinite("1")
+    # TypeError, past the typed error each call gives a non-finite value
+    p = make_params([[1.0]], [[0.0]], [[-0.5]], kappa=1.0)
+    with pytest.raises(error, match="must be finite, got .*, not a number"):
+        call(p)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpknl import (DegenerateMomentError, GaussianMixture, GaussianPacket,
-                   InputError, InvalidCovarianceError, ModelParams, MomentTrajectory,
-                   SampledDensity, apply_initial_op,
+                   InputError, InvalidCovarianceError, KernelValidityError, ModelParams,
+                   MomentTrajectory, SampledDensity, apply_initial_op,
                    build_shifts, evolve_analytic, inverse_evolve, kernels, linsym_closed_form,
                    linsym_operator, matriciant, plan_for, residual_field,
                    symmetry_apply_conclusion, symmetry_apply_evolution,
@@ -13,6 +13,7 @@ from fpknl import (DegenerateMomentError, GaussianMixture, GaussianPacket,
 from fpknl import checks, symmetry
 from fpknl.checks import reference_case
 from fpknl.symmetry import InitialOperator
+from fpknl.variations import propagate_pair
 
 E = np.e
 
@@ -170,6 +171,44 @@ def test_linsym_zero_drift_coefficients():
     assert op.lin[0] == pytest.approx(1.0, abs=1e-14)
     assert op.const == pytest.approx(-0.2, abs=1e-14)
     assert op.grad[0] == pytest.approx(2 * 0.3 * tau + 1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("direction", [0.5, 1.0, "0"])
+def test_linsym_direction_that_is_not_an_integer_is_refused(direction):
+    # 0.5 used to pass the range test and raise IndexError from the row index
+    p = params_1d()
+    with pytest.raises(InputError, match="is not an integer in 0 ... 0"):
+        linsym_operator(p, matriciant(p, 0.0, 0.0), [0.5], direction=direction)
+
+
+def test_a_route_time_that_is_not_a_number_is_an_input_error():
+    # np.isfinite("1") raised TypeError from the frame's matriciant
+    p, initial = params_1d(), unit_field()
+    shifts = build_shifts(IDENTITY, initial, p, 0.0)
+    u = evolve_analytic(initial, plan_for(p, 0.0, 1.0, initial))
+    for t in ("1", "a"):
+        with pytest.raises(InputError, match="time t must be finite, got .*, not a number"):
+            symmetry_apply_shift(IDENTITY, u, shifts, t)
+
+
+@pytest.mark.parametrize("tau", [240.0, 250.0])
+def test_a_horizon_whose_dd_leaves_double_precision_is_a_kernel_validity_error(tau):
+    # drift 3 takes dd to 2e-313 (subnormal) at t - s = 240 and to 0 at 250,
+    # where nn = inv(dd)^T does not exist.  At 240 linsym_operator leaked
+    # "invalid value encountered in matmul" and symmetry_apply_shift raised
+    # "operator coefficients must be finite"; at 250 each of these raised
+    # numpy's LinAlgError "Singular matrix"
+    p, initial = params_1d(lam=3.0), unit_field()
+    op = InitialOperator(1.0, [0.3], [0.2])
+    m = matriciant(p, tau, 0.0)
+    u = evolve_analytic(initial, plan_for(p, 0.0, tau, initial))
+    calls = [lambda: linsym_operator(p, m, [0.0]),
+             lambda: symmetry_apply_shift(op, u, build_shifts(op, initial, p, 0.0), tau),
+             lambda: symmetry_routes(op, initial, p, 0.0, tau),
+             lambda: propagate_pair(m, [[1.0]], [[1.0]])]
+    for call in calls:
+        with pytest.raises(KernelValidityError, match=rf"\|t - s\| = {tau:g}: dd decays"):
+            call()
 
 
 @pytest.mark.parametrize("direction", [1, -1])
