@@ -1,10 +1,18 @@
 """Configuration-driven command line: evolve, invert, symmetry, verify.
 
-Configs are JSON, schema-validated with unknown keys rejected.  Artifacts
-are deterministic: identical configs produce byte-identical CSV and report
-JSON (floats are written in shortest round-trip form; wall time and
-versions go to a separate meta file).  The exception is the verify
-report's reduction-runtime check, which is a measured wall time.
+Configs are JSON, checked against ``SCHEMA`` with unknown keys rejected.
+``SCHEMA`` is the one statement of the config format, and
+``_schema_errors`` walks it without a schema library.  It reads the JSON
+Schema keywords that SCHEMA uses, with their JSON Schema meanings: type
+(object, array, number, integer, string, boolean), enum, const, oneOf,
+required, properties, additionalProperties false, items, minItems,
+minimum and exclusiveMinimum.  It checks no other keyword, and
+tests/test_config_schema.py fails on a schema that uses one.
+
+Artifacts are deterministic: identical configs produce byte-identical CSV
+and report JSON (floats are written in shortest round-trip form; wall
+time and versions go to a separate meta file).  The exception is the
+verify report's reduction-runtime check, which is a measured wall time.
 
 Each decision is made once.  ``_pathway`` reads the initial data's kind
 and returns the record that evolve and inverse both follow: the evolve
@@ -168,26 +176,67 @@ SCHEMA = {
 }
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "number": (int, float), "integer": (int, float)}
+
+
+def _is_type(value, kind: str) -> bool:
+    """JSON Schema's types: a bool is a boolean alone, not a number, and a
+    float with no fractional part is an integer (NaN and inf are numbers)."""
+    return (isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "boolean")
+            and (kind != "integer" or isinstance(value, int) or value.is_integer()))
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each way value breaks schema, path being
+    the keys and indices that lead to the offending value.  The keywords
+    are those the module docstring lists; as in JSON Schema, one that
+    constrains objects, arrays or numbers passes a value of another type.
+    "$schema" names the dialect and is not a constraint."""
+    if "type" in schema and not _is_type(value, schema["type"]):
+        yield path, f"{value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']}"
+    if "const" in schema and value != schema["const"]:
+        yield path, f"{value!r} is not {schema['const']!r}"
+    if "oneOf" in schema and sum(not any(_schema_errors(value, branch))
+                                 for branch in schema["oneOf"]) != 1:
+        yield path, f"{value!r} is not valid under exactly one of the oneOf schemas"
+    if isinstance(value, dict):
+        yield from ((path, f"{key!r} is a required property")
+                    for key in schema.get("required", ()) if key not in value)
+        for key, item in value.items():
+            if key in schema.get("properties", ()):
+                yield from _schema_errors(item, schema["properties"][key], path + (key,))
+            elif schema.get("additionalProperties") is False:
+                yield path, f"additional property {key!r} is not allowed"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"{value!r} has fewer than {schema['minItems']} items"
+        for i, item in enumerate(value if "items" in schema else ()):
+            yield from _schema_errors(item, schema["items"], path + (i,))
+    if _is_type(value, "number"):  # NaN passes both bounds, as in JSON Schema
+        if "minimum" in schema and value < schema["minimum"]:
+            yield path, f"{value!r} is less than the minimum {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield path, f"{value!r} is not above {schema['exclusiveMinimum']!r}"
+
+
 def fmt(x) -> str:
     """Shortest round-trip decimal form; deterministic across runs."""
     return repr(float(x))
 
 
 def load_config(path: str) -> dict:
-    # imported here, at its one use, so that importing the module does
-    # not load jsonschema
-    from jsonschema import Draft202012Validator
-
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    errors = sorted(Draft202012Validator(SCHEMA).iter_errors(cfg),
-                    key=lambda e: list(e.absolute_path))
+    errors = sorted(_schema_errors(cfg, SCHEMA), key=lambda e: e[0])
     if errors:
-        lines = [f"  at {'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
-                 for e in errors]
+        lines = [f"  at {'/'.join(map(str, where)) or '<root>'}: {message}"
+                 for where, message in errors]
         raise ConfigurationError("config does not match schema:\n" + "\n".join(lines))
     return cfg
 

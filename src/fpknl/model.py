@@ -49,6 +49,10 @@ ZERO_MASS_TOL = 1e-12
 # Mixture evaluation shares the constant: 2048 points of up to 16
 # components stay one block.
 BLOCK_ENTRIES = 2 ** 16
+# the first node count that np.intp cannot hold, a power of two and so an
+# exact float: a count from it on fails the cast to an index.  np.intp's
+# max itself rounds up to it as a float, hence ">=", not "> max".
+_INDEX_LIMIT = float(np.iinfo(np.intp).max + 1)
 
 
 def row_blocks(rows: int, row_entries: int) -> list[slice]:
@@ -74,7 +78,10 @@ def require_finite(error: type[Exception], what: str, *values) -> None:
 
 
 def _square_matrix(a, name: str) -> np.ndarray:
-    m = np.array(a, dtype=float, ndmin=2)  # a copy, kept read-only by ModelParams
+    try:
+        m = np.array(a, dtype=float, ndmin=2)  # a copy, kept read-only by ModelParams
+    except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
+        raise ConfigurationError(f"{name} must be a square matrix of numbers, got {a!r}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigurationError(f"{name} must be a square matrix, got shape {m.shape}")
     require_finite(ConfigurationError, name, m)
@@ -306,6 +313,9 @@ class SampledDensity:
         for n in counts:
             if not n.is_integer():
                 raise InputError(f"node count {n:g} is not a whole number")
+            if n >= _INDEX_LIMIT:
+                raise InputError(f"node count {n} is past the largest index, "
+                                 f"{np.iinfo(np.intp).max}")
         nodes = counts.astype(int)
         if np.any(nodes < 2):
             raise InputError("need at least 2 nodes per axis")

@@ -136,11 +136,18 @@ class GaussianPacket:
 
     def __post_init__(self):
         # num itself need not be symmetric, only the fraction num @ inv(den)
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        self.num = np.atleast_2d(np.asarray(self.num, dtype=float))
-        self.den = np.atleast_2d(np.asarray(self.den, dtype=float))
-        if self.dipole is not None:
-            self.dipole = np.atleast_1d(np.asarray(self.dipole, dtype=float))
+        try:
+            self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+            self.num = np.atleast_2d(np.asarray(self.num, dtype=float))
+            self.den = np.atleast_2d(np.asarray(self.den, dtype=float))
+            if self.dipole is not None:
+                self.dipole = np.atleast_1d(np.asarray(self.dipole, dtype=float))
+        except (TypeError, ValueError):  # a ragged nesting, or an entry that is not a number
+            # the fields before the failed one are float arrays now, and it is not
+            name = next(f for f in ("mean", "num", "den", "dipole")
+                        if getattr(getattr(self, f), "dtype", None) != float)
+            raise InputError(f"packet {name} must be an array of numbers, "
+                             f"got {getattr(self, name)!r}") from None
         n = len(self.mean)
         shapes = (self.mean.shape, self.num.shape, self.den.shape,
                   (n,) if self.dipole is None else self.dipole.shape)

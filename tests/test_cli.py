@@ -643,3 +643,45 @@ def test_verify_hands_fd_reduction_only_the_configured_settings(tmp_path, monkey
     packet = kw.pop("packet")
     assert packet.mean.tolist() == [0.5] and packet.weight == 1.0
     assert kw == expected
+
+
+@pytest.mark.parametrize("config", ["reference_case", "symmetry_linsym", "verify_quick"])
+def test_a_full_run_loads_no_jsonschema(tmp_path, config):
+    # the command line checks a config against SCHEMA itself; jsonschema is
+    # the tests' oracle only.  A fresh interpreter: this one has loaded it
+    env = dict(os.environ, FPKNL_OUTDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", "import sys; from fpknl.cli import main; "
+                           f"assert main(['run', 'configs/{config}.json']) == 0; "
+                           "print(sorted(m for m in sys.modules if m.startswith('jsonschema')))"],
+                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("case", ["drift", "coupling_mean", "num", "den"])
+def test_a_ragged_matrix_is_a_config_error_naming_its_field(tmp_path, capsys, case):
+    # each used to end in numpy's "inhomogeneous shape" ValueError and a
+    # traceback, exit code 1 ("a check failed")
+    cfg = base_config(tmp_path / "out")
+    ragged = [[1.0, 2.0], [3.0]]
+    if case in ("drift", "coupling_mean"):
+        cfg["model"][case] = ragged
+        message = f"{case} must be a square matrix of numbers"
+    else:
+        cfg["initial"]["components"][0][case] = ragged
+        message = f"packet {case} must be an array of numbers"
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert f"config error: {message}, got {ragged}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes", [1e30, 2 ** 63], ids=["1e30", "2**63"])
+def test_a_grid_node_count_past_the_largest_index_is_named(tmp_path, capsys, nodes):
+    # each used to leak numpy's "invalid value encountered in cast", then
+    # exit 2 with "need at least 2 nodes per axis"
+    cfg = base_config(tmp_path / "out")
+    cfg["grid"]["nodes"] = nodes
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert (f"config error: node count {float(nodes)} is past the largest index"
+            in capsys.readouterr().err)

@@ -59,6 +59,19 @@ def test_non_square_drift_rejected():
         make_params([[1.0, 2.0]], [[0.0, 0.0]], [[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("field", ["drift", "coupling_state", "coupling_mean"])
+@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]], [[1.0], "a"], [["a", 0.0], [0.0, 1.0]]],
+                         ids=["ragged", "row-not-a-list", "entry-not-a-number"])
+def test_a_matrix_that_is_not_a_rectangle_of_numbers_is_named(field, rows):
+    # each used to escape as numpy's ValueError ("inhomogeneous shape", "could
+    # not convert string to float")
+    matrices = {"drift": np.eye(2), "coupling_state": np.zeros((2, 2)),
+                "coupling_mean": np.zeros((2, 2)), field: rows}
+    with pytest.raises(ConfigurationError,
+                       match=f"^{field} must be a square matrix of numbers, got "):
+        ModelParams(diffusion=0.1, **matrices)
+
+
 def test_nonpositive_diffusion_rejected():
     with pytest.raises(ConfigurationError):
         make_params([[1.0]], [[0.0]], [[0.0]], eps=0.0)
@@ -283,6 +296,19 @@ def test_a_node_count_that_is_not_whole_is_rejected(build):
     args = (lambda q: q[:, 0],) if build == "from_callable" else ()
     with pytest.raises(InputError, match="node count 10.7 is not a whole number"):
         getattr(SampledDensity, build)(*args, [0.0, 0.0], [1.0, 1.0], [21, 10.7])
+
+
+@pytest.mark.parametrize("build", ["on_grid", "from_callable"])
+@pytest.mark.parametrize("count", [1e30, 2 ** 63, 2.0 ** 63, [21, 1e300]],
+                         ids=["1e30", "2**63", "2.0**63", "second-axis"])
+def test_a_node_count_past_the_largest_index_is_named(build, count):
+    # each used to leak numpy's "invalid value encountered in cast" (an error
+    # under this suite's RuntimeWarning filter), then claim fewer than 2 nodes
+    args = (lambda q: q[:, 0],) if build == "from_callable" else ()
+    axes = len(count) if isinstance(count, list) else 1
+    with pytest.raises(InputError, match=r"^node count \S+e\+\d+ is past the largest index, "
+                                         f"{np.iinfo(np.intp).max}$"):
+        getattr(SampledDensity, build)(*args, [0.0] * axes, [1.0] * axes, count)
 
 
 def test_2d_mass_and_moment():

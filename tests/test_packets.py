@@ -168,6 +168,18 @@ def test_packet_rejects_mismatched_shapes(fields):
         GaussianPacket(**fields)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mean", [0.5, [1.0]]), ("num", [[1.0, 2.0], [3.0]]), ("den", [[1.0], []]),
+    ("dipole", ["a"]), ("num", [["a"]]),
+], ids=["ragged-mean", "ragged-num", "ragged-den", "dipole-not-a-number", "num-not-a-number"])
+def test_packet_names_a_field_that_is_not_an_array_of_numbers(field, value):
+    # each used to escape as numpy's ValueError ("inhomogeneous shape", "could
+    # not convert string to float")
+    fields = {"mean": np.array([0.5]), "num": [[1.0]], "den": [[1.0]], field: value}
+    with pytest.raises(InputError, match=f"^packet {field} must be an array of numbers, got "):
+        GaussianPacket(**fields)
+
+
 @pytest.mark.parametrize("field", ["mean", "num", "den", "weight", "amp0", "dipole"])
 def test_packet_rejects_non_finite_fields(field):
     # a NaN weight used to surface as a KernelValidityError blaming the
